@@ -18,7 +18,7 @@ Three evaluators share one contract and must agree bit-exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import (
     PathMismatch,
@@ -27,7 +27,7 @@ from .errors import (
     UnknownThreadId,
     ValidationError,
 )
-from .model import Multigraph, StateStore, apply_thread
+from .model import Multigraph, StateStore, ThreadSpec, apply_thread
 from .values import PortType, Tag, Value, v_list
 
 
@@ -129,6 +129,18 @@ def _check_input_list(xs: Value, src: PortType) -> None:
         )
 
 
+def map_letter(
+    spec: ThreadSpec, values: Iterable[Value], sigma: Value, check: bool = False
+) -> Tuple[List[Value], Value]:
+    """One stage of the list semantics: map a thread over the values,
+    threading its private state from element to element."""
+    staged = []
+    for v in values:
+        v, sigma = apply_thread(spec, v, sigma, check)
+        staged.append(v)
+    return staged, sigma
+
+
 def eval_phi(
     graph: Multigraph, word: Word, x: Value, state: StateStore, check: bool = False
 ) -> Tuple[Value, StateStore]:
@@ -161,13 +173,7 @@ def eval_psi_ref(
     out = state.copy()
     values = list(xs.payload)
     for n in word.letters:
-        spec = graph.edges[n]
-        sigma = out.get(n)
-        staged = []
-        for v in values:
-            v, sigma = apply_thread(spec, v, sigma, check)
-            staged.append(v)
-        values = staged
+        values, sigma = map_letter(graph.edges[n], values, out.get(n), check)
         out.set(n, sigma)
     return v_list(vw.tgt, values), out
 

@@ -23,6 +23,7 @@ fast-path comparisons.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -35,7 +36,7 @@ from .composition import (
     smap_check,
     validate_word,
 )
-from .errors import StcError
+from .errors import StcError, ValidationError
 from .model import StageKind, StateStore, ThreadSpec, build_graph, init_state
 from .parallel import (
     BranchProgram,
@@ -113,7 +114,7 @@ class FuzzConfig:
 
     def __post_init__(self):
         if min(self.trials, self.max_edges, self.max_word_len, self.max_list_len) < 1:
-            raise ValueError("fuzz limits must be positive")
+            raise ValidationError("fuzz limits must be positive")
 
 
 def random_value(pt: PortType, rng: Xorshift64Star, magnitude: int = 1000) -> Value:
@@ -308,15 +309,17 @@ def run_program(
     if program.is_branch:
         prog = program.word
         if mode == "seq":
-            return eval_branch(graph, prog, xs, state)
+            return eval_branch(
+                graph, prog, xs, state, functools.partial(eval_psi_ref, check=check)
+            )
         if mode == "interleaved":
-            return eval_branch_elementwise(graph, prog, xs, state)
+            return eval_branch_elementwise(graph, prog, xs, state, check)
         if mode == "pipeline":
-            return run_task_parallel_branch(graph, prog, xs, state, workers)
+            return run_task_parallel_branch(graph, prog, xs, state, workers, check=check)
         if mode == "auto":
             return eval_branch(
                 graph, prog, xs, state,
-                word_eval=lambda g, w, v, s: eval_auto_word(g, w, v, s, workers=workers),
+                functools.partial(eval_auto_word, workers=workers, check=check),
             )
         raise ValueError(f"unknown mode {mode!r}")
     word = program.word
@@ -327,7 +330,7 @@ def run_program(
     if mode == "pipeline":
         return run_pipeline(graph, word, xs, state, workers, check=check)
     if mode == "auto":
-        return eval_auto_word(graph, word, xs, state, workers=workers)
+        return eval_auto_word(graph, word, xs, state, workers=workers, check=check)
     raise ValueError(f"unknown mode {mode!r}")
 
 

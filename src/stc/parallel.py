@@ -1,17 +1,28 @@
-"""Parallel executors: stage pipeline, data-parallel fast paths, and
-deterministic task-parallel branching.
+"""Parallel executors: fused stage pipeline, data-parallel fast paths,
+and deterministic task-parallel branching.
 
 All executors here are required to agree bit-exactly with the sequential
 reference ``eval_psi_ref``, on the output list and on the final state
 store. Determinism comes from structure, not luck:
 
-* The pipeline is a linear chain of stages connected by bounded FIFO
-  channels. Each stage exclusively owns its private state slot, so the
-  value/state produced for the i-th element of any stage depends only on
-  upstream FIFO order, never on scheduling.
-* End-of-stream is a distinct sentinel. Once a stage forwards it, the
-  sentinel carries that stage's final private state downstream, where the
-  sink reassembles the global state store.
+* The pipeline cuts a segment into at most ``workers`` contiguous groups
+  of letters (stage fusion). A group pushes each element through all of
+  its letters before handing it on, and exclusively owns those letters'
+  state slots, so the value/state produced for the i-th element of any
+  stage depends only on upstream FIFO order, never on scheduling. The
+  calling thread runs the first group; the last group writes the output
+  list; the groups between are linked by bounded FIFO channels that
+  carry batches of elements.
+* Batches are adaptive: a group hands over its buffer as soon as the
+  next channel is empty, when the buffer reaches ``_BATCH`` elements, or
+  when its own input batch ends. It never waits for a batch to fill, so
+  slow (sleep-bound) stages still pass elements on one at a time while
+  fast ones amortise the hand-off. Channel capacity counts batches.
+* The final state of every letter is read back from its group once all
+  groups have finished, and merged into the store.
+* The read-only and product fast paths split their map into contiguous
+  chunks (stateless fission), one per worker, and concatenate the
+  results in order.
 * Branch execution records the inl/inr order of the split as a flag list
   and uses it to rebuild the merged list, so the two branch evaluations
   can run concurrently without reordering anything.
@@ -25,15 +36,16 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import mutations
 from .composition import (
     Word,
+    _check_input_list,
     eval_phi,
     eval_psi_ref,
+    map_letter,
     segment_word,
     smap_check,
     validate_word,
@@ -51,7 +63,8 @@ from .model import Multigraph, StageKind, StateStore, ThreadSpec, apply_thread
 from .values import PortType, Tag, TypeKind, Value, sum_of, v_inl, v_inr, v_list
 
 _POLL = 0.05
-_IDLE = 0.00005
+# upper bound on the elements one channel message carries
+_BATCH = 64
 
 
 def classify_thread(spec: ThreadSpec) -> StageKind:
@@ -66,7 +79,7 @@ def classify_thread(spec: ThreadSpec) -> StageKind:
 
 
 def run_data_parallel_readonly(
-    spec: ThreadSpec, xs: Value, sigma: Value, workers: int = 1
+    spec: ThreadSpec, xs: Value, sigma: Value, workers: int = 1, check: bool = False
 ) -> Tuple[Value, Value]:
     """Map a read-only thread over a list; the state passes through.
 
@@ -76,19 +89,15 @@ def run_data_parallel_readonly(
     if classify_thread(spec) is not StageKind.READ_ONLY:
         raise ValidationError(f"thread {spec.id} is not read-only")
     _check_elems(xs, spec)
-    items = list(xs.payload)
-    if workers > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(lambda v: spec.transfer(v, sigma)[0], items))
+    if check:
+        out = _fission(lambda v: apply_thread(spec, v, sigma, True)[0], xs.payload, workers)
     else:
-        out = [spec.transfer(v, sigma)[0] for v in items]
+        out = _fission(lambda v: spec.transfer(v, sigma)[0], xs.payload, workers)
     return v_list(spec.tgt, out), sigma
 
 
 def run_data_parallel_product(
-    spec: ThreadSpec, xs: Value, sigma: Value, workers: int = 1
+    spec: ThreadSpec, xs: Value, sigma: Value, workers: int = 1, check: bool = False
 ) -> Tuple[Value, Value]:
     """Evaluate a product thread as an ordinary map plus an iterated
     state update: the output never reads the state and the state never
@@ -96,18 +105,50 @@ def run_data_parallel_product(
     if classify_thread(spec) is not StageKind.PRODUCT:
         raise ValidationError(f"thread {spec.id} is not a product thread")
     _check_elems(xs, spec)
-    items = list(xs.payload)
-    if workers > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(spec.value_part, items))
-    else:
-        out = [spec.value_part(v) for v in items]
+    out = _fission(spec.value_part, xs.payload, workers)
     state = sigma
-    for _ in items:
+    for _ in out:
         state = spec.state_part(state)
+        if check and not state.matches(spec.state_type):
+            raise PortTypeError(
+                f"thread {spec.id} new state {state!r} is not a {spec.state_type.name}"
+            )
     return v_list(spec.tgt, out), state
+
+
+def _fission(fn: Callable[[Value], Value], items: Sequence[Value], workers: int) -> List[Value]:
+    """``[fn(v) for v in items]`` split into ``min(workers, len(items))``
+    contiguous chunks, chunk 0 on the calling thread, concatenated in
+    order. Sound only because ``fn`` reads no state that changes.
+
+    A failing chunk re-raises its original exception; when several fail,
+    the first chunk's wins, so the error does not depend on scheduling.
+    """
+    k = min(workers, len(items))
+    if k <= 1:
+        return [fn(v) for v in items]
+    cuts = [len(items) * c // k for c in range(k + 1)]
+    chunks: List[List[Value]] = [[] for _ in range(k)]
+    failed: List[Optional[BaseException]] = [None] * k
+
+    def run(c: int) -> None:
+        try:
+            chunks[c] = [fn(v) for v in items[cuts[c]:cuts[c + 1]]]
+        except BaseException as exc:  # re-raised by the caller below
+            failed[c] = exc
+
+    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, k)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in failed:
+        if exc is not None:
+            raise exc
+    return [y for chunk in chunks for y in chunk]
 
 
 def _check_elems(xs: Value, spec: ThreadSpec) -> None:
@@ -173,16 +214,6 @@ def _join_ignoring_flags(bs: Value, cs: Value) -> Value:
     return v_list(sum_of(bs.elem, cs.elem), out)
 
 
-class _Flush:
-    """End-of-stream sentinel; accumulates per-stage final states on its
-    way down the chain."""
-
-    __slots__ = ("states",)
-
-    def __init__(self, states: Dict[int, Value]):
-        self.states = states
-
-
 def _chan_get(q: "queue.Queue", abort: threading.Event):
     while True:
         try:
@@ -202,102 +233,6 @@ def _chan_put(q: "queue.Queue", item, abort: threading.Event) -> None:
                 raise ChannelClosed("pipeline aborted") from None
 
 
-class _Stage:
-    """One pipeline stage: owns a thread's state slot, pumps its input
-    channel into its output channel."""
-
-    __slots__ = (
-        "spec", "state", "inq", "outq", "check",
-        "outbox", "saw_flush", "finished",
-    )
-
-    _EMPTY = object()
-
-    def __init__(self, spec: ThreadSpec, state: Value, inq, outq, check: bool):
-        self.spec = spec
-        self.state = state
-        self.inq = inq
-        self.outq = outq
-        self.check = check
-        self.outbox = _Stage._EMPTY
-        self.saw_flush = False
-        self.finished = False
-
-    def _process(self, msg):
-        if isinstance(msg, _Flush):
-            states = dict(msg.states)
-            if not mutations.enabled("state-not-forwarded"):
-                states[self.spec.id] = self.state
-            self.saw_flush = True
-            return _Flush(states)
-        y, sigma = apply_thread(self.spec, msg, self.state, self.check)
-        if not mutations.enabled("state-update-dropped"):
-            self.state = sigma
-        return y
-
-    def run_exclusive(self, abort: threading.Event) -> None:
-        """Blocking loop used when this stage has a worker to itself."""
-        while True:
-            msg = _chan_get(self.inq, abort)
-            out = self._process(msg)
-            _chan_put(self.outq, out, abort)
-            if self.saw_flush:
-                self.finished = True
-                return
-
-    def step(self) -> bool:
-        """One cooperative step; returns True when progress was made."""
-        if self.finished:
-            return False
-        if self.outbox is not _Stage._EMPTY:
-            try:
-                self.outq.put_nowait(self.outbox)
-            except queue.Full:
-                return False
-            self.outbox = _Stage._EMPTY
-            if self.saw_flush:
-                self.finished = True
-            return True
-        if self.saw_flush:
-            self.finished = True
-            return False
-        try:
-            msg = self.inq.get_nowait()
-        except queue.Empty:
-            return False
-        self.outbox = self._process(msg)
-        try:
-            self.outq.put_nowait(self.outbox)
-            self.outbox = _Stage._EMPTY
-            if self.saw_flush:
-                self.finished = True
-        except queue.Full:
-            pass
-        return True
-
-
-def _worker(stages: List[_Stage], abort: threading.Event, errors: List[BaseException]):
-    try:
-        if len(stages) == 1:
-            stages[0].run_exclusive(abort)
-            return
-        live = list(stages)
-        while live:
-            if abort.is_set():
-                return
-            progressed = False
-            for st in live:
-                progressed = st.step() or progressed
-            live = [st for st in live if not st.finished]
-            if live and not progressed:
-                time.sleep(_IDLE)
-    except ChannelClosed:
-        pass
-    except BaseException as exc:  # propagate to the caller, never hang
-        errors.append(exc)
-        abort.set()
-
-
 def _pipeline_segment(
     graph: Multigraph,
     letters: Tuple[int, ...],
@@ -313,57 +248,76 @@ def _pipeline_segment(
         raise RepeatedLetterInSegment(f"segment {letters} repeats a letter")
     if mutations.enabled("stage-order-swapped") and len(letters) >= 2:
         letters = (letters[1], letters[0]) + letters[2:]
+    keep_state = not mutations.enabled("state-update-dropped")
 
-    chans = [queue.Queue(maxsize=capacity) for _ in range(len(letters) + 1)]
-    stages = [
-        _Stage(graph.edges[n], slots[n], chans[i], chans[i + 1], check)
-        for i, n in enumerate(letters)
-    ]
+    n_groups = min(workers, len(letters))
+    cuts = [len(letters) * g // n_groups for g in range(n_groups + 1)]
+    groups = [letters[cuts[g]:cuts[g + 1]] for g in range(n_groups)]
+    # states[g][i] is the private state of the i-th letter of group g; each
+    # group's list is written only by the thread that runs that group
+    states = [[slots[n] for n in group] for group in groups]
+    chans = [queue.Queue(maxsize=capacity) for _ in range(n_groups - 1)]
     abort = threading.Event()
     errors: List[BaseException] = []
+    out: List[Value] = []
 
-    active = min(workers, len(stages))
-    buckets: List[List[_Stage]] = [[] for _ in range(active)]
-    for i, st in enumerate(stages):
-        buckets[i % active].append(st)
+    def inbox(q: "queue.Queue"):
+        while True:
+            batch = _chan_get(q, abort)
+            if batch is None:
+                return
+            yield batch
 
-    def feed():
+    def run_group(g: int, batches) -> None:
+        specs = [graph.edges[n] for n in groups[g]]
+        st = states[g]
+        outq = chans[g] if g < n_groups - 1 else None
+        for batch in batches:
+            buf = out if outq is None else []
+            for v in batch:
+                for i, spec in enumerate(specs):
+                    v, sigma = apply_thread(spec, v, st[i], check)
+                    if keep_state:
+                        st[i] = sigma
+                buf.append(v)
+                # hand over as soon as the next group is idle, so a slow
+                # stage never waits on a batch to fill
+                if outq is not None and (len(buf) >= _BATCH or outq.empty()):
+                    _chan_put(outq, buf, abort)
+                    buf = []
+            if outq is not None and buf:
+                _chan_put(outq, buf, abort)
+        if outq is not None:
+            _chan_put(outq, None, abort)
+
+    def guarded(g: int, batches) -> None:
         try:
-            for v in values:
-                _chan_put(chans[0], v, abort)
-            _chan_put(chans[0], _Flush({}), abort)
+            run_group(g, batches)
         except ChannelClosed:
             pass
-        except BaseException as exc:
+        except BaseException as exc:  # re-raised by the caller below
             errors.append(exc)
             abort.set()
 
-    threads = [threading.Thread(target=_worker, args=(b, abort, errors)) for b in buckets]
-    threads.append(threading.Thread(target=feed))
+    threads = [
+        threading.Thread(target=guarded, args=(g, inbox(chans[g - 1])))
+        for g in range(1, n_groups)
+    ]
     for t in threads:
         t.start()
-
-    out: List[Value] = []
-    states: Dict[int, Value] = {}
     try:
-        while True:
-            msg = _chan_get(chans[-1], abort)
-            if isinstance(msg, _Flush):
-                states = msg.states
-                break
-            out.append(msg)
-    except ChannelClosed:
-        pass
-    except BaseException:
-        abort.set()  # release blocked workers before the join below
-        raise
+        guarded(0, (values,))
     finally:
         for t in threads:
             t.join()
     if errors:
+        if not isinstance(errors[0], Exception):
+            raise errors[0]
         raise ExecutionError("pipeline stage failed") from errors[0]
     new_slots = dict(slots)
-    new_slots.update(states)
+    if not mutations.enabled("state-not-forwarded"):
+        for group, st in zip(groups, states):
+            new_slots.update(zip(group, st))
     return out, new_slots
 
 
@@ -376,8 +330,11 @@ def run_pipeline(
     capacity: int = 16,
     check: bool = False,
 ) -> Tuple[Value, StateStore]:
-    """Pipelined list semantics: one stage per letter, elements streaming
-    through bounded FIFO channels.
+    """Pipelined list semantics: each segment is cut into at most
+    ``workers`` contiguous groups of letters. The caller runs the first
+    group and every other group gets a thread of its own; elements
+    stream between groups in batches over bounded FIFO channels that
+    hold ``capacity`` batches.
 
     Words with repeated letters run as consecutive duplicate-free
     segments with a barrier in between. Single-letter segments have no
@@ -387,12 +344,7 @@ def run_pipeline(
     if workers < 1:
         raise ValidationError("workers must be a positive integer")
     vw = validate_word(graph, word)
-    if xs.tag is not Tag.LIST:
-        raise PortTypeError(f"expected a list value, got {xs!r}")
-    if not xs.elem.compatible(vw.src):
-        raise PortTypeError(
-            f"input element type {xs.elem.name} does not feed a {vw.src.name} source"
-        )
+    _check_input_list(xs, vw.src)
 
     if mutations.enabled("segment-barrier-removed"):
         segments: Tuple[Word, ...] = (word,)
@@ -406,14 +358,7 @@ def run_pipeline(
             continue
         if len(seg.letters) == 1:
             n = seg.letters[0]
-            spec = graph.edges[n]
-            sigma = slots[n]
-            staged = []
-            for v in values:
-                v, sigma = apply_thread(spec, v, sigma, check)
-                staged.append(v)
-            values = staged
-            slots[n] = sigma
+            values, slots[n] = map_letter(graph.edges[n], values, slots[n], check)
         else:
             values, slots = _pipeline_segment(
                 graph, seg.letters, values, slots, workers, capacity, check
@@ -507,7 +452,11 @@ def eval_branch(
 
 
 def eval_branch_elementwise(
-    graph: Multigraph, prog: BranchProgram, xs: Value, state: StateStore
+    graph: Multigraph,
+    prog: BranchProgram,
+    xs: Value,
+    state: StateStore,
+    check: bool = False,
 ) -> Tuple[Value, StateStore]:
     """Independent oracle for branch programs: route one element at a
     time through produce/branch/consume, threading the store.
@@ -521,23 +470,18 @@ def eval_branch_elementwise(
         repeated = smap_check(w)
         if repeated:
             raise RepeatedLetter(min(repeated))
-    if xs.tag is not Tag.LIST:
-        raise PortTypeError(f"expected a list value, got {xs!r}")
-    if not xs.elem.compatible(vb.src):
-        raise PortTypeError(
-            f"input element type {xs.elem.name} does not feed a {vb.src.name} source"
-        )
+    _check_input_list(xs, vb.src)
     out: List[Value] = []
     store = state.copy()
     for x in xs.payload:
-        y, store = eval_phi(graph, prog.producer, x, store)
+        y, store = eval_phi(graph, prog.producer, x, store, check)
         if y.tag is Tag.SUML:
-            b2, store = eval_phi(graph, prog.left, y.payload, store)
+            b2, store = eval_phi(graph, prog.left, y.payload, store, check)
             d_in = v_inl(b2)
         else:
-            c2, store = eval_phi(graph, prog.right, y.payload, store)
+            c2, store = eval_phi(graph, prog.right, y.payload, store, check)
             d_in = v_inr(c2)
-        d, store = eval_phi(graph, prog.consumer, d_in, store)
+        d, store = eval_phi(graph, prog.consumer, d_in, store, check)
         out.append(d)
     vc = validate_word(graph, prog.consumer)
     return v_list(vc.tgt, out), store
@@ -550,12 +494,13 @@ def run_task_parallel_branch(
     state: StateStore,
     workers: int = 4,
     capacity: int = 16,
+    check: bool = False,
 ) -> Tuple[Value, StateStore]:
     """Task-parallel branch execution: the two branch maps run
     concurrently on disjoint state slots; the flag list restores the
     original element order at the join."""
     validate_branch(graph, prog)
-    produced, st1 = run_pipeline(graph, prog.producer, xs, state, workers, capacity)
+    produced, st1 = run_pipeline(graph, prog.producer, xs, state, workers, capacity, check)
     bs, cs, flags = split(produced)
 
     results: Dict[str, Tuple[Value, StateStore]] = {}
@@ -563,7 +508,7 @@ def run_task_parallel_branch(
 
     def run_side(key: str, word: Word, items: Value) -> None:
         try:
-            results[key] = run_pipeline(graph, word, items, st1, workers, capacity)
+            results[key] = run_pipeline(graph, word, items, st1, workers, capacity, check)
         except BaseException as exc:
             failures.append(exc)
 
@@ -589,7 +534,7 @@ def run_task_parallel_branch(
         ds = _join_ignoring_flags(bs2, cs2)
     else:
         ds = join(bs2, cs2, flags)
-    return run_pipeline(graph, prog.consumer, ds, merged, workers, capacity)
+    return run_pipeline(graph, prog.consumer, ds, merged, workers, capacity, check)
 
 
 def eval_auto_word(
@@ -598,32 +543,28 @@ def eval_auto_word(
     xs: Value,
     state: StateStore,
     workers: int = 1,
+    check: bool = False,
 ) -> Tuple[Value, StateStore]:
     """Stage-wise evaluation that takes the data-parallel shortcut for
     every read-only or product stage and falls back to the sequential map
     for general stages."""
     vw = validate_word(graph, word)
-    if xs.tag is not Tag.LIST:
-        raise PortTypeError(f"expected a list value, got {xs!r}")
-    if not xs.elem.compatible(vw.src):
-        raise PortTypeError(
-            f"input element type {xs.elem.name} does not feed a {vw.src.name} source"
-        )
+    _check_input_list(xs, vw.src)
     out = state.copy()
     current = xs
     for n in word.letters:
         spec = graph.edges[n]
         kind = classify_thread(spec)
         if kind is StageKind.READ_ONLY:
-            current, sigma = run_data_parallel_readonly(spec, current, out.get(n), workers)
+            current, sigma = run_data_parallel_readonly(
+                spec, current, out.get(n), workers, check
+            )
         elif kind is StageKind.PRODUCT:
-            current, sigma = run_data_parallel_product(spec, current, out.get(n), workers)
+            current, sigma = run_data_parallel_product(
+                spec, current, out.get(n), workers, check
+            )
         else:
-            sigma = out.get(n)
-            staged = []
-            for v in current.payload:
-                v, sigma = apply_thread(spec, v, sigma)
-                staged.append(v)
+            staged, sigma = map_letter(spec, current.payload, out.get(n), check)
             current = v_list(spec.tgt, staged)
         out.set(n, sigma)
     return v_list(vw.tgt, list(current.payload)), out

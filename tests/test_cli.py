@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -99,6 +102,26 @@ def test_check_fuzz_mutated_fails(capsys):
 
 def test_check_without_target_is_validation_error(capsys):
     assert main(["check"]) == 2
+
+
+@pytest.mark.parametrize(
+    "limit", [["--trials", "0"], ["--max-edges", "0"], ["--max-word-len", "-1"],
+              ["--max-list-len", "0"]]
+)
+def test_check_fuzz_nonpositive_limits_are_validation_errors(limit, capsys):
+    assert main(["check", "--fuzz", *limit]) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
+
+
+def test_module_entry_point_runs_cli(counter_file):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stc.cli", "run", counter_file],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == '{"output":[10,21,32],"final_state":{"1":3}}'
 
 
 def test_bench_csv_shape(capsys):

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import sys
+import threading
+from dataclasses import replace
+
 import pytest
 
 from stc import (
@@ -28,8 +32,14 @@ from stc import (
     v_inr,
     v_int,
     v_list,
+    v_str,
 )
-from stc.errors import RepeatedLetterInSegment, ValidationError
+from stc.errors import (
+    ExecutionError,
+    PortTypeError,
+    RepeatedLetterInSegment,
+    ValidationError,
+)
 from stc.harness import (
     FuzzConfig,
     program_stream,
@@ -37,6 +47,7 @@ from stc.harness import (
     verify_classification,
 )
 from stc import mutations
+from stc.program import Program
 from conftest import counter_scale_graph, int_list
 
 SUM_II = sum_of(INT_T, INT_T)
@@ -207,6 +218,139 @@ def test_pipeline_multiplexes_more_stages_than_workers():
     assert got == expect
 
 
+class Boom(Exception):
+    pass
+
+
+def _raising(thread_id, at):
+    """A counter_add thread whose transfer raises on input value ``at``."""
+    base = make_thread(thread_id, "counter_add", v_int(0))
+
+    def transfer(x, sigma):
+        if x.payload == at:
+            raise Boom(f"thread {thread_id} on {at}")
+        return base.transfer(x, sigma)
+
+    return replace(base, transfer=transfer)
+
+
+def _raised_within(call, timeout=30.0):
+    """Run ``call`` on a helper thread and return what it raised; a call
+    that hangs fails the test instead of stalling the suite."""
+    raised = []
+
+    def target():
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    assert not helper.is_alive(), "call did not return"
+    assert raised, "call did not raise"
+    return raised[0]
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])  # first, middle, last group at 4 workers
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_pipeline_stage_failure_surfaces_and_joins(position, workers):
+    specs = [
+        _raising(n, 30) if n == position + 1 else make_thread(n, "add1_tick", v_int(0))
+        for n in range(1, 6)
+    ]
+    graph = build_graph(*specs)
+    word = Word(tuple(range(1, 6)))
+    xs = v_list(INT_T, [v_int(0)] * 200 + [v_int(30 - position)] + [v_int(1)] * 200)
+    before = threading.active_count()
+    err = _raised_within(
+        lambda: run_pipeline(graph, word, xs, init_state(graph), workers, capacity=1)
+    )
+    assert isinstance(err, ExecutionError) and str(err) == "pipeline stage failed"
+    assert isinstance(err.__cause__, Boom)
+    assert threading.active_count() == before
+
+
+def test_pipeline_stress_more_workers_than_cores():
+    specs = [make_thread(n, ("counter_add", "add1_tick")[n % 2], v_int(n)) for n in range(1, 9)]
+    graph = build_graph(*specs)
+    word = Word(tuple(range(1, 9)))
+    xs = int_list(*range(600))
+    expect = eval_psi_ref(graph, word, xs, init_state(graph))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (3, 8):
+            assert run_pipeline(graph, word, xs, init_state(graph), workers, capacity=2) == expect
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_tiny_lists_at_many_workers_match_reference(n):
+    graph = build_graph(
+        make_thread(1, "counter_add", v_int(0)),
+        make_thread(2, "scale_by_state", v_int(3)),
+        make_thread(3, "add1_tick", v_int(0)),
+    )
+    word = Word((1, 2, 3))
+    xs = int_list(*range(5, 5 + n))
+    expect = eval_psi_ref(graph, word, xs, init_state(graph))
+    assert run_pipeline(graph, word, xs, init_state(graph), 8) == expect
+    assert eval_auto_word(graph, word, xs, init_state(graph), workers=8) == expect
+    for n_id, fast in ((2, run_data_parallel_readonly), (3, run_data_parallel_product)):
+        spec = graph.edges[n_id]
+        ref = eval_psi_ref(graph, Word((n_id,)), xs, init_state(graph))
+        assert fast(spec, xs, spec.init_state, 8) == (ref[0], ref[1].get(n_id))
+
+
+def test_fission_chunk_failure_reraises_original():
+    base = make_thread(1, "scale_by_state", v_int(3))
+    raised = []
+
+    def transfer(x, sigma):
+        if x.payload == 13:
+            raised.append(Boom("chunk 2"))
+            raise raised[-1]
+        return base.transfer(x, sigma)
+
+    spec = replace(base, transfer=transfer)
+    before = threading.active_count()
+    err = _raised_within(
+        lambda: run_data_parallel_readonly(spec, int_list(*range(20)), v_int(3), workers=4)
+    )
+    assert err is raised[0]
+    assert threading.active_count() == before
+
+
+def _count_thread_starts(monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread, *args, **kwargs):
+        started.append(thread)
+        return real_start(thread, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def test_pipeline_threads_started(monkeypatch):
+    specs = [make_thread(n, "counter_add", v_int(n)) for n in range(1, 7)]
+    graph = build_graph(*specs)
+    started = _count_thread_starts(monkeypatch)
+    xs = int_list(*range(40))
+    run_pipeline(graph, Word((1, 2, 3, 4, 5, 6)), xs, init_state(graph), workers=1)
+    assert len(started) == 0
+    # segments [1,2,3] and [3,4,5,6] after the repeated letter 3
+    word = Word((1, 2, 3, 3, 4, 5, 6))
+    for workers in (2, 3, 8):
+        del started[:]
+        run_pipeline(graph, word, xs, init_state(graph), workers)
+        assert len(started) <= (min(workers, 3) - 1) + (min(workers, 4) - 1)
+
+
 # --- split / join -------------------------------------------------------------
 
 
@@ -360,6 +504,46 @@ def test_auto_matches_reference(rng):
         expect = eval_psi_ref(p.graph, p.word, p.input, init_state(p.graph))
         got = eval_auto_word(p.graph, p.word, p.input, init_state(p.graph))
         assert got == expect
+
+
+def _bad_state_thread(thread_id, fn):
+    """A builtin thread whose every state update yields a str for an int
+    slot; it runs unchecked only while it sees a single element."""
+    base = make_thread(thread_id, fn, v_int(3))
+    return replace(
+        base,
+        transfer=lambda x, sigma: (base.transfer(x, sigma)[0], v_str("bad")),
+        state_part=base.state_part and (lambda sigma: v_str("bad")),
+    )
+
+
+BAD_FNS = ["counter_add", "scale_by_state", "add1_tick"]  # general, read-only, product
+
+
+@pytest.mark.parametrize("fn", BAD_FNS)
+def test_auto_honours_check(fn):
+    graph = build_graph(make_thread(1, "counter_add", v_int(0)), _bad_state_thread(2, fn))
+    for workers in (1, 2):
+        eval_auto_word(graph, Word((1, 2)), int_list(5), init_state(graph), workers)
+        with pytest.raises(PortTypeError):
+            eval_auto_word(
+                graph, Word((1, 2)), int_list(5), init_state(graph), workers, check=True
+            )
+
+
+@pytest.mark.parametrize("mode", ["seq", "interleaved", "pipeline", "auto"])
+@pytest.mark.parametrize("fn", BAD_FNS)
+def test_branch_modes_honour_check(mode, fn):
+    graph = build_graph(
+        make_thread(1, "branch_even"),
+        _bad_state_thread(2, fn),
+        make_thread(3, "scale_by_state", v_int(3)),
+        make_thread(4, "merge_sum"),
+    )
+    program = Program(graph, branch_prog(), int_list(2, 3), INT_T)
+    run_program(program, mode, workers=2)
+    with pytest.raises(PortTypeError):
+        run_program(program, mode, workers=2, check=True)
 
 
 # --- determinism ----------------------------------------------------------------
