@@ -140,11 +140,9 @@ def _fission(fn: Callable[[Value], Value], items: Sequence[Value], workers: int)
     threads = [threading.Thread(target=run, args=(c,)) for c in range(1, k)]
     for t in threads:
         t.start()
-    try:
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
+    run(0)
+    for t in threads:
+        t.join()
     for exc in failed:
         if exc is not None:
             raise exc
@@ -305,11 +303,9 @@ def _pipeline_segment(
     ]
     for t in threads:
         t.start()
-    try:
-        guarded(0, (values,))
-    finally:
-        for t in threads:
-            t.join()
+    guarded(0, (values,))
+    for t in threads:
+        t.join()
     if errors:
         if not isinstance(errors[0], Exception):
             raise errors[0]
