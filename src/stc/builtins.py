@@ -3,7 +3,8 @@
 Threads draw their transfer functions from this fixed registry rather
 than from arbitrary user code, so programs stay serializable and any two
 runs of the same program are reproducible. Integer arithmetic wraps at 64
-bits.
+bits: every int result is a ``wrap64`` result, so it is boxed with the
+unchecked ``_int_value``.
 
 Registry:
 
@@ -34,6 +35,7 @@ from .values import (
     UNIT_T,
     PortType,
     Value,
+    _int_value,
     parse_port,
     sum_of,
     v_inl,
@@ -67,24 +69,24 @@ class ThreadParts:
 
 def _counter_add(params: Mapping) -> ThreadParts:
     def fn(x: Value, s: Value):
-        return v_int(wrap64(x.payload + s.payload)), v_int(wrap64(s.payload + 1))
+        return _int_value(wrap64(x.payload + s.payload)), _int_value(wrap64(s.payload + 1))
 
     return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn)
 
 
 def _scale_by_state(params: Mapping) -> ThreadParts:
     def fn(x: Value, s: Value):
-        return v_int(wrap64(x.payload * s.payload)), s
+        return _int_value(wrap64(x.payload * s.payload)), s
 
     return ThreadParts(INT_T, INT_T, INT_T, v_int(1), fn)
 
 
 def _add1_tick(params: Mapping) -> ThreadParts:
     def g(x: Value) -> Value:
-        return v_int(wrap64(x.payload + 1))
+        return _int_value(wrap64(x.payload + 1))
 
     def h(s: Value) -> Value:
-        return v_int(wrap64(s.payload + 1))
+        return _int_value(wrap64(s.payload + 1))
 
     def fn(x: Value, s: Value):
         return g(x), h(s)

@@ -18,7 +18,7 @@ Three evaluators share one contract and must agree bit-exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (
     PathMismatch,
@@ -27,7 +27,7 @@ from .errors import (
     UnknownThreadId,
     ValidationError,
 )
-from .model import Multigraph, StateStore, ThreadSpec, apply_thread
+from .model import Multigraph, StateStore, ThreadSpec, TransferFn, stepper
 from .values import PortType, Tag, Value, v_list
 
 
@@ -134,11 +134,24 @@ def map_letter(
 ) -> Tuple[List[Value], Value]:
     """One stage of the list semantics: map a thread over the values,
     threading its private state from element to element."""
+    step = stepper(spec, check)
     staged = []
+    append = staged.append
     for v in values:
-        v, sigma = apply_thread(spec, v, sigma, check)
-        staged.append(v)
+        v, sigma = step(v, sigma)
+        append(v)
     return staged, sigma
+
+
+def _element_steps(graph: Multigraph, word: Word, check: bool) -> List[Tuple[int, TransferFn]]:
+    return [(n, stepper(graph.edges[n], check)) for n in word.letters]
+
+
+def _run_element(steps: List[Tuple[int, TransferFn]], v: Value, slots: Dict[int, Value]) -> Value:
+    """One element through every letter, updating ``slots`` in place."""
+    for n, step in steps:
+        v, slots[n] = step(v, slots[n])
+    return v
 
 
 def eval_phi(
@@ -152,12 +165,9 @@ def eval_phi(
     vw = validate_word(graph, word)
     if check and not x.matches(vw.src):
         raise PortTypeError(f"input {x!r} is not a {vw.src.name}")
-    out = state.copy()
-    v = x
-    for n in word.letters:
-        v, sigma = apply_thread(graph.edges[n], v, out.get(n), check)
-        out.set(n, sigma)
-    return v, out
+    slots = state.as_dict()
+    y = _run_element(_element_steps(graph, word, check), x, slots)
+    return y, StateStore(slots)
 
 
 def eval_psi_ref(
@@ -185,16 +195,15 @@ def eval_interleaved(
 
     Defined only for words whose letters are pairwise distinct; agreement
     with ``eval_psi_ref`` on that domain is the executable content of the
-    stage/element reordering argument that licenses pipelining.
+    stage/element reordering argument that licenses pipelining. The word
+    is validated and the store copied once, not once per element.
     """
     repeated = smap_check(word)
     if repeated:
         raise RepeatedLetter(min(repeated))
     vw = validate_word(graph, word)
     _check_input_list(xs, vw.src)
-    out = state.copy()
-    values = []
-    for v in xs.payload:
-        y, out = eval_phi(graph, word, v, out, check)
-        values.append(y)
-    return v_list(vw.tgt, values), out
+    steps = _element_steps(graph, word, check)
+    slots = state.as_dict()
+    values = [_run_element(steps, v, slots) for v in xs.payload]
+    return v_list(vw.tgt, values), StateStore(slots)

@@ -8,6 +8,7 @@ ids to their current private state values.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum, unique
@@ -73,24 +74,34 @@ class ThreadSpec:
         return replace(self, src=src, tgt=tgt)
 
 
+def expect_port(spec: ThreadSpec, what: str, v: Value, pt: PortType) -> None:
+    """Raise ``PortTypeError`` unless ``v``, the ``what`` of thread
+    ``spec``, inhabits ``pt``."""
+    if not v.matches(pt):
+        raise PortTypeError(f"thread {spec.id} {what} {v!r} is not a {pt.name}")
+
+
 def apply_thread(
     spec: ThreadSpec, x: Value, sigma: Value, check: bool = False
 ) -> Tuple[Value, Value]:
     """Apply one transfer function, optionally type-checking both ends."""
-    if check and not x.matches(spec.src):
-        raise PortTypeError(f"thread {spec.id} input {x!r} is not a {spec.src.name}")
-    if check and not sigma.matches(spec.state_type):
-        raise PortTypeError(
-            f"thread {spec.id} state {sigma!r} is not a {spec.state_type.name}"
-        )
+    if not check:
+        return spec.transfer(x, sigma)
+    expect_port(spec, "input", x, spec.src)
+    expect_port(spec, "state", sigma, spec.state_type)
     y, sigma2 = spec.transfer(x, sigma)
-    if check and not y.matches(spec.tgt):
-        raise PortTypeError(f"thread {spec.id} output {y!r} is not a {spec.tgt.name}")
-    if check and not sigma2.matches(spec.state_type):
-        raise PortTypeError(
-            f"thread {spec.id} new state {sigma2!r} is not a {spec.state_type.name}"
-        )
+    expect_port(spec, "output", y, spec.tgt)
+    expect_port(spec, "new state", sigma2, spec.state_type)
     return y, sigma2
+
+
+def stepper(spec: ThreadSpec, check: bool) -> TransferFn:
+    """The call that applies ``spec`` to one element: its bare transfer
+    function, or with ``check`` that call type-checked by ``apply_thread``.
+    Loops call it per element, so the unchecked path pays no extra frame."""
+    if check:
+        return functools.partial(apply_thread, spec, check=True)
+    return spec.transfer
 
 
 @dataclass(frozen=True)

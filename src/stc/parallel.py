@@ -43,7 +43,8 @@ from . import mutations
 from .composition import (
     Word,
     _check_input_list,
-    eval_phi,
+    _element_steps,
+    _run_element,
     eval_psi_ref,
     map_letter,
     segment_word,
@@ -59,7 +60,7 @@ from .errors import (
     RepeatedLetterInSegment,
     ValidationError,
 )
-from .model import Multigraph, StageKind, StateStore, ThreadSpec, apply_thread
+from .model import Multigraph, StageKind, StateStore, ThreadSpec, expect_port, stepper
 from .values import PortType, Tag, TypeKind, Value, sum_of, v_inl, v_inr, v_list
 
 _POLL = 0.05
@@ -89,11 +90,7 @@ def run_data_parallel_readonly(
     if classify_thread(spec) is not StageKind.READ_ONLY:
         raise ValidationError(f"thread {spec.id} is not read-only")
     _check_elems(xs, spec)
-    if check:
-        out = _fission(lambda v: apply_thread(spec, v, sigma, True)[0], xs.payload, workers)
-    else:
-        out = _fission(lambda v: spec.transfer(v, sigma)[0], xs.payload, workers)
-    return v_list(spec.tgt, out), sigma
+    return v_list(spec.tgt, _readonly_map(spec, xs.payload, sigma, workers, check)), sigma
 
 
 def run_data_parallel_product(
@@ -105,15 +102,28 @@ def run_data_parallel_product(
     if classify_thread(spec) is not StageKind.PRODUCT:
         raise ValidationError(f"thread {spec.id} is not a product thread")
     _check_elems(xs, spec)
-    out = _fission(spec.value_part, xs.payload, workers)
-    state = sigma
-    for _ in out:
-        state = spec.state_part(state)
-        if check and not state.matches(spec.state_type):
-            raise PortTypeError(
-                f"thread {spec.id} new state {state!r} is not a {spec.state_type.name}"
-            )
+    out, state = _product_map(spec, xs.payload, sigma, workers, check)
     return v_list(spec.tgt, out), state
+
+
+def _readonly_map(
+    spec: ThreadSpec, items: Sequence[Value], sigma: Value, workers: int, check: bool
+) -> List[Value]:
+    step = stepper(spec, check)
+    return _fission(lambda v: step(v, sigma)[0], items, workers)
+
+
+def _product_map(
+    spec: ThreadSpec, items: Sequence[Value], sigma: Value, workers: int, check: bool
+) -> Tuple[List[Value], Value]:
+    out = _fission(spec.value_part, items, workers)
+    state = sigma
+    for y in out:
+        state = spec.state_part(state)
+        if check:
+            expect_port(spec, "output", y, spec.tgt)
+            expect_port(spec, "new state", state, spec.state_type)
+    return out, state
 
 
 def _fission(fn: Callable[[Value], Value], items: Sequence[Value], workers: int) -> List[Value]:
@@ -206,7 +216,7 @@ def join(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
     return v_list(sum_of(bs.elem, cs.elem), out)
 
 
-def _join_ignoring_flags(bs: Value, cs: Value) -> Value:
+def _join_ignoring_flags(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
     # Deliberate fault for the mutation harness: drops the recorded order.
     out = [v_inl(v) for v in bs.payload] + [v_inr(v) for v in cs.payload]
     return v_list(sum_of(bs.elem, cs.elem), out)
@@ -267,14 +277,14 @@ def _pipeline_segment(
             yield batch
 
     def run_group(g: int, batches) -> None:
-        specs = [graph.edges[n] for n in groups[g]]
+        steps = list(enumerate(stepper(graph.edges[n], check) for n in groups[g]))
         st = states[g]
         outq = chans[g] if g < n_groups - 1 else None
         for batch in batches:
             buf = out if outq is None else []
             for v in batch:
-                for i, spec in enumerate(specs):
-                    v, sigma = apply_thread(spec, v, st[i], check)
+                for i, step in steps:
+                    v, sigma = step(v, st[i])
                     if keep_state:
                         st[i] = sigma
                 buf.append(v)
@@ -417,6 +427,50 @@ def validate_branch(graph: Multigraph, prog: BranchProgram) -> ValidatedBranch:
 
 
 WordEval = Callable[[Multigraph, Word, Value, StateStore], Tuple[Value, StateStore]]
+Side = Callable[[], Tuple[Value, StateStore]]
+JoinFn = Callable[[Value, Value, Tuple[bool, ...]], Value]
+
+
+def _sides_in_sequence(left: Side, right: Side):
+    return left(), right()
+
+
+def _sides_concurrently(left: Side, right: Side):
+    # the caller runs the left side while one thread runs the right; a
+    # failure of the left side wins, as _fission re-raises chunk 0 first
+    return tuple(_fission(lambda side: side(), (left, right), 2))
+
+
+def _run_branch(
+    graph: Multigraph,
+    prog: BranchProgram,
+    xs: Value,
+    state: StateStore,
+    word_eval: WordEval,
+    sides: Callable[[Side, Side], Tuple[Tuple[Value, StateStore], ...]],
+    join_fn: JoinFn,
+) -> Tuple[Value, StateStore]:
+    """The one branch driver: produce, split, run the two sides through
+    ``sides``, merge their state slots, join by the flags, consume.
+
+    The full store is handed to both branch evaluations; the final store
+    takes each branch's slots from its own run, which is well defined
+    because the letter sets are disjoint.
+    """
+    validate_branch(graph, prog)
+    produced, st1 = word_eval(graph, prog.producer, xs, state)
+    bs, cs, flags = split(produced)
+    (bs2, st_left), (cs2, st_right) = sides(
+        lambda: word_eval(graph, prog.left, bs, st1),
+        lambda: word_eval(graph, prog.right, cs, st1),
+    )
+    merged = st1.copy()
+    for n in prog.left.letters:
+        merged.set(n, st_left.get(n))
+    for n in prog.right.letters:
+        merged.set(n, st_right.get(n))
+    ds = join_fn(bs2, cs2, flags)
+    return word_eval(graph, prog.consumer, ds, merged)
 
 
 def eval_branch(
@@ -426,25 +480,9 @@ def eval_branch(
     state: StateStore,
     word_eval: WordEval = eval_psi_ref,
 ) -> Tuple[Value, StateStore]:
-    """Sequential branch semantics: produce, split, run both branches,
-    join by the recorded flags, consume.
-
-    The full store is handed to both branch evaluations; the final store
-    takes each branch's slots from its own run, which is well defined
-    because the letter sets are disjoint.
-    """
-    validate_branch(graph, prog)
-    produced, st1 = word_eval(graph, prog.producer, xs, state)
-    bs, cs, flags = split(produced)
-    bs2, st_left = word_eval(graph, prog.left, bs, st1)
-    cs2, st_right = word_eval(graph, prog.right, cs, st1)
-    merged = st1.copy()
-    for n in prog.left.letters:
-        merged.set(n, st_left.get(n))
-    for n in prog.right.letters:
-        merged.set(n, st_right.get(n))
-    ds = join(bs2, cs2, flags)
-    return word_eval(graph, prog.consumer, ds, merged)
+    """Sequential branch semantics: produce, split, run both branches
+    one after the other, join by the recorded flags, consume."""
+    return _run_branch(graph, prog, xs, state, word_eval, _sides_in_sequence, join)
 
 
 def eval_branch_elementwise(
@@ -467,20 +505,17 @@ def eval_branch_elementwise(
         if repeated:
             raise RepeatedLetter(min(repeated))
     _check_input_list(xs, vb.src)
+    producer, left, right, consumer = (_element_steps(graph, w, check) for w in prog.words())
+    slots = state.as_dict()
     out: List[Value] = []
-    store = state.copy()
     for x in xs.payload:
-        y, store = eval_phi(graph, prog.producer, x, store, check)
+        y = _run_element(producer, x, slots)
         if y.tag is Tag.SUML:
-            b2, store = eval_phi(graph, prog.left, y.payload, store, check)
-            d_in = v_inl(b2)
+            d_in = v_inl(_run_element(left, y.payload, slots))
         else:
-            c2, store = eval_phi(graph, prog.right, y.payload, store, check)
-            d_in = v_inr(c2)
-        d, store = eval_phi(graph, prog.consumer, d_in, store, check)
-        out.append(d)
-    vc = validate_word(graph, prog.consumer)
-    return v_list(vc.tgt, out), store
+            d_in = v_inr(_run_element(right, y.payload, slots))
+        out.append(_run_element(consumer, d_in, slots))
+    return v_list(vb.tgt, out), StateStore(slots)
 
 
 def run_task_parallel_branch(
@@ -492,45 +527,15 @@ def run_task_parallel_branch(
     capacity: int = 16,
     check: bool = False,
 ) -> Tuple[Value, StateStore]:
-    """Task-parallel branch execution: the two branch maps run
-    concurrently on disjoint state slots; the flag list restores the
-    original element order at the join."""
-    validate_branch(graph, prog)
-    produced, st1 = run_pipeline(graph, prog.producer, xs, state, workers, capacity, check)
-    bs, cs, flags = split(produced)
+    """Task-parallel branch execution: every word is pipelined, the two
+    branch maps run concurrently on disjoint state slots, and the flag
+    list restores the original element order at the join."""
 
-    results: Dict[str, Tuple[Value, StateStore]] = {}
-    failures: List[BaseException] = []
+    def word_eval(g: Multigraph, word: Word, items: Value, st: StateStore):
+        return run_pipeline(g, word, items, st, workers, capacity, check)
 
-    def run_side(key: str, word: Word, items: Value) -> None:
-        try:
-            results[key] = run_pipeline(graph, word, items, st1, workers, capacity, check)
-        except BaseException as exc:
-            failures.append(exc)
-
-    sides = [
-        threading.Thread(target=run_side, args=("left", prog.left, bs)),
-        threading.Thread(target=run_side, args=("right", prog.right, cs)),
-    ]
-    for t in sides:
-        t.start()
-    for t in sides:
-        t.join()
-    if failures:
-        raise failures[0]
-
-    bs2, st_left = results["left"]
-    cs2, st_right = results["right"]
-    merged = st1.copy()
-    for n in prog.left.letters:
-        merged.set(n, st_left.get(n))
-    for n in prog.right.letters:
-        merged.set(n, st_right.get(n))
-    if mutations.enabled("flags-ignored-in-join"):
-        ds = _join_ignoring_flags(bs2, cs2)
-    else:
-        ds = join(bs2, cs2, flags)
-    return run_pipeline(graph, prog.consumer, ds, merged, workers, capacity, check)
+    join_fn = _join_ignoring_flags if mutations.enabled("flags-ignored-in-join") else join
+    return _run_branch(graph, prog, xs, state, word_eval, _sides_concurrently, join_fn)
 
 
 def eval_auto_word(
@@ -543,24 +548,19 @@ def eval_auto_word(
 ) -> Tuple[Value, StateStore]:
     """Stage-wise evaluation that takes the data-parallel shortcut for
     every read-only or product stage and falls back to the sequential map
-    for general stages."""
+    for general stages. Stages hand each other plain lists; the result is
+    boxed and checked once, at the end."""
     vw = validate_word(graph, word)
     _check_input_list(xs, vw.src)
-    out = state.copy()
-    current = xs
+    slots = state.as_dict()
+    values: Sequence[Value] = xs.payload
     for n in word.letters:
         spec = graph.edges[n]
         kind = classify_thread(spec)
         if kind is StageKind.READ_ONLY:
-            current, sigma = run_data_parallel_readonly(
-                spec, current, out.get(n), workers, check
-            )
+            values = _readonly_map(spec, values, slots[n], workers, check)
         elif kind is StageKind.PRODUCT:
-            current, sigma = run_data_parallel_product(
-                spec, current, out.get(n), workers, check
-            )
+            values, slots[n] = _product_map(spec, values, slots[n], workers, check)
         else:
-            staged, sigma = map_letter(spec, current.payload, out.get(n), check)
-            current = v_list(spec.tgt, staged)
-        out.set(n, sigma)
-    return v_list(vw.tgt, list(current.payload)), out
+            values, slots[n] = map_letter(spec, values, slots[n], check)
+    return v_list(vw.tgt, values), StateStore(slots)

@@ -34,18 +34,19 @@ from .parallel import BranchProgram, validate_branch
 from .values import (
     INT64_MAX,
     INT64_MIN,
+    MAX_NESTING,
     PortType,
     Tag,
     TypeKind,
     UNIT,
     Value,
+    _int_value,
     parse_port,
     sum_of,
     v_bool,
     v_float,
     v_inl,
     v_inr,
-    v_int,
     v_list,
     v_pair,
     v_str,
@@ -67,53 +68,55 @@ class Program:
         return isinstance(self.word, BranchProgram)
 
 
-def value_from_json(obj: Any, pt: PortType, path: str) -> Value:
-    """Read a plain JSON literal against an expected port type."""
+def value_from_json(obj: Any, pt: PortType, path: str, depth: int = 0) -> Value:
+    """Read a plain JSON literal against an expected port type.
+
+    ``depth`` counts the enclosing lists, pairs and sums; a literal that
+    nests deeper than ``MAX_NESTING`` is rejected."""
+    if depth > MAX_NESTING:
+        raise SchemaError(path, f"value nests deeper than {MAX_NESTING} levels")
     k = pt.kind
-    try:
-        if k is TypeKind.UNIT:
-            if obj is not None:
-                raise SchemaError(path, f"expected null for unit, got {obj!r}")
-            return UNIT
-        if k is TypeKind.BOOL:
-            if type(obj) is not bool:
-                raise SchemaError(path, f"expected a bool, got {obj!r}")
-            return v_bool(obj)
-        if k is TypeKind.INT:
-            if type(obj) is not int or not INT64_MIN <= obj <= INT64_MAX:
-                raise SchemaError(path, f"expected a 64-bit int, got {obj!r}")
-            return v_int(obj)
-        if k is TypeKind.FLOAT:
-            if type(obj) is bool or not isinstance(obj, (int, float)):
-                raise SchemaError(path, f"expected a number, got {obj!r}")
-            return v_float(float(obj))
-        if k is TypeKind.STR:
-            if type(obj) is not str:
-                raise SchemaError(path, f"expected a string, got {obj!r}")
-            return v_str(obj)
-        if k is TypeKind.LIST:
-            if not isinstance(obj, list):
-                raise SchemaError(path, f"expected an array, got {obj!r}")
-            items = [
-                value_from_json(item, pt.args[0], f"{path}[{i}]")
-                for i, item in enumerate(obj)
-            ]
-            return v_list(pt.args[0], items)
-        if k is TypeKind.PAIR:
-            if not isinstance(obj, list) or len(obj) != 2:
-                raise SchemaError(path, f"expected a two-element array, got {obj!r}")
-            return v_pair(
-                value_from_json(obj[0], pt.args[0], f"{path}[0]"),
-                value_from_json(obj[1], pt.args[1], f"{path}[1]"),
-            )
-        if k is TypeKind.SUM:
-            if isinstance(obj, dict) and set(obj) == {"inl"}:
-                return v_inl(value_from_json(obj["inl"], pt.args[0], f"{path}.inl"))
-            if isinstance(obj, dict) and set(obj) == {"inr"}:
-                return v_inr(value_from_json(obj["inr"], pt.args[1], f"{path}.inr"))
-            raise SchemaError(path, f'expected {{"inl": ...}} or {{"inr": ...}}, got {obj!r}')
-    except SchemaError:
-        raise
+    if k is TypeKind.UNIT:
+        if obj is not None:
+            raise SchemaError(path, f"expected null for unit, got {obj!r}")
+        return UNIT
+    if k is TypeKind.BOOL:
+        if type(obj) is not bool:
+            raise SchemaError(path, f"expected a bool, got {obj!r}")
+        return v_bool(obj)
+    if k is TypeKind.INT:
+        if type(obj) is not int or not INT64_MIN <= obj <= INT64_MAX:
+            raise SchemaError(path, f"expected a 64-bit int, got {obj!r}")
+        return _int_value(obj)
+    if k is TypeKind.FLOAT:
+        if type(obj) is bool or not isinstance(obj, (int, float)):
+            raise SchemaError(path, f"expected a number, got {obj!r}")
+        return v_float(float(obj))
+    if k is TypeKind.STR:
+        if type(obj) is not str:
+            raise SchemaError(path, f"expected a string, got {obj!r}")
+        return v_str(obj)
+    if k is TypeKind.LIST:
+        if not isinstance(obj, list):
+            raise SchemaError(path, f"expected an array, got {obj!r}")
+        items = [
+            value_from_json(item, pt.args[0], f"{path}[{i}]", depth + 1)
+            for i, item in enumerate(obj)
+        ]
+        return v_list(pt.args[0], items)
+    if k is TypeKind.PAIR:
+        if not isinstance(obj, list) or len(obj) != 2:
+            raise SchemaError(path, f"expected a two-element array, got {obj!r}")
+        return v_pair(
+            value_from_json(obj[0], pt.args[0], f"{path}[0]", depth + 1),
+            value_from_json(obj[1], pt.args[1], f"{path}[1]", depth + 1),
+        )
+    if k is TypeKind.SUM:
+        if isinstance(obj, dict) and set(obj) == {"inl"}:
+            return v_inl(value_from_json(obj["inl"], pt.args[0], f"{path}.inl", depth + 1))
+        if isinstance(obj, dict) and set(obj) == {"inr"}:
+            return v_inr(value_from_json(obj["inr"], pt.args[1], f"{path}.inr", depth + 1))
+        raise SchemaError(path, f'expected {{"inl": ...}} or {{"inr": ...}}, got {obj!r}')
     raise SchemaError(path, f"unsupported port type {pt.name}")
 
 
@@ -155,6 +158,8 @@ def parse_program(text: str) -> Program:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from None
+    except RecursionError:
+        raise SchemaError("", "document nests too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("", "program must be a JSON object")
     allowed = {"threads", "word", "anchor", "input", "input_type"}

@@ -6,6 +6,20 @@ injections. Equality and hashing are structural and *total*: floats
 compare by their IEEE-754 bit pattern (NaN equals NaN, 0.0 differs from
 -0.0), so two equal values are interchangeable in any executor.
 
+Representation: a ``Value`` is a tuple subclass holding ``(tag, payload,
+elem)``, with read-only properties for the three fields and no instance
+dict, so it is immutable and costs one tuple allocation to build.
+Equality on unit, bool, int and str compares the tag by identity and then
+the payload; float, list, pair and sum values compare by a canonical key
+that encodes floats bitwise and list element types by structure.
+
+Who checks: the public constructors (``v_bool``, ``v_int``, ``v_float``,
+``v_str``, ``v_list``) check the payload's type, the 64-bit int range and
+list homogeneity, and every executor builds its result list with
+``v_list``. ``_int_value`` skips ``v_int``'s checks and trusts its caller;
+it is used only on ``wrap64`` results (the builtins) and on JSON ints that
+passed ``value_from_json``'s range check.
+
 A ``PortType`` is the type of a graph vertex. Its ``name`` identifies the
 vertex; its kind/args describe the values that flow through it. Two port
 types are *compatible* (can carry the same values) when their structures
@@ -18,6 +32,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum, unique
+from operator import itemgetter
 from typing import Any, Iterable, Optional, Tuple
 
 from .errors import PortTypeError, SchemaError
@@ -85,9 +100,15 @@ def vertex(name: str, carrier: PortType) -> PortType:
     return PortType(name, carrier.kind, carrier.args)
 
 
+# Deepest port type (and so value) a document may nest. Every layer walks
+# types and values recursively, so the limit keeps hostile input far from
+# the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 def parse_port(text: str, path: str = "") -> PortType:
     """Parse a canonical port-type string such as ``sum(int,list(str))``."""
-    pt, rest = _parse_port(text.strip(), path)
+    pt, rest = _parse_port(text.strip(), path, 0)
     if rest:
         raise SchemaError(path, f"trailing text {rest!r} after port type")
     return pt
@@ -96,7 +117,7 @@ def parse_port(text: str, path: str = "") -> PortType:
 _ATOMS = {"unit": UNIT_T, "bool": BOOL_T, "int": INT_T, "float": FLOAT_T, "str": STR_T}
 
 
-def _parse_port(text: str, path: str) -> Tuple[PortType, str]:
+def _parse_port(text: str, path: str, depth: int) -> Tuple[PortType, str]:
     for name, pt in _ATOMS.items():
         if text.startswith(name):
             return pt, text[len(name):]
@@ -106,10 +127,12 @@ def _parse_port(text: str, path: str) -> Tuple[PortType, str]:
         ("sum", 2, lambda a: sum_of(a[0], a[1])),
     ):
         if text.startswith(name + "("):
+            if depth >= MAX_NESTING:
+                raise SchemaError(path, f"port type nests deeper than {MAX_NESTING} levels")
             rest = text[len(name) + 1:]
             args = []
             for i in range(arity):
-                arg, rest = _parse_port(rest, path)
+                arg, rest = _parse_port(rest, path, depth + 1)
                 args.append(arg)
                 sep = "," if i < arity - 1 else ")"
                 if not rest.startswith(sep):
@@ -132,48 +155,80 @@ class Tag(Enum):
     SUMR = "inr"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Value:
-    """One immutable runtime value.
+_UNIT, _BOOL, _INT, _FLOAT, _STR = Tag.UNIT, Tag.BOOL, Tag.INT, Tag.FLOAT, Tag.STR
+_LIST, _PAIR, _SUML, _SUMR = Tag.LIST, Tag.PAIR, Tag.SUML, Tag.SUMR
+_new_tuple = tuple.__new__
+
+
+class Value(tuple):
+    """One immutable runtime value: the triple ``(tag, payload, elem)``.
 
     Payload by tag: UNIT -> None; BOOL/INT/FLOAT/STR -> the python scalar;
     LIST -> tuple of Values (with ``elem`` giving the declared element
     type); PAIR -> (Value, Value); SUML/SUMR -> the injected Value.
+
+    The fields are read-only properties over a tuple with no instance
+    dict, so no attribute of a Value can be assigned. Values are not
+    ordered.
     """
 
-    tag: Tag
-    payload: Any = None
-    elem: Optional[PortType] = None
+    __slots__ = ()
+
+    tag = property(itemgetter(0))
+    payload = property(itemgetter(1))
+    elem = property(itemgetter(2))
+
+    def __new__(cls, tag: Tag, payload: Any = None, elem: Optional[PortType] = None):
+        return _new_tuple(cls, (tag, payload, elem))
+
+    def __getnewargs__(self) -> tuple:
+        # lets copy and pickle rebuild a Value through __new__
+        return tuple(self)
 
     def _key(self) -> tuple:
         t = self.tag
-        if t is Tag.FLOAT:
+        if t is _FLOAT:
             return (t, struct.pack("<d", self.payload))
-        if t is Tag.LIST:
+        if t is _LIST:
             return (t, self.elem.structure(), tuple(v._key() for v in self.payload))
-        if t is Tag.PAIR:
+        if t is _PAIR:
             return (t, self.payload[0]._key(), self.payload[1]._key())
-        if t in (Tag.SUML, Tag.SUMR):
+        if t is _SUML or t is _SUMR:
             return (t, self.payload._key())
         return (t, self.payload)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Value):
             return NotImplemented
+        t = self[0]
+        # plain tags: the payload's own equality is already exact (a bool
+        # and an int never share a tag)
+        if t is _INT or t is _STR or t is _BOOL or t is _UNIT:
+            return t is other[0] and self[1] == other[1]
         return self._key() == other._key()
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         return hash(self._key())
 
+    # tuple order would compare floats by value, not by bit pattern
+    def _unordered(self, other: object):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
     def __repr__(self) -> str:
         t = self.tag
-        if t is Tag.UNIT:
+        if t is _UNIT:
             return "unit"
-        if t is Tag.LIST:
+        if t is _LIST:
             return f"[{', '.join(map(repr, self.payload))}]:{self.elem.name}"
-        if t is Tag.PAIR:
+        if t is _PAIR:
             return f"({self.payload[0]!r}, {self.payload[1]!r})"
-        if t in (Tag.SUML, Tag.SUMR):
+        if t is _SUML or t is _SUMR:
             return f"{t.value}({self.payload!r})"
         return repr(self.payload)
 
@@ -181,27 +236,27 @@ class Value:
         """True when the value inhabits ``pt`` (structurally)."""
         k = pt.kind
         if k is TypeKind.UNIT:
-            return self.tag is Tag.UNIT
+            return self.tag is _UNIT
         if k is TypeKind.BOOL:
-            return self.tag is Tag.BOOL
+            return self.tag is _BOOL
         if k is TypeKind.INT:
-            return self.tag is Tag.INT
+            return self.tag is _INT
         if k is TypeKind.FLOAT:
-            return self.tag is Tag.FLOAT
+            return self.tag is _FLOAT
         if k is TypeKind.STR:
-            return self.tag is Tag.STR
+            return self.tag is _STR
         if k is TypeKind.LIST:
-            return self.tag is Tag.LIST and self.elem.compatible(pt.args[0])
+            return self.tag is _LIST and self.elem.compatible(pt.args[0])
         if k is TypeKind.PAIR:
             return (
-                self.tag is Tag.PAIR
+                self.tag is _PAIR
                 and self.payload[0].matches(pt.args[0])
                 and self.payload[1].matches(pt.args[1])
             )
         if k is TypeKind.SUM:
-            if self.tag is Tag.SUML:
+            if self.tag is _SUML:
                 return self.payload.matches(pt.args[0])
-            if self.tag is Tag.SUMR:
+            if self.tag is _SUMR:
                 return self.payload.matches(pt.args[1])
         return False
 
@@ -221,6 +276,13 @@ def v_int(n: int) -> Value:
     if not INT64_MIN <= n <= INT64_MAX:
         raise PortTypeError(f"{n} outside 64-bit range")
     return Value(Tag.INT, n)
+
+
+def _int_value(n: int) -> Value:
+    """``v_int`` without its checks, for an ``n`` the caller has already
+    proved to be an in-range int: a ``wrap64`` result, or a JSON literal
+    that passed its 64-bit range check."""
+    return _new_tuple(Value, (_INT, n, None))
 
 
 def v_float(x: float) -> Value:

@@ -113,6 +113,29 @@ def test_check_fuzz_nonpositive_limits_are_validation_errors(limit, capsys):
     assert capsys.readouterr().err.startswith("validation error:")
 
 
+DEEP = 3000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(dict(
+            COUNTER,
+            threads=[{"id": 1, "fn": "delay_identity_ms", "params": {"type": "list(" * DEEP}}],
+        )),
+        json.dumps(dict(COUNTER, input=[])).replace("[]", "[" * DEEP + "]" * DEEP),
+    ],
+    ids=["port-type", "input"],
+)
+def test_deeply_nested_documents_are_validation_errors(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "nests" in err
+    assert err.count("\n") == 1
+
+
 def test_module_entry_point_runs_cli(counter_file):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

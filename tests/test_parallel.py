@@ -531,6 +531,46 @@ def test_auto_honours_check(fn):
             )
 
 
+def _ill_typed_thread(thread_id, fn, bad):
+    """A builtin thread whose every output (``bad="output"``) or every new
+    state (``bad="new state"``) is a str where an int belongs."""
+    base = make_thread(thread_id, fn, v_int(3))
+
+    def transfer(x, sigma):
+        y, sigma2 = base.transfer(x, sigma)
+        return (v_str("bad"), sigma2) if bad == "output" else (y, v_str("bad"))
+
+    def value_part(x):
+        return v_str("bad") if bad == "output" else base.value_part(x)
+
+    def state_part(sigma):
+        return v_str("bad") if bad == "new state" else base.state_part(sigma)
+
+    return replace(
+        base,
+        transfer=transfer,
+        value_part=base.value_part and value_part,
+        state_part=base.state_part and state_part,
+    )
+
+
+@pytest.mark.parametrize("mode", ["seq", "pipeline", "auto"])
+@pytest.mark.parametrize("fn", BAD_FNS)
+@pytest.mark.parametrize("bad", ["output", "new state"])
+def test_check_catches_ill_typed_transfer(mode, fn, bad):
+    graph = build_graph(
+        make_thread(1, "counter_add", v_int(0)),
+        _ill_typed_thread(2, fn, bad),
+        make_thread(3, "add1_tick", v_int(0)),
+    )
+    program = Program(graph, Word((1, 2, 3)), int_list(4, 5, 6), INT_T)
+    with pytest.raises(ExecutionError) as err:
+        run_program(program, mode, workers=2, check=True)
+    # a multi-letter pipeline segment reports the failing stage as the cause
+    cause = err.value if mode != "pipeline" else err.value.__cause__
+    assert isinstance(cause, PortTypeError) and f"thread 2 {bad}" in str(cause)
+
+
 @pytest.mark.parametrize("mode", ["seq", "interleaved", "pipeline", "auto"])
 @pytest.mark.parametrize("fn", BAD_FNS)
 def test_branch_modes_honour_check(mode, fn):

@@ -22,7 +22,7 @@ from stc import (
 from stc.errors import ValidationError
 from stc.harness import FuzzConfig, program_stream, run_program
 from stc.program import program_to_text, value_from_json, value_to_json
-from stc.values import UNIT, parse_port
+from stc.values import INT_T, MAX_NESTING, UNIT, list_of, parse_port
 from conftest import fig1_graph
 
 MINIMAL = json.dumps(
@@ -139,6 +139,15 @@ def test_value_json_round_trip():
     v = value_from_json(doc, pt, "input[0]")
     assert value_to_json(v) == doc
     assert value_from_json(None, parse_port("unit"), "p") == UNIT
+
+
+def test_value_from_json_nesting_limit():
+    pt, doc = INT_T, 1
+    for _ in range(MAX_NESTING):
+        pt, doc = list_of(pt), [doc]
+    assert value_to_json(value_from_json(doc, pt, "v")) == doc
+    with pytest.raises(SchemaError, match="nests deeper"):
+        value_from_json([doc], list_of(pt), "v")
 
 
 def test_builtin_registry_minimum():
