@@ -155,8 +155,7 @@ class Tag(Enum):
     SUMR = "inr"
 
 
-_UNIT, _BOOL, _INT, _FLOAT, _STR = Tag.UNIT, Tag.BOOL, Tag.INT, Tag.FLOAT, Tag.STR
-_LIST, _PAIR, _SUML, _SUMR = Tag.LIST, Tag.PAIR, Tag.SUML, Tag.SUMR
+_UNIT, _BOOL, _INT, _STR = Tag.UNIT, Tag.BOOL, Tag.INT, Tag.STR
 _new_tuple = tuple.__new__
 
 
@@ -187,13 +186,13 @@ class Value(tuple):
 
     def _key(self) -> tuple:
         t = self.tag
-        if t is _FLOAT:
+        if t is Tag.FLOAT:
             return (t, struct.pack("<d", self.payload))
-        if t is _LIST:
+        if t is Tag.LIST:
             return (t, self.elem.structure(), tuple(v._key() for v in self.payload))
-        if t is _PAIR:
+        if t is Tag.PAIR:
             return (t, self.payload[0]._key(), self.payload[1]._key())
-        if t is _SUML or t is _SUMR:
+        if t in (Tag.SUML, Tag.SUMR):
             return (t, self.payload._key())
         return (t, self.payload)
 
@@ -222,13 +221,13 @@ class Value(tuple):
 
     def __repr__(self) -> str:
         t = self.tag
-        if t is _UNIT:
+        if t is Tag.UNIT:
             return "unit"
-        if t is _LIST:
+        if t is Tag.LIST:
             return f"[{', '.join(map(repr, self.payload))}]:{self.elem.name}"
-        if t is _PAIR:
+        if t is Tag.PAIR:
             return f"({self.payload[0]!r}, {self.payload[1]!r})"
-        if t is _SUML or t is _SUMR:
+        if t in (Tag.SUML, Tag.SUMR):
             return f"{t.value}({self.payload!r})"
         return repr(self.payload)
 
@@ -236,27 +235,27 @@ class Value(tuple):
         """True when the value inhabits ``pt`` (structurally)."""
         k = pt.kind
         if k is TypeKind.UNIT:
-            return self.tag is _UNIT
+            return self.tag is Tag.UNIT
         if k is TypeKind.BOOL:
-            return self.tag is _BOOL
+            return self.tag is Tag.BOOL
         if k is TypeKind.INT:
-            return self.tag is _INT
+            return self.tag is Tag.INT
         if k is TypeKind.FLOAT:
-            return self.tag is _FLOAT
+            return self.tag is Tag.FLOAT
         if k is TypeKind.STR:
-            return self.tag is _STR
+            return self.tag is Tag.STR
         if k is TypeKind.LIST:
-            return self.tag is _LIST and self.elem.compatible(pt.args[0])
+            return self.tag is Tag.LIST and self.elem.compatible(pt.args[0])
         if k is TypeKind.PAIR:
             return (
-                self.tag is _PAIR
+                self.tag is Tag.PAIR
                 and self.payload[0].matches(pt.args[0])
                 and self.payload[1].matches(pt.args[1])
             )
         if k is TypeKind.SUM:
-            if self.tag is _SUML:
+            if self.tag is Tag.SUML:
                 return self.payload.matches(pt.args[0])
-            if self.tag is _SUMR:
+            if self.tag is Tag.SUMR:
                 return self.payload.matches(pt.args[1])
         return False
 
