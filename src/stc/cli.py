@@ -15,6 +15,7 @@ stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -28,8 +29,8 @@ from .errors import ExecutionError, StcError, ValidationError
 from .harness import (
     FuzzConfig,
     Xorshift64Star,
+    TrialReport,
     check_program,
-    first_divergence,
     run_fuzz,
     run_program,
     verify_classification,
@@ -89,14 +90,16 @@ def cmd_check(args) -> int:
             verify_classification(spec, rng)
             for spec in program.graph.edges.values()
         )
-        trial = check_program(program, rng)
+        trial = check_program(program, rng, check=True)
         _print_check_table(program, trial, hints_ok)
         return 0 if trial.equal and hints_ok else 1
     finally:
         mutations.clear()
 
 
-def _print_check_table(program: Program, trial, hints_ok: bool = True) -> None:
+def _print_check_table(program: Program, trial: TrialReport, hints_ok: bool = True) -> None:
+    """One row per run of ``trial``: ``equal`` up to the divergence, then
+    the run that diverged. Runs nothing itself."""
     from .model import is_acyclic
 
     print(f"program {program_digest(program)[:16]}")
@@ -104,24 +107,17 @@ def _print_check_table(program: Program, trial, hints_ok: bool = True) -> None:
     # an acyclic graph guarantees every word pipelines in one piece
     print(f"graph acyclic: {str(is_acyclic(program.graph)).lower()}")
     print(f"classification hints: {'ok' if hints_ok else 'VIOLATED'}")
-    ref = run_program(program, "seq", check=True)
-    rows = [("seq", "reference")]
-    seen = set()
+    rows = {"seq": "reference"}
     for label in trial.modes:
-        if label in ("seq", "functor", "split-join") or label in seen:
-            continue
-        seen.add(label)
-        mode, _, w = label.partition("@")
-        try:
-            got = run_program(program, mode, workers=int(w) if w else 4, check=True)
-            div = first_divergence(label, ref, got)
-            rows.append((label, "equal" if div is None else f"DIVERGES at {div.where}"))
-        except StcError as exc:
-            rows.append((label, f"ERROR {exc}"))
-    if trial.divergence is not None:
-        rows.append((trial.divergence.mode, f"DIVERGES at {trial.divergence.where}"))
-    width = max(len(r[0]) for r in rows)
-    for name, status in rows:
+        if label not in ("functor", "split-join"):
+            rows.setdefault(label, "equal")
+    div = trial.divergence
+    if div is not None and div.kind == "error":
+        rows[div.mode] = f"ERROR {div.actual}"
+    elif div is not None:
+        rows[div.mode] = f"DIVERGES at {div.where}"
+    width = max(map(len, rows))
+    for name, status in rows.items():
         print(f"{name:<{width}}  {status}")
 
 
@@ -154,7 +150,10 @@ def cmd_dot(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; ``parse_args`` returns a
+    fresh namespace on every call."""
     parser = argparse.ArgumentParser(prog="stc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,12 +13,20 @@ output list and the final state store:
 
 * the stage-wise sequential reference,
 * the element-wise evaluator (when every letter is distinct),
-* the classification-driven fast-path evaluator,
+* the classification-driven fast-path evaluator at 1 and 4 workers
+  (``auto@1``, ``auto@4``; the second runs chunked fission),
 * the pipeline executor at several worker counts, run twice to expose
   scheduling nondeterminism,
 
 plus word-split functor checks, split/join round trips, and single-letter
-fast-path comparisons.
+fast-path comparisons. ``check_program`` makes every one of those runs in
+one pass, with ``check`` on or off for all of them alike: ``stc check
+<file>`` runs them checked and prints its table from the result, the
+fuzzer runs them unchecked.
+
+Classification hints are spot-checked by sampling only where there is a
+claim to test: READ_ONLY and PRODUCT threads get 200 random (element,
+state) pairs each, GENERAL threads claim nothing and are not sampled.
 """
 
 from __future__ import annotations
@@ -150,9 +158,12 @@ def verify_classification(spec: ThreadSpec, rng: Xorshift64Star, trials: int = 2
     """Spot-check a declared READ_ONLY/PRODUCT hint on random pairs.
 
     This cannot prove the hint (sampling never can); it exists to catch a
-    mislabeled builtin early. GENERAL threads vacuously pass.
+    mislabeled builtin early. GENERAL threads claim nothing, so they pass
+    without drawing a sample or calling ``transfer``.
     """
     kind = classify_thread(spec)
+    if kind is StageKind.GENERAL:
+        return True
     for _ in range(trials):
         x = random_value(spec.src, rng)
         sigma = random_value(spec.state_type, rng)
@@ -436,11 +447,16 @@ def check_program(
     rng: Xorshift64Star,
     workers_counts: Sequence[int] = (1, 2, 4, 8),
     index: int = 0,
+    check: bool = False,
 ) -> TrialReport:
-    """Run every applicable comparison for one program."""
+    """Run every applicable comparison for one program.
+
+    ``check`` is passed to every ``run_program`` call, the reference
+    included. ``modes`` lists each run in order; on a divergence it ends
+    with the run that diverged."""
     digest = program_digest(program)
     modes: List[str] = ["seq"]
-    ref = run_program(program, "seq")
+    ref = run_program(program, "seq", check=check)
 
     def fail(div: Divergence) -> TrialReport:
         return TrialReport(index, digest, modes, False, div, program_to_text(program))
@@ -448,16 +464,16 @@ def check_program(
     candidates: List[Tuple[str, int]] = []
     if _interleaved_defined(program):
         candidates.append(("interleaved", 1))
-    candidates.append(("auto", 1))
+    candidates += [("auto", 1), ("auto", 4)]
     for w in workers_counts:
         candidates.append(("pipeline", w))
     candidates.append(("pipeline", max(workers_counts)))  # determinism re-run
 
     for mode, w in candidates:
-        label = f"{mode}@{w}" if mode == "pipeline" else mode
+        label = mode if mode == "interleaved" else f"{mode}@{w}"
         modes.append(label)
         try:
-            got = run_program(program, mode, workers=w)
+            got = run_program(program, mode, workers=w, check=check)
         except StcError as exc:
             return fail(Divergence(label, "error", "-", "result", repr(exc)))
         div = first_divergence(label, ref, got)

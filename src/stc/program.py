@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
@@ -68,6 +69,21 @@ class Program:
         return isinstance(self.word, BranchProgram)
 
 
+_LITERAL_REPR = reprlib.Repr()
+_LITERAL_REPR.maxlevel = 3
+_LITERAL_CHARS = 60
+
+
+def _brief(obj: Any) -> str:
+    """A repr of a JSON literal short enough for a one-line error message.
+
+    ``reprlib`` bounds the depth and width it visits, so a huge or deeply
+    nested literal costs little; the text is then cut to
+    ``_LITERAL_CHARS``."""
+    text = _LITERAL_REPR.repr(obj)
+    return text if len(text) <= _LITERAL_CHARS else text[:_LITERAL_CHARS] + "..."
+
+
 def value_from_json(obj: Any, pt: PortType, path: str, depth: int = 0) -> Value:
     """Read a plain JSON literal against an expected port type.
 
@@ -78,27 +94,27 @@ def value_from_json(obj: Any, pt: PortType, path: str, depth: int = 0) -> Value:
     k = pt.kind
     if k is TypeKind.UNIT:
         if obj is not None:
-            raise SchemaError(path, f"expected null for unit, got {obj!r}")
+            raise SchemaError(path, f"expected null for unit, got {_brief(obj)}")
         return UNIT
     if k is TypeKind.BOOL:
         if type(obj) is not bool:
-            raise SchemaError(path, f"expected a bool, got {obj!r}")
+            raise SchemaError(path, f"expected a bool, got {_brief(obj)}")
         return v_bool(obj)
     if k is TypeKind.INT:
         if type(obj) is not int or not INT64_MIN <= obj <= INT64_MAX:
-            raise SchemaError(path, f"expected a 64-bit int, got {obj!r}")
+            raise SchemaError(path, f"expected a 64-bit int, got {_brief(obj)}")
         return _int_value(obj)
     if k is TypeKind.FLOAT:
         if type(obj) is bool or not isinstance(obj, (int, float)):
-            raise SchemaError(path, f"expected a number, got {obj!r}")
+            raise SchemaError(path, f"expected a number, got {_brief(obj)}")
         return v_float(float(obj))
     if k is TypeKind.STR:
         if type(obj) is not str:
-            raise SchemaError(path, f"expected a string, got {obj!r}")
+            raise SchemaError(path, f"expected a string, got {_brief(obj)}")
         return v_str(obj)
     if k is TypeKind.LIST:
         if not isinstance(obj, list):
-            raise SchemaError(path, f"expected an array, got {obj!r}")
+            raise SchemaError(path, f"expected an array, got {_brief(obj)}")
         items = [
             value_from_json(item, pt.args[0], f"{path}[{i}]", depth + 1)
             for i, item in enumerate(obj)
@@ -106,7 +122,7 @@ def value_from_json(obj: Any, pt: PortType, path: str, depth: int = 0) -> Value:
         return v_list(pt.args[0], items)
     if k is TypeKind.PAIR:
         if not isinstance(obj, list) or len(obj) != 2:
-            raise SchemaError(path, f"expected a two-element array, got {obj!r}")
+            raise SchemaError(path, f"expected a two-element array, got {_brief(obj)}")
         return v_pair(
             value_from_json(obj[0], pt.args[0], f"{path}[0]", depth + 1),
             value_from_json(obj[1], pt.args[1], f"{path}[1]", depth + 1),
@@ -116,7 +132,7 @@ def value_from_json(obj: Any, pt: PortType, path: str, depth: int = 0) -> Value:
             return v_inl(value_from_json(obj["inl"], pt.args[0], f"{path}.inl", depth + 1))
         if isinstance(obj, dict) and set(obj) == {"inr"}:
             return v_inr(value_from_json(obj["inr"], pt.args[1], f"{path}.inr", depth + 1))
-        raise SchemaError(path, f'expected {{"inl": ...}} or {{"inr": ...}}, got {obj!r}')
+        raise SchemaError(path, f'expected {{"inl": ...}} or {{"inr": ...}}, got {_brief(obj)}')
     raise SchemaError(path, f"unsupported port type {pt.name}")
 
 
@@ -160,6 +176,8 @@ def parse_program(text: str) -> Program:
         raise ParseError(exc.lineno, exc.msg) from None
     except RecursionError:
         raise SchemaError("", "document nests too deeply") from None
+    except ValueError as exc:  # an int literal past the interpreter's digit limit
+        raise SchemaError("", str(exc)) from None
     if not isinstance(doc, dict):
         raise SchemaError("", "program must be a JSON object")
     allowed = {"threads", "word", "anchor", "input", "input_type"}

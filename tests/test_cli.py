@@ -83,6 +83,63 @@ def test_check_single_file_table(counter_file, capsys):
     assert "seq" in out and "pipeline@4" in out and "DIVERGES" not in out
 
 
+CHAIN = {
+    "threads": [
+        {"id": 1, "fn": "counter_add", "init_state": 0},
+        {"id": 2, "fn": "scale_by_state", "init_state": 3},
+        {"id": 3, "fn": "add1_tick", "init_state": 0},
+    ],
+    "word": [1, 2, 3],
+    "input": [1, 2, 3, 4],
+    "input_type": "int",
+}
+
+
+@pytest.fixture
+def chain_file(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN), encoding="utf-8")
+    return str(path)
+
+
+def _table_rows(out):
+    """(label, status) per row of a `stc check <file>` table."""
+    lines = out.strip().splitlines()[3:]  # program, acyclic and hints lines
+    return [tuple(line.split(None, 1)) for line in lines]
+
+
+def test_check_table_lists_each_run_once(chain_file, capsys):
+    assert main(["check", chain_file]) == 0
+    rows = _table_rows(capsys.readouterr().out)
+    assert [label for label, _ in rows] == [
+        "seq", "interleaved", "auto@1", "auto@4",
+        "pipeline@1", "pipeline@2", "pipeline@4", "pipeline@8",
+    ]
+    assert [status for _, status in rows] == ["reference"] + ["equal"] * 7
+
+
+def test_mutated_check_reports_divergence_once(chain_file, capsys):
+    assert main(["check", chain_file, "--mutate", "state-update-dropped"]) == 1
+    rows = _table_rows(capsys.readouterr().out)
+    labels = [label for label, _ in rows]
+    assert len(labels) == len(set(labels))
+    assert [s for _, s in rows if s.startswith("DIVERGES")] == ["DIVERGES at index 1"]
+    assert rows[-1][0] == "pipeline@1"
+
+
+def test_check_calls_share_no_state(chain_file, capsys):
+    assert main(["check", chain_file, "--mutate", "state-update-dropped"]) == 1
+    assert main(["check", chain_file]) == 0
+    assert "DIVERGES" not in capsys.readouterr().out.split("program", 2)[2]
+
+
+def test_run_calls_share_no_state(chain_file, capsys):
+    assert main(["run", chain_file, "--mode", "pipeline"]) == 0
+    first = capsys.readouterr().out
+    assert main(["run", chain_file]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_check_fuzz_report(capsys):
     assert main(["check", "--fuzz", "--seed", "3", "--trials", "25"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -134,6 +191,30 @@ def test_deeply_nested_documents_are_validation_errors(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "nests" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(dict(COUNTER, input=[list(range(5000))])),
+        json.dumps(dict(COUNTER, input=[])).replace("[]", "[" * 500 + "]" * 500),
+    ],
+    ids=["wide", "deep"],
+)
+def test_mistyped_literal_messages_are_bounded(tmp_path, capsys, text):
+    path = tmp_path / "mistyped.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and err.count("\n") == 1
+    assert "input[0]" in err and len(err.encode()) < 200
+
+
+def test_overlong_int_literal_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(COUNTER).replace("10", "1" * 5000), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
 
 
 def test_module_entry_point_runs_cli(counter_file):

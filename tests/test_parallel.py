@@ -76,6 +76,17 @@ def test_classify_add1_tick_is_product_and_holds_up(rng):
     assert verify_classification(spec, rng, trials=1000)
 
 
+def test_general_hint_is_not_sampled(rng):
+    def boom(x, s):
+        raise AssertionError("a GENERAL thread's transfer was sampled")
+
+    spec = replace(make_thread(1, "counter_add"), transfer=boom)
+    assert classify_thread(spec) is StageKind.GENERAL
+    state = rng.state
+    assert verify_classification(spec, rng)
+    assert rng.state == state
+
+
 # --- data-parallel fast paths -----------------------------------------------
 
 
