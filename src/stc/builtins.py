@@ -117,11 +117,20 @@ def _merge_sum(params: Mapping) -> ThreadParts:
     return ThreadParts(sum_of(d, d), d, UNIT_T, UNIT, fn)
 
 
+# about 31 years; much longer sleeps overflow the deadline time.sleep
+# computes. The range test also rejects NaN, which compares false.
+MAX_DELAY_MS = 10**12
+
+
 def _delay_identity_ms(params: Mapping) -> ThreadParts:
     t = _carrier(params)
     delay = params.get("delay_ms", 0)
-    if not isinstance(delay, (int, float)) or isinstance(delay, bool) or delay < 0:
-        raise SchemaError("params.delay_ms", "delay must be a non-negative number")
+    if (
+        not isinstance(delay, (int, float))
+        or isinstance(delay, bool)
+        or not 0 <= delay <= MAX_DELAY_MS
+    ):
+        raise SchemaError("params.delay_ms", f"delay must be a number from 0 to {MAX_DELAY_MS} ms")
     seconds = delay / 1000.0
 
     def fn(x: Value, s: Value):

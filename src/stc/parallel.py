@@ -23,9 +23,12 @@ store. Determinism comes from structure, not luck:
 * The read-only and product fast paths split their map into contiguous
   chunks (stateless fission), one per worker, and concatenate the
   results in order.
-* Branch execution records the inl/inr order of the split as a flag list
-  and uses it to rebuild the merged list, so the two branch evaluations
-  can run concurrently without reordering anything.
+* A branch program under ``pipeline`` is one linear stream over the
+  sum-tagged elements: the producer's groups, then side stages, then the
+  consumer's groups. Side stage k applies the left word's group k to an
+  inl element and the right word's group k to an inr element, keeping
+  the tag, so FIFO order alone keeps the output in place; nothing is
+  split, flagged or rejoined.
 
 Words with repeated letters cannot be pipelined in one piece; they run
 segment by segment (a barrier between segments), with each duplicate-free
@@ -37,6 +40,7 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import mutations
@@ -216,12 +220,6 @@ def join(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
     return v_list(sum_of(bs.elem, cs.elem), out)
 
 
-def _join_ignoring_flags(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
-    # Deliberate fault for the mutation harness: drops the recorded order.
-    out = [v_inl(v) for v in bs.payload] + [v_inr(v) for v in cs.payload]
-    return v_list(sum_of(bs.elem, cs.elem), out)
-
-
 def _chan_get(q: "queue.Queue", abort: threading.Event):
     while True:
         try:
@@ -241,6 +239,103 @@ def _chan_put(q: "queue.Queue", item, abort: threading.Event) -> None:
                 raise ChannelClosed("pipeline aborted") from None
 
 
+# one stage of a stream: takes an element, returns the element it hands on
+Stage = Callable[[Value], Value]
+
+
+def _groups(
+    graph: Multigraph, slots: Dict[int, Value], check: bool, owned: list,
+    letters: Tuple[int, ...], k: int,
+) -> List[Optional[Stage]]:
+    """``letters`` cut into ``k`` contiguous fused groups, some empty (None)
+    when ``k`` exceeds the letter count. A group pushes an element through
+    all of its letters and owns their private states; each group's letters
+    and states go onto ``owned`` for the read-back."""
+    if mutations.enabled("stage-order-swapped") and len(letters) >= 2:
+        letters = (letters[1], letters[0]) + letters[2:]
+    keep_state = not mutations.enabled("state-update-dropped")
+    fns: List[Optional[Stage]] = []
+    for g in range(k):
+        part = letters[len(letters) * g // k:len(letters) * (g + 1) // k]
+        steps = list(enumerate(stepper(graph.edges[n], check) for n in part))
+        st = [slots[n] for n in part]
+        owned.append((part, st))
+
+        def apply(v: Value, steps=steps, st=st) -> Value:
+            for i, step in steps:
+                v, sigma = step(v, st[i])
+                if keep_state:
+                    st[i] = sigma
+            return v
+
+        fns.append(apply if part else None)
+    return fns
+
+
+def _read_back(slots: Dict[int, Value], owned) -> Dict[int, Value]:
+    """``slots`` with each group's final letter states written in."""
+    if not mutations.enabled("state-not-forwarded"):
+        for letters, st in owned:
+            slots.update(zip(letters, st))
+    return slots
+
+
+def _stream(stages: Sequence[Stage], values: Sequence[Value], capacity: int) -> List[Value]:
+    """Push ``values`` through ``stages`` in order. The calling thread runs
+    the first stage and every other stage gets a thread of its own, linked
+    by bounded FIFO channels of ``capacity`` adaptive batches. Once every
+    thread has been joined, a failure re-raises the original exception of
+    the earliest failing stage in stage order."""
+    k = len(stages)
+    if k == 0:
+        return list(values)
+    chans = [queue.Queue(maxsize=capacity) for _ in range(k - 1)]
+    abort = threading.Event()
+    failed: List[Optional[BaseException]] = [None] * k
+    out: List[Value] = []
+
+    def run_stage(g: int, batches) -> None:
+        fn = stages[g]
+        if g == k - 1:
+            for batch in batches:
+                out.extend(map(fn, batch))
+            return
+        outq = chans[g]
+        for batch in batches:
+            buf = []
+            for v in batch:
+                buf.append(fn(v))
+                # hand over as soon as the next stage is idle, so a slow
+                # stage never waits on a batch to fill
+                if len(buf) >= _BATCH or outq.empty():
+                    _chan_put(outq, buf, abort)
+                    buf = []
+            if buf:
+                _chan_put(outq, buf, abort)
+        _chan_put(outq, None, abort)
+
+    def guarded(g: int, batches) -> None:
+        try:
+            run_stage(g, batches)
+        except ChannelClosed:
+            pass
+        except BaseException as exc:  # re-raised by the caller below
+            failed[g] = exc
+            abort.set()
+
+    inboxes = [iter(partial(_chan_get, q, abort), None) for q in chans]
+    threads = [threading.Thread(target=guarded, args=(g, inboxes[g - 1])) for g in range(1, k)]
+    for t in threads:
+        t.start()
+    guarded(0, (values,))
+    for t in threads:
+        t.join()
+    for exc in failed:
+        if exc is not None:
+            raise exc
+    return out
+
+
 def _pipeline_segment(
     graph: Multigraph,
     letters: Tuple[int, ...],
@@ -254,77 +349,13 @@ def _pipeline_segment(
         "segment-barrier-removed"
     ):
         raise RepeatedLetterInSegment(f"segment {letters} repeats a letter")
-    if mutations.enabled("stage-order-swapped") and len(letters) >= 2:
-        letters = (letters[1], letters[0]) + letters[2:]
-    keep_state = not mutations.enabled("state-update-dropped")
-
-    n_groups = min(workers, len(letters))
-    cuts = [len(letters) * g // n_groups for g in range(n_groups + 1)]
-    groups = [letters[cuts[g]:cuts[g + 1]] for g in range(n_groups)]
-    # states[g][i] is the private state of the i-th letter of group g; each
-    # group's list is written only by the thread that runs that group
-    states = [[slots[n] for n in group] for group in groups]
-    chans = [queue.Queue(maxsize=capacity) for _ in range(n_groups - 1)]
-    abort = threading.Event()
-    errors: List[BaseException] = []
-    out: List[Value] = []
-
-    def inbox(q: "queue.Queue"):
-        while True:
-            batch = _chan_get(q, abort)
-            if batch is None:
-                return
-            yield batch
-
-    def run_group(g: int, batches) -> None:
-        steps = list(enumerate(stepper(graph.edges[n], check) for n in groups[g]))
-        st = states[g]
-        outq = chans[g] if g < n_groups - 1 else None
-        for batch in batches:
-            buf = out if outq is None else []
-            for v in batch:
-                for i, step in steps:
-                    v, sigma = step(v, st[i])
-                    if keep_state:
-                        st[i] = sigma
-                buf.append(v)
-                # hand over as soon as the next group is idle, so a slow
-                # stage never waits on a batch to fill
-                if outq is not None and (len(buf) >= _BATCH or outq.empty()):
-                    _chan_put(outq, buf, abort)
-                    buf = []
-            if outq is not None and buf:
-                _chan_put(outq, buf, abort)
-        if outq is not None:
-            _chan_put(outq, None, abort)
-
-    def guarded(g: int, batches) -> None:
-        try:
-            run_group(g, batches)
-        except ChannelClosed:
-            pass
-        except BaseException as exc:  # re-raised by the caller below
-            errors.append(exc)
-            abort.set()
-
-    threads = [
-        threading.Thread(target=guarded, args=(g, inbox(chans[g - 1])))
-        for g in range(1, n_groups)
-    ]
-    for t in threads:
-        t.start()
-    guarded(0, (values,))
-    for t in threads:
-        t.join()
-    if errors:
-        if not isinstance(errors[0], Exception):
-            raise errors[0]
-        raise ExecutionError("pipeline stage failed") from errors[0]
-    new_slots = dict(slots)
-    if not mutations.enabled("state-not-forwarded"):
-        for group, st in zip(groups, states):
-            new_slots.update(zip(group, st))
-    return out, new_slots
+    owned: list = []
+    stages = _groups(graph, slots, check, owned, letters, min(workers, len(letters)))
+    try:
+        out = _stream(stages, values, capacity)
+    except Exception as exc:
+        raise ExecutionError("pipeline stage failed") from exc
+    return out, _read_back(dict(slots), owned)
 
 
 def run_pipeline(
@@ -427,50 +458,6 @@ def validate_branch(graph: Multigraph, prog: BranchProgram) -> ValidatedBranch:
 
 
 WordEval = Callable[[Multigraph, Word, Value, StateStore], Tuple[Value, StateStore]]
-Side = Callable[[], Tuple[Value, StateStore]]
-JoinFn = Callable[[Value, Value, Tuple[bool, ...]], Value]
-
-
-def _sides_in_sequence(left: Side, right: Side):
-    return left(), right()
-
-
-def _sides_concurrently(left: Side, right: Side):
-    # the caller runs the left side while one thread runs the right; a
-    # failure of the left side wins, as _fission re-raises chunk 0 first
-    return tuple(_fission(lambda side: side(), (left, right), 2))
-
-
-def _run_branch(
-    graph: Multigraph,
-    prog: BranchProgram,
-    xs: Value,
-    state: StateStore,
-    word_eval: WordEval,
-    sides: Callable[[Side, Side], Tuple[Tuple[Value, StateStore], ...]],
-    join_fn: JoinFn,
-) -> Tuple[Value, StateStore]:
-    """The one branch driver: produce, split, run the two sides through
-    ``sides``, merge their state slots, join by the flags, consume.
-
-    The full store is handed to both branch evaluations; the final store
-    takes each branch's slots from its own run, which is well defined
-    because the letter sets are disjoint.
-    """
-    validate_branch(graph, prog)
-    produced, st1 = word_eval(graph, prog.producer, xs, state)
-    bs, cs, flags = split(produced)
-    (bs2, st_left), (cs2, st_right) = sides(
-        lambda: word_eval(graph, prog.left, bs, st1),
-        lambda: word_eval(graph, prog.right, cs, st1),
-    )
-    merged = st1.copy()
-    for n in prog.left.letters:
-        merged.set(n, st_left.get(n))
-    for n in prog.right.letters:
-        merged.set(n, st_right.get(n))
-    ds = join_fn(bs2, cs2, flags)
-    return word_eval(graph, prog.consumer, ds, merged)
 
 
 def eval_branch(
@@ -481,8 +468,15 @@ def eval_branch(
     word_eval: WordEval = eval_psi_ref,
 ) -> Tuple[Value, StateStore]:
     """Sequential branch semantics: produce, split, run both branches
-    one after the other, join by the recorded flags, consume."""
-    return _run_branch(graph, prog, xs, state, word_eval, _sides_in_sequence, join)
+    one after the other, join by the recorded flags, consume. The store
+    passes through the left branch, then the right; their letter sets are
+    disjoint, so each changes only its own slots."""
+    validate_branch(graph, prog)
+    produced, st = word_eval(graph, prog.producer, xs, state)
+    bs, cs, flags = split(produced)
+    bs, st = word_eval(graph, prog.left, bs, st)
+    cs, st = word_eval(graph, prog.right, cs, st)
+    return word_eval(graph, prog.consumer, join(bs, cs, flags), st)
 
 
 def eval_branch_elementwise(
@@ -518,6 +512,30 @@ def eval_branch_elementwise(
     return v_list(vb.tgt, out), StateStore(slots)
 
 
+def _side_stage(left: Optional[Stage], right: Optional[Stage]) -> Stage:
+    """Apply ``left`` to an inl element's payload and ``right`` to an inr
+    one's, keeping the tag; a side without a group (None) passes as is."""
+
+    def apply(v: Value) -> Value:
+        tag = v.tag
+        if tag is Tag.SUML:
+            return v if left is None else v_inl(left(v.payload))
+        if tag is Tag.SUMR:
+            return v if right is None else v_inr(right(v.payload))
+        raise PortTypeError(f"non-sum element {v!r} in split input")
+
+    return apply
+
+
+def _fused(stages: Sequence[Stage]) -> Stage:
+    def apply(v: Value) -> Value:
+        for fn in stages:
+            v = fn(v)
+        return v
+
+    return apply
+
+
 def run_task_parallel_branch(
     graph: Multigraph,
     prog: BranchProgram,
@@ -527,15 +545,37 @@ def run_task_parallel_branch(
     capacity: int = 16,
     check: bool = False,
 ) -> Tuple[Value, StateStore]:
-    """Task-parallel branch execution: every word is pipelined, the two
-    branch maps run concurrently on disjoint state slots, and the flag
-    list restores the original element order at the join."""
-
-    def word_eval(g: Multigraph, word: Word, items: Value, st: StateStore):
-        return run_pipeline(g, word, items, st, workers, capacity, check)
-
-    join_fn = _join_ignoring_flags if mutations.enabled("flags-ignored-in-join") else join
-    return _run_branch(graph, prog, xs, state, word_eval, _sides_concurrently, join_fn)
+    """Task-parallel branch execution as one linear stream over the
+    sum-tagged elements: the producer cut into ``min(workers, len)``
+    groups, then ``min(workers, max(len(left), len(right)))`` side
+    stages, then the consumer's groups. No split list, flag list or join
+    is built; FIFO order alone keeps the output bit-exactly that of
+    ``eval_branch``. At ``workers`` 1 the whole branch is one fused group
+    on the calling thread."""
+    if workers < 1:
+        raise ValidationError("workers must be a positive integer")
+    vb = validate_branch(graph, prog)
+    _check_input_list(xs, vb.src)
+    slots = state.as_dict()
+    owned: list = []
+    cut = partial(_groups, graph, slots, check, owned)
+    producer, left, right, consumer = (w.letters for w in prog.words())
+    k = min(workers, max(len(left), len(right)))
+    sides = [_side_stage(*pair) for pair in zip(cut(left, k), cut(right, k))]
+    pre = cut(producer, min(workers, len(producer))) + sides
+    post = cut(consumer, min(workers, len(consumer)))
+    if mutations.enabled("flags-ignored-in-join"):
+        # deliberate fault: the join point buffers its whole input and
+        # emits every inl element before any inr element
+        joined = _stream(pre, xs.payload, capacity)
+        joined.sort(key=lambda v: v.tag is Tag.SUMR)
+        values = _stream(post, joined, capacity)
+    else:
+        stages = pre + post
+        if workers == 1 and len(stages) > 1:
+            stages = [_fused(stages)]
+        values = _stream(stages, xs.payload, capacity)
+    return v_list(vb.tgt, values), StateStore(_read_back(slots, owned))
 
 
 def eval_auto_word(

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from stc import (
+    BranchProgram,
     FlagMismatch,
     INT_T,
     StageKind,
@@ -37,6 +38,7 @@ from stc import (
 from stc import mutations
 from stc.cli import main, _result_json
 from stc.harness import FuzzConfig, Xorshift64Star, program_stream, run_program
+from stc.program import Program
 from stc.values import STR_T
 
 SUM_II = sum_of(INT_T, INT_T)
@@ -198,6 +200,31 @@ def test_pipeline_schedule_shape(capsys):
             ok,
             f"seq {seq:.0f}ms (floor {floor:.0f}ms), pipeline {pipe:.0f}ms "
             f"(cap {0.5 * seq:.0f}ms), total {elapsed:.1f}s (budget 30s)",
+        )
+
+
+def test_branch_schedule_shape(capsys):
+    # the sleep-branch shape: producer [delay, branch_even], left and right
+    # [delay, delay], consumer [merge_sum, delay]; each element sleeps 4 times
+    delay = {"delay_ms": 10}
+    specs = [make_thread(n, "delay_identity_ms", params=delay) for n in (1, 3, 4, 5, 6, 8)]
+    graph = build_graph(*specs, make_thread(2, "branch_even"), make_thread(7, "merge_sum"))
+    prog = BranchProgram(Word((1, 2)), Word((3, 4)), Word((5, 6)), Word((7, 8)))
+    program = Program(graph, prog, v_list(INT_T, [v_int(n) for n in range(20)]), INT_T)
+    walls = {}
+    for mode in ("seq", "pipeline"):
+        t0 = time.perf_counter()
+        run_program(program, mode, workers=2)
+        walls[mode] = (time.perf_counter() - t0) * 1000.0
+    seq, pipe = walls["seq"], walls["pipeline"]
+    floor = 0.9 * 4 * 20 * 10  # 720 ms
+    ok = seq >= floor and pipe <= 0.5 * seq
+    with capsys.disabled():
+        assert _verdict(
+            "branch-schedule-shape",
+            ok,
+            f"seq {seq:.0f}ms (floor {floor:.0f}ms), pipeline@2 {pipe:.0f}ms "
+            f"(cap {0.5 * seq:.0f}ms)",
         )
 
 

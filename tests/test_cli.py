@@ -218,6 +218,17 @@ def test_overlong_int_literal_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("validation error:")
 
 
+@pytest.mark.parametrize("delay", ["NaN", "Infinity", "1e300"])
+def test_unsleepable_delay_is_validation_error(tmp_path, capsys, delay):
+    doc = dict(COUNTER, threads=[{"id": 1, "fn": "delay_identity_ms", "params": {"delay_ms": 0}}])
+    path = tmp_path / "delay.json"
+    path.write_text(json.dumps(doc).replace('"delay_ms": 0', f'"delay_ms": {delay}'), "utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: at params.delay_ms:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_runs_cli(counter_file):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -503,6 +503,213 @@ def test_branch_with_empty_sides():
     assert got == (out, st)
 
 
+# --- branch stream ---------------------------------------------------------------
+
+
+def stream_graph():
+    """Producer [1,2,3] ends in branch_even; left [4,5,6] and right [7]
+    differ in length, so at 2+ workers some side stages hold an empty
+    right group; consumer [8,9,10] starts with merge_sum."""
+    return build_graph(
+        make_thread(1, "counter_add", v_int(0)),
+        make_thread(2, "add1_tick", v_int(0)),
+        make_thread(3, "branch_even"),
+        make_thread(4, "counter_add", v_int(5)),
+        make_thread(5, "scale_by_state", v_int(3)),
+        make_thread(6, "add1_tick", v_int(1)),
+        make_thread(7, "counter_add", v_int(-2)),
+        make_thread(8, "merge_sum"),
+        make_thread(9, "counter_add", v_int(0)),
+        make_thread(10, "add1_tick", v_int(0)),
+    )
+
+
+STREAM_PROG = BranchProgram(Word((1, 2, 3)), Word((4, 5, 6)), Word((7,)), Word((8, 9, 10)))
+
+
+def _returned_within(call, timeout=30.0):
+    """Run ``call`` on a helper thread and return its result; a call that
+    hangs fails the test instead of stalling the suite."""
+    result = []
+    helper = threading.Thread(target=lambda: result.append(call()), daemon=True)
+    helper.start()
+    helper.join(timeout)
+    assert not helper.is_alive(), "call did not return"
+    assert result, "call raised"
+    return result[0]
+
+
+def _stream_matches_reference(graph, prog, xs, workers_list=(1, 2, 4), capacity=16):
+    expect = eval_branch(graph, prog, xs, init_state(graph))
+    before = threading.active_count()
+    for workers in workers_list:
+        got = _returned_within(
+            lambda: run_task_parallel_branch(
+                graph, prog, xs, init_state(graph), workers, capacity=capacity
+            )
+        )
+        assert got == expect, f"workers {workers}"
+    assert threading.active_count() == before
+
+
+def test_branch_stream_capacity_one():
+    xs = int_list(*((n * 7919) % 1001 - 500 for n in range(200)))
+    _stream_matches_reference(stream_graph(), STREAM_PROG, xs, (1, 2, 4, 8), capacity=1)
+
+
+@pytest.mark.parametrize("order", ["left-then-right", "right-then-left"])
+def test_branch_stream_one_sided_runs(order):
+    lefts, right = [2 * n for n in range(300)], [7]
+    xs = lefts + right if order == "left-then-right" else right + lefts
+    graph = build_graph(
+        make_thread(3, "branch_even"),
+        make_thread(4, "counter_add", v_int(5)),
+        make_thread(6, "add1_tick", v_int(1)),
+        make_thread(7, "counter_add", v_int(-2)),
+        make_thread(8, "merge_sum"),
+        make_thread(9, "counter_add", v_int(0)),
+    )
+    prog = BranchProgram(Word((3,)), Word((4, 6)), Word((7,)), Word((8, 9)))
+    _stream_matches_reference(graph, prog, int_list(*xs), (1, 2, 4), capacity=1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_branch_stream_small_inputs(n):
+    _stream_matches_reference(stream_graph(), STREAM_PROG, int_list(*range(3, 3 + n)))
+
+
+@pytest.mark.parametrize(
+    "prog",
+    [
+        BranchProgram(Word((1, 2, 3)), Word((), INT_T), Word((), INT_T), Word((8, 9, 10))),
+        BranchProgram(Word((1, 2, 3)), Word((4, 5, 6)), Word((), INT_T), Word((8, 9, 10))),
+        BranchProgram(Word((1, 2, 3)), Word((4, 5, 6)), Word((7,)), Word((), SUM_II)),
+        BranchProgram(Word((), SUM_II), Word((4, 5, 6)), Word((7,)), Word((8, 9, 10))),
+        BranchProgram(Word((), SUM_II), Word((), INT_T), Word((), INT_T), Word((), SUM_II)),
+    ],
+    ids=["empty-sides", "empty-right", "empty-consumer", "empty-producer", "all-empty"],
+)
+def test_branch_stream_empty_words(prog):
+    graph = stream_graph()
+    if prog.producer.letters:
+        xs = int_list(*range(-4, 9))
+    else:
+        xs = sum_list(*(v_inl(v_int(n)) if n % 3 else v_inr(v_int(n)) for n in range(-4, 9)))
+    _stream_matches_reference(graph, prog, xs)
+    _stream_matches_reference(graph, prog, v_list(xs.elem, []))
+
+
+def _raising_identity(thread_id, at, raised):
+    """An identity thread whose transfer raises on input value ``at``,
+    recording each exception it raises in ``raised``."""
+    base = make_thread(thread_id, "delay_identity_ms")
+
+    def transfer(x, sigma):
+        if x.payload == at:
+            raised.append(Boom(f"thread {thread_id} on {at}"))
+            raise raised[-1]
+        return base.transfer(x, sigma)
+
+    return replace(base, transfer=transfer)
+
+
+@pytest.mark.parametrize(
+    "failing,at",
+    [(1, 31), (2, 30), (3, 30), (4, 31), (5, 31), (6, 30), (7, 31)],
+    ids=["producer", "left-first", "left-last", "right-first", "right-last",
+         "consumer-after-merge", "consumer-last"],
+)
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_branch_stream_failure_reraises_original(failing, at, workers):
+    # producer [1, branch_even], left [2, 3], right [4, 5], consumer [merge_sum, 6, 7];
+    # every other thread is the identity, so thread ``failing`` sees ``at``
+    raised = []
+    specs = [
+        _raising_identity(n, at, raised) if n == failing else make_thread(n, "delay_identity_ms")
+        for n in (1, 2, 3, 4, 5, 6, 7)
+    ]
+    graph = build_graph(*specs, make_thread(8, "branch_even"), make_thread(9, "merge_sum"))
+    prog = BranchProgram(Word((1, 8)), Word((2, 3)), Word((4, 5)), Word((9, 6, 7)))
+    xs = v_list(INT_T, [v_int(0)] * 200 + [v_int(at)] + [v_int(1)] * 200)
+    before = threading.active_count()
+    err = _raised_within(
+        lambda: run_task_parallel_branch(graph, prog, xs, init_state(graph), workers, capacity=1)
+    )
+    assert isinstance(err, Boom) and err is raised[0]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_branch_stream_earliest_failing_stage_wins(workers):
+    # the producer fails on element 1 while the consumer fails on element 0;
+    # a barrier makes both fail, whatever the schedule
+    both = threading.Barrier(2, timeout=10)
+    raised = {}
+
+    def failing(thread_id, at):
+        base = make_thread(thread_id, "delay_identity_ms")
+
+        def transfer(x, sigma):
+            if x.payload == at:
+                both.wait()
+                raised[thread_id] = Boom(f"thread {thread_id}")
+                raise raised[thread_id]
+            return base.transfer(x, sigma)
+
+        return replace(base, transfer=transfer)
+
+    graph = build_graph(
+        failing(1, 1), make_thread(2, "branch_even"), make_thread(3, "delay_identity_ms"),
+        make_thread(4, "delay_identity_ms"), make_thread(5, "merge_sum"), failing(6, 0),
+    )
+    prog = BranchProgram(Word((1, 2)), Word((3,)), Word((4,)), Word((5, 6)))
+    xs = int_list(0, 1, 2)
+    before = threading.active_count()
+    err = _raised_within(
+        lambda: run_task_parallel_branch(graph, prog, xs, init_state(graph), workers)
+    )
+    assert set(raised) == {1, 6} and err is raised[1]
+    assert threading.active_count() == before
+
+
+def test_branch_stream_stress_tiny_switch_interval():
+    xs = int_list(*range(-300, 300))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _stream_matches_reference(stream_graph(), STREAM_PROG, xs, (2, 3, 8), capacity=2)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_branch_stream_workers_one_starts_no_thread(monkeypatch):
+    graph = stream_graph()
+    before = threading.active_count()
+    started = _count_thread_starts(monkeypatch)
+    expect = eval_branch(graph, STREAM_PROG, int_list(*range(40)), init_state(graph))
+    got = run_task_parallel_branch(graph, STREAM_PROG, int_list(*range(40)), init_state(graph), 1)
+    assert got == expect and started == []
+    # at 2 workers: producer 2 groups, 2 side stages, consumer 2 groups
+    run_task_parallel_branch(graph, STREAM_PROG, int_list(*range(40)), init_state(graph), 2)
+    assert len(started) == 5
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_flags_ignored_in_join_mutation_diverges(workers):
+    graph = branch_graph()
+    xs = int_list(*range(20))  # alternating even/odd
+    expect = eval_branch(graph, branch_prog(), xs, init_state(graph))
+    before = threading.active_count()
+    with mutations.enable("flags-ignored-in-join"):
+        got = _returned_within(
+            lambda: run_task_parallel_branch(graph, branch_prog(), xs, init_state(graph), workers)
+        )
+    assert threading.active_count() == before
+    payloads = [sorted(v.payload for v in out.payload) for out in (got[0], expect[0])]
+    assert got[0] != expect[0] and payloads[0] == payloads[1]
+
+
 # --- auto mode -----------------------------------------------------------------
 
 
