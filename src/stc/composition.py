@@ -147,7 +147,7 @@ def _element_steps(graph: Multigraph, word: Word, check: bool) -> List[Tuple[int
     return [(n, stepper(graph.edges[n], check)) for n in word.letters]
 
 
-def _run_element(steps: List[Tuple[int, TransferFn]], v: Value, slots: Dict[int, Value]) -> Value:
+def _run_element(steps: List[Tuple[int, TransferFn]], slots: Dict[int, Value], v: Value) -> Value:
     """One element through every letter, updating ``slots`` in place."""
     for n, step in steps:
         v, slots[n] = step(v, slots[n])
@@ -166,7 +166,7 @@ def eval_phi(
     if check and not x.matches(vw.src):
         raise PortTypeError(f"input {x!r} is not a {vw.src.name}")
     slots = state.as_dict()
-    y = _run_element(_element_steps(graph, word, check), x, slots)
+    y = _run_element(_element_steps(graph, word, check), slots, x)
     return y, StateStore(slots)
 
 
@@ -205,5 +205,5 @@ def eval_interleaved(
     _check_input_list(xs, vw.src)
     steps = _element_steps(graph, word, check)
     slots = state.as_dict()
-    values = [_run_element(steps, v, slots) for v in xs.payload]
+    values = [_run_element(steps, slots, v) for v in xs.payload]
     return v_list(vw.tgt, values), StateStore(slots)

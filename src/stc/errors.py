@@ -83,7 +83,3 @@ class FlagMismatch(ExecutionError):
 
 class RepeatedLetterInSegment(ExecutionError):
     """Internal guard: a pipeline segment was built with a duplicate stage."""
-
-
-class ChannelClosed(ExecutionError):
-    """Internal guard: a stage channel was abandoned mid-stream."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import string
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .builtins import make_thread
 from .composition import (
@@ -218,42 +218,36 @@ def _fresh_ids(count: int, rng: Xorshift64Star) -> List[int]:
     return ids
 
 
+def _str_thread(tid: int, rng: Xorshift64Star) -> ThreadSpec:
+    return make_thread(tid, "append_tag", v_str(rng.pick(string.ascii_lowercase)))
+
+
+def _append_z_thread(tid: int, rng: Xorshift64Star) -> ThreadSpec:
+    return make_thread(tid, "append_tag", v_str("z"))
+
+
 def _maybe_extra_thread(
-    specs: List[ThreadSpec], rng: Xorshift64Star, cfg: FuzzConfig
+    specs: List[ThreadSpec], rng: Xorshift64Star, cfg: FuzzConfig,
+    make: Callable[[int, Xorshift64Star], ThreadSpec] = _int_thread,
 ) -> None:
     if rng.below(4) == 0 and len(specs) < cfg.max_edges:
         extra_id = max(s.id for s in specs) + 1 + rng.below(3)
-        specs.append(_int_thread(extra_id, rng))
+        specs.append(make(extra_id, rng))
 
 
 def _gen_chain(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
     k = 1 + rng.below(min(cfg.max_word_len, cfg.max_edges))
     if rng.below(8) == 0:
-        ids = _fresh_ids(k, rng)
-        specs = [
-            make_thread(i, "append_tag", v_str(rng.pick(string.ascii_lowercase)))
-            for i in ids
-        ]
-        word_ids = list(ids)
-        rng.shuffle(word_ids)
-        _maybe_extra_thread_str(specs, rng, cfg)
-        graph = build_graph(*specs)
-        return Program(graph, Word(tuple(word_ids)), _input_list(STR_T, rng, cfg), STR_T)
+        carrier, make, extra = STR_T, _str_thread, _append_z_thread
+    else:
+        carrier, make, extra = INT_T, _int_thread, _int_thread
     ids = _fresh_ids(k, rng)
-    specs = [_int_thread(i, rng) for i in ids]
+    specs = [make(i, rng) for i in ids]
     word_ids = list(ids)
     rng.shuffle(word_ids)
-    _maybe_extra_thread(specs, rng, cfg)
+    _maybe_extra_thread(specs, rng, cfg, extra)
     graph = build_graph(*specs)
-    return Program(graph, Word(tuple(word_ids)), _input_list(INT_T, rng, cfg), INT_T)
-
-
-def _maybe_extra_thread_str(
-    specs: List[ThreadSpec], rng: Xorshift64Star, cfg: FuzzConfig
-) -> None:
-    if rng.below(4) == 0 and len(specs) < cfg.max_edges:
-        extra_id = max(s.id for s in specs) + 1 + rng.below(3)
-        specs.append(make_thread(extra_id, "append_tag", v_str("z")))
+    return Program(graph, Word(tuple(word_ids)), _input_list(carrier, rng, cfg), carrier)
 
 
 def _gen_repeated(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:

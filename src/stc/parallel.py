@@ -8,18 +8,25 @@ store. Determinism comes from structure, not luck:
 * The pipeline cuts a segment into at most ``workers`` contiguous groups
   of letters (stage fusion). A group pushes each element through all of
   its letters before handing it on, and exclusively owns those letters'
-  state slots, so the value/state produced for the i-th element of any
-  stage depends only on upstream FIFO order, never on scheduling. The
-  calling thread runs the first group; the last group writes the output
-  list; the groups between are linked by bounded FIFO channels that
-  carry batches of elements.
+  state slots in a ``{letter: state}`` dict of its own, so the
+  value/state produced for the i-th element of any stage depends only on
+  upstream FIFO order, never on scheduling. The calling thread runs the
+  first group; the last group writes the output list; the groups between
+  are linked by bounded FIFO channels that carry batches of elements. A
+  single-letter segment is a one-group stream on the calling thread.
 * Batches are adaptive: a group hands over its buffer as soon as the
   next channel is empty, when the buffer reaches ``_BATCH`` elements, or
   when its own input batch ends. It never waits for a batch to fill, so
   slow (sleep-bound) stages still pass elements on one at a time while
   fast ones amortise the hand-off. Channel capacity counts batches.
-* The final state of every letter is read back from its group once all
-  groups have finished, and merged into the store.
+* Shutdown is by sentinel alone; no channel operation polls or expires.
+  Every stage closes its output channel with ``None``, also when it
+  fails. A failing stage records its exception and drains its inbox to
+  the sentinel; a stage that sees a recorded failure after a hand-off
+  stops computing and drains too. Every consumer drains and every
+  producer closes, so plain blocking puts and gets cannot hang.
+* Once all groups have finished, their state dicts are merged back into
+  the store.
 * The read-only and product fast paths split their map into contiguous
   chunks (stateless fission), one per worker, and concatenate the
   results in order.
@@ -56,7 +63,6 @@ from .composition import (
     validate_word,
 )
 from .errors import (
-    ChannelClosed,
     ExecutionError,
     FlagMismatch,
     PortTypeError,
@@ -64,10 +70,9 @@ from .errors import (
     RepeatedLetterInSegment,
     ValidationError,
 )
-from .model import Multigraph, StageKind, StateStore, ThreadSpec, expect_port, stepper
+from .model import Multigraph, StageKind, StateStore, ThreadSpec, TransferFn, expect_port, stepper
 from .values import PortType, Tag, TypeKind, Value, sum_of, v_inl, v_inr, v_list
 
-_POLL = 0.05
 # upper bound on the elements one channel message carries
 _BATCH = 64
 
@@ -93,7 +98,7 @@ def run_data_parallel_readonly(
     """
     if classify_thread(spec) is not StageKind.READ_ONLY:
         raise ValidationError(f"thread {spec.id} is not read-only")
-    _check_elems(xs, spec)
+    _check_input_list(xs, spec.src)
     return v_list(spec.tgt, _readonly_map(spec, xs.payload, sigma, workers, check)), sigma
 
 
@@ -105,7 +110,7 @@ def run_data_parallel_product(
     reads the elements, so the two halves are independent."""
     if classify_thread(spec) is not StageKind.PRODUCT:
         raise ValidationError(f"thread {spec.id} is not a product thread")
-    _check_elems(xs, spec)
+    _check_input_list(xs, spec.src)
     out, state = _product_map(spec, xs.payload, sigma, workers, check)
     return v_list(spec.tgt, out), state
 
@@ -163,15 +168,6 @@ def _fission(fn: Callable[[Value], Value], items: Sequence[Value], workers: int)
     return [y for chunk in chunks for y in chunk]
 
 
-def _check_elems(xs: Value, spec: ThreadSpec) -> None:
-    if xs.tag is not Tag.LIST:
-        raise PortTypeError(f"expected a list value, got {xs!r}")
-    if not xs.elem.compatible(spec.src):
-        raise PortTypeError(
-            f"list of {xs.elem.name} does not feed thread {spec.id} ({spec.src.name})"
-        )
-
-
 def split(xs: Value) -> Tuple[Value, Value, Tuple[bool, ...]]:
     """Partition a list of sum values, recording the injection order.
 
@@ -220,27 +216,14 @@ def join(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
     return v_list(sum_of(bs.elem, cs.elem), out)
 
 
-def _chan_get(q: "queue.Queue", abort: threading.Event):
-    while True:
-        try:
-            return q.get(timeout=_POLL)
-        except queue.Empty:
-            if abort.is_set():
-                raise ChannelClosed("pipeline aborted") from None
-
-
-def _chan_put(q: "queue.Queue", item, abort: threading.Event) -> None:
-    while True:
-        try:
-            q.put(item, timeout=_POLL)
-            return
-        except queue.Full:
-            if abort.is_set():
-                raise ChannelClosed("pipeline aborted") from None
-
-
 # one stage of a stream: takes an element, returns the element it hands on
 Stage = Callable[[Value], Value]
+
+
+def _state_dropped(step: TransferFn) -> TransferFn:
+    """The planted ``state-update-dropped`` fault: ``step`` with every
+    state update discarded."""
+    return lambda v, sigma: (step(v, sigma)[0], sigma)
 
 
 def _groups(
@@ -248,86 +231,87 @@ def _groups(
     letters: Tuple[int, ...], k: int,
 ) -> List[Optional[Stage]]:
     """``letters`` cut into ``k`` contiguous fused groups, some empty (None)
-    when ``k`` exceeds the letter count. A group pushes an element through
-    all of its letters and owns their private states; each group's letters
-    and states go onto ``owned`` for the read-back."""
+    when ``k`` exceeds the letter count. A group is ``_run_element`` over
+    its letters and a ``{letter: state}`` dict it owns; each dict goes onto
+    ``owned`` for the read-back."""
     if mutations.enabled("stage-order-swapped") and len(letters) >= 2:
         letters = (letters[1], letters[0]) + letters[2:]
-    keep_state = not mutations.enabled("state-update-dropped")
     fns: List[Optional[Stage]] = []
     for g in range(k):
         part = letters[len(letters) * g // k:len(letters) * (g + 1) // k]
-        steps = list(enumerate(stepper(graph.edges[n], check) for n in part))
-        st = [slots[n] for n in part]
-        owned.append((part, st))
-
-        def apply(v: Value, steps=steps, st=st) -> Value:
-            for i, step in steps:
-                v, sigma = step(v, st[i])
-                if keep_state:
-                    st[i] = sigma
-            return v
-
-        fns.append(apply if part else None)
+        steps = _element_steps(graph, Word(part), check)
+        if mutations.enabled("state-update-dropped"):
+            steps = [(n, _state_dropped(step)) for n, step in steps]
+        st = {n: slots[n] for n in part}
+        owned.append(st)
+        fns.append(partial(_run_element, steps, st) if part else None)
     return fns
 
 
 def _read_back(slots: Dict[int, Value], owned) -> Dict[int, Value]:
     """``slots`` with each group's final letter states written in."""
     if not mutations.enabled("state-not-forwarded"):
-        for letters, st in owned:
-            slots.update(zip(letters, st))
+        for st in owned:
+            slots.update(st)
     return slots
 
 
 def _stream(stages: Sequence[Stage], values: Sequence[Value], capacity: int) -> List[Value]:
     """Push ``values`` through ``stages`` in order. The calling thread runs
     the first stage and every other stage gets a thread of its own, linked
-    by bounded FIFO channels of ``capacity`` adaptive batches. Once every
-    thread has been joined, a failure re-raises the original exception of
-    the earliest failing stage in stage order."""
+    by bounded FIFO channels of ``capacity`` adaptive batches; one stage
+    is a plain map on the caller.
+
+    Each stage closes its output channel with the ``None`` sentinel, also
+    when it fails. A stage that fails, or that sees a recorded failure
+    right after a hand-off, stops computing and drains its inbox to the
+    sentinel, so no blocking put or get is left waiting. Once every thread
+    has been joined, a failure re-raises the original exception of the
+    earliest failing stage in stage order."""
     k = len(stages)
     if k == 0:
         return list(values)
     chans = [queue.Queue(maxsize=capacity) for _ in range(k - 1)]
-    abort = threading.Event()
     failed: List[Optional[BaseException]] = [None] * k
     out: List[Value] = []
 
     def run_stage(g: int, batches) -> None:
         fn = stages[g]
-        if g == k - 1:
-            for batch in batches:
-                out.extend(map(fn, batch))
-            return
-        outq = chans[g]
-        for batch in batches:
-            buf = []
-            for v in batch:
-                buf.append(fn(v))
-                # hand over as soon as the next stage is idle, so a slow
-                # stage never waits on a batch to fill
-                if len(buf) >= _BATCH or outq.empty():
-                    _chan_put(outq, buf, abort)
-                    buf = []
-            if buf:
-                _chan_put(outq, buf, abort)
-        _chan_put(outq, None, abort)
-
-    def guarded(g: int, batches) -> None:
         try:
-            run_stage(g, batches)
-        except ChannelClosed:
-            pass
+            if g == k - 1:
+                for batch in batches:
+                    out.extend(map(fn, batch))
+                return
+            outq = chans[g]
+            for batch in batches:
+                buf = []
+                for v in batch:
+                    buf.append(fn(v))
+                    # hand over as soon as the next stage is idle, so a slow
+                    # stage never waits on a batch to fill
+                    if len(buf) >= _BATCH or outq.empty():
+                        outq.put(buf)
+                        buf = []
+                        if any(failed):
+                            return
+                if buf:
+                    outq.put(buf)
         except BaseException as exc:  # re-raised by the caller below
             failed[g] = exc
-            abort.set()
+        finally:
+            if g < k - 1:
+                chans[g].put(None)
+            for _ in batches:
+                pass
 
-    inboxes = [iter(partial(_chan_get, q, abort), None) for q in chans]
-    threads = [threading.Thread(target=guarded, args=(g, inboxes[g - 1])) for g in range(1, k)]
+    threads = [
+        threading.Thread(target=run_stage, args=(g, iter(chans[g - 1].get, None)))
+        for g in range(1, k)
+    ]
     for t in threads:
         t.start()
-    guarded(0, (values,))
+    # an iterator, so that a drain resumes where the stage stopped
+    run_stage(0, iter((values,)))
     for t in threads:
         t.join()
     for exc in failed:
@@ -374,9 +358,9 @@ def run_pipeline(
     hold ``capacity`` batches.
 
     Words with repeated letters run as consecutive duplicate-free
-    segments with a barrier in between. Single-letter segments have no
-    pipelining to offer and run as a plain sequential map. The result is
-    bit-exactly that of ``eval_psi_ref``.
+    segments with a barrier in between. A single-letter segment is a
+    one-group stream on the calling thread; its failures are wrapped like
+    any other stage's. The result is bit-exactly that of ``eval_psi_ref``.
     """
     if workers < 1:
         raise ValidationError("workers must be a positive integer")
@@ -391,12 +375,7 @@ def run_pipeline(
     values = list(xs.payload)
     slots = state.as_dict()
     for seg in segments:
-        if not seg.letters:
-            continue
-        if len(seg.letters) == 1:
-            n = seg.letters[0]
-            values, slots[n] = map_letter(graph.edges[n], values, slots[n], check)
-        else:
+        if seg.letters:
             values, slots = _pipeline_segment(
                 graph, seg.letters, values, slots, workers, capacity, check
             )
@@ -503,12 +482,12 @@ def eval_branch_elementwise(
     slots = state.as_dict()
     out: List[Value] = []
     for x in xs.payload:
-        y = _run_element(producer, x, slots)
+        y = _run_element(producer, slots, x)
         if y.tag is Tag.SUML:
-            d_in = v_inl(_run_element(left, y.payload, slots))
+            d_in = v_inl(_run_element(left, slots, y.payload))
         else:
-            d_in = v_inr(_run_element(right, y.payload, slots))
-        out.append(_run_element(consumer, d_in, slots))
+            d_in = v_inr(_run_element(right, slots, y.payload))
+        out.append(_run_element(consumer, slots, d_in))
     return v_list(vb.tgt, out), StateStore(slots)
 
 

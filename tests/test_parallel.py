@@ -264,6 +264,15 @@ def _raised_within(call, timeout=30.0):
     return raised[0]
 
 
+def test_pipeline_single_letter_segment_failure_is_wrapped():
+    graph = build_graph(_raising(1, 3))
+    err = _raised_within(
+        lambda: run_pipeline(graph, Word((1, 1)), int_list(1, 2), init_state(graph), 2)
+    )
+    assert isinstance(err, ExecutionError) and str(err) == "pipeline stage failed"
+    assert isinstance(err.__cause__, Boom)
+
+
 @pytest.mark.parametrize("position", [0, 2, 4])  # first, middle, last group at 4 workers
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_pipeline_stage_failure_surfaces_and_joins(position, workers):
@@ -669,6 +678,75 @@ def test_branch_stream_earliest_failing_stage_wins(workers):
         lambda: run_task_parallel_branch(graph, prog, xs, init_state(graph), workers)
     )
     assert set(raised) == {1, 6} and err is raised[1]
+    assert threading.active_count() == before
+
+
+class Halt(BaseException):
+    """Not an ``Exception``, so the pipeline must not wrap it."""
+
+
+def _halting_identity(thread_id, at, raised):
+    base = make_thread(thread_id, "delay_identity_ms")
+
+    def transfer(x, sigma):
+        if x.payload == at:
+            raised.append(Halt(f"thread {thread_id} on {at}"))
+            raise raised[-1]
+        return base.transfer(x, sigma)
+
+    return replace(base, transfer=transfer)
+
+
+@pytest.mark.parametrize("shape", ["word", "branch"])
+@pytest.mark.parametrize("workers", [2, 4])
+def test_base_exception_failure_propagates_unwrapped(shape, workers):
+    raised = []
+    specs = [
+        _halting_identity(n, 30, raised) if n == 3 else make_thread(n, "delay_identity_ms")
+        for n in range(1, 7)
+    ]
+    graph = build_graph(*specs, make_thread(8, "branch_even"), make_thread(9, "merge_sum"))
+    xs = v_list(INT_T, [v_int(0)] * 200 + [v_int(30)] + [v_int(1)] * 200)
+    if shape == "word":
+        # at 4 workers thread 3 is the third of four groups: [1] [2] [3] [4, 5]
+        word = Word((1, 2, 3, 4, 5))
+        call = lambda: run_pipeline(graph, word, xs, init_state(graph), workers, capacity=1)
+    else:
+        # stages [1] [branch_even] [2|4] [3|5] [merge_sum] [6]; 30 is even, so
+        # thread 3 fails in the second side stage
+        prog = BranchProgram(Word((1, 8)), Word((2, 3)), Word((4, 5)), Word((9, 6)))
+        call = lambda: run_task_parallel_branch(
+            graph, prog, xs, init_state(graph), workers, capacity=1
+        )
+    before = threading.active_count()
+    err = _raised_within(call)
+    assert isinstance(err, Halt) and err is raised[0]
+    assert threading.active_count() == before
+
+
+def test_last_stage_failure_stops_the_first_stage_early():
+    from stc.parallel import _BATCH
+
+    capacity = 1
+    calls = []
+    first = make_thread(1, "delay_identity_ms")
+
+    def counted(x, sigma):
+        calls.append(x)
+        return first.transfer(x, sigma)
+
+    raised = []
+    graph = build_graph(replace(first, transfer=counted), _raising_identity(2, 10, raised))
+    xs = int_list(*range(5000))
+    before = threading.active_count()
+    err = _raised_within(
+        lambda: run_pipeline(graph, Word((1, 2)), xs, init_state(graph), 2, capacity=capacity)
+    )
+    assert isinstance(err, ExecutionError) and err.__cause__ is raised[0]
+    # once the last stage fails, the first has computed at most elements
+    # 0..9, the failing batch, one batch in the channel and the batch it
+    # fills before its next hand-off
+    assert len(calls) < 10 + (capacity + 2) * _BATCH
     assert threading.active_count() == before
 
 
