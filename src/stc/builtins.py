@@ -2,9 +2,16 @@
 
 Threads draw their transfer functions from this fixed registry rather
 than from arbitrary user code, so programs stay serializable and any two
-runs of the same program are reproducible. Integer arithmetic wraps at 64
-bits: every int result is a ``wrap64`` result, so it is boxed with the
-unchecked ``_int_value``.
+runs of the same program are reproducible.
+
+Each builtin is written once, as a raw kernel over raw values (see
+``values``): a transfer, plus ``value_part``/``state_part`` for a product
+thread. ``make_thread`` derives the thread's ``Value``-level functions
+from the kernels and registers each kernel under its function's identity
+(``model.register_kernel``), so executors run the kernel itself. Integer
+arithmetic wraps at 64 bits; a result is passed through ``wrap64`` only
+when it leaves the range, since ``wrap64(y) == y`` for every in-range
+``y``.
 
 Registry:
 
@@ -22,24 +29,34 @@ Registry:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from .errors import SchemaError, UnknownFunction
-from .model import StageKind, ThreadSpec, TransferFn
+from .model import (
+    Kernel,
+    RawStep,
+    StageKind,
+    ThreadSpec,
+    boxed_part,
+    boxed_transfer,
+    register_kernel,
+)
 from .values import (
+    INT64_MAX,
+    INT64_MIN,
     INT_T,
     STR_T,
     UNIT,
     UNIT_T,
+    Inl,
+    Inr,
     PortType,
     Value,
-    _int_value,
     parse_port,
     sum_of,
-    v_inl,
-    v_inr,
     v_int,
     v_str,
     wrap64,
@@ -58,45 +75,56 @@ class BuiltinEntry:
 
 @dataclass(frozen=True)
 class ThreadParts:
+    """One instantiated builtin: its types and raw kernels. ``sample`` is
+    the transfer kernel hint sampling runs, when it differs from
+    ``transfer`` (a kernel that sleeps)."""
+
     src: PortType
     tgt: PortType
     state_type: PortType
     default_init: Value
-    transfer: TransferFn
-    value_part: Optional[Callable[[Value], Value]] = None
-    state_part: Optional[Callable[[Value], Value]] = None
+    transfer: RawStep
+    value_part: Optional[Callable[[Any], Any]] = None
+    state_part: Optional[Callable[[Any], Any]] = None
+    sample: Optional[RawStep] = None
 
 
 def _counter_add(params: Mapping) -> ThreadParts:
-    def fn(x: Value, s: Value):
-        return _int_value(wrap64(x.payload + s.payload)), _int_value(wrap64(s.payload + 1))
+    def fn(x: int, s: int):
+        y = x + s
+        s += 1
+        return (
+            y if INT64_MIN <= y <= INT64_MAX else wrap64(y),
+            s if s <= INT64_MAX else wrap64(s),
+        )
 
     return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn)
 
 
 def _scale_by_state(params: Mapping) -> ThreadParts:
-    def fn(x: Value, s: Value):
-        return _int_value(wrap64(x.payload * s.payload)), s
+    def fn(x: int, s: int):
+        y = x * s
+        return (y if INT64_MIN <= y <= INT64_MAX else wrap64(y)), s
 
     return ThreadParts(INT_T, INT_T, INT_T, v_int(1), fn)
 
 
 def _add1_tick(params: Mapping) -> ThreadParts:
-    def g(x: Value) -> Value:
-        return _int_value(wrap64(x.payload + 1))
+    def g(x: int) -> int:
+        x += 1
+        return x if x <= INT64_MAX else wrap64(x)
 
-    def h(s: Value) -> Value:
-        return _int_value(wrap64(s.payload + 1))
+    def fn(x: int, s: int):
+        x += 1
+        s += 1
+        return (x if x <= INT64_MAX else wrap64(x)), (s if s <= INT64_MAX else wrap64(s))
 
-    def fn(x: Value, s: Value):
-        return g(x), h(s)
-
-    return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn, value_part=g, state_part=h)
+    return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn, value_part=g, state_part=g)
 
 
 def _branch_even(params: Mapping) -> ThreadParts:
-    def fn(x: Value, s: Value):
-        return (v_inl(x) if x.payload % 2 == 0 else v_inr(x)), s
+    def fn(x: int, s: None):
+        return (Inl(x) if x % 2 == 0 else Inr(x)), s
 
     return ThreadParts(INT_T, sum_of(INT_T, INT_T), UNIT_T, UNIT, fn)
 
@@ -111,8 +139,8 @@ def _carrier(params: Mapping) -> PortType:
 def _merge_sum(params: Mapping) -> ThreadParts:
     d = _carrier(params)
 
-    def fn(x: Value, s: Value):
-        return x.payload, s
+    def fn(x, s: None):
+        return x.value, s
 
     return ThreadParts(sum_of(d, d), d, UNIT_T, UNIT, fn)
 
@@ -133,17 +161,19 @@ def _delay_identity_ms(params: Mapping) -> ThreadParts:
         raise SchemaError("params.delay_ms", f"delay must be a number from 0 to {MAX_DELAY_MS} ms")
     seconds = delay / 1000.0
 
-    def fn(x: Value, s: Value):
-        if seconds:
-            time.sleep(seconds)
+    def identity(x, s: None):
         return x, s
 
-    return ThreadParts(t, t, UNIT_T, UNIT, fn)
+    def fn(x, s: None):
+        time.sleep(seconds)
+        return x, s
+
+    return ThreadParts(t, t, UNIT_T, UNIT, fn if seconds else identity, sample=identity)
 
 
 def _append_tag(params: Mapping) -> ThreadParts:
-    def fn(x: Value, s: Value):
-        return v_str(x.payload + s.payload), s
+    def fn(x: str, s: str):
+        return x + s, s
 
     return ThreadParts(STR_T, STR_T, STR_T, v_str(""), fn)
 
@@ -194,7 +224,14 @@ def make_thread(
     unknown = set(params) - set(entry.param_keys)
     if unknown:
         raise SchemaError("params", f"unknown keys {sorted(unknown)} for {fn_name}")
-    parts = entry.instantiate(params)
+    key = tuple(sorted(params.items()))
+    try:
+        hash(key)
+    except TypeError:  # no builtin accepts an unhashable param; _build says why
+        instance = _build(fn_name, params)
+    else:
+        instance = _instance(fn_name, key)
+    parts, transfer, value_part, state_part = instance
     init = parts.default_init if init_state is None else init_state
     if not init.matches(parts.state_type):
         raise SchemaError(
@@ -209,7 +246,35 @@ def make_thread(
         fn_name=fn_name,
         params=params,
         kind=entry.kind,
-        transfer=parts.transfer,
-        value_part=parts.value_part,
-        state_part=parts.state_part,
+        transfer=transfer,
+        value_part=value_part,
+        state_part=state_part,
     )
+
+
+def _build(fn_name: str, params: Mapping[str, Any]) -> tuple:
+    """A builtin instantiated with ``params``: its parts and its
+    ``Value``-level transfer, value part and state part, each registered
+    with its kernel."""
+    entry = _REGISTRY[fn_name]
+    parts = entry.instantiate(params)
+    src, tgt, st = parts.src, parts.tgt, parts.state_type
+    canonical = dict(params)
+    if "type" in entry.param_keys:
+        canonical["type"] = _carrier(params).name
+    claim = (fn_name, tuple(sorted(canonical.items())))
+    transfer = boxed_transfer(parts.transfer, src, tgt, st)
+    register_kernel(transfer, Kernel(parts.transfer, parts.sample or parts.transfer, claim))
+    halves = []
+    for run, a, b in ((parts.value_part, src, tgt), (parts.state_part, st, st)):
+        half = None
+        if run is not None:
+            half = boxed_part(run, a, b)
+            register_kernel(half, Kernel(run, run, claim))
+        halves.append(half)
+    return (parts, transfer, *halves)
+
+
+# A builtin is a pure function of its params, so threads with equal params
+# share one instance: (name, sorted param items) -> ``_build``'s tuple.
+_instance = functools.lru_cache(maxsize=1024)(lambda name, key: _build(name, dict(key)))

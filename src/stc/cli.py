@@ -33,11 +33,12 @@ from .harness import (
     check_program,
     run_fuzz,
     run_program,
-    verify_classification,
+    verify_hints,
 )
 from .model import build_graph
 from .program import (
     Program,
+    dump_raw,
     export_dot,
     parse_program,
     program_digest,
@@ -55,15 +56,19 @@ def _load(path: str) -> Program:
 
 
 def _result_json(output, state) -> str:
+    """The run document of a boxed result."""
     final = {str(n): value_to_json(v) for n, v in sorted(state.as_dict().items())}
     doc = {"output": [value_to_json(v) for v in output.payload], "final_state": final}
     return json.dumps(doc, separators=(",", ":"))
 
 
 def cmd_run(args) -> int:
+    """Parse, run and render on raw values: no ``Value`` is built for an
+    element. The text equals ``_result_json`` of the boxed result."""
     program = _load(args.file)
-    output, state = run_program(program, args.mode, workers=args.workers)
-    print(_result_json(output, state))
+    _, items, slots = run_program(program, args.mode, workers=args.workers, raw=True)
+    final = {str(n): slots[n] for n in sorted(slots)}
+    print(dump_raw({"output": items, "final_state": final}, separators=(",", ":")))
     return 0
 
 
@@ -86,10 +91,7 @@ def cmd_check(args) -> int:
             raise ValidationError("check needs a program file or --fuzz")
         program = _load(args.file)
         rng = Xorshift64Star(0xC0FFEE)
-        hints_ok = all(
-            verify_classification(spec, rng)
-            for spec in program.graph.edges.values()
-        )
+        hints_ok = verify_hints(program.graph.edges.values(), rng)
         trial = check_program(program, rng, check=True)
         _print_check_table(program, trial, hints_ok)
         return 0 if trial.equal and hints_ok else 1

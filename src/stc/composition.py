@@ -13,12 +13,22 @@ Three evaluators share one contract and must agree bit-exactly:
 * ``eval_interleaved`` recurses per element (head through the whole
   word, then the tail), which is only meaningful when no letter repeats.
   It serves as the independent oracle for the stage-wise reference.
+
+Each public evaluator takes and returns boxed values. Its ``plan_*``
+function validates and returns a ``Plan``: the letters whose slots it
+uses, the source and target types, and a raw core
+``core(items, slots) -> (items, slots)`` over raw elements and a
+``{thread id: raw state}`` dict the core may update in place.
+``run_boxed`` unboxes the input list and those slots once, runs the core
+and boxes the result once; ``stc run`` runs the same plans without
+boxing at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     PathMismatch,
@@ -27,8 +37,11 @@ from .errors import (
     UnknownThreadId,
     ValidationError,
 )
-from .model import Multigraph, StateStore, ThreadSpec, TransferFn, stepper
-from .values import PortType, Tag, Value, v_list
+from .model import Multigraph, RawStep, StateStore, boxed_store, raw_slots, raw_step
+from .values import PortType, Tag, Value, box_list, boxer, unboxer
+
+Slots = Dict[int, Any]
+Core = Callable[[Sequence[Any], Slots], Tuple[Sequence[Any], Slots]]
 
 
 @dataclass(frozen=True)
@@ -120,21 +133,39 @@ def segment_word(word: Word) -> WordSegmentation:
     return WordSegmentation(tuple(segments))
 
 
-def _check_input_list(xs: Value, src: PortType) -> None:
+def unbox_input(xs: Value, src: PortType) -> List[Any]:
+    """The raw elements of the input list ``xs`` for a ``src`` source."""
     if xs.tag is not Tag.LIST:
         raise PortTypeError(f"expected a list value, got {xs!r}")
     if not xs.elem.compatible(src):
         raise PortTypeError(
             f"input element type {xs.elem.name} does not feed a {src.name} source"
         )
+    return list(map(unboxer(src), xs.payload))
 
 
-def map_letter(
-    spec: ThreadSpec, values: Iterable[Value], sigma: Value, check: bool = False
-) -> Tuple[List[Value], Value]:
-    """One stage of the list semantics: map a thread over the values,
+@dataclass(frozen=True)
+class Plan:
+    """A validated evaluation, ready to run on raw values."""
+
+    letters: Tuple[int, ...]
+    src: PortType
+    tgt: PortType
+    core: Core
+
+
+def run_boxed(
+    graph: Multigraph, xs: Value, state: StateStore, plan: Plan
+) -> Tuple[Value, StateStore]:
+    """The edge of every list evaluator: unbox ``xs`` and the slots of the
+    plan's letters, run its core on raw values, box the result."""
+    items, slots = plan.core(unbox_input(xs, plan.src), raw_slots(graph, state, plan.letters))
+    return box_list(plan.tgt, items), boxed_store(graph, state, slots)
+
+
+def map_letter(step: RawStep, values: Sequence[Any], sigma: Any) -> Tuple[List[Any], Any]:
+    """One stage of the list semantics: map a raw step over the values,
     threading its private state from element to element."""
-    step = stepper(spec, check)
     staged = []
     append = staged.append
     for v in values:
@@ -143,11 +174,11 @@ def map_letter(
     return staged, sigma
 
 
-def _element_steps(graph: Multigraph, word: Word, check: bool) -> List[Tuple[int, TransferFn]]:
-    return [(n, stepper(graph.edges[n], check)) for n in word.letters]
+def element_steps(graph: Multigraph, letters: Sequence[int], check: bool) -> List[Tuple[int, RawStep]]:
+    return [(n, raw_step(graph.edges[n], check)) for n in letters]
 
 
-def _run_element(steps: List[Tuple[int, TransferFn]], slots: Dict[int, Value], v: Value) -> Value:
+def run_element(steps: List[Tuple[int, RawStep]], slots: Slots, v: Any) -> Any:
     """One element through every letter, updating ``slots`` in place."""
     for n, step in steps:
         v, slots[n] = step(v, slots[n])
@@ -163,11 +194,39 @@ def eval_phi(
     the identity.
     """
     vw = validate_word(graph, word)
-    if check and not x.matches(vw.src):
+    if not x.matches(vw.src):
         raise PortTypeError(f"input {x!r} is not a {vw.src.name}")
-    slots = state.as_dict()
-    y = _run_element(_element_steps(graph, word, check), slots, x)
-    return y, StateStore(slots)
+    slots = raw_slots(graph, state, word.letters)
+    y = run_element(element_steps(graph, word.letters, check), slots, unboxer(vw.src)(x))
+    return boxer(vw.tgt)(y), boxed_store(graph, state, slots)
+
+
+def _psi(
+    graph: Multigraph, word: Word, items: Sequence[Any], slots: Slots, check: bool = False
+) -> Tuple[Sequence[Any], Slots]:
+    for n in word.letters:
+        items, slots[n] = map_letter(raw_step(graph.edges[n], check), items, slots[n])
+    return items, slots
+
+
+def _interleaved(
+    graph: Multigraph, word: Word, items: Sequence[Any], slots: Slots, check: bool = False
+) -> Tuple[List[Any], Slots]:
+    steps = element_steps(graph, word.letters, check)
+    return [run_element(steps, slots, v) for v in items], slots
+
+
+def plan_psi(graph: Multigraph, word: Word, check: bool = False) -> Plan:
+    vw = validate_word(graph, word)
+    return Plan(word.letters, vw.src, vw.tgt, partial(_psi, graph, word, check=check))
+
+
+def plan_interleaved(graph: Multigraph, word: Word, check: bool = False) -> Plan:
+    repeated = smap_check(word)
+    if repeated:
+        raise RepeatedLetter(min(repeated))
+    vw = validate_word(graph, word)
+    return Plan(word.letters, vw.src, vw.tgt, partial(_interleaved, graph, word, check=check))
 
 
 def eval_psi_ref(
@@ -178,14 +237,7 @@ def eval_psi_ref(
     The first letter maps over the whole list (threading its private
     state element to element) before the second letter runs, and so on.
     """
-    vw = validate_word(graph, word)
-    _check_input_list(xs, vw.src)
-    out = state.copy()
-    values = list(xs.payload)
-    for n in word.letters:
-        values, sigma = map_letter(graph.edges[n], values, out.get(n), check)
-        out.set(n, sigma)
-    return v_list(vw.tgt, values), out
+    return run_boxed(graph, xs, state, plan_psi(graph, word, check))
 
 
 def eval_interleaved(
@@ -198,12 +250,4 @@ def eval_interleaved(
     stage/element reordering argument that licenses pipelining. The word
     is validated and the store copied once, not once per element.
     """
-    repeated = smap_check(word)
-    if repeated:
-        raise RepeatedLetter(min(repeated))
-    vw = validate_word(graph, word)
-    _check_input_list(xs, vw.src)
-    steps = _element_steps(graph, word, check)
-    slots = state.as_dict()
-    values = [_run_element(steps, slots, v) for v in xs.payload]
-    return v_list(vw.tgt, values), StateStore(slots)
+    return run_boxed(graph, xs, state, plan_interleaved(graph, word, check))

@@ -26,48 +26,77 @@ fuzzer runs them unchecked.
 
 Classification hints are spot-checked by sampling only where there is a
 claim to test: READ_ONLY and PRODUCT threads get 200 random (element,
-state) pairs each, GENERAL threads claim nothing and are not sampled.
+state) pairs each, GENERAL threads claim nothing and are not sampled. A
+builtin's own functions are sampled through its side-effect-free kernel,
+once per distinct claim within one ``verify_hints`` call.
+
+Each fuzz trial also checks a *carrier program* from a second stream
+(``carrier_stream``): a random port type over the whole value grammar
+routed through zero-delay delay threads, fed with edge values (NaN,
+±0.0, ±inf, subnormals, 64-bit extremes, lone surrogates). The int/str
+stream draws exactly as before, so old failure seeds still replay.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import string
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .builtins import make_thread
 from .composition import (
     Word,
-    eval_interleaved,
     eval_psi_ref,
+    plan_interleaved,
+    plan_psi,
     smap_check,
     validate_word,
 )
 from .errors import StcError, ValidationError
-from .model import StageKind, StateStore, ThreadSpec, build_graph, init_state
+from .model import (
+    StageKind,
+    StateStore,
+    ThreadSpec,
+    boxed_part,
+    boxed_store,
+    boxed_transfer,
+    build_graph,
+    builtin_claim,
+    init_state,
+    kernel_of,
+)
 from .parallel import (
     BranchProgram,
     classify_thread,
-    eval_auto_word,
-    eval_branch,
-    eval_branch_elementwise,
+    plan_auto,
+    plan_branch,
+    plan_branch_elementwise,
+    plan_branch_stream,
+    plan_pipeline,
     run_data_parallel_product,
     run_data_parallel_readonly,
-    run_pipeline,
-    run_task_parallel_branch,
     split,
     join,
 )
 from .program import Program, program_digest, program_to_text
 from .values import (
+    BOOL_T,
+    FLOAT_T,
+    INT64_MAX,
+    INT64_MIN,
     INT_T,
     STR_T,
+    UNIT_T,
     PortType,
     TypeKind,
     UNIT,
     Value,
+    box_list,
+    list_of,
+    pair_of,
     sum_of,
+    unbox_state,
     v_bool,
     v_float,
     v_inl,
@@ -154,26 +183,60 @@ def random_value(pt: PortType, rng: Xorshift64Star, magnitude: int = 1000) -> Va
     return v_inr(random_value(pt.args[1], rng, magnitude))
 
 
-def verify_classification(spec: ThreadSpec, rng: Xorshift64Star, trials: int = 200) -> bool:
+def verify_classification(
+    spec: ThreadSpec,
+    rng: Xorshift64Star,
+    trials: int = 200,
+    seen: Optional[Dict[tuple, bool]] = None,
+) -> bool:
     """Spot-check a declared READ_ONLY/PRODUCT hint on random pairs.
 
     This cannot prove the hint (sampling never can); it exists to catch a
     mislabeled builtin early. GENERAL threads claim nothing, so they pass
     without drawing a sample or calling ``transfer``.
+
+    A thread whose functions are all its builtin's own is sampled through
+    the builtin's side-effect-free kernels (a delay does not sleep), and
+    with ``seen`` its verdict is shared by every thread that makes the
+    same claim: same builtin, canonical params and hint. Any other thread
+    is sampled through its own functions, every time.
     """
     kind = classify_thread(spec)
     if kind is StageKind.GENERAL:
         return True
+    claim = builtin_claim(spec)
+    key = (claim, kind)
+    if claim is not None and seen is not None and key in seen:
+        return seen[key]
+    transfer, value_part, state_part = spec.transfer, spec.value_part, spec.state_part
+    if claim is not None:
+        src, tgt, st = spec.src, spec.tgt, spec.state_type
+        transfer = boxed_transfer(kernel_of(transfer).sample, src, tgt, st)
+        if kind is StageKind.PRODUCT:
+            value_part = boxed_part(kernel_of(value_part).sample, src, tgt)
+            state_part = boxed_part(kernel_of(state_part).sample, st, st)
+    ok = True
     for _ in range(trials):
         x = random_value(spec.src, rng)
         sigma = random_value(spec.state_type, rng)
-        y, sigma2 = spec.transfer(x, sigma)
+        y, sigma2 = transfer(x, sigma)
         if kind is StageKind.READ_ONLY and sigma2 != sigma:
-            return False
+            ok = False
+            break
         if kind is StageKind.PRODUCT:
-            if y != spec.value_part(x) or sigma2 != spec.state_part(sigma):
-                return False
-    return True
+            if y != value_part(x) or sigma2 != state_part(sigma):
+                ok = False
+                break
+    if claim is not None and seen is not None:
+        seen[key] = ok
+    return ok
+
+
+def verify_hints(specs: Iterable[ThreadSpec], rng: Xorshift64Star) -> bool:
+    """``verify_classification`` of every thread, each distinct builtin
+    claim sampled once within this call."""
+    seen: Dict[tuple, bool] = {}
+    return all(verify_classification(spec, rng, seen=seen) for spec in specs)
 
 
 _INT_FNS = ("counter_add", "scale_by_state", "add1_tick")
@@ -301,42 +364,175 @@ def program_stream(cfg: FuzzConfig) -> Iterator[Program]:
         yield gen_random_program(cfg, rng)
 
 
+# -- carrier programs: the whole value grammar ------------------------------
+
+# seeds the carrier stream and its check rng apart from the int/str stream
+_CARRIER_SEED = 0x2545F4914F6CDD1D
+_ATOM_TYPES = (UNIT_T, BOOL_T, INT_T, FLOAT_T, STR_T)
+
+_EDGE_INTS = (INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX)
+_EDGE_FLOATS = (
+    math.nan, 0.0, -0.0, math.inf, -math.inf,
+    5e-324, -5e-324, 2.2250738585072e-308,  # subnormals
+    1.5, -1e300,
+)
+_EDGE_STRS = ("", "a", "é", "日本", "😀", "\x00", "\ud800", "x\udfffy", '"\\')
+
+
+def random_port_type(rng: Xorshift64Star, depth: int = 3) -> PortType:
+    """A port type over all eight constructors, at most ``depth`` deep."""
+    roll = rng.below(8 if depth > 1 else 5)
+    if roll < 5:
+        return _ATOM_TYPES[roll]
+    if roll == 5:
+        return list_of(random_port_type(rng, depth - 1))
+    build = pair_of if roll == 6 else sum_of
+    return build(random_port_type(rng, depth - 1), random_port_type(rng, depth - 1))
+
+
+def edge_value(pt: PortType, rng: Xorshift64Star) -> Value:
+    """A random inhabitant of ``pt`` drawn from the edges of each scalar
+    domain: NaN, ±0.0, ±inf, subnormals, the 64-bit int extremes, and
+    non-ASCII and lone-surrogate strings."""
+    k = pt.kind
+    if k is TypeKind.UNIT:
+        return UNIT
+    if k is TypeKind.BOOL:
+        return v_bool(rng.below(2) == 0)
+    if k is TypeKind.INT:
+        return v_int(rng.pick(_EDGE_INTS))
+    if k is TypeKind.FLOAT:
+        return v_float(rng.pick(_EDGE_FLOATS))
+    if k is TypeKind.STR:
+        return v_str(rng.pick(_EDGE_STRS))
+    if k is TypeKind.LIST:
+        return v_list(pt.args[0], [edge_value(pt.args[0], rng) for _ in range(rng.below(4))])
+    if k is TypeKind.PAIR:
+        return v_pair(edge_value(pt.args[0], rng), edge_value(pt.args[1], rng))
+    if rng.below(2) == 0:
+        return v_inl(edge_value(pt.args[0], rng))
+    return v_inr(edge_value(pt.args[1], rng))
+
+
+def _delay_thread(tid: int, carrier: PortType) -> ThreadSpec:
+    return make_thread(tid, "delay_identity_ms", params={"type": carrier.name, "delay_ms": 0})
+
+
+def _merge_thread(tid: int, carrier: PortType) -> ThreadSpec:
+    return make_thread(tid, "merge_sum", params={"type": carrier.name})
+
+
+def _carrier_chain(specs: List[ThreadSpec], ids: Iterator[int], pt: PortType, n: int) -> List[int]:
+    """``n`` fresh delay threads over ``pt`` appended to ``specs``; their ids."""
+    letters = [next(ids) for _ in range(n)]
+    specs.extend(_delay_thread(i, pt) for i in letters)
+    return letters
+
+
+def _carrier_input(pt: PortType, rng: Xorshift64Star, cfg: FuzzConfig) -> Value:
+    return v_list(pt, [edge_value(pt, rng) for _ in range(rng.below(cfg.max_list_len + 1))])
+
+
+def gen_carrier_program(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
+    """One random program that routes a random port type through
+    zero-delay ``delay_identity_ms`` threads, on edge-value inputs.
+
+    A word is a chain of delays over its type ``t``; when ``t`` is
+    ``sum(d,d)`` it may continue through ``merge_sum`` into delays over
+    ``d``, and a quarter of words repeat their last letter. One program in
+    three is a branch program: the producer ends in a delay typed
+    ``sum(a,b)``, the sides are delay chains over ``a`` and ``b``, and the
+    consumer starts with ``merge_sum`` when ``a == b`` and with a delay
+    over the sum otherwise.
+    """
+    specs: List[ThreadSpec] = []
+    ids = iter(_fresh_ids(cfg.max_edges, rng))
+    if rng.below(3) == 0 and cfg.max_edges >= 2:
+        a, b = random_port_type(rng, 2), random_port_type(rng, 2)
+        produced = sum_of(a, b)
+        budget = cfg.max_edges - 2  # the producer's delay and the consumer head
+        sizes = []
+        for _ in range(3):
+            sizes.append(rng.below(min(3, budget + 1)))
+            budget -= sizes[-1]
+        producer = _carrier_chain(specs, ids, produced, 1)
+        left = _carrier_chain(specs, ids, a, sizes[0])
+        right = _carrier_chain(specs, ids, b, sizes[1])
+        head = next(ids)
+        if a == b:
+            specs.append(_merge_thread(head, a))
+            tail = _carrier_chain(specs, ids, a, sizes[2])
+        else:
+            specs.append(_delay_thread(head, produced))
+            tail = _carrier_chain(specs, ids, produced, sizes[2])
+        prog = BranchProgram(
+            Word(tuple(producer)),
+            Word(tuple(left), None if left else a),
+            Word(tuple(right), None if right else b),
+            Word(tuple([head] + tail)),
+        )
+        return Program(build_graph(*specs), prog, _carrier_input(produced, rng, cfg), produced)
+    t = random_port_type(rng)
+    limit = min(cfg.max_word_len, cfg.max_edges)
+    letters = _carrier_chain(specs, ids, t, 1 + rng.below(limit))
+    if t.kind is TypeKind.SUM and t.args[0] == t.args[1] and len(letters) < limit:
+        letters.append(next(ids))
+        specs.append(_merge_thread(letters[-1], t.args[0]))
+        letters += _carrier_chain(specs, ids, t.args[0], rng.below(limit - len(letters) + 1))
+    if rng.below(4) == 0 and len(letters) < limit and specs[-1].fn_name == "delay_identity_ms":
+        letters.append(letters[-1])  # a delay maps its carrier to itself
+    return Program(build_graph(*specs), Word(tuple(letters)), _carrier_input(t, rng, cfg), t)
+
+
+def carrier_stream(cfg: FuzzConfig) -> Iterator[Program]:
+    """The deterministic carrier-program sequence for a seed, drawn from
+    its own rng (seeded ``seed ^ _CARRIER_SEED``), so ``program_stream``
+    is unchanged."""
+    rng = Xorshift64Star(cfg.seed ^ _CARRIER_SEED)
+    while True:
+        yield gen_carrier_program(cfg, rng)
+
+
+def _run_raw(
+    program: Program, mode: str, workers: int, check: bool
+) -> Tuple[PortType, Sequence[Any], Dict[int, Any]]:
+    graph, word = program.graph, program.word
+    branch = program.is_branch
+    if mode == "seq":
+        plan = (plan_branch if branch else plan_psi)(graph, word, check=check)
+    elif mode == "interleaved":
+        plan = (plan_branch_elementwise if branch else plan_interleaved)(graph, word, check=check)
+    elif mode == "pipeline":
+        plan = (plan_branch_stream if branch else plan_pipeline)(graph, word, workers, check=check)
+    elif mode == "auto" and branch:
+        plan = plan_branch(graph, word, check=check, auto_workers=workers)
+    elif mode == "auto":
+        plan = plan_auto(graph, word, workers, check=check)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    slots = {n: unbox_state(spec.init_state, spec.state_type) for n, spec in graph.edges.items()}
+    items, slots = plan.core(program.raw_input(plan.src), slots)
+    return plan.tgt, items, slots
+
+
 def run_program(
     program: Program,
     mode: str,
     workers: int = 4,
     check: bool = False,
-) -> Tuple[Value, StateStore]:
-    """Evaluate a program under one of the four execution modes."""
-    graph = program.graph
-    state = init_state(graph)
-    xs = program.input
-    if program.is_branch:
-        prog = program.word
-        if mode == "seq":
-            return eval_branch(
-                graph, prog, xs, state, functools.partial(eval_psi_ref, check=check)
-            )
-        if mode == "interleaved":
-            return eval_branch_elementwise(graph, prog, xs, state, check)
-        if mode == "pipeline":
-            return run_task_parallel_branch(graph, prog, xs, state, workers, check=check)
-        if mode == "auto":
-            return eval_branch(
-                graph, prog, xs, state,
-                functools.partial(eval_auto_word, workers=workers, check=check),
-            )
-        raise ValueError(f"unknown mode {mode!r}")
-    word = program.word
-    if mode == "seq":
-        return eval_psi_ref(graph, word, xs, state, check)
-    if mode == "interleaved":
-        return eval_interleaved(graph, word, xs, state, check)
-    if mode == "pipeline":
-        return run_pipeline(graph, word, xs, state, workers, check=check)
-    if mode == "auto":
-        return eval_auto_word(graph, word, xs, state, workers=workers, check=check)
-    raise ValueError(f"unknown mode {mode!r}")
+    *,
+    raw: bool = False,
+):
+    """Evaluate a program under one of the four execution modes.
+
+    Returns the output list and the final store, boxed. With ``raw`` it
+    builds no ``Value`` and returns raw values instead: the output's
+    element type, the output elements and ``{thread id: state}`` for
+    every thread."""
+    tgt, items, slots = _run_raw(program, mode, workers, check)
+    if raw:
+        return tgt, items, slots
+    return box_list(tgt, items), boxed_store(program.graph, StateStore({}), slots)
 
 
 @dataclass
@@ -559,29 +755,42 @@ def _check_split_join(rng: Xorshift64Star) -> Optional[Divergence]:
     return None
 
 
+def _fuzz_trial(
+    program: Program, rng: Xorshift64Star, workers_counts: Sequence[int], index: int
+) -> TrialReport:
+    try:
+        return check_program(program, rng, workers_counts, index=index)
+    except StcError as exc:
+        return TrialReport(
+            index,
+            program_digest(program),
+            ["seq"],
+            False,
+            Divergence("harness", "error", "-", "result", repr(exc)),
+            program_to_text(program),
+        )
+
+
 def run_fuzz(
     cfg: FuzzConfig,
     workers_counts: Sequence[int] = (1, 2, 4, 8),
     stop_on_failure: bool = True,
 ) -> EquivReport:
-    """The full fuzz suite: generate programs and check every invariant."""
+    """The full fuzz suite: generate programs and check every invariant.
+
+    Trial i checks the i-th program of ``program_stream`` and then the
+    i-th of ``carrier_stream``; it passes when both do. Each stream has
+    its own check rng."""
     report = EquivReport()
-    stream = program_stream(cfg)
+    stream, carriers = program_stream(cfg), carrier_stream(cfg)
     rng = Xorshift64Star(cfg.seed ^ _SEED_FILL)
+    carrier_rng = Xorshift64Star(cfg.seed ^ _CARRIER_SEED ^ _SEED_FILL)
     for i in range(cfg.trials):
-        program = next(stream)
+        program, carrier = next(stream), next(carriers)
         report.trials += 1
-        try:
-            trial = check_program(program, rng, workers_counts, index=i)
-        except StcError as exc:
-            trial = TrialReport(
-                i,
-                program_digest(program),
-                ["seq"],
-                False,
-                Divergence("harness", "error", "-", "result", repr(exc)),
-                program_to_text(program),
-            )
+        trial = _fuzz_trial(program, rng, workers_counts, i)
+        if trial.equal:
+            trial = _fuzz_trial(carrier, carrier_rng, workers_counts, i)
         if trial.equal:
             report.passed += 1
         else:

@@ -1,23 +1,42 @@
-"""Thread specifications, the thread multigraph, and the global state store.
+"""Thread specifications, the thread multigraph, the global state store,
+and the raw kernels executors run.
 
 A fundamental state thread is an edge of a directed multigraph whose
 vertices are port types. Each thread owns exactly one private state slot,
 keyed by its integer id; the global state is the finite map from thread
 ids to their current private state values.
+
+A thread's public functions (``transfer``, ``value_part``,
+``state_part``) take and return boxed ``Value``s. Executors run raw
+kernels instead (see ``values``). A builtin registers the raw kernel of
+each function it makes, keyed by the function's identity; ``raw_step``
+and friends look a kernel up there. Any other function, such as one
+swapped in with ``dataclasses.replace``, is run as box -> function ->
+unbox, so it is still the function that runs.
 """
 
 from __future__ import annotations
 
-import functools
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .errors import DuplicateThreadId, PortTypeError
-from .values import PortType, Value
+from .values import (
+    PortType,
+    Value,
+    box_state,
+    boxer,
+    conformer,
+    unbox_state,
+    unboxer,
+)
 
 TransferFn = Callable[[Value, Value], Tuple[Value, Value]]
+# the raw counterpart: raw (element, state) -> raw (output, new state)
+RawStep = Callable[[Any, Any], Tuple[Any, Any]]
 
 
 @unique
@@ -78,7 +97,7 @@ def expect_port(spec: ThreadSpec, what: str, v: Value, pt: PortType) -> None:
     """Raise ``PortTypeError`` unless ``v``, the ``what`` of thread
     ``spec``, inhabits ``pt``."""
     if not v.matches(pt):
-        raise PortTypeError(f"thread {spec.id} {what} {v!r} is not a {pt.name}")
+        raise ill_typed(spec, what, v, pt)
 
 
 def apply_thread(
@@ -95,13 +114,135 @@ def apply_thread(
     return y, sigma2
 
 
-def stepper(spec: ThreadSpec, check: bool) -> TransferFn:
-    """The call that applies ``spec`` to one element: its bare transfer
-    function, or with ``check`` that call type-checked by ``apply_thread``.
-    Loops call it per element, so the unchecked path pays no extra frame."""
-    if check:
-        return functools.partial(apply_thread, spec, check=True)
-    return spec.transfer
+@dataclass(frozen=True)
+class Kernel:
+    """The raw counterpart of one builtin function. ``sample`` is what hint
+    sampling calls: ``run`` without its side effects (it never sleeps).
+    Threads with equal ``claim``s, (builtin name, canonical params),
+    compute the same function."""
+
+    run: Callable
+    sample: Callable
+    claim: tuple
+
+
+# builtin function -> its Kernel; an entry dies with its function
+_KERNELS: "weakref.WeakKeyDictionary[Callable, Kernel]" = weakref.WeakKeyDictionary()
+
+
+def register_kernel(fn: Callable, kernel: Kernel) -> None:
+    _KERNELS[fn] = kernel
+
+
+def kernel_of(fn: Optional[Callable]) -> Optional[Kernel]:
+    """The registered kernel of ``fn`` itself, or None."""
+    try:
+        return _KERNELS.get(fn)
+    except TypeError:  # not weakly referenceable, so never registered
+        return None
+
+
+def builtin_claim(spec: ThreadSpec) -> Optional[tuple]:
+    """The claim shared by all of ``spec``'s functions when each is its
+    builtin's own, else None."""
+    fns = [f for f in (spec.transfer, spec.value_part, spec.state_part) if f is not None]
+    claims = {k.claim if k else None for k in map(kernel_of, fns)}
+    return claims.pop() if len(claims) == 1 else None
+
+
+def boxed_transfer(
+    run: RawStep, src: PortType, tgt: PortType, state_type: PortType
+) -> TransferFn:
+    """The ``Value``-level transfer that runs the raw kernel ``run``."""
+    ux, us, by, bs = unboxer(src), unboxer(state_type), boxer(tgt), boxer(state_type)
+
+    def transfer(x: Value, sigma: Value) -> Tuple[Value, Value]:
+        y, sigma2 = run(ux(x), us(sigma))
+        return by(y), bs(sigma2)
+
+    return transfer
+
+
+def boxed_part(run: Callable[[Any], Any], src: PortType, tgt: PortType) -> Callable[[Value], Value]:
+    """The ``Value``-level half (``value_part``/``state_part``) running ``run``."""
+    u, b = unboxer(src), boxer(tgt)
+    return lambda v: b(run(u(v)))
+
+
+def _raw_output(spec: ThreadSpec, y: Any) -> Any:
+    if isinstance(y, Value) and y.matches(spec.tgt):
+        return unboxer(spec.tgt)(y)
+    raise ill_typed(spec, "output", y, spec.tgt)
+
+
+def _raw_state(spec: ThreadSpec, sigma: Any) -> Any:
+    if isinstance(sigma, Value):
+        return unbox_state(sigma, spec.state_type)
+    raise ill_typed(spec, "new state", sigma, spec.state_type)
+
+
+def raw_transfer(spec: ThreadSpec) -> RawStep:
+    """``spec.transfer`` on raw values: its kernel, or the function itself
+    between a box and a type-checked unbox. An ill-typed output raises
+    ``PortTypeError``; an ill-typed state ``Value`` is kept as it is (see
+    ``unbox_state``)."""
+    kernel = kernel_of(spec.transfer)
+    if kernel is not None:
+        return kernel.run
+    fn, bx, st = spec.transfer, boxer(spec.src), spec.state_type
+
+    def step(x: Any, sigma: Any) -> Tuple[Any, Any]:
+        y, sigma2 = fn(bx(x), box_state(sigma, st))
+        return _raw_output(spec, y), _raw_state(spec, sigma2)
+
+    return step
+
+
+def raw_value_part(spec: ThreadSpec) -> Callable[[Any], Any]:
+    kernel = kernel_of(spec.value_part)
+    if kernel is not None:
+        return kernel.run
+    fn, bx = spec.value_part, boxer(spec.src)
+    return lambda x: _raw_output(spec, fn(bx(x)))
+
+
+def raw_state_part(spec: ThreadSpec) -> Callable[[Any], Any]:
+    kernel = kernel_of(spec.state_part)
+    if kernel is not None:
+        return kernel.run
+    fn, st = spec.state_part, spec.state_type
+    return lambda sigma: _raw_state(spec, fn(box_state(sigma, st)))
+
+
+def ill_typed(spec: ThreadSpec, what: str, r: Any, pt: PortType) -> PortTypeError:
+    """The error for ``r``, the ``what`` of thread ``spec``, not inhabiting
+    ``pt``; the message is ``expect_port``'s."""
+    return PortTypeError(f"thread {spec.id} {what} {r!r} is not a {pt.name}")
+
+
+def raw_step(spec: ThreadSpec, check: bool) -> RawStep:
+    """The raw call that applies ``spec`` to one element. With ``check``
+    it conforms the input, the state, the output and the new state to
+    their port types, as ``apply_thread`` does on boxed values."""
+    step = raw_transfer(spec)
+    if not check:
+        return step
+    src, tgt, st = spec.src, spec.tgt, spec.state_type
+    ok_src, ok_tgt, ok_st = conformer(src), conformer(tgt), conformer(st)
+
+    def checked(x: Any, sigma: Any) -> Tuple[Any, Any]:
+        if not ok_src(x):
+            raise ill_typed(spec, "input", x, src)
+        if not ok_st(sigma):
+            raise ill_typed(spec, "state", sigma, st)
+        y, sigma2 = step(x, sigma)
+        if not ok_tgt(y):
+            raise ill_typed(spec, "output", y, tgt)
+        if not ok_st(sigma2):
+            raise ill_typed(spec, "new state", sigma2, st)
+        return y, sigma2
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -175,9 +316,6 @@ class StateStore:
             raise KeyError(f"state store has no slot {thread_id}")
         self._slots[thread_id] = value
 
-    def copy(self) -> "StateStore":
-        return StateStore(self._slots)
-
     def as_dict(self) -> Dict[int, Value]:
         return dict(self._slots)
 
@@ -198,3 +336,16 @@ class StateStore:
 def init_state(graph: Multigraph) -> StateStore:
     """Assemble the initial global state from each thread's declared init."""
     return StateStore({n: spec.init_state for n, spec in graph.edges.items()})
+
+
+def raw_slots(graph: Multigraph, state: StateStore, letters) -> Dict[int, Any]:
+    """The raw states of ``letters``' slots in ``state``."""
+    return {n: unbox_state(state.get(n), graph.edges[n].state_type) for n in set(letters)}
+
+
+def boxed_store(graph: Multigraph, state: StateStore, slots: Mapping[int, Any]) -> StateStore:
+    """``state`` with the raw ``slots`` boxed in."""
+    out = state.as_dict()
+    for n, r in slots.items():
+        out[n] = box_state(r, graph.edges[n].state_type)
+    return StateStore(out)

@@ -40,6 +40,13 @@ store. Determinism comes from structure, not luck:
 Words with repeated letters cannot be pipelined in one piece; they run
 segment by segment (a barrier between segments), with each duplicate-free
 segment pipelined on its own.
+
+Every executor here runs on raw values (see ``values``): elements, the
+batches on the channels and the per-group state dicts hold no ``Value``.
+A sum element is an ``Inl``/``Inr`` wrapper, so the side stages and the
+join point test its Python type. The public functions box only at their
+edges through ``composition.run_boxed``; ``split`` and ``join`` keep
+their boxed signatures for callers outside the engine.
 """
 
 from __future__ import annotations
@@ -48,18 +55,21 @@ import queue
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from . import mutations
 from .composition import (
+    Plan,
+    Slots,
     Word,
-    _check_input_list,
-    _element_steps,
-    _run_element,
-    eval_psi_ref,
+    _psi,
+    element_steps,
     map_letter,
+    run_boxed,
+    run_element,
     segment_word,
     smap_check,
+    unbox_input,
     validate_word,
 )
 from .errors import (
@@ -70,8 +80,30 @@ from .errors import (
     RepeatedLetterInSegment,
     ValidationError,
 )
-from .model import Multigraph, StageKind, StateStore, ThreadSpec, TransferFn, expect_port, stepper
-from .values import PortType, Tag, TypeKind, Value, sum_of, v_inl, v_inr, v_list
+from .model import (
+    Multigraph,
+    RawStep,
+    StageKind,
+    StateStore,
+    ThreadSpec,
+    ill_typed,
+    raw_state_part,
+    raw_step,
+    raw_value_part,
+)
+from .values import (
+    Inl,
+    Inr,
+    PortType,
+    Tag,
+    TypeKind,
+    Value,
+    box_list,
+    boxer,
+    conformer,
+    sum_of,
+    unbox_state,
+)
 
 # upper bound on the elements one channel message carries
 _BATCH = 64
@@ -98,8 +130,9 @@ def run_data_parallel_readonly(
     """
     if classify_thread(spec) is not StageKind.READ_ONLY:
         raise ValidationError(f"thread {spec.id} is not read-only")
-    _check_input_list(xs, spec.src)
-    return v_list(spec.tgt, _readonly_map(spec, xs.payload, sigma, workers, check)), sigma
+    items = unbox_input(xs, spec.src)
+    out = _readonly_map(spec, items, unbox_state(sigma, spec.state_type), workers, check)
+    return box_list(spec.tgt, out), sigma
 
 
 def run_data_parallel_product(
@@ -110,32 +143,39 @@ def run_data_parallel_product(
     reads the elements, so the two halves are independent."""
     if classify_thread(spec) is not StageKind.PRODUCT:
         raise ValidationError(f"thread {spec.id} is not a product thread")
-    _check_input_list(xs, spec.src)
-    out, state = _product_map(spec, xs.payload, sigma, workers, check)
-    return v_list(spec.tgt, out), state
+    items = unbox_input(xs, spec.src)
+    out, state = _product_map(spec, items, unbox_state(sigma, spec.state_type), workers, check)
+    return box_list(spec.tgt, out), boxer(spec.state_type)(state)
 
 
 def _readonly_map(
-    spec: ThreadSpec, items: Sequence[Value], sigma: Value, workers: int, check: bool
-) -> List[Value]:
-    step = stepper(spec, check)
+    spec: ThreadSpec, items: Sequence[Any], sigma: Any, workers: int, check: bool
+) -> List[Any]:
+    step = raw_step(spec, check)
     return _fission(lambda v: step(v, sigma)[0], items, workers)
 
 
 def _product_map(
-    spec: ThreadSpec, items: Sequence[Value], sigma: Value, workers: int, check: bool
-) -> Tuple[List[Value], Value]:
-    out = _fission(spec.value_part, items, workers)
+    spec: ThreadSpec, items: Sequence[Any], sigma: Any, workers: int, check: bool
+) -> Tuple[List[Any], Any]:
+    out = _fission(raw_value_part(spec), items, workers)
+    h = raw_state_part(spec)
     state = sigma
+    if not check:
+        for _ in range(len(out)):
+            state = h(state)
+        return out, state
+    ok_y, ok_st = conformer(spec.tgt), conformer(spec.state_type)
     for y in out:
-        state = spec.state_part(state)
-        if check:
-            expect_port(spec, "output", y, spec.tgt)
-            expect_port(spec, "new state", state, spec.state_type)
+        state = h(state)
+        if not ok_y(y):
+            raise ill_typed(spec, "output", y, spec.tgt)
+        if not ok_st(state):
+            raise ill_typed(spec, "new state", state, spec.state_type)
     return out, state
 
 
-def _fission(fn: Callable[[Value], Value], items: Sequence[Value], workers: int) -> List[Value]:
+def _fission(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> List[Any]:
     """``[fn(v) for v in items]`` split into ``min(workers, len(items))``
     contiguous chunks, chunk 0 on the calling thread, concatenated in
     order. Sound only because ``fn`` reads no state that changes.
@@ -145,14 +185,14 @@ def _fission(fn: Callable[[Value], Value], items: Sequence[Value], workers: int)
     """
     k = min(workers, len(items))
     if k <= 1:
-        return [fn(v) for v in items]
+        return list(map(fn, items))
     cuts = [len(items) * c // k for c in range(k + 1)]
-    chunks: List[List[Value]] = [[] for _ in range(k)]
+    chunks: List[List[Any]] = [[] for _ in range(k)]
     failed: List[Optional[BaseException]] = [None] * k
 
     def run(c: int) -> None:
         try:
-            chunks[c] = [fn(v) for v in items[cuts[c]:cuts[c + 1]]]
+            chunks[c] = list(map(fn, items[cuts[c]:cuts[c + 1]]))
         except BaseException as exc:  # re-raised by the caller below
             failed[c] = exc
 
@@ -168,6 +208,32 @@ def _fission(fn: Callable[[Value], Value], items: Sequence[Value], workers: int)
     return [y for chunk in chunks for y in chunk]
 
 
+def _split(items: Sequence[Any]) -> Tuple[List[Any], List[Any], Tuple[bool, ...]]:
+    flags = tuple(type(v) is Inl for v in items)
+    lefts = [v.value for v, left in zip(items, flags) if left]
+    rights = [v.value for v, left in zip(items, flags) if not left]
+    return lefts, rights, flags
+
+
+def _join(lefts: Sequence[Any], rights: Sequence[Any], flags: Sequence[bool]) -> List[Any]:
+    out: List[Any] = []
+    i = j = 0
+    for flag in flags:
+        if flag:
+            if i >= len(lefts):
+                raise FlagMismatch(f"flag {len(out)} demands a left element but none remain")
+            out.append(Inl(lefts[i]))
+            i += 1
+        else:
+            if j >= len(rights):
+                raise FlagMismatch(f"flag {len(out)} demands a right element but none remain")
+            out.append(Inr(rights[j]))
+            j += 1
+    if i != len(lefts) or j != len(rights):
+        raise FlagMismatch("flags exhausted before both sides were consumed")
+    return out
+
+
 def split(xs: Value) -> Tuple[Value, Value, Tuple[bool, ...]]:
     """Partition a list of sum values, recording the injection order.
 
@@ -178,60 +244,34 @@ def split(xs: Value) -> Tuple[Value, Value, Tuple[bool, ...]]:
     if xs.tag is not Tag.LIST or xs.elem.kind is not TypeKind.SUM:
         raise PortTypeError(f"split needs a list of sum values, got {xs!r}")
     left_t, right_t = xs.elem.args
-    lefts: List[Value] = []
-    rights: List[Value] = []
-    flags: List[bool] = []
-    for v in xs.payload:
-        if v.tag is Tag.SUML:
-            lefts.append(v.payload)
-            flags.append(True)
-        elif v.tag is Tag.SUMR:
-            rights.append(v.payload)
-            flags.append(False)
-        else:
-            raise PortTypeError(f"non-sum element {v!r} in split input")
-    return v_list(left_t, lefts), v_list(right_t, rights), tuple(flags)
+    lefts, rights, flags = _split(unbox_input(xs, xs.elem))
+    return box_list(left_t, lefts), box_list(right_t, rights), flags
 
 
 def join(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
     """Inverse of ``split`` given the recorded flags."""
     if bs.tag is not Tag.LIST or cs.tag is not Tag.LIST:
         raise PortTypeError("join needs two list values")
-    out: List[Value] = []
-    i = j = 0
-    lefts, rights = bs.payload, cs.payload
-    for flag in flags:
-        if flag:
-            if i >= len(lefts):
-                raise FlagMismatch(f"flag {len(out)} demands a left element but none remain")
-            out.append(v_inl(lefts[i]))
-            i += 1
-        else:
-            if j >= len(rights):
-                raise FlagMismatch(f"flag {len(out)} demands a right element but none remain")
-            out.append(v_inr(rights[j]))
-            j += 1
-    if i != len(lefts) or j != len(rights):
-        raise FlagMismatch("flags exhausted before both sides were consumed")
-    return v_list(sum_of(bs.elem, cs.elem), out)
+    out = _join(unbox_input(bs, bs.elem), unbox_input(cs, cs.elem), flags)
+    return box_list(sum_of(bs.elem, cs.elem), out)
 
 
-# one stage of a stream: takes an element, returns the element it hands on
-Stage = Callable[[Value], Value]
+# one stage of a stream: takes a raw element, returns the one it hands on
+Stage = Callable[[Any], Any]
 
 
-def _state_dropped(step: TransferFn) -> TransferFn:
+def _state_dropped(step: RawStep) -> RawStep:
     """The planted ``state-update-dropped`` fault: ``step`` with every
     state update discarded."""
     return lambda v, sigma: (step(v, sigma)[0], sigma)
 
 
 def _groups(
-    graph: Multigraph, slots: Dict[int, Value], check: bool, owned: list,
+    graph: Multigraph, slots: Slots, check: bool, owned: list,
     letters: Tuple[int, ...], k: int,
 ) -> List[Optional[Stage]]:
     """``letters`` cut into ``k`` contiguous fused groups, some empty (None)
-    when ``k`` exceeds the letter count. A group is ``_run_element`` over
+    when ``k`` exceeds the letter count. A group is ``run_element`` over
     its letters and a ``{letter: state}`` dict it owns; each dict goes onto
     ``owned`` for the read-back."""
     if mutations.enabled("stage-order-swapped") and len(letters) >= 2:
@@ -239,16 +279,16 @@ def _groups(
     fns: List[Optional[Stage]] = []
     for g in range(k):
         part = letters[len(letters) * g // k:len(letters) * (g + 1) // k]
-        steps = _element_steps(graph, Word(part), check)
+        steps = element_steps(graph, part, check)
         if mutations.enabled("state-update-dropped"):
             steps = [(n, _state_dropped(step)) for n, step in steps]
         st = {n: slots[n] for n in part}
         owned.append(st)
-        fns.append(partial(_run_element, steps, st) if part else None)
+        fns.append(partial(run_element, steps, st) if part else None)
     return fns
 
 
-def _read_back(slots: Dict[int, Value], owned) -> Dict[int, Value]:
+def _read_back(slots: Slots, owned) -> Slots:
     """``slots`` with each group's final letter states written in."""
     if not mutations.enabled("state-not-forwarded"):
         for st in owned:
@@ -256,7 +296,7 @@ def _read_back(slots: Dict[int, Value], owned) -> Dict[int, Value]:
     return slots
 
 
-def _stream(stages: Sequence[Stage], values: Sequence[Value], capacity: int) -> List[Value]:
+def _stream(stages: Sequence[Stage], values: Sequence[Any], capacity: int) -> List[Any]:
     """Push ``values`` through ``stages`` in order. The calling thread runs
     the first stage and every other stage gets a thread of its own, linked
     by bounded FIFO channels of ``capacity`` adaptive batches; one stage
@@ -273,7 +313,7 @@ def _stream(stages: Sequence[Stage], values: Sequence[Value], capacity: int) -> 
         return list(values)
     chans = [queue.Queue(maxsize=capacity) for _ in range(k - 1)]
     failed: List[Optional[BaseException]] = [None] * k
-    out: List[Value] = []
+    out: List[Any] = []
 
     def run_stage(g: int, batches) -> None:
         fn = stages[g]
@@ -323,12 +363,12 @@ def _stream(stages: Sequence[Stage], values: Sequence[Value], capacity: int) -> 
 def _pipeline_segment(
     graph: Multigraph,
     letters: Tuple[int, ...],
-    values: List[Value],
-    slots: Dict[int, Value],
+    values: Sequence[Any],
+    slots: Slots,
     workers: int,
     capacity: int,
     check: bool,
-) -> Tuple[List[Value], Dict[int, Value]]:
+) -> Tuple[List[Any], Slots]:
     if len(set(letters)) != len(letters) and not mutations.enabled(
         "segment-barrier-removed"
     ):
@@ -340,6 +380,27 @@ def _pipeline_segment(
     except Exception as exc:
         raise ExecutionError("pipeline stage failed") from exc
     return out, _read_back(dict(slots), owned)
+
+
+def _pipeline(
+    graph: Multigraph,
+    word: Word,
+    items: Sequence[Any],
+    slots: Slots,
+    workers: int = 4,
+    capacity: int = 16,
+    check: bool = False,
+) -> Tuple[Sequence[Any], Slots]:
+    if mutations.enabled("segment-barrier-removed"):
+        segments: Tuple[Word, ...] = (word,)
+    else:
+        segments = segment_word(word).segments
+    for seg in segments:
+        if seg.letters:
+            items, slots = _pipeline_segment(
+                graph, seg.letters, items, slots, workers, capacity, check
+            )
+    return items, slots
 
 
 def run_pipeline(
@@ -362,24 +423,23 @@ def run_pipeline(
     one-group stream on the calling thread; its failures are wrapped like
     any other stage's. The result is bit-exactly that of ``eval_psi_ref``.
     """
+    return run_boxed(graph, xs, state, plan_pipeline(graph, word, workers, capacity, check))
+
+
+def _positive(workers: int) -> int:
     if workers < 1:
         raise ValidationError("workers must be a positive integer")
+    return workers
+
+
+def plan_pipeline(
+    graph: Multigraph, word: Word, workers: int = 4, capacity: int = 16, check: bool = False
+) -> Plan:
     vw = validate_word(graph, word)
-    _check_input_list(xs, vw.src)
-
-    if mutations.enabled("segment-barrier-removed"):
-        segments: Tuple[Word, ...] = (word,)
-    else:
-        segments = segment_word(word).segments
-
-    values = list(xs.payload)
-    slots = state.as_dict()
-    for seg in segments:
-        if seg.letters:
-            values, slots = _pipeline_segment(
-                graph, seg.letters, values, slots, workers, capacity, check
-            )
-    return v_list(vw.tgt, values), StateStore(slots)
+    core = partial(
+        _pipeline, graph, word, workers=_positive(workers), capacity=capacity, check=check
+    )
+    return Plan(word.letters, vw.src, vw.tgt, core)
 
 
 @dataclass(frozen=True)
@@ -399,6 +459,10 @@ class BranchProgram:
 
     def words(self) -> Tuple[Word, ...]:
         return (self.producer, self.left, self.right, self.consumer)
+
+    @property
+    def letters(self) -> Tuple[int, ...]:
+        return tuple(n for w in self.words() for n in w.letters)
 
 
 @dataclass(frozen=True)
@@ -428,15 +492,25 @@ def validate_branch(graph: Multigraph, prog: BranchProgram) -> ValidatedBranch:
             f"consumer starts at {vc.src.name}, branches produce {merged.name}"
         )
     seen: set = set()
-    for w in prog.words():
-        for n in w.letters:
-            if n in seen:
-                raise RepeatedLetter(n)
-            seen.add(n)
+    for n in prog.letters:
+        if n in seen:
+            raise RepeatedLetter(n)
+        seen.add(n)
     return ValidatedBranch(vp.src, vc.tgt)
 
 
-WordEval = Callable[[Multigraph, Word, Value, StateStore], Tuple[Value, StateStore]]
+# a raw word evaluator for branch programs: (word, items, slots) -> (items, slots)
+WordCore = Callable[[Word, Sequence[Any], Slots], Tuple[Sequence[Any], Slots]]
+
+
+def _branch(
+    prog: BranchProgram, word_core: WordCore, items: Sequence[Any], slots: Slots
+) -> Tuple[Sequence[Any], Slots]:
+    produced, slots = word_core(prog.producer, items, slots)
+    lefts, rights, flags = _split(produced)
+    lefts, slots = word_core(prog.left, lefts, slots)
+    rights, slots = word_core(prog.right, rights, slots)
+    return word_core(prog.consumer, _join(lefts, rights, flags), slots)
 
 
 def eval_branch(
@@ -444,18 +518,45 @@ def eval_branch(
     prog: BranchProgram,
     xs: Value,
     state: StateStore,
-    word_eval: WordEval = eval_psi_ref,
+    check: bool = False,
 ) -> Tuple[Value, StateStore]:
     """Sequential branch semantics: produce, split, run both branches
-    one after the other, join by the recorded flags, consume. The store
-    passes through the left branch, then the right; their letter sets are
-    disjoint, so each changes only its own slots."""
-    validate_branch(graph, prog)
-    produced, st = word_eval(graph, prog.producer, xs, state)
-    bs, cs, flags = split(produced)
-    bs, st = word_eval(graph, prog.left, bs, st)
-    cs, st = word_eval(graph, prog.right, cs, st)
-    return word_eval(graph, prog.consumer, join(bs, cs, flags), st)
+    one after the other with ``eval_psi_ref``'s core, join by the recorded
+    flags, consume. The store passes through the left branch, then the
+    right; their letter sets are disjoint, so each changes only its own
+    slots."""
+    return run_boxed(graph, xs, state, plan_branch(graph, prog, check))
+
+
+def plan_branch(
+    graph: Multigraph, prog: BranchProgram, check: bool = False,
+    auto_workers: Optional[int] = None,
+) -> Plan:
+    """``eval_branch``'s plan; with ``auto_workers`` each word runs as
+    ``eval_auto_word`` runs it at that many workers."""
+    vb = validate_branch(graph, prog)
+    if auto_workers is None:
+        word_core = partial(_psi, graph, check=check)
+    else:
+        word_core = partial(_auto, graph, workers=auto_workers, check=check)
+    return Plan(prog.letters, vb.src, vb.tgt, partial(_branch, prog, word_core))
+
+
+def _branch_elementwise(
+    graph: Multigraph, prog: BranchProgram, items: Sequence[Any], slots: Slots, check: bool
+) -> Tuple[List[Any], Slots]:
+    producer, left, right, consumer = (
+        element_steps(graph, w.letters, check) for w in prog.words()
+    )
+    out: List[Any] = []
+    for x in items:
+        y = run_element(producer, slots, x)
+        if type(y) is Inl:
+            d_in = Inl(run_element(left, slots, y.value))
+        else:
+            d_in = Inr(run_element(right, slots, y.value))
+        out.append(run_element(consumer, slots, d_in))
+    return out, slots
 
 
 def eval_branch_elementwise(
@@ -468,51 +569,72 @@ def eval_branch_elementwise(
     """Independent oracle for branch programs: route one element at a
     time through produce/branch/consume, threading the store.
 
-    Never calls ``split``/``join``; agreement with ``eval_branch`` is the
-    branch analogue of the stage/element reordering equivalence. Defined
-    only when each word is duplicate-free.
+    Never splits or joins; agreement with ``eval_branch`` is the branch
+    analogue of the stage/element reordering equivalence. Defined only
+    when each word is duplicate-free.
     """
+    return run_boxed(graph, xs, state, plan_branch_elementwise(graph, prog, check))
+
+
+def plan_branch_elementwise(graph: Multigraph, prog: BranchProgram, check: bool = False) -> Plan:
     vb = validate_branch(graph, prog)
     for w in prog.words():
         repeated = smap_check(w)
         if repeated:
             raise RepeatedLetter(min(repeated))
-    _check_input_list(xs, vb.src)
-    producer, left, right, consumer = (_element_steps(graph, w, check) for w in prog.words())
-    slots = state.as_dict()
-    out: List[Value] = []
-    for x in xs.payload:
-        y = _run_element(producer, slots, x)
-        if y.tag is Tag.SUML:
-            d_in = v_inl(_run_element(left, slots, y.payload))
-        else:
-            d_in = v_inr(_run_element(right, slots, y.payload))
-        out.append(_run_element(consumer, slots, d_in))
-    return v_list(vb.tgt, out), StateStore(slots)
+    core = partial(_branch_elementwise, graph, prog, check=check)
+    return Plan(prog.letters, vb.src, vb.tgt, core)
 
 
 def _side_stage(left: Optional[Stage], right: Optional[Stage]) -> Stage:
     """Apply ``left`` to an inl element's payload and ``right`` to an inr
     one's, keeping the tag; a side without a group (None) passes as is."""
 
-    def apply(v: Value) -> Value:
-        tag = v.tag
-        if tag is Tag.SUML:
-            return v if left is None else v_inl(left(v.payload))
-        if tag is Tag.SUMR:
-            return v if right is None else v_inr(right(v.payload))
-        raise PortTypeError(f"non-sum element {v!r} in split input")
+    def apply(v: Any) -> Any:
+        if type(v) is Inl:
+            return v if left is None else Inl(left(v.value))
+        return v if right is None else Inr(right(v.value))
 
     return apply
 
 
 def _fused(stages: Sequence[Stage]) -> Stage:
-    def apply(v: Value) -> Value:
+    def apply(v: Any) -> Any:
         for fn in stages:
             v = fn(v)
         return v
 
     return apply
+
+
+def _branch_stream(
+    graph: Multigraph,
+    prog: BranchProgram,
+    items: Sequence[Any],
+    slots: Slots,
+    workers: int,
+    capacity: int,
+    check: bool,
+) -> Tuple[List[Any], Slots]:
+    owned: list = []
+    cut = partial(_groups, graph, slots, check, owned)
+    producer, left, right, consumer = (w.letters for w in prog.words())
+    k = min(workers, max(len(left), len(right)))
+    sides = [_side_stage(*pair) for pair in zip(cut(left, k), cut(right, k))]
+    pre = cut(producer, min(workers, len(producer))) + sides
+    post = cut(consumer, min(workers, len(consumer)))
+    if mutations.enabled("flags-ignored-in-join"):
+        # deliberate fault: the join point buffers its whole input and
+        # emits every inl element before any inr element
+        joined = _stream(pre, items, capacity)
+        joined.sort(key=lambda v: type(v) is Inr)
+        values = _stream(post, joined, capacity)
+    else:
+        stages = pre + post
+        if workers == 1 and len(stages) > 1:
+            stages = [_fused(stages)]
+        values = _stream(stages, items, capacity)
+    return values, _read_back(slots, owned)
 
 
 def run_task_parallel_branch(
@@ -531,30 +653,38 @@ def run_task_parallel_branch(
     is built; FIFO order alone keeps the output bit-exactly that of
     ``eval_branch``. At ``workers`` 1 the whole branch is one fused group
     on the calling thread."""
-    if workers < 1:
-        raise ValidationError("workers must be a positive integer")
+    return run_boxed(graph, xs, state, plan_branch_stream(graph, prog, workers, capacity, check))
+
+
+def plan_branch_stream(
+    graph: Multigraph, prog: BranchProgram, workers: int = 4, capacity: int = 16,
+    check: bool = False,
+) -> Plan:
     vb = validate_branch(graph, prog)
-    _check_input_list(xs, vb.src)
-    slots = state.as_dict()
-    owned: list = []
-    cut = partial(_groups, graph, slots, check, owned)
-    producer, left, right, consumer = (w.letters for w in prog.words())
-    k = min(workers, max(len(left), len(right)))
-    sides = [_side_stage(*pair) for pair in zip(cut(left, k), cut(right, k))]
-    pre = cut(producer, min(workers, len(producer))) + sides
-    post = cut(consumer, min(workers, len(consumer)))
-    if mutations.enabled("flags-ignored-in-join"):
-        # deliberate fault: the join point buffers its whole input and
-        # emits every inl element before any inr element
-        joined = _stream(pre, xs.payload, capacity)
-        joined.sort(key=lambda v: v.tag is Tag.SUMR)
-        values = _stream(post, joined, capacity)
-    else:
-        stages = pre + post
-        if workers == 1 and len(stages) > 1:
-            stages = [_fused(stages)]
-        values = _stream(stages, xs.payload, capacity)
-    return v_list(vb.tgt, values), StateStore(_read_back(slots, owned))
+    core = partial(
+        _branch_stream, graph, prog, workers=_positive(workers), capacity=capacity, check=check
+    )
+    return Plan(prog.letters, vb.src, vb.tgt, core)
+
+
+def _auto(
+    graph: Multigraph,
+    word: Word,
+    items: Sequence[Any],
+    slots: Slots,
+    workers: int = 1,
+    check: bool = False,
+) -> Tuple[Sequence[Any], Slots]:
+    for n in word.letters:
+        spec = graph.edges[n]
+        kind = classify_thread(spec)
+        if kind is StageKind.READ_ONLY:
+            items = _readonly_map(spec, items, slots[n], workers, check)
+        elif kind is StageKind.PRODUCT:
+            items, slots[n] = _product_map(spec, items, slots[n], workers, check)
+        else:
+            items, slots[n] = map_letter(raw_step(spec, check), items, slots[n])
+    return items, slots
 
 
 def eval_auto_word(
@@ -567,19 +697,10 @@ def eval_auto_word(
 ) -> Tuple[Value, StateStore]:
     """Stage-wise evaluation that takes the data-parallel shortcut for
     every read-only or product stage and falls back to the sequential map
-    for general stages. Stages hand each other plain lists; the result is
-    boxed and checked once, at the end."""
+    for general stages."""
+    return run_boxed(graph, xs, state, plan_auto(graph, word, workers, check))
+
+
+def plan_auto(graph: Multigraph, word: Word, workers: int = 1, check: bool = False) -> Plan:
     vw = validate_word(graph, word)
-    _check_input_list(xs, vw.src)
-    slots = state.as_dict()
-    values: Sequence[Value] = xs.payload
-    for n in word.letters:
-        spec = graph.edges[n]
-        kind = classify_thread(spec)
-        if kind is StageKind.READ_ONLY:
-            values = _readonly_map(spec, values, slots[n], workers, check)
-        elif kind is StageKind.PRODUCT:
-            values, slots[n] = _product_map(spec, values, slots[n], workers, check)
-        else:
-            values, slots[n] = map_letter(spec, values, slots[n], check)
-    return v_list(vw.tgt, values), StateStore(slots)
+    return Plan(word.letters, vw.src, vw.tgt, partial(_auto, graph, word, workers=workers, check=check))

@@ -17,6 +17,11 @@ first. ``init_state`` and ``params`` may be omitted, in which case the
 builtin's defaults apply. Value literals are plain JSON, read against the
 expected port type: unit is null, pairs are two-element arrays, and sum
 values are single-key objects {"inl": ...} or {"inr": ...}.
+
+Literals are read straight into raw values (``read_value``) and raw
+results are rendered straight to JSON (``dump_raw``), so ``stc run``
+builds no ``Value``. ``Program.input`` boxes the input list on first use
+for callers of the boxed API.
 """
 
 from __future__ import annotations
@@ -24,11 +29,10 @@ from __future__ import annotations
 import hashlib
 import json
 import reprlib
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from .builtins import make_thread
-from .composition import Word, validate_word
+from .composition import Word, unbox_input, validate_word
 from .errors import ParseError, SchemaError, ValidationError
 from .model import Multigraph, build_graph
 from .parallel import BranchProgram, validate_branch
@@ -36,37 +40,78 @@ from .values import (
     INT64_MAX,
     INT64_MIN,
     MAX_NESTING,
+    Inl,
+    Inr,
     PortType,
     Tag,
     TypeKind,
-    UNIT,
     Value,
-    _int_value,
+    box_list,
+    boxer,
     parse_port,
     sum_of,
-    v_bool,
-    v_float,
-    v_inl,
-    v_inr,
-    v_list,
-    v_pair,
-    v_str,
 )
 
 
-@dataclass(frozen=True)
 class Program:
     """One runnable unit: a graph, a word (or branch) over it, and a
-    typed input list."""
+    typed input list.
 
-    graph: Multigraph
-    word: Union[Word, BranchProgram]
-    input: Value
-    input_type: PortType
+    The input list is held in whichever representation it was given in,
+    a boxed list ``Value`` or raw elements (``from_raw``), and converted
+    to the other on first use."""
+
+    __slots__ = ("graph", "word", "input_type", "_input", "_items")
+
+    def __init__(
+        self, graph: Multigraph, word: Union[Word, BranchProgram], input: Value,
+        input_type: PortType,
+    ):
+        self.graph = graph
+        self.word = word
+        self.input_type = input_type
+        self._input: Optional[Value] = input
+        self._items: Optional[tuple] = None
+
+    @classmethod
+    def from_raw(
+        cls, graph: Multigraph, word: Union[Word, BranchProgram], items: Sequence[Any],
+        input_type: PortType,
+    ) -> "Program":
+        """A program whose raw input elements already inhabit ``input_type``,
+        and ``input_type`` feeds the word's source."""
+        program = cls(graph, word, None, input_type)
+        program._items = tuple(items)
+        return program
+
+    @property
+    def input(self) -> Value:
+        if self._input is None:
+            self._input = box_list(self.input_type, self._items)
+        return self._input
+
+    def raw_input(self, src: PortType) -> tuple:
+        """The raw input elements for a word with source ``src``; a boxed
+        input is checked as every evaluator checks its list."""
+        if self._items is None:
+            self._items = tuple(unbox_input(self._input, src))
+        return self._items
 
     @property
     def is_branch(self) -> bool:
         return isinstance(self.word, BranchProgram)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Program):
+            return NotImplemented
+        return (self.graph, self.word, self.input_type, self.input) == (
+            other.graph, other.word, other.input_type, other.input
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Program(word={self.word}, input_type={self.input_type.name})"
 
 
 _LITERAL_REPR = reprlib.Repr()
@@ -84,56 +129,124 @@ def _brief(obj: Any) -> str:
     return text if len(text) <= _LITERAL_CHARS else text[:_LITERAL_CHARS] + "..."
 
 
+class _Misfit(Exception):
+    """A literal that does not fit its port type. ``steps`` collects the
+    path below the point of failure, innermost first, as the error
+    unwinds, so no path text is built unless a literal fails."""
+
+    def __init__(self, message: str):
+        self.message = message
+        self.steps: List[str] = []
+
+
+def _read(obj: Any, pt: PortType, depth: int) -> Any:
+    if depth > MAX_NESTING:
+        raise _Misfit(f"value nests deeper than {MAX_NESTING} levels")
+    k = pt.kind
+    if k is TypeKind.UNIT:
+        if obj is not None:
+            raise _Misfit(f"expected null for unit, got {_brief(obj)}")
+        return None
+    if k is TypeKind.BOOL:
+        if type(obj) is not bool:
+            raise _Misfit(f"expected a bool, got {_brief(obj)}")
+        return obj
+    if k is TypeKind.INT:
+        if type(obj) is not int or not INT64_MIN <= obj <= INT64_MAX:
+            raise _Misfit(f"expected a 64-bit int, got {_brief(obj)}")
+        return obj
+    if k is TypeKind.FLOAT:
+        if type(obj) is bool or not isinstance(obj, (int, float)):
+            raise _Misfit(f"expected a number, got {_brief(obj)}")
+        try:
+            return float(obj)
+        except OverflowError:  # an int literal past the float range
+            raise _Misfit(f"{_brief(obj)} is outside the float range") from None
+    if k is TypeKind.STR:
+        if type(obj) is not str:
+            raise _Misfit(f"expected a string, got {_brief(obj)}")
+        return obj
+    if k is TypeKind.LIST:
+        if not isinstance(obj, list):
+            raise _Misfit(f"expected an array, got {_brief(obj)}")
+        return tuple(_read_items(obj, pt.args[0], depth + 1))
+    if k is TypeKind.PAIR:
+        if not isinstance(obj, list) or len(obj) != 2:
+            raise _Misfit(f"expected a two-element array, got {_brief(obj)}")
+        return (
+            _read_at(obj[0], pt.args[0], depth + 1, "[0]"),
+            _read_at(obj[1], pt.args[1], depth + 1, "[1]"),
+        )
+    if isinstance(obj, dict) and len(obj) == 1:
+        if "inl" in obj:
+            return Inl(_read_at(obj["inl"], pt.args[0], depth + 1, ".inl"))
+        if "inr" in obj:
+            return Inr(_read_at(obj["inr"], pt.args[1], depth + 1, ".inr"))
+    raise _Misfit(f'expected {{"inl": ...}} or {{"inr": ...}}, got {_brief(obj)}')
+
+
+def _read_at(obj: Any, pt: PortType, depth: int, step: str) -> Any:
+    try:
+        return _read(obj, pt, depth)
+    except _Misfit as bad:
+        bad.steps.append(step)
+        raise
+
+
+# element types whose literals need no conversion: JSON type -> kind
+_PLAIN = {TypeKind.BOOL: bool, TypeKind.STR: str}
+
+
+def _read_items(objs: list, pt: PortType, depth: int) -> list:
+    """The elements of a JSON array, read at ``depth``. Arrays of flat
+    scalars are checked in bulk; only a failing bulk check reads element
+    by element to find the first misfit."""
+    if depth <= MAX_NESTING:
+        types = set(map(type, objs))
+        k = pt.kind
+        if k is TypeKind.INT and types <= {int}:
+            if not objs or (INT64_MIN <= min(objs) and max(objs) <= INT64_MAX):
+                return objs
+        elif k is TypeKind.FLOAT and types <= {int, float}:
+            try:
+                return list(map(float, objs))
+            except OverflowError:
+                pass  # the element loop below names the literal
+        elif k in _PLAIN and types <= {_PLAIN[k]}:
+            return objs
+    out = []
+    for i, obj in enumerate(objs):
+        try:
+            out.append(_read(obj, pt, depth))
+        except _Misfit as bad:
+            bad.steps.append(f"[{i}]")
+            raise
+    return out
+
+
+def _misfit_error(bad: _Misfit, path: str) -> SchemaError:
+    return SchemaError(path + "".join(reversed(bad.steps)), bad.message)
+
+
+def read_items(objs: list, pt: PortType, path: str) -> list:
+    """The raw values of the JSON literals in the array ``objs`` at
+    ``path``, each read against ``pt``."""
+    try:
+        return _read_items(objs, pt, 0)
+    except _Misfit as bad:
+        raise _misfit_error(bad, path) from None
+
+
 def value_from_json(obj: Any, pt: PortType, path: str, depth: int = 0) -> Value:
     """Read a plain JSON literal against an expected port type.
 
     ``depth`` counts the enclosing lists, pairs and sums; a literal that
     nests deeper than ``MAX_NESTING`` is rejected."""
-    if depth > MAX_NESTING:
-        raise SchemaError(path, f"value nests deeper than {MAX_NESTING} levels")
-    k = pt.kind
-    if k is TypeKind.UNIT:
-        if obj is not None:
-            raise SchemaError(path, f"expected null for unit, got {_brief(obj)}")
-        return UNIT
-    if k is TypeKind.BOOL:
-        if type(obj) is not bool:
-            raise SchemaError(path, f"expected a bool, got {_brief(obj)}")
-        return v_bool(obj)
-    if k is TypeKind.INT:
-        if type(obj) is not int or not INT64_MIN <= obj <= INT64_MAX:
-            raise SchemaError(path, f"expected a 64-bit int, got {_brief(obj)}")
-        return _int_value(obj)
-    if k is TypeKind.FLOAT:
-        if type(obj) is bool or not isinstance(obj, (int, float)):
-            raise SchemaError(path, f"expected a number, got {_brief(obj)}")
-        return v_float(float(obj))
-    if k is TypeKind.STR:
-        if type(obj) is not str:
-            raise SchemaError(path, f"expected a string, got {_brief(obj)}")
-        return v_str(obj)
-    if k is TypeKind.LIST:
-        if not isinstance(obj, list):
-            raise SchemaError(path, f"expected an array, got {_brief(obj)}")
-        items = [
-            value_from_json(item, pt.args[0], f"{path}[{i}]", depth + 1)
-            for i, item in enumerate(obj)
-        ]
-        return v_list(pt.args[0], items)
-    if k is TypeKind.PAIR:
-        if not isinstance(obj, list) or len(obj) != 2:
-            raise SchemaError(path, f"expected a two-element array, got {_brief(obj)}")
-        return v_pair(
-            value_from_json(obj[0], pt.args[0], f"{path}[0]", depth + 1),
-            value_from_json(obj[1], pt.args[1], f"{path}[1]", depth + 1),
-        )
-    if k is TypeKind.SUM:
-        if isinstance(obj, dict) and set(obj) == {"inl"}:
-            return v_inl(value_from_json(obj["inl"], pt.args[0], f"{path}.inl", depth + 1))
-        if isinstance(obj, dict) and set(obj) == {"inr"}:
-            return v_inr(value_from_json(obj["inr"], pt.args[1], f"{path}.inr", depth + 1))
-        raise SchemaError(path, f'expected {{"inl": ...}} or {{"inr": ...}}, got {_brief(obj)}')
-    raise SchemaError(path, f"unsupported port type {pt.name}")
+    try:
+        raw = _read(obj, pt, depth)
+    except _Misfit as bad:
+        raise _misfit_error(bad, path) from None
+    return boxer(pt)(raw)
 
 
 def value_to_json(v: Value) -> Any:
@@ -150,6 +263,23 @@ def value_to_json(v: Value) -> Any:
     if t is Tag.SUML:
         return {"inl": value_to_json(v.payload)}
     return {"inr": value_to_json(v.payload)}
+
+
+def _sum_json(r: Any) -> Any:
+    """``json`` fallback for the one raw constructor it does not know:
+    tuples already render as arrays, so only sums need a hand."""
+    if type(r) is Inl:
+        return {"inl": r.value}
+    if type(r) is Inr:
+        return {"inr": r.value}
+    raise TypeError(f"{type(r).__name__} is not a raw value")
+
+
+def dump_raw(doc: Any, **kwargs) -> str:
+    """``json.dumps`` of a document holding raw values; the text equals
+    that of the same document with every value passed through
+    ``value_to_json``."""
+    return json.dumps(doc, default=_sum_json, **kwargs)
 
 
 def _require(doc: Dict, key: str, path: str) -> Any:
@@ -255,15 +385,12 @@ def parse_program(text: str) -> Program:
     input_doc = _require(doc, "input", "")
     if not isinstance(input_doc, list):
         raise SchemaError("input", "expected an array")
-    items = [
-        value_from_json(obj, input_type, f"input[{i}]") for i, obj in enumerate(input_doc)
-    ]
-    input_value = v_list(input_type, items)
+    items = read_items(input_doc, input_type, "input")
     if not input_type.compatible(src):
         raise ValidationError(
             f"input_type {input_type.name} does not feed the word source {src.name}"
         )
-    return Program(graph, word, input_value, input_type)
+    return Program.from_raw(graph, word, items, input_type)
 
 
 def serialize_program(program: Program) -> Dict[str, Any]:

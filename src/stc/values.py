@@ -1,24 +1,38 @@
-"""Closed value universe and structural port types.
+"""Closed value universe, structural port types, and the two value
+representations.
 
-Values are immutable tagged trees drawn from a fixed grammar: unit, bool,
-64-bit int, 64-bit float, string, homogeneous list, pair, and the two sum
-injections. Equality and hashing are structural and *total*: floats
-compare by their IEEE-754 bit pattern (NaN equals NaN, 0.0 differs from
--0.0), so two equal values are interchangeable in any executor.
+Values are immutable trees drawn from a fixed grammar: unit, bool, 64-bit
+int, 64-bit float, string, homogeneous list, pair, and the two sum
+injections. Equality and hashing on boxed values are structural and
+*total*: floats compare by their IEEE-754 bit pattern (NaN equals NaN, 0.0
+differs from -0.0), so two equal values are interchangeable in any
+executor.
 
-Representation: a ``Value`` is a tuple subclass holding ``(tag, payload,
-elem)``, with read-only properties for the three fields and no instance
-dict, so it is immutable and costs one tuple allocation to build.
-Equality on unit, bool, int and str compares the tag by identity and then
-the payload; float, list, pair and sum values compare by a canonical key
-that encodes floats bitwise and list element types by structure.
+Two representations, one grammar. A port type fixes which constructor a
+value at that port uses, so a value needs no tag of its own while the
+engine runs (type-directed boxing; Leroy, POPL 1992):
 
-Who checks: the public constructors (``v_bool``, ``v_int``, ``v_float``,
+* **Raw** values are what executors, the parser and the renderer carry:
+  unit is ``None``; bool, int, float and str are themselves; lists and
+  pairs are tuples; sums are ``Inl``/``Inr`` wrappers. The type lives in
+  the ``PortType``. Raw values are never compared: ``1 == True`` and
+  ``nan != nan`` would give the wrong answer.
+* **Boxed** values (``Value``) are what the public API takes and returns.
+  A ``Value`` is a tuple subclass holding ``(tag, payload, elem)``, with
+  read-only properties for the three fields and no instance dict.
+  Equality on unit, bool, int and str compares the tag by identity and
+  then the payload; float, list, pair and sum values compare by a
+  canonical key that encodes floats bitwise and list element types by
+  structure.
+
+Boxing happens only at the engine's edges: a public evaluator unboxes its
+input once with ``unboxer(pt)``, runs on raw values, and boxes its result
+once with ``boxer(pt)``. Both trust their argument to inhabit ``pt``;
+``conformer(pt)`` is the raw-side membership test that ``check=True``
+runs. The public constructors (``v_bool``, ``v_int``, ``v_float``,
 ``v_str``, ``v_list``) check the payload's type, the 64-bit int range and
-list homogeneity, and every executor builds its result list with
-``v_list``. ``_int_value`` skips ``v_int``'s checks and trusts its caller;
-it is used only on ``wrap64`` results (the builtins) and on JSON ints that
-passed ``value_from_json``'s range check.
+list homogeneity; ``_int_value`` skips ``v_int``'s checks and trusts its
+caller.
 
 A ``PortType`` is the type of a graph vertex. Its ``name`` identifies the
 vertex; its kind/args describe the values that flow through it. Two port
@@ -29,11 +43,12 @@ carrier type.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum, unique
 from operator import itemgetter
-from typing import Any, Iterable, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 from .errors import PortTypeError, SchemaError
 
@@ -71,6 +86,14 @@ class PortType:
 
     def compatible(self, other: "PortType") -> bool:
         return self.structure() == other.structure()
+
+    def __hash__(self) -> int:
+        # memoised: port types key the boxer caches and the vertex sets
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.name, self.kind, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __str__(self) -> str:
         return self.name
@@ -314,3 +337,135 @@ def v_inl(inner: Value) -> Value:
 
 def v_inr(inner: Value) -> Value:
     return Value(Tag.SUMR, inner)
+
+
+def box_list(elem: PortType, items: Iterable[Any]) -> Value:
+    """The list value of raw ``items`` that inhabit ``elem``, unchecked."""
+    return _new_tuple(Value, (Tag.LIST, tuple(map(boxer(elem), items)), elem))
+
+
+# --- the raw representation ---------------------------------------------------
+
+
+class Inl:
+    """Raw left injection of a sum value. Compared by identity only; compare
+    boxed values instead."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any):
+        self.value = value
+
+    def __repr__(self) -> str:
+        return f"Inl({self.value!r})"
+
+
+class Inr:
+    """Raw right injection of a sum value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any):
+        self.value = value
+
+    def __repr__(self) -> str:
+        return f"Inr({self.value!r})"
+
+
+_SCALAR_TAGS = {
+    TypeKind.BOOL: Tag.BOOL,
+    TypeKind.INT: Tag.INT,
+    TypeKind.FLOAT: Tag.FLOAT,
+    TypeKind.STR: Tag.STR,
+}
+_SCALAR_TYPES = {TypeKind.BOOL: bool, TypeKind.FLOAT: float, TypeKind.STR: str}
+_payload = itemgetter(1)
+
+# The three compilers below are memoised per port type: executors fetch
+# them once per stage or run, never per element.
+_memo = functools.lru_cache(maxsize=1024)
+
+
+@_memo
+def boxer(pt: PortType) -> Callable[[Any], Value]:
+    """Raw value of type ``pt`` -> ``Value``. Trusts its argument."""
+    k = pt.kind
+    if k is TypeKind.UNIT:
+        return lambda r: UNIT
+    if k is TypeKind.INT:
+        return _int_value
+    if k in _SCALAR_TAGS:
+        tag = _SCALAR_TAGS[k]
+        return lambda r: _new_tuple(Value, (tag, r, None))
+    if k is TypeKind.LIST:
+        return functools.partial(box_list, pt.args[0])
+    if k is TypeKind.PAIR:
+        first, second = boxer(pt.args[0]), boxer(pt.args[1])
+        return lambda r: _new_tuple(Value, (Tag.PAIR, (first(r[0]), second(r[1])), None))
+    left, right = boxer(pt.args[0]), boxer(pt.args[1])
+
+    def box_sum(r: Any) -> Value:
+        if type(r) is Inl:
+            return _new_tuple(Value, (Tag.SUML, left(r.value), None))
+        return _new_tuple(Value, (Tag.SUMR, right(r.value), None))
+
+    return box_sum
+
+
+@_memo
+def unboxer(pt: PortType) -> Callable[[Value], Any]:
+    """``Value`` inhabiting ``pt`` -> raw value. Trusts its argument."""
+    k = pt.kind
+    if k is TypeKind.UNIT:
+        return lambda v: None
+    if k in _SCALAR_TAGS:
+        return _payload
+    if k is TypeKind.LIST:
+        elem = unboxer(pt.args[0])
+        return lambda v: tuple(map(elem, v[1]))
+    if k is TypeKind.PAIR:
+        first, second = unboxer(pt.args[0]), unboxer(pt.args[1])
+        return lambda v: (first(v[1][0]), second(v[1][1]))
+    left, right = unboxer(pt.args[0]), unboxer(pt.args[1])
+    return lambda v: Inl(left(v[1])) if v[0] is Tag.SUML else Inr(right(v[1]))
+
+
+@_memo
+def conformer(pt: PortType) -> Callable[[Any], bool]:
+    """The membership test of ``pt`` on raw values: exact Python types, the
+    64-bit int range, and every list element (a ``Value`` is no raw value)."""
+    k = pt.kind
+    if k is TypeKind.UNIT:
+        return lambda r: r is None
+    if k is TypeKind.INT:
+        return lambda r: type(r) is int and INT64_MIN <= r <= INT64_MAX
+    if k in _SCALAR_TYPES:
+        cls = _SCALAR_TYPES[k]
+        return lambda r: type(r) is cls
+    if k is TypeKind.LIST:
+        elem = conformer(pt.args[0])
+        return lambda r: type(r) is tuple and all(map(elem, r))
+    if k is TypeKind.PAIR:
+        first, second = conformer(pt.args[0]), conformer(pt.args[1])
+        return lambda r: type(r) is tuple and len(r) == 2 and first(r[0]) and second(r[1])
+    left, right = conformer(pt.args[0]), conformer(pt.args[1])
+    return lambda r: (
+        (type(r) is Inl and left(r.value)) or (type(r) is Inr and right(r.value))
+    )
+
+
+def unbox_state(v: Value, pt: PortType) -> Any:
+    """A state value as the engine holds it: raw when it inhabits ``pt``.
+
+    A state that does not (a replaced transfer may store one when run
+    unchecked) stays the ``Value`` itself, which no raw value ever is;
+    ``check=True`` reports it, and ``box_state`` hands it back unchanged,
+    so nothing is ever boxed under the wrong tag."""
+    if isinstance(v, Value) and v.matches(pt):
+        return unboxer(pt)(v)
+    return v
+
+
+def box_state(r: Any, pt: PortType) -> Value:
+    """Inverse of ``unbox_state``."""
+    return r if isinstance(r, Value) else boxer(pt)(r)
