@@ -32,7 +32,6 @@ from .errors import (
     UnknownThreadId,
     ValidationError,
 )
-from .harness import FuzzConfig, Xorshift64Star, gen_random_program, run_fuzz, run_program
 from .model import (
     Multigraph,
     StageKind,
@@ -56,7 +55,14 @@ from .parallel import (
     run_task_parallel_branch,
     split,
 )
-from .program import Program, export_dot, parse_program, program_digest, serialize_program
+from .program import (
+    Program,
+    export_dot,
+    parse_program,
+    program_digest,
+    run_program,
+    serialize_program,
+)
 from .values import (
     BOOL_T,
     FLOAT_T,
@@ -83,3 +89,15 @@ from .values import (
 )
 
 __version__ = "0.1.0"
+
+# The fuzzer and check harness load on first use, so that `stc run` and
+# other importers of the engine alone never compile them.
+_HARNESS = ("FuzzConfig", "Xorshift64Star", "gen_random_program", "run_fuzz")
+
+
+def __getattr__(name: str):
+    if name in _HARNESS:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,15 +26,6 @@ from . import mutations
 from .builtins import make_thread
 from .composition import Word
 from .errors import ExecutionError, StcError, ValidationError
-from .harness import (
-    FuzzConfig,
-    Xorshift64Star,
-    TrialReport,
-    check_program,
-    run_fuzz,
-    run_program,
-    verify_hints,
-)
 from .model import build_graph
 from .program import (
     Program,
@@ -42,6 +33,7 @@ from .program import (
     export_dot,
     parse_program,
     program_digest,
+    run_program,
     value_to_json,
 )
 from .values import INT_T, v_int, v_list
@@ -73,6 +65,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # the check harness is imported here, so that `stc run` never loads it
+    from .harness import FuzzConfig, Xorshift64Star, check_program, run_fuzz, verify_hints
+
     if args.mutate:
         mutations.activate(args.mutate)
     try:
@@ -99,9 +94,9 @@ def cmd_check(args) -> int:
         mutations.clear()
 
 
-def _print_check_table(program: Program, trial: TrialReport, hints_ok: bool = True) -> None:
-    """One row per run of ``trial``: ``equal`` up to the divergence, then
-    the run that diverged. Runs nothing itself."""
+def _print_check_table(program: Program, trial, hints_ok: bool = True) -> None:
+    """One row per run of ``trial`` (a ``harness.TrialReport``): ``equal``
+    up to the divergence, then the run that diverged. Runs nothing itself."""
     from .model import is_acyclic
 
     print(f"program {program_digest(program)[:16]}")

@@ -144,14 +144,14 @@ def unbox_input(xs: Value, src: PortType) -> List[Any]:
     return list(map(unboxer(src), xs.payload))
 
 
-@dataclass(frozen=True)
 class Plan:
-    """A validated evaluation, ready to run on raw values."""
+    """A validated evaluation, ready to run on raw values. A plain class,
+    like ``model.Kernel``."""
 
-    letters: Tuple[int, ...]
-    src: PortType
-    tgt: PortType
-    core: Core
+    __slots__ = ("letters", "src", "tgt", "core")
+
+    def __init__(self, letters: Tuple[int, ...], src: PortType, tgt: PortType, core: Core):
+        self.letters, self.src, self.tgt, self.core = letters, src, tgt, core
 
 
 def run_boxed(

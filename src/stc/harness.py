@@ -48,8 +48,6 @@ from .builtins import make_thread
 from .composition import (
     Word,
     eval_psi_ref,
-    plan_interleaved,
-    plan_psi,
     smap_check,
     validate_word,
 )
@@ -59,7 +57,6 @@ from .model import (
     StateStore,
     ThreadSpec,
     boxed_part,
-    boxed_store,
     boxed_transfer,
     build_graph,
     builtin_claim,
@@ -69,17 +66,12 @@ from .model import (
 from .parallel import (
     BranchProgram,
     classify_thread,
-    plan_auto,
-    plan_branch,
-    plan_branch_elementwise,
-    plan_branch_stream,
-    plan_pipeline,
     run_data_parallel_product,
     run_data_parallel_readonly,
     split,
     join,
 )
-from .program import Program, program_digest, program_to_text
+from .program import Program, program_digest, program_to_text, run_program
 from .values import (
     BOOL_T,
     FLOAT_T,
@@ -92,11 +84,9 @@ from .values import (
     TypeKind,
     UNIT,
     Value,
-    box_list,
     list_of,
     pair_of,
     sum_of,
-    unbox_state,
     v_bool,
     v_float,
     v_inl,
@@ -491,48 +481,6 @@ def carrier_stream(cfg: FuzzConfig) -> Iterator[Program]:
     rng = Xorshift64Star(cfg.seed ^ _CARRIER_SEED)
     while True:
         yield gen_carrier_program(cfg, rng)
-
-
-def _run_raw(
-    program: Program, mode: str, workers: int, check: bool
-) -> Tuple[PortType, Sequence[Any], Dict[int, Any]]:
-    graph, word = program.graph, program.word
-    branch = program.is_branch
-    if mode == "seq":
-        plan = (plan_branch if branch else plan_psi)(graph, word, check=check)
-    elif mode == "interleaved":
-        plan = (plan_branch_elementwise if branch else plan_interleaved)(graph, word, check=check)
-    elif mode == "pipeline":
-        plan = (plan_branch_stream if branch else plan_pipeline)(graph, word, workers, check=check)
-    elif mode == "auto" and branch:
-        plan = plan_branch(graph, word, check=check, auto_workers=workers)
-    elif mode == "auto":
-        plan = plan_auto(graph, word, workers, check=check)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    slots = {n: unbox_state(spec.init_state, spec.state_type) for n, spec in graph.edges.items()}
-    items, slots = plan.core(program.raw_input(plan.src), slots)
-    return plan.tgt, items, slots
-
-
-def run_program(
-    program: Program,
-    mode: str,
-    workers: int = 4,
-    check: bool = False,
-    *,
-    raw: bool = False,
-):
-    """Evaluate a program under one of the four execution modes.
-
-    Returns the output list and the final store, boxed. With ``raw`` it
-    builds no ``Value`` and returns raw values instead: the output's
-    element type, the output elements and ``{thread id: state}`` for
-    every thread."""
-    tgt, items, slots = _run_raw(program, mode, workers, check)
-    if raw:
-        return tgt, items, slots
-    return box_list(tgt, items), boxed_store(program.graph, StateStore({}), slots)
 
 
 @dataclass

@@ -114,16 +114,17 @@ def apply_thread(
     return y, sigma2
 
 
-@dataclass(frozen=True)
 class Kernel:
     """The raw counterpart of one builtin function. ``sample`` is what hint
     sampling calls: ``run`` without its side effects (it never sleeps).
     Threads with equal ``claim``s, (builtin name, canonical params),
-    compute the same function."""
+    compute the same function. A plain class: a dataclass would cost every
+    process start a code generation."""
 
-    run: Callable
-    sample: Callable
-    claim: tuple
+    __slots__ = ("run", "sample", "claim")
+
+    def __init__(self, run: Callable, sample: Callable, claim: tuple):
+        self.run, self.sample, self.claim = run, sample, claim
 
 
 # builtin function -> its Kernel; an entry dies with its function

@@ -99,7 +99,7 @@ from .values import (
     TypeKind,
     Value,
     box_list,
-    boxer,
+    box_state,
     conformer,
     sum_of,
     unbox_state,
@@ -145,7 +145,7 @@ def run_data_parallel_product(
         raise ValidationError(f"thread {spec.id} is not a product thread")
     items = unbox_input(xs, spec.src)
     out, state = _product_map(spec, items, unbox_state(sigma, spec.state_type), workers, check)
-    return box_list(spec.tgt, out), boxer(spec.state_type)(state)
+    return box_list(spec.tgt, out), box_state(state, spec.state_type)
 
 
 def _readonly_map(

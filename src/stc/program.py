@@ -1,4 +1,4 @@
-"""Serializable program format and graph exporters.
+"""Serializable program format, the program runner, and graph exporters.
 
 A program file is a UTF-8 JSON document:
 
@@ -29,13 +29,21 @@ from __future__ import annotations
 import hashlib
 import json
 import reprlib
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .builtins import make_thread
-from .composition import Word, unbox_input, validate_word
+from .composition import Word, plan_interleaved, plan_psi, unbox_input, validate_word
 from .errors import ParseError, SchemaError, ValidationError
-from .model import Multigraph, build_graph
-from .parallel import BranchProgram, validate_branch
+from .model import Multigraph, StateStore, boxed_store, build_graph
+from .parallel import (
+    BranchProgram,
+    plan_auto,
+    plan_branch,
+    plan_branch_elementwise,
+    plan_branch_stream,
+    plan_pipeline,
+    validate_branch,
+)
 from .values import (
     INT64_MAX,
     INT64_MIN,
@@ -50,6 +58,7 @@ from .values import (
     boxer,
     parse_port,
     sum_of,
+    unbox_state,
 )
 
 
@@ -280,6 +289,48 @@ def dump_raw(doc: Any, **kwargs) -> str:
     that of the same document with every value passed through
     ``value_to_json``."""
     return json.dumps(doc, default=_sum_json, **kwargs)
+
+
+def _run_raw(
+    program: Program, mode: str, workers: int, check: bool
+) -> Tuple[PortType, Sequence[Any], Dict[int, Any]]:
+    graph, word = program.graph, program.word
+    branch = program.is_branch
+    if mode == "seq":
+        plan = (plan_branch if branch else plan_psi)(graph, word, check=check)
+    elif mode == "interleaved":
+        plan = (plan_branch_elementwise if branch else plan_interleaved)(graph, word, check=check)
+    elif mode == "pipeline":
+        plan = (plan_branch_stream if branch else plan_pipeline)(graph, word, workers, check=check)
+    elif mode == "auto" and branch:
+        plan = plan_branch(graph, word, check=check, auto_workers=workers)
+    elif mode == "auto":
+        plan = plan_auto(graph, word, workers, check=check)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    slots = {n: unbox_state(spec.init_state, spec.state_type) for n, spec in graph.edges.items()}
+    items, slots = plan.core(program.raw_input(plan.src), slots)
+    return plan.tgt, items, slots
+
+
+def run_program(
+    program: Program,
+    mode: str,
+    workers: int = 4,
+    check: bool = False,
+    *,
+    raw: bool = False,
+):
+    """Evaluate a program under one of the four execution modes.
+
+    Returns the output list and the final store, boxed. With ``raw`` it
+    builds no ``Value`` and returns raw values instead: the output's
+    element type, the output elements and ``{thread id: state}`` for
+    every thread."""
+    tgt, items, slots = _run_raw(program, mode, workers, check)
+    if raw:
+        return tgt, items, slots
+    return box_list(tgt, items), boxed_store(program.graph, StateStore({}), slots)
 
 
 def _require(doc: Dict, key: str, path: str) -> Any:

@@ -25,6 +25,7 @@ from stc import (
     make_thread,
     pair_of,
     parse_port,
+    run_data_parallel_product,
     run_pipeline,
     sum_of,
     v_float,
@@ -240,6 +241,10 @@ def test_ill_typed_state_is_kept_as_given_unchecked():
         out, st = fn(graph, Word((1,)), v_list(INT_T, [v_int(7)]), init_state(graph))
         assert out == v_list(INT_T, [v_int(7)])
         assert st.get(1) == v_str("bad")  # never boxed under the int tag
+    tick = make_thread(2, "add1_tick", v_int(0))
+    tick = replace(tick, state_part=lambda sigma: v_str("bad"))
+    out, sigma = run_data_parallel_product(tick, v_list(INT_T, [v_int(7)]), v_int(0))
+    assert out == v_list(INT_T, [v_int(8)]) and sigma == v_str("bad")
 
 
 # --- hint sampling --------------------------------------------------------------
