@@ -29,7 +29,6 @@ Registry:
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
@@ -224,14 +223,7 @@ def make_thread(
     unknown = set(params) - set(entry.param_keys)
     if unknown:
         raise SchemaError("params", f"unknown keys {sorted(unknown)} for {fn_name}")
-    key = tuple(sorted(params.items()))
-    try:
-        hash(key)
-    except TypeError:  # no builtin accepts an unhashable param; _build says why
-        instance = _build(fn_name, params)
-    else:
-        instance = _instance(fn_name, key)
-    parts, transfer, value_part, state_part = instance
+    parts, transfer, value_part, state_part = _build(fn_name, params)
     init = parts.default_init if init_state is None else init_state
     if not init.matches(parts.state_type):
         raise SchemaError(
@@ -273,8 +265,3 @@ def _build(fn_name: str, params: Mapping[str, Any]) -> tuple:
             register_kernel(half, Kernel(run, run, claim))
         halves.append(half)
     return (parts, transfer, *halves)
-
-
-# A builtin is a pure function of its params, so threads with equal params
-# share one instance: (name, sorted param items) -> ``_build``'s tuple.
-_instance = functools.lru_cache(maxsize=1024)(lambda name, key: _build(name, dict(key)))

@@ -34,6 +34,7 @@ from .program import (
     parse_program,
     program_digest,
     run_program,
+    run_raw,
     value_to_json,
 )
 from .values import INT_T, v_int, v_list
@@ -58,7 +59,7 @@ def cmd_run(args) -> int:
     """Parse, run and render on raw values: no ``Value`` is built for an
     element. The text equals ``_result_json`` of the boxed result."""
     program = _load(args.file)
-    _, items, slots = run_program(program, args.mode, workers=args.workers, raw=True)
+    _, items, slots = run_raw(program, args.mode, workers=args.workers)
     final = {str(n): slots[n] for n in sorted(slots)}
     print(dump_raw({"output": items, "final_state": final}, separators=(",", ":")))
     return 0

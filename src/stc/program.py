@@ -291,9 +291,12 @@ def dump_raw(doc: Any, **kwargs) -> str:
     return json.dumps(doc, default=_sum_json, **kwargs)
 
 
-def _run_raw(
-    program: Program, mode: str, workers: int, check: bool
+def run_raw(
+    program: Program, mode: str, workers: int = 4, check: bool = False
 ) -> Tuple[PortType, Sequence[Any], Dict[int, Any]]:
+    """Evaluate a program like ``run_program`` but build no ``Value``:
+    returns the output's element type, the raw output elements and
+    ``{thread id: raw state}`` for every thread."""
     graph, word = program.graph, program.word
     branch = program.is_branch
     if mode == "seq":
@@ -318,18 +321,11 @@ def run_program(
     mode: str,
     workers: int = 4,
     check: bool = False,
-    *,
-    raw: bool = False,
-):
+) -> Tuple[Value, StateStore]:
     """Evaluate a program under one of the four execution modes.
 
-    Returns the output list and the final store, boxed. With ``raw`` it
-    builds no ``Value`` and returns raw values instead: the output's
-    element type, the output elements and ``{thread id: state}`` for
-    every thread."""
-    tgt, items, slots = _run_raw(program, mode, workers, check)
-    if raw:
-        return tgt, items, slots
+    Returns the output list and the final store, boxed."""
+    tgt, items, slots = run_raw(program, mode, workers, check)
     return box_list(tgt, items), boxed_store(program.graph, StateStore({}), slots)
 
 

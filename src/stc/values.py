@@ -87,14 +87,6 @@ class PortType:
     def compatible(self, other: "PortType") -> bool:
         return self.structure() == other.structure()
 
-    def __hash__(self) -> int:
-        # memoised: port types key the boxer caches and the vertex sets
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.name, self.kind, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __str__(self) -> str:
         return self.name
 

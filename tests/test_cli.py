@@ -229,6 +229,26 @@ def test_unsleepable_delay_is_validation_error(tmp_path, capsys, delay):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("earlier, later", [(0, False), (1, True), (1.0, True)])
+def test_bool_delay_is_rejected_after_an_equal_number(tmp_path, capsys, earlier, later):
+    # False == 0 and True == 1 == 1.0 in Python: a thread built earlier
+    # with the number must not let the bool through
+    threads = [
+        {"id": 1, "fn": "delay_identity_ms", "params": {"delay_ms": earlier}},
+        {"id": 2, "fn": "delay_identity_ms", "params": {"delay_ms": later}},
+    ]
+    path = tmp_path / "delays.json"
+    path.write_text(json.dumps(dict(COUNTER, threads=threads, word=[1, 2])), "utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("validation error: at params.delay_ms:")
+    # the same bool is rejected after the carrier fuzzer built zero delays
+    from stc.harness import FuzzConfig, carrier_stream
+
+    for _ in zip(range(20), carrier_stream(FuzzConfig(seed=3, trials=20))):
+        pass
+    assert main(["run", str(path)]) == 2
+
+
 def test_module_entry_point_runs_cli(counter_file):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -271,5 +291,5 @@ def test_runtime_errors_map_to_exit_3(monkeypatch, counter_file):
     def boom(*args, **kwargs):
         raise ExecutionError("synthetic fault")
 
-    monkeypatch.setattr(cli, "run_program", boom)
+    monkeypatch.setattr(cli, "run_raw", boom)
     assert cli.main(["run", counter_file]) == 3
