@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import reprlib
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .builtins import make_thread
@@ -383,12 +384,12 @@ def parse_program(text: str) -> Program:
         if not isinstance(params, dict):
             raise SchemaError(f"{path}.params", "expected an object")
         # Init literals are read against the builtin's state type, so
-        # instantiate first with the default, then re-make with the parsed init.
-        probe = make_thread(tid, fn, None, params)
-        init = None
+        # instantiate first with the default, then swap in the parsed init.
+        spec = make_thread(tid, fn, None, params)
         if "init_state" in td:
-            init = value_from_json(td["init_state"], probe.state_type, f"{path}.init_state")
-        specs.append(make_thread(tid, fn, init, params))
+            init = value_from_json(td["init_state"], spec.state_type, f"{path}.init_state")
+            spec = replace(spec, init_state=init)
+        specs.append(spec)
     graph = build_graph(*specs)
 
     input_type_text = _require(doc, "input_type", "")
