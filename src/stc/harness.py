@@ -15,8 +15,8 @@ output list and the final state store:
 * the element-wise evaluator (when every letter is distinct),
 * the classification-driven fast-path evaluator at 1 and 4 workers
   (``auto@1``, ``auto@4``; the second runs chunked fission),
-* the pipeline executor at several worker counts, run twice to expose
-  scheduling nondeterminism,
+* the pipeline executor at 1, 2, 4 and 8 workers (``WORKERS_COUNTS``),
+  with the last run twice to expose scheduling nondeterminism,
 
 plus word-split functor checks, split/join round trips, and single-letter
 fast-path comparisons. ``check_program`` makes every one of those runs in
@@ -35,14 +35,19 @@ Each fuzz trial also checks a *carrier program* from a second stream
 routed through zero-delay delay threads, fed with edge values (NaN,
 ±0.0, ±inf, subnormals, 64-bit extremes, lone surrogates). The int/str
 stream draws exactly as before, so old failure seeds still replay.
+
+Both kinds of value come from one structural walker, ``_walk``: it draws
+lists, pairs and sums the same way and takes its scalars from a leaf
+table, ``_RANDOM_LEAVES`` for ``random_value`` and ``_EDGE_LEAVES`` for
+``edge_value``.
 """
 
 from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .builtins import make_thread
 from .composition import (
@@ -56,7 +61,6 @@ from .model import (
     StageKind,
     StateStore,
     ThreadSpec,
-    boxed_part,
     boxed_transfer,
     build_graph,
     builtin_claim,
@@ -100,6 +104,8 @@ from .values import (
 XORSHIFT_MULTIPLIER = 2685821657736338717
 _MASK = (1 << 64) - 1
 _SEED_FILL = 0x9E3779B97F4A7C15
+# the pipeline worker counts every program is checked at
+WORKERS_COUNTS = (1, 2, 4, 8)
 
 
 class Xorshift64Star:
@@ -137,40 +143,42 @@ class FuzzConfig:
     max_edges: int = 8
     max_word_len: int = 5
     max_list_len: int = 16
-    int_magnitude: int = 1000
 
     def __post_init__(self):
         if min(self.trials, self.max_edges, self.max_word_len, self.max_list_len) < 1:
             raise ValidationError("fuzz limits must be positive")
 
 
-def random_value(pt: PortType, rng: Xorshift64Star, magnitude: int = 1000) -> Value:
-    """A random inhabitant of a port type, driven entirely by ``rng``."""
+# random ints lie in [-1000, 1000]; random floats are eighths of such ints
+_RANDOM_LEAVES: Dict[TypeKind, Callable[[Xorshift64Star], Value]] = {
+    TypeKind.UNIT: lambda rng: UNIT,
+    TypeKind.BOOL: lambda rng: v_bool(rng.below(2) == 0),
+    TypeKind.INT: lambda rng: v_int(rng.below(2001) - 1000),
+    TypeKind.FLOAT: lambda rng: v_float((rng.below(2001) - 1000) / 8.0),
+    TypeKind.STR: lambda rng: v_str(
+        "".join(rng.pick(string.ascii_lowercase) for _ in range(rng.below(6)))
+    ),
+}
+
+
+def _walk(pt: PortType, rng: Xorshift64Star, leaves: Dict) -> Value:
+    """A random inhabitant of ``pt``: lists of 0-3 elements, either
+    injection of a sum with equal odds, and scalars from ``leaves``."""
     k = pt.kind
-    if k is TypeKind.UNIT:
-        return UNIT
-    if k is TypeKind.BOOL:
-        return v_bool(rng.below(2) == 0)
-    if k is TypeKind.INT:
-        return v_int(rng.below(2 * magnitude + 1) - magnitude)
-    if k is TypeKind.FLOAT:
-        return v_float((rng.below(2 * magnitude + 1) - magnitude) / 8.0)
-    if k is TypeKind.STR:
-        letters = string.ascii_lowercase
-        return v_str("".join(rng.pick(letters) for _ in range(rng.below(6))))
     if k is TypeKind.LIST:
-        return v_list(
-            pt.args[0],
-            [random_value(pt.args[0], rng, magnitude) for _ in range(rng.below(4))],
-        )
+        return v_list(pt.args[0], [_walk(pt.args[0], rng, leaves) for _ in range(rng.below(4))])
     if k is TypeKind.PAIR:
-        return v_pair(
-            random_value(pt.args[0], rng, magnitude),
-            random_value(pt.args[1], rng, magnitude),
-        )
-    if rng.below(2) == 0:
-        return v_inl(random_value(pt.args[0], rng, magnitude))
-    return v_inr(random_value(pt.args[1], rng, magnitude))
+        return v_pair(_walk(pt.args[0], rng, leaves), _walk(pt.args[1], rng, leaves))
+    if k is TypeKind.SUM:
+        if rng.below(2) == 0:
+            return v_inl(_walk(pt.args[0], rng, leaves))
+        return v_inr(_walk(pt.args[1], rng, leaves))
+    return leaves[k](rng)
+
+
+def random_value(pt: PortType, rng: Xorshift64Star) -> Value:
+    """A random inhabitant of a port type, driven entirely by ``rng``."""
+    return _walk(pt, rng, _RANDOM_LEAVES)
 
 
 def verify_classification(
@@ -198,13 +206,11 @@ def verify_classification(
     key = (claim, kind)
     if claim is not None and seen is not None and key in seen:
         return seen[key]
+    # a builtin's value and state parts never sleep; only its transfer may
     transfer, value_part, state_part = spec.transfer, spec.value_part, spec.state_part
     if claim is not None:
-        src, tgt, st = spec.src, spec.tgt, spec.state_type
-        transfer = boxed_transfer(kernel_of(transfer).sample, src, tgt, st)
-        if kind is StageKind.PRODUCT:
-            value_part = boxed_part(kernel_of(value_part).sample, src, tgt)
-            state_part = boxed_part(kernel_of(state_part).sample, st, st)
+        sample = kernel_of(transfer).sample
+        transfer = boxed_transfer(sample, spec.src, spec.tgt, spec.state_type)
     ok = True
     for _ in range(trials):
         x = random_value(spec.src, rng)
@@ -232,17 +238,14 @@ def verify_hints(specs: Iterable[ThreadSpec], rng: Xorshift64Star) -> bool:
 _INT_FNS = ("counter_add", "scale_by_state", "add1_tick")
 
 
-def _small_int(rng: Xorshift64Star, magnitude: int = 8) -> Value:
-    return v_int(rng.below(2 * magnitude + 1) - magnitude)
-
-
 def _int_thread(tid: int, rng: Xorshift64Star) -> ThreadSpec:
-    return make_thread(tid, rng.pick(_INT_FNS), _small_int(rng))
+    return make_thread(tid, rng.pick(_INT_FNS), v_int(rng.below(17) - 8))  # in [-8, 8]
 
 
-def _input_list(pt: PortType, rng: Xorshift64Star, cfg: FuzzConfig) -> Value:
-    n = rng.below(cfg.max_list_len + 1)
-    return v_list(pt, [random_value(pt, rng, cfg.int_magnitude) for _ in range(n)])
+def _input_list(
+    pt: PortType, rng: Xorshift64Star, cfg: FuzzConfig, draw: Callable = random_value
+) -> Value:
+    return v_list(pt, [draw(pt, rng) for _ in range(rng.below(cfg.max_list_len + 1))])
 
 
 def gen_random_program(cfg: FuzzConfig, rng: Optional[Xorshift64Star] = None) -> Program:
@@ -380,28 +383,19 @@ def random_port_type(rng: Xorshift64Star, depth: int = 3) -> PortType:
     return build(random_port_type(rng, depth - 1), random_port_type(rng, depth - 1))
 
 
+_EDGE_LEAVES = {
+    **_RANDOM_LEAVES,
+    TypeKind.INT: lambda rng: v_int(rng.pick(_EDGE_INTS)),
+    TypeKind.FLOAT: lambda rng: v_float(rng.pick(_EDGE_FLOATS)),
+    TypeKind.STR: lambda rng: v_str(rng.pick(_EDGE_STRS)),
+}
+
+
 def edge_value(pt: PortType, rng: Xorshift64Star) -> Value:
     """A random inhabitant of ``pt`` drawn from the edges of each scalar
     domain: NaN, ±0.0, ±inf, subnormals, the 64-bit int extremes, and
     non-ASCII and lone-surrogate strings."""
-    k = pt.kind
-    if k is TypeKind.UNIT:
-        return UNIT
-    if k is TypeKind.BOOL:
-        return v_bool(rng.below(2) == 0)
-    if k is TypeKind.INT:
-        return v_int(rng.pick(_EDGE_INTS))
-    if k is TypeKind.FLOAT:
-        return v_float(rng.pick(_EDGE_FLOATS))
-    if k is TypeKind.STR:
-        return v_str(rng.pick(_EDGE_STRS))
-    if k is TypeKind.LIST:
-        return v_list(pt.args[0], [edge_value(pt.args[0], rng) for _ in range(rng.below(4))])
-    if k is TypeKind.PAIR:
-        return v_pair(edge_value(pt.args[0], rng), edge_value(pt.args[1], rng))
-    if rng.below(2) == 0:
-        return v_inl(edge_value(pt.args[0], rng))
-    return v_inr(edge_value(pt.args[1], rng))
+    return _walk(pt, rng, _EDGE_LEAVES)
 
 
 def _delay_thread(tid: int, carrier: PortType) -> ThreadSpec:
@@ -417,10 +411,6 @@ def _carrier_chain(specs: List[ThreadSpec], ids: Iterator[int], pt: PortType, n:
     letters = [next(ids) for _ in range(n)]
     specs.extend(_delay_thread(i, pt) for i in letters)
     return letters
-
-
-def _carrier_input(pt: PortType, rng: Xorshift64Star, cfg: FuzzConfig) -> Value:
-    return v_list(pt, [edge_value(pt, rng) for _ in range(rng.below(cfg.max_list_len + 1))])
 
 
 def gen_carrier_program(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
@@ -461,7 +451,8 @@ def gen_carrier_program(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
             Word(tuple(right), None if right else b),
             Word(tuple([head] + tail)),
         )
-        return Program(build_graph(*specs), prog, _carrier_input(produced, rng, cfg), produced)
+        xs = _input_list(produced, rng, cfg, edge_value)
+        return Program(build_graph(*specs), prog, xs, produced)
     t = random_port_type(rng)
     limit = min(cfg.max_word_len, cfg.max_edges)
     letters = _carrier_chain(specs, ids, t, 1 + rng.below(limit))
@@ -471,7 +462,8 @@ def gen_carrier_program(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
         letters += _carrier_chain(specs, ids, t.args[0], rng.below(limit - len(letters) + 1))
     if rng.below(4) == 0 and len(letters) < limit and specs[-1].fn_name == "delay_identity_ms":
         letters.append(letters[-1])  # a delay maps its carrier to itself
-    return Program(build_graph(*specs), Word(tuple(letters)), _carrier_input(t, rng, cfg), t)
+    xs = _input_list(t, rng, cfg, edge_value)
+    return Program(build_graph(*specs), Word(tuple(letters)), xs, t)
 
 
 def carrier_stream(cfg: FuzzConfig) -> Iterator[Program]:
@@ -491,15 +483,6 @@ class Divergence:
     expected: str
     actual: str
 
-    def as_dict(self) -> Dict[str, str]:
-        return {
-            "mode": self.mode,
-            "kind": self.kind,
-            "where": self.where,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
-
 
 @dataclass
 class TrialReport:
@@ -518,7 +501,7 @@ class TrialReport:
             "equal": self.equal,
         }
         if self.divergence is not None:
-            out["divergence"] = self.divergence.as_dict()
+            out["divergence"] = asdict(self.divergence)
         if self.program_text is not None:
             out["program"] = self.program_text
         return out
@@ -570,10 +553,6 @@ def first_divergence(
     return None
 
 
-def _word_of(program: Program) -> Optional[Word]:
-    return None if program.is_branch else program.word
-
-
 def _interleaved_defined(program: Program) -> bool:
     if program.is_branch:
         return all(not smap_check(w) for w in program.word.words())
@@ -583,7 +562,6 @@ def _interleaved_defined(program: Program) -> bool:
 def check_program(
     program: Program,
     rng: Xorshift64Star,
-    workers_counts: Sequence[int] = (1, 2, 4, 8),
     index: int = 0,
     check: bool = False,
 ) -> TrialReport:
@@ -603,9 +581,8 @@ def check_program(
     if _interleaved_defined(program):
         candidates.append(("interleaved", 1))
     candidates += [("auto", 1), ("auto", 4)]
-    for w in workers_counts:
-        candidates.append(("pipeline", w))
-    candidates.append(("pipeline", max(workers_counts)))  # determinism re-run
+    candidates += [("pipeline", w) for w in WORKERS_COUNTS]
+    candidates.append(("pipeline", WORKERS_COUNTS[-1]))  # determinism re-run
 
     for mode, w in candidates:
         label = mode if mode == "interleaved" else f"{mode}@{w}"
@@ -618,12 +595,9 @@ def check_program(
         if div is not None:
             return fail(div)
 
-    word = _word_of(program)
+    word = None if program.is_branch else program.word
     if word is not None and word.letters:
-        div = _check_functor_split(program, word, ref, rng)
-        if div is not None:
-            return fail(div)
-        div = _check_fast_paths(program, word)
+        div = _check_functor_split(program, word, ref, rng) or _check_fast_paths(program, word)
         if div is not None:
             return fail(div)
 
@@ -657,57 +631,44 @@ def _check_fast_paths(program: Program, word: Word) -> Optional[Divergence]:
     current = program.input
     for n in word.letters:
         spec = graph.edges[n]
-        kind = classify_thread(spec)
-        single = Word((n,))
-        expect, st_ref = eval_psi_ref(graph, single, current, state)
-        if kind is StageKind.READ_ONLY:
-            got, sigma = run_data_parallel_readonly(spec, current, state.get(n))
+        expect, st_ref = eval_psi_ref(graph, Word((n,)), current, state)
+        fast = _FAST_PATHS.get(classify_thread(spec))
+        if fast is not None:
+            got, sigma = fast(spec, current, state.get(n))
+            if got != expect or sigma != st_ref.get(n):
+                return Divergence(
+                    f"fastpath[{n}]", "output", spec.fn_name,
+                    repr((expect, st_ref.get(n))), repr((got, sigma)),
+                )
             checked += 1
-        elif kind is StageKind.PRODUCT:
-            got, sigma = run_data_parallel_product(spec, current, state.get(n))
-            checked += 1
-        else:
-            current, state = expect, st_ref
-            continue
-        if got != expect or sigma != st_ref.get(n):
-            return Divergence(
-                f"fastpath[{n}]", "output", spec.fn_name,
-                repr((expect, st_ref.get(n))), repr((got, sigma)),
-            )
         current, state = expect, st_ref
         if checked >= 2:
             break
     return None
 
 
-def _random_sum_list(rng: Xorshift64Star, max_len: int = 12) -> Value:
-    items = []
-    for _ in range(rng.below(max_len + 1)):
-        inner = v_int(rng.below(201) - 100)
-        items.append(v_inl(inner) if rng.below(2) == 0 else v_inr(inner))
-    return v_list(sum_of(INT_T, INT_T), items)
+_FAST_PATHS = {
+    StageKind.READ_ONLY: run_data_parallel_readonly,
+    StageKind.PRODUCT: run_data_parallel_product,
+}
 
 
 def _check_split_join(rng: Xorshift64Star) -> Optional[Divergence]:
-    xs = _random_sum_list(rng)
-    bs, cs, flags = split(xs)
-    back = join(bs, cs, flags)
+    """``join`` must undo ``split`` on a random list of up to 12 sums."""
+    items = []
+    for _ in range(rng.below(13)):
+        inner = v_int(rng.below(201) - 100)
+        items.append(v_inl(inner) if rng.below(2) == 0 else v_inr(inner))
+    xs = v_list(sum_of(INT_T, INT_T), items)
+    back = join(*split(xs))
     if back != xs:
         return Divergence("split-join", "output", "round trip", repr(xs), repr(back))
-    bs2, cs2, flags2 = split(back)
-    if (bs2, cs2, flags2) != (bs, cs, flags):
-        return Divergence(
-            "split-join", "output", "triple round trip",
-            repr((bs, cs, flags)), repr((bs2, cs2, flags2)),
-        )
     return None
 
 
-def _fuzz_trial(
-    program: Program, rng: Xorshift64Star, workers_counts: Sequence[int], index: int
-) -> TrialReport:
+def _fuzz_trial(program: Program, rng: Xorshift64Star, index: int) -> TrialReport:
     try:
-        return check_program(program, rng, workers_counts, index=index)
+        return check_program(program, rng, index=index)
     except StcError as exc:
         return TrialReport(
             index,
@@ -719,16 +680,12 @@ def _fuzz_trial(
         )
 
 
-def run_fuzz(
-    cfg: FuzzConfig,
-    workers_counts: Sequence[int] = (1, 2, 4, 8),
-    stop_on_failure: bool = True,
-) -> EquivReport:
+def run_fuzz(cfg: FuzzConfig) -> EquivReport:
     """The full fuzz suite: generate programs and check every invariant.
 
     Trial i checks the i-th program of ``program_stream`` and then the
     i-th of ``carrier_stream``; it passes when both do. Each stream has
-    its own check rng."""
+    its own check rng. The suite stops at the first failing trial."""
     report = EquivReport()
     stream, carriers = program_stream(cfg), carrier_stream(cfg)
     rng = Xorshift64Star(cfg.seed ^ _SEED_FILL)
@@ -736,13 +693,11 @@ def run_fuzz(
     for i in range(cfg.trials):
         program, carrier = next(stream), next(carriers)
         report.trials += 1
-        trial = _fuzz_trial(program, rng, workers_counts, i)
+        trial = _fuzz_trial(program, rng, i)
         if trial.equal:
-            trial = _fuzz_trial(carrier, carrier_rng, workers_counts, i)
-        if trial.equal:
-            report.passed += 1
-        else:
+            trial = _fuzz_trial(carrier, carrier_rng, i)
+        if not trial.equal:
             report.failures.append(trial)
-            if stop_on_failure:
-                break
+            break
+        report.passed += 1
     return report
