@@ -44,8 +44,12 @@ BENCH_REPEATS = 5
 
 
 def _load(path: str) -> Program:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    return parse_program(text)
 
 
 def _result_json(output, state) -> str:

@@ -131,7 +131,8 @@ def run_data_parallel_readonly(
     if classify_thread(spec) is not StageKind.READ_ONLY:
         raise ValidationError(f"thread {spec.id} is not read-only")
     items = unbox_input(xs, spec.src)
-    out = _readonly_map(spec, items, unbox_state(sigma, spec.state_type), workers, check)
+    sigma_raw = unbox_state(sigma, spec.state_type)
+    out = _readonly_map(spec, items, sigma_raw, _positive(workers), check)
     return box_list(spec.tgt, out), sigma
 
 
@@ -144,7 +145,8 @@ def run_data_parallel_product(
     if classify_thread(spec) is not StageKind.PRODUCT:
         raise ValidationError(f"thread {spec.id} is not a product thread")
     items = unbox_input(xs, spec.src)
-    out, state = _product_map(spec, items, unbox_state(sigma, spec.state_type), workers, check)
+    sigma_raw = unbox_state(sigma, spec.state_type)
+    out, state = _product_map(spec, items, sigma_raw, _positive(workers), check)
     return box_list(spec.tgt, out), box_state(state, spec.state_type)
 
 
@@ -538,7 +540,7 @@ def plan_branch(
     if auto_workers is None:
         word_core = partial(_psi, graph, check=check)
     else:
-        word_core = partial(_auto, graph, workers=auto_workers, check=check)
+        word_core = partial(_auto, graph, workers=_positive(auto_workers), check=check)
     return Plan(prog.letters, vb.src, vb.tgt, partial(_branch, prog, word_core))
 
 
@@ -703,4 +705,5 @@ def eval_auto_word(
 
 def plan_auto(graph: Multigraph, word: Word, workers: int = 1, check: bool = False) -> Plan:
     vw = validate_word(graph, word)
-    return Plan(word.letters, vw.src, vw.tgt, partial(_auto, graph, word, workers=workers, check=check))
+    core = partial(_auto, graph, word, workers=_positive(workers), check=check)
+    return Plan(word.letters, vw.src, vw.tgt, core)

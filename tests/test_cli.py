@@ -260,6 +260,43 @@ def test_module_entry_point_runs_cli(counter_file):
     assert proc.stdout.strip() == '{"output":[10,21,32],"final_state":{"1":3}}'
 
 
+def test_importing_the_cli_leaves_the_harness_unloaded():
+    # `stc run` must not compile the fuzzer: a fresh process pays for
+    # every module it imports
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, stc.cli; print('stc.harness' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+BRANCH = {
+    "threads": [
+        {"id": 1, "fn": "branch_even"},
+        {"id": 2, "fn": "scale_by_state", "init_state": 3},
+        {"id": 3, "fn": "merge_sum"},
+    ],
+    "word": {"branch": {"producer": [1], "left": [2], "right": [], "consumer": [3]}},
+    "input": [1, 2, 3],
+    "input_type": "int",
+}
+
+
+@pytest.mark.parametrize("doc", [COUNTER, BRANCH], ids=["word", "branch"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("mode", ["auto", "pipeline"])
+def test_workers_below_one_are_validation_errors(tmp_path, capsys, doc, workers, mode):
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--mode", mode, "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: workers must be a positive integer\n"
+
+
 def test_bench_csv_shape(capsys):
     assert main(["bench", "--stages", "1", "--list-len", "2", "--delay-ms", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

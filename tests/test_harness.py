@@ -8,6 +8,7 @@ from stc import mutations, parse_program, smap_check, validate_word
 from stc.harness import (
     FuzzConfig,
     Xorshift64Star,
+    carrier_stream,
     check_program,
     gen_random_program,
     program_stream,
@@ -64,6 +65,22 @@ def test_program_stream_is_pinned(seed, expect):
     # programs, so the generator's rng draw order is frozen.
     h = hashlib.sha256()
     for _, p in zip(range(200), program_stream(FuzzConfig(seed=seed, trials=1))):
+        h.update(program_digest(p).encode())
+    assert h.hexdigest() == expect
+
+
+@pytest.mark.parametrize(
+    "seed,expect",
+    [
+        (1, "b5759b1bef49de2824081ee2068634fe3136d1e9d1f9d3d889bc56902303f4cc"),
+        (101, "3a1e56a046ebdc585e185289530bddb9fa8fa7ed58d2488435f54b10fa89d5af"),
+    ],
+)
+def test_carrier_stream_is_pinned(seed, expect):
+    # Carrier failure seeds must replay too, so edge-value and port-type
+    # draws keep their order.
+    h = hashlib.sha256()
+    for _, p in zip(range(200), carrier_stream(FuzzConfig(seed=seed, trials=1))):
         h.update(program_digest(p).encode())
     assert h.hexdigest() == expect
 

@@ -1,7 +1,9 @@
 """Damaged program documents: `stc run` must exit 0, 2 or 3, never raise.
 
 Each case starts from a valid fuzzer program, serialized, and damages it
-in one way. No damage ever sets a `delay_ms`, so no case sleeps.
+in one way. No damage ever sets a `delay_ms`, so no case sleeps. Bytes
+that are not UTF-8 are a validation error for every command that reads
+a program file.
 """
 
 from __future__ import annotations
@@ -76,3 +78,29 @@ def test_damaged_documents_exit_cleanly(tmp_path, damage):
         assert rc in (0, 2, 3), (i, rc)
         codes.add(rc)
     assert 2 in codes
+
+
+# byte sequences that no UTF-8 text holds: a UTF-16 byte-order mark, a
+# lone continuation byte, a lead byte without its continuation, an
+# encoded surrogate and a five-byte form
+NOT_UTF8 = (b"\xff\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80")
+
+
+def _insert_bytes(data: bytes, rng: Xorshift64Star) -> bytes:
+    i = rng.below(len(data) + 1)
+    return data[:i] + rng.pick(NOT_UTF8) + data[i:]
+
+
+@pytest.mark.parametrize("command", ["run", "check", "dot"])
+def test_non_utf8_documents_are_validation_errors(tmp_path, capsys, command):
+    stream = program_stream(FuzzConfig(seed=SEED, trials=PROGRAMS))
+    rng = Xorshift64Star(SEED)
+    for i in range(PROGRAMS):
+        data = program_to_text(next(stream)).encode("utf-8")
+        path = tmp_path / f"bytes{i}.json"
+        path.write_bytes(b"\xff\xfe" + data if i == 0 else _insert_bytes(data, rng))
+        assert main([command, str(path)]) == 2, i
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"validation error: {path} is not UTF-8 text: ")
+        assert captured.err.count("\n") == 1, captured.err

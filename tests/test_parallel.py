@@ -47,6 +47,7 @@ from stc.harness import (
     verify_classification,
 )
 from stc import mutations
+from stc.parallel import plan_branch
 from stc.program import Program
 from conftest import counter_scale_graph, int_list
 
@@ -174,6 +175,23 @@ def test_pipeline_rejects_nonpositive_workers():
     graph = counter_scale_graph()
     with pytest.raises(ValidationError):
         run_pipeline(graph, Word((1,)), int_list(1), init_state(graph), 0)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_auto_and_fast_paths_reject_nonpositive_workers(workers):
+    graph = counter_scale_graph()
+    branch_graph = build_graph(make_thread(1, "branch_even"), make_thread(2, "merge_sum"))
+    branch = BranchProgram(Word((1,)), Word((), INT_T), Word((), INT_T), Word((2,)))
+    tick = make_thread(1, "add1_tick")
+    calls = [
+        lambda: eval_auto_word(graph, Word((1, 2)), int_list(1), init_state(graph), workers),
+        lambda: plan_branch(branch_graph, branch, auto_workers=workers),
+        lambda: run_data_parallel_readonly(graph.edges[2], int_list(1), v_int(3), workers),
+        lambda: run_data_parallel_product(tick, int_list(1), v_int(0), workers),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^workers must be a positive integer$"):
+            call()
 
 
 def test_pipeline_matches_reference_across_worker_counts(rng):
