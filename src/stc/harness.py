@@ -27,8 +27,9 @@ fuzzer runs them unchecked.
 Classification hints are spot-checked by sampling only where there is a
 claim to test: READ_ONLY and PRODUCT threads get 200 random (element,
 state) pairs each, GENERAL threads claim nothing and are not sampled. A
-builtin's own functions are sampled through its side-effect-free kernel,
-once per distinct claim within one ``verify_hints`` call.
+builtin's own transfer is sampled through its side-effect-free kernel (a
+delay does not sleep) and its value and state parts as they are, once
+per distinct claim within one ``verify_hints`` call.
 
 Each fuzz trial also checks a *carrier program* from a second stream
 (``carrier_stream``): a random port type over the whole value grammar
