@@ -624,6 +624,12 @@ def _check_functor_split(
     return first_divergence(f"functor-split@{cut}", ref, (out, st2))
 
 
+_FAST_PATHS = {
+    StageKind.READ_ONLY: run_data_parallel_readonly,
+    StageKind.PRODUCT: run_data_parallel_product,
+}
+
+
 def _check_fast_paths(program: Program, word: Word) -> Optional[Divergence]:
     """Single-letter fast paths must match the reference on that letter."""
     graph = program.graph
@@ -646,12 +652,6 @@ def _check_fast_paths(program: Program, word: Word) -> Optional[Divergence]:
         if checked >= 2:
             break
     return None
-
-
-_FAST_PATHS = {
-    StageKind.READ_ONLY: run_data_parallel_readonly,
-    StageKind.PRODUCT: run_data_parallel_product,
-}
 
 
 def _check_split_join(rng: Xorshift64Star) -> Optional[Divergence]:
