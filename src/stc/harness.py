@@ -207,11 +207,9 @@ def verify_classification(
     key = (claim, kind)
     if claim is not None and seen is not None and key in seen:
         return seen[key]
-    # a builtin's value and state parts never sleep; only its transfer may
-    transfer, value_part, state_part = spec.transfer, spec.value_part, spec.state_part
-    if claim is not None:
-        sample = kernel_of(transfer).sample
-        transfer = boxed_transfer(sample, spec.src, spec.tgt, spec.state_type)
+    transfer = spec.transfer
+    if claim is not None:  # only a builtin's transfer may sleep, never its parts
+        transfer = boxed_transfer(kernel_of(transfer).sample, spec.src, spec.tgt, spec.state_type)
     ok = True
     for _ in range(trials):
         x = random_value(spec.src, rng)
@@ -221,7 +219,7 @@ def verify_classification(
             ok = False
             break
         if kind is StageKind.PRODUCT:
-            if y != value_part(x) or sigma2 != state_part(sigma):
+            if y != spec.value_part(x) or sigma2 != spec.state_part(sigma):
                 ok = False
                 break
     if claim is not None and seen is not None:
