@@ -76,7 +76,7 @@ class BuiltinEntry:
 class ThreadParts:
     """One instantiated builtin: its types and raw kernels. ``sample`` is
     the transfer kernel hint sampling runs, when it differs from
-    ``transfer`` (a kernel that sleeps)."""
+    ``transfer`` (a kernel that sleeps); the thread is then ``blocking``."""
 
     src: PortType
     tgt: PortType
@@ -238,6 +238,8 @@ def make_thread(
         fn_name=fn_name,
         params=params,
         kind=entry.kind,
+        # a builtin blocks exactly when hint sampling must avoid its transfer
+        blocking=parts.sample not in (None, parts.transfer),
         transfer=transfer,
         value_part=value_part,
         state_part=state_part,

@@ -67,6 +67,7 @@ class SchemaError(ValidationError):
     def __init__(self, path: str, message: str):
         super().__init__(f"at {path or '<root>'}: {message}")
         self.path = path
+        self.message = message
 
 
 class ExecutionError(StcError):

@@ -24,6 +24,12 @@ one pass, with ``check`` on or off for all of them alike: ``stc check
 <file>`` runs them checked and prints its table from the result, the
 fuzzer runs them unchecked.
 
+Executors start threads only for blocking stages, so the runs with more
+than one worker use a copy of the program whose threads are all marked
+blocking (``_all_blocking``): they are cut into threaded groups and chunks
+as the workers allow, where ``stc run`` keeps a CPU-only program on one
+thread.
+
 Classification hints are spot-checked by sampling only where there is a
 claim to test: READ_ONLY and PRODUCT threads get 200 random (element,
 state) pairs each, GENERAL threads claim nothing and are not sampled. A
@@ -45,9 +51,10 @@ table, ``_RANDOM_LEAVES`` for ``random_value`` and ``_EDGE_LEAVES`` for
 
 from __future__ import annotations
 
+import copy
 import math
 import string
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .builtins import make_thread
@@ -59,6 +66,7 @@ from .composition import (
 )
 from .errors import StcError, ValidationError
 from .model import (
+    Multigraph,
     StageKind,
     StateStore,
     ThreadSpec,
@@ -583,11 +591,12 @@ def check_program(
     candidates += [("pipeline", w) for w in WORKERS_COUNTS]
     candidates.append(("pipeline", WORKERS_COUNTS[-1]))  # determinism re-run
 
+    threaded = _all_blocking(program)
     for mode, w in candidates:
         label = mode if mode == "interleaved" else f"{mode}@{w}"
         modes.append(label)
         try:
-            got = run_program(program, mode, workers=w, check=check)
+            got = run_program(threaded if w > 1 else program, mode, workers=w, check=check)
         except StcError as exc:
             return fail(Divergence(label, "error", "-", "result", repr(exc)))
         div = first_divergence(label, ref, got)
@@ -605,6 +614,20 @@ def check_program(
         return fail(div)
 
     return TrialReport(index, digest, modes + ["functor", "split-join"], True)
+
+
+def _all_blocking(program: Program) -> Program:
+    """``program`` with every thread marked blocking. Executors start
+    threads only for blocking stages, so the rows with more than one
+    worker run this copy: it is cut into as many groups and chunks as the
+    workers allow, and keeps channels, drains and per-group state under
+    test whatever the program's delays."""
+    graph = program.graph
+    threaded = copy.copy(program)
+    threaded.graph = Multigraph(
+        {n: replace(spec, blocking=True) for n, spec in graph.edges.items()}, graph.vertices
+    )
+    return threaded
 
 
 def _check_functor_split(

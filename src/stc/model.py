@@ -61,6 +61,10 @@ class ThreadSpec:
     ``transfer`` maps (input value, state value) to (output value, new
     state value). It is pure and deterministic. For PRODUCT threads,
     ``value_part`` and ``state_part`` expose the two independent halves.
+
+    ``blocking`` is a scheduling hint, not semantics: the transfer blocks
+    (sleeps) rather than computes, so it can overlap with other work under
+    the GIL. Executors start threads only for blocking stages.
     """
 
     id: int
@@ -71,6 +75,7 @@ class ThreadSpec:
     fn_name: str
     params: Mapping[str, Any] = field(default_factory=dict)
     kind: StageKind = StageKind.GENERAL
+    blocking: bool = field(default=False, compare=False)
     transfer: TransferFn = field(compare=False, repr=False, default=None)
     value_part: Optional[Callable[[Value], Value]] = field(
         compare=False, repr=False, default=None

@@ -5,15 +5,22 @@ All executors here are required to agree bit-exactly with the sequential
 reference ``eval_psi_ref``, on the output list and on the final state
 store. Determinism comes from structure, not luck:
 
-* The pipeline cuts a segment into at most ``workers`` contiguous groups
-  of letters (stage fusion). A group pushes each element through all of
-  its letters before handing it on, and exclusively owns those letters'
-  state slots in a ``{letter: state}`` dict of its own, so the
-  value/state produced for the i-th element of any stage depends only on
-  upstream FIFO order, never on scheduling. The calling thread runs the
+* Threads go only where stages block. Under the GIL two CPU-bound
+  stages never run at the same time, so only a thread whose ``blocking``
+  hint is set (a builtin that sleeps) can overlap with others. The
+  pipeline cuts a segment by that hint (stage fusion, after StreamIt's
+  partitioning): its blocking letters are spread over at most
+  ``workers`` contiguous groups, and every other letter joins the group
+  of the blocking letter before it, or the first group if none comes
+  before it. A segment with no blocking letter is one group on the
+  calling thread and starts no thread.
+* A group pushes each element through all of its letters before handing
+  it on, and exclusively owns those letters' state slots in a
+  ``{letter: state}`` dict of its own, so the value/state produced for
+  the i-th element of any stage depends only on upstream FIFO order,
+  never on scheduling, and never on the cut. The calling thread runs the
   first group; the last group writes the output list; the groups between
-  are linked by bounded FIFO channels that carry batches of elements. A
-  single-letter segment is a one-group stream on the calling thread.
+  are linked by bounded FIFO channels that carry batches of elements.
 * Batches are adaptive: a group hands over its buffer as soon as the
   next channel is empty, when the buffer reaches ``_BATCH`` elements, or
   when its own input batch ends. It never waits for a batch to fill, so
@@ -29,13 +36,17 @@ store. Determinism comes from structure, not luck:
   the store.
 * The read-only and product fast paths split their map into contiguous
   chunks (stateless fission), one per worker, and concatenate the
-  results in order.
+  results in order. ``auto`` fans out only blocking stages; the public
+  fast paths honour the ``workers`` they are given.
 * A branch program under ``pipeline`` is one linear stream over the
   sum-tagged elements: the producer's groups, then side stages, then the
-  consumer's groups. Side stage k applies the left word's group k to an
-  inl element and the right word's group k to an inr element, keeping
-  the tag, so FIFO order alone keeps the output in place; nothing is
-  split, flagged or rejoined.
+  consumer's groups, each word cut as above. Side stage k applies the
+  left word's group k to an inl element and the right word's group k to
+  an inr element, keeping the tag, so FIFO order alone keeps the output
+  in place; nothing is split, flagged or rejoined. A stage that holds no
+  blocking letter is fused into a neighbouring stage, so a branch with
+  no blocking letter, like any branch at ``workers`` 1, is one stage on
+  the calling thread.
 
 Words with repeated letters cannot be pipelined in one piece; they run
 segment by segment (a barrier between segments), with each duplicate-free
@@ -55,6 +66,7 @@ import queue
 import threading
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from . import mutations
@@ -268,26 +280,42 @@ def _state_dropped(step: RawStep) -> RawStep:
     return lambda v, sigma: (step(v, sigma)[0], sigma)
 
 
+def _spans(blocking: Sequence[bool], k: int) -> List[Tuple[int, int]]:
+    """Cut positions ``0..len(blocking)`` into contiguous ``(start, end)``
+    spans by the blocking hint: the blocking positions are spread over
+    ``min(k, #blocking)`` spans, and every other position joins the span
+    of the blocking position before it, or the first span if none comes
+    before it. Without a blocking position all of them are one span."""
+    if not blocking:
+        return []
+    marks = [i for i, b in enumerate(blocking) if b]
+    k = min(k, len(marks))
+    starts = [0] + [marks[len(marks) * g // k] for g in range(1, k)]
+    return list(zip(starts, starts[1:] + [len(blocking)]))
+
+
 def _groups(
     graph: Multigraph, slots: Slots, check: bool, owned: list,
-    letters: Tuple[int, ...], k: int,
-) -> List[Optional[Stage]]:
-    """``letters`` cut into ``k`` contiguous fused groups, some empty (None)
-    when ``k`` exceeds the letter count. A group is ``run_element`` over
-    its letters and a ``{letter: state}`` dict it owns; each dict goes onto
-    ``owned`` for the read-back."""
+    letters: Tuple[int, ...], workers: int,
+) -> List[Tuple[Stage, bool]]:
+    """``letters`` cut by ``_spans`` into fused groups, each paired with
+    whether it holds a blocking letter; no group when ``letters`` is
+    empty. A group is ``run_element`` over its letters and a
+    ``{letter: state}`` dict it owns; each dict goes onto ``owned`` for
+    the read-back."""
     if mutations.enabled("stage-order-swapped") and len(letters) >= 2:
         letters = (letters[1], letters[0]) + letters[2:]
-    fns: List[Optional[Stage]] = []
-    for g in range(k):
-        part = letters[len(letters) * g // k:len(letters) * (g + 1) // k]
+    blocking = [graph.edges[n].blocking for n in letters]
+    groups: List[Tuple[Stage, bool]] = []
+    for a, b in _spans(blocking, workers):
+        part = letters[a:b]
         steps = element_steps(graph, part, check)
         if mutations.enabled("state-update-dropped"):
             steps = [(n, _state_dropped(step)) for n, step in steps]
         st = {n: slots[n] for n in part}
         owned.append(st)
-        fns.append(partial(run_element, steps, st) if part else None)
-    return fns
+        groups.append((partial(run_element, steps, st), any(blocking[a:b])))
+    return groups
 
 
 def _read_back(slots: Slots, owned) -> Slots:
@@ -376,7 +404,7 @@ def _pipeline_segment(
     ):
         raise RepeatedLetterInSegment(f"segment {letters} repeats a letter")
     owned: list = []
-    stages = _groups(graph, slots, check, owned, letters, min(workers, len(letters)))
+    stages = [fn for fn, _ in _groups(graph, slots, check, owned, letters, workers)]
     try:
         out = _stream(stages, values, capacity)
     except Exception as exc:
@@ -414,11 +442,12 @@ def run_pipeline(
     capacity: int = 16,
     check: bool = False,
 ) -> Tuple[Value, StateStore]:
-    """Pipelined list semantics: each segment is cut into at most
-    ``workers`` contiguous groups of letters. The caller runs the first
-    group and every other group gets a thread of its own; elements
-    stream between groups in batches over bounded FIFO channels that
-    hold ``capacity`` batches.
+    """Pipelined list semantics: each segment is cut into contiguous
+    groups of letters by the blocking hint, its blocking letters spread
+    over at most ``workers`` groups. The caller runs the first group and
+    every other group gets a thread of its own; elements stream between
+    groups in batches over bounded FIFO channels that hold ``capacity``
+    batches. A segment without a blocking letter starts no thread.
 
     Words with repeated letters run as consecutive duplicate-free
     segments with a barrier in between. A single-letter segment is a
@@ -600,13 +629,21 @@ def _side_stage(left: Optional[Stage], right: Optional[Stage]) -> Stage:
     return apply
 
 
-def _fused(stages: Sequence[Stage]) -> Stage:
-    def apply(v: Any) -> Any:
-        for fn in stages:
-            v = fn(v)
-        return v
+def _fused(stages: Sequence[Tuple[Stage, bool]], workers: int) -> List[Stage]:
+    """One stream stage per blocking stage of ``stages``, with each
+    non-blocking stage fused into a neighbour by ``_spans``; one stage
+    in all at ``workers`` 1 or when none blocks."""
+    fused: List[Stage] = []
+    for a, b in _spans([blocks for _, blocks in stages], 1 if workers == 1 else len(stages)):
+        fns = [fn for fn, _ in stages[a:b]]
+        fused.append(fns[0] if len(fns) == 1 else partial(_chain, fns))
+    return fused
 
-    return apply
+
+def _chain(fns: Sequence[Stage], v: Any) -> Any:
+    for fn in fns:
+        v = fn(v)
+    return v
 
 
 def _branch_stream(
@@ -619,23 +656,22 @@ def _branch_stream(
     check: bool,
 ) -> Tuple[List[Any], Slots]:
     owned: list = []
-    cut = partial(_groups, graph, slots, check, owned)
+    cut = partial(_groups, graph, slots, check, owned, workers=workers)
     producer, left, right, consumer = (w.letters for w in prog.words())
-    k = min(workers, max(len(left), len(right)))
-    sides = [_side_stage(*pair) for pair in zip(cut(left, k), cut(right, k))]
-    pre = cut(producer, min(workers, len(producer))) + sides
-    post = cut(consumer, min(workers, len(consumer)))
+    sides = [
+        (_side_stage(lf, rf), lb or rb)
+        for (lf, lb), (rf, rb) in zip_longest(cut(left), cut(right), fillvalue=(None, False))
+    ]
+    pre = cut(producer) + sides
+    post = cut(consumer)
     if mutations.enabled("flags-ignored-in-join"):
         # deliberate fault: the join point buffers its whole input and
         # emits every inl element before any inr element
-        joined = _stream(pre, items, capacity)
+        joined = _stream(_fused(pre, workers), items, capacity)
         joined.sort(key=lambda v: type(v) is Inr)
-        values = _stream(post, joined, capacity)
+        values = _stream(_fused(post, workers), joined, capacity)
     else:
-        stages = pre + post
-        if workers == 1 and len(stages) > 1:
-            stages = [_fused(stages)]
-        values = _stream(stages, items, capacity)
+        values = _stream(_fused(pre + post, workers), items, capacity)
     return values, _read_back(slots, owned)
 
 
@@ -649,12 +685,14 @@ def run_task_parallel_branch(
     check: bool = False,
 ) -> Tuple[Value, StateStore]:
     """Task-parallel branch execution as one linear stream over the
-    sum-tagged elements: the producer cut into ``min(workers, len)``
-    groups, then ``min(workers, max(len(left), len(right)))`` side
-    stages, then the consumer's groups. No split list, flag list or join
-    is built; FIFO order alone keeps the output bit-exactly that of
-    ``eval_branch``. At ``workers`` 1 the whole branch is one fused group
-    on the calling thread."""
+    sum-tagged elements: the producer's groups, then side stages pairing
+    the left and right words' groups, then the consumer's groups, each
+    word cut by the blocking hint as ``run_pipeline`` cuts a segment. A
+    stage without a blocking letter is fused into a neighbour. No split
+    list, flag list or join is built; FIFO order alone keeps the output
+    bit-exactly that of ``eval_branch``. At ``workers`` 1, or without a
+    blocking letter, the whole branch is one fused group on the calling
+    thread."""
     return run_boxed(graph, xs, state, plan_branch_stream(graph, prog, workers, capacity, check))
 
 
@@ -680,10 +718,12 @@ def _auto(
     for n in word.letters:
         spec = graph.edges[n]
         kind = classify_thread(spec)
+        # under the GIL only chunks that block can overlap
+        w = workers if spec.blocking else 1
         if kind is StageKind.READ_ONLY:
-            items = _readonly_map(spec, items, slots[n], workers, check)
+            items = _readonly_map(spec, items, slots[n], w, check)
         elif kind is StageKind.PRODUCT:
-            items, slots[n] = _product_map(spec, items, slots[n], workers, check)
+            items, slots[n] = _product_map(spec, items, slots[n], w, check)
         else:
             items, slots[n] = map_letter(raw_step(spec, check), items, slots[n])
     return items, slots
@@ -699,7 +739,8 @@ def eval_auto_word(
 ) -> Tuple[Value, StateStore]:
     """Stage-wise evaluation that takes the data-parallel shortcut for
     every read-only or product stage and falls back to the sequential map
-    for general stages."""
+    for general stages. Only a blocking stage fans out over ``workers``
+    chunks; any other runs as one chunk on the calling thread."""
     return run_boxed(graph, xs, state, plan_auto(graph, word, workers, check))
 
 

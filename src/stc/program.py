@@ -385,7 +385,10 @@ def parse_program(text: str) -> Program:
             raise SchemaError(f"{path}.params", "expected an object")
         # Init literals are read against the builtin's state type, so
         # instantiate first with the default, then swap in the parsed init.
-        spec = make_thread(tid, fn, None, params)
+        try:
+            spec = make_thread(tid, fn, None, params)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}.{exc.path}", exc.message) from None
         if "init_state" in td:
             init = value_from_json(td["init_state"], spec.state_type, f"{path}.init_state")
             spec = replace(spec, init_state=init)
@@ -417,7 +420,9 @@ def parse_program(text: str) -> Program:
         producer = _word_from_json(br["producer"], "word.branch.producer", input_type)
         ptgt = validate_word(graph, producer).tgt
         if ptgt.kind is not TypeKind.SUM:
-            raise ValidationError(f"producer must end at a sum vertex, got {ptgt.name}")
+            raise SchemaError(
+                "word.branch.producer", f"must end at a sum vertex, got {ptgt.name}"
+            )
         left = _word_from_json(br["left"], "word.branch.left", ptgt.args[0])
         right = _word_from_json(br["right"], "word.branch.right", ptgt.args[1])
         ltgt = validate_word(graph, left).tgt

@@ -37,7 +37,7 @@ from stc import (
 )
 from stc import mutations
 from stc.cli import main, _result_json
-from stc.harness import FuzzConfig, Xorshift64Star, program_stream, run_program
+from stc.harness import FuzzConfig, Xorshift64Star, _all_blocking, program_stream, run_program
 from stc.program import Program
 from stc.values import STR_T
 
@@ -235,7 +235,8 @@ def test_branch_determinism_byte_identical(capsys):
     while len(programs) < 50:
         p = next(stream)
         if p.is_branch:
-            programs.append(p)
+            # marked blocking, so that workers 4 runs a threaded stream
+            programs.append(_all_blocking(p))
     for p in programs:
         renders = set()
         for workers in (1, 4):

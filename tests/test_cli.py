@@ -225,7 +225,8 @@ def test_unsleepable_delay_is_validation_error(tmp_path, capsys, delay):
     path.write_text(json.dumps(doc).replace('"delay_ms": 0', f'"delay_ms": {delay}'), "utf-8")
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("validation error: at params.delay_ms:") and err.count("\n") == 1
+    assert err.startswith("validation error: at threads[0].params.delay_ms:")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -240,7 +241,7 @@ def test_bool_delay_is_rejected_after_an_equal_number(tmp_path, capsys, earlier,
     path = tmp_path / "delays.json"
     path.write_text(json.dumps(dict(COUNTER, threads=threads, word=[1, 2])), "utf-8")
     assert main(["run", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("validation error: at params.delay_ms:")
+    assert capsys.readouterr().err.startswith("validation error: at threads[1].params.delay_ms:")
     # the same bool is rejected after the carrier fuzzer built zero delays
     from stc.harness import FuzzConfig, carrier_stream
 

@@ -89,7 +89,7 @@ DOCUMENTS = [
     (
         "producer-not-a-sum",
         _doc(word={"branch": {"producer": [1], "left": [], "right": [], "consumer": []}}),
-        "producer must end at a sum vertex, got int",
+        "at word.branch.producer: must end at a sum vertex, got int",
     ),
     # program._read: literals that do not fit their port type
     ("unit-literal", _carrier("unit", [None, 0]), "at input[1]: expected null for unit, got 0"),
@@ -110,7 +110,18 @@ DOCUMENTS = [
     (
         "params-type-not-a-string",
         _doc(threads=[{"id": 1, "fn": "merge_sum", "params": {"type": 5}}]),
-        "at params.type: port type must be a string",
+        "at threads[0].params.type: port type must be a string",
+    ),
+    (
+        "params-delay-out-of-range",
+        _doc(
+            threads=[
+                {"id": 1, "fn": "counter_add"},
+                {"id": 2, "fn": "delay_identity_ms", "params": {"delay_ms": -1}},
+            ],
+            word=[1, 2],
+        ),
+        "at threads[1].params.delay_ms: delay must be a number from 0 to 1000000000000 ms",
     ),
 ]
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -156,3 +157,38 @@ def test_run_program_rejects_unknown_mode():
     p = gen_random_program(FuzzConfig(seed=2, trials=1))
     with pytest.raises(ValueError):
         run_program(p, "warp")
+
+
+def test_check_program_still_starts_threads_on_a_cpu_only_program(monkeypatch):
+    # stc run keeps a CPU-only program on one thread; the check's runs with
+    # more than one worker must still reach the threaded stream and fission
+    import threading
+
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread, *args, **kwargs):
+        started.append(thread)
+        return real_start(thread, *args, **kwargs)
+
+    doc = {
+        "threads": [
+            {"id": 1, "fn": "counter_add"},
+            {"id": 2, "fn": "scale_by_state", "init_state": 3},
+            {"id": 3, "fn": "add1_tick"},
+        ],
+        "word": [1, 2, 3],
+        "input": list(range(10)),
+        "input_type": "int",
+    }
+    program = parse_program(json.dumps(doc))
+    assert not any(spec.blocking for spec in program.graph.edges.values())
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for mode in ("pipeline", "auto"):
+        run_program(program, mode, workers=4)
+    assert started == []
+    report = check_program(program, Xorshift64Star(1))
+    assert report.equal
+    # auto@4: 3 chunk threads for each of the read-only and product letters;
+    # pipeline@2, @4, @8 and the @8 re-run: 1 + 2 + 2 + 2 group threads
+    assert len(started) == 6 + 7

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -42,6 +43,7 @@ from stc.errors import (
 )
 from stc.harness import (
     FuzzConfig,
+    _all_blocking,
     program_stream,
     run_program,
     verify_classification,
@@ -56,6 +58,28 @@ SUM_II = sum_of(INT_T, INT_T)
 
 def sum_list(*items):
     return v_list(SUM_II, list(items))
+
+
+def _blocking(graph):
+    """``graph`` with every thread marked blocking. The pipeline and auto
+    start threads only for blocking stages, so a test of the threaded
+    stream or of fission runs on this copy."""
+    return build_graph(*(replace(spec, blocking=True) for spec in graph.edges.values()))
+
+
+@contextmanager
+def _thread_starts():
+    """Collect every thread started inside the block."""
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread, *args, **kwargs):
+        started.append(thread)
+        return real_start(thread, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", counting_start)
+        yield started
 
 
 # --- classification ---------------------------------------------------------
@@ -217,11 +241,12 @@ def test_pipeline_repeated_letters_run_segmented():
 
 
 def test_pipeline_small_capacity_backpressure():
-    graph = counter_scale_graph()
+    graph = _blocking(counter_scale_graph())
     xs = int_list(*range(50))
     expect = eval_psi_ref(graph, Word((1, 2)), xs, init_state(graph))
-    got = run_pipeline(graph, Word((1, 2)), xs, init_state(graph), 2, capacity=1)
-    assert got == expect
+    with _thread_starts() as started:
+        got = run_pipeline(graph, Word((1, 2)), xs, init_state(graph), 2, capacity=1)
+    assert got == expect and len(started) == 1
 
 
 def test_pipeline_segment_guard():
@@ -233,18 +258,19 @@ def test_pipeline_segment_guard():
 
 
 def test_pipeline_multiplexes_more_stages_than_workers():
-    graph = build_graph(
+    graph = _blocking(build_graph(
         make_thread(1, "counter_add", v_int(0)),
         make_thread(2, "add1_tick", v_int(0)),
         make_thread(3, "scale_by_state", v_int(2)),
         make_thread(4, "counter_add", v_int(5)),
         make_thread(5, "add1_tick", v_int(1)),
-    )
+    ))
     word = Word((1, 2, 3, 4, 5))
     xs = int_list(*range(25))
     expect = eval_psi_ref(graph, word, xs, init_state(graph))
-    got = run_pipeline(graph, word, xs, init_state(graph), workers=2)
-    assert got == expect
+    with _thread_starts() as started:
+        got = run_pipeline(graph, word, xs, init_state(graph), workers=2)
+    assert got == expect and len(started) == 1
 
 
 class Boom(Exception):
@@ -260,7 +286,7 @@ def _raising(thread_id, at):
             raise Boom(f"thread {thread_id} on {at}")
         return base.transfer(x, sigma)
 
-    return replace(base, transfer=transfer)
+    return replace(base, transfer=transfer, blocking=True)
 
 
 def _raised_within(call, timeout=30.0):
@@ -298,44 +324,51 @@ def test_pipeline_stage_failure_surfaces_and_joins(position, workers):
         _raising(n, 30) if n == position + 1 else make_thread(n, "add1_tick", v_int(0))
         for n in range(1, 6)
     ]
-    graph = build_graph(*specs)
+    graph = _blocking(build_graph(*specs))
     word = Word(tuple(range(1, 6)))
     xs = v_list(INT_T, [v_int(0)] * 200 + [v_int(30 - position)] + [v_int(1)] * 200)
     before = threading.active_count()
-    err = _raised_within(
-        lambda: run_pipeline(graph, word, xs, init_state(graph), workers, capacity=1)
-    )
+    with _thread_starts() as started:
+        err = _raised_within(
+            lambda: run_pipeline(graph, word, xs, init_state(graph), workers, capacity=1)
+        )
     assert isinstance(err, ExecutionError) and str(err) == "pipeline stage failed"
     assert isinstance(err.__cause__, Boom)
+    assert len(started) == workers  # the helper and one thread per group after the first
     assert threading.active_count() == before
 
 
 def test_pipeline_stress_more_workers_than_cores():
     specs = [make_thread(n, ("counter_add", "add1_tick")[n % 2], v_int(n)) for n in range(1, 9)]
-    graph = build_graph(*specs)
+    graph = _blocking(build_graph(*specs))
     word = Word(tuple(range(1, 9)))
     xs = int_list(*range(600))
     expect = eval_psi_ref(graph, word, xs, init_state(graph))
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (3, 8):
-            assert run_pipeline(graph, word, xs, init_state(graph), workers, capacity=2) == expect
+        with _thread_starts() as started:
+            for workers in (3, 8):
+                got = run_pipeline(graph, word, xs, init_state(graph), workers, capacity=2)
+                assert got == expect
     finally:
         sys.setswitchinterval(old)
+    assert len(started) == 2 + 7
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_tiny_lists_at_many_workers_match_reference(n):
-    graph = build_graph(
+    graph = _blocking(build_graph(
         make_thread(1, "counter_add", v_int(0)),
         make_thread(2, "scale_by_state", v_int(3)),
         make_thread(3, "add1_tick", v_int(0)),
-    )
+    ))
     word = Word((1, 2, 3))
     xs = int_list(*range(5, 5 + n))
     expect = eval_psi_ref(graph, word, xs, init_state(graph))
-    assert run_pipeline(graph, word, xs, init_state(graph), 8) == expect
+    with _thread_starts() as started:
+        assert run_pipeline(graph, word, xs, init_state(graph), 8) == expect
+    assert len(started) == 2
     assert eval_auto_word(graph, word, xs, init_state(graph), workers=8) == expect
     for n_id, fast in ((2, run_data_parallel_readonly), (3, run_data_parallel_product)):
         spec = graph.edges[n_id]
@@ -362,31 +395,130 @@ def test_fission_chunk_failure_reraises_original():
     assert threading.active_count() == before
 
 
-def _count_thread_starts(monkeypatch):
-    started = []
-    real_start = threading.Thread.start
-
-    def counting_start(thread, *args, **kwargs):
-        started.append(thread)
-        return real_start(thread, *args, **kwargs)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    return started
-
-
-def test_pipeline_threads_started(monkeypatch):
+def test_pipeline_threads_started():
     specs = [make_thread(n, "counter_add", v_int(n)) for n in range(1, 7)]
-    graph = build_graph(*specs)
-    started = _count_thread_starts(monkeypatch)
+    graph = _blocking(build_graph(*specs))
     xs = int_list(*range(40))
-    run_pipeline(graph, Word((1, 2, 3, 4, 5, 6)), xs, init_state(graph), workers=1)
-    assert len(started) == 0
-    # segments [1,2,3] and [3,4,5,6] after the repeated letter 3
-    word = Word((1, 2, 3, 3, 4, 5, 6))
-    for workers in (2, 3, 8):
-        del started[:]
-        run_pipeline(graph, word, xs, init_state(graph), workers)
-        assert len(started) <= (min(workers, 3) - 1) + (min(workers, 4) - 1)
+    with _thread_starts() as started:
+        run_pipeline(graph, Word((1, 2, 3, 4, 5, 6)), xs, init_state(graph), workers=1)
+        assert len(started) == 0
+        # segments [1,2,3] and [3,4,5,6] after the repeated letter 3
+        word = Word((1, 2, 3, 3, 4, 5, 6))
+        for workers in (2, 3, 8):
+            del started[:]
+            run_pipeline(graph, word, xs, init_state(graph), workers)
+            assert len(started) == (min(workers, 3) - 1) + (min(workers, 4) - 1)
+
+
+# --- blocking-aware cuts --------------------------------------------------------
+
+
+def _delay(thread_id, delay_ms):
+    return make_thread(thread_id, "delay_identity_ms", params={"delay_ms": delay_ms})
+
+
+def test_blocking_hint_comes_from_the_registry():
+    # a builtin blocks exactly when hint sampling must avoid its transfer
+    assert _delay(1, 0.01).blocking and _delay(1, 2).blocking
+    assert not _delay(1, 0).blocking
+    for name in ("counter_add", "scale_by_state", "add1_tick", "branch_even", "merge_sum",
+                 "append_tag"):
+        assert not make_thread(1, name).blocking
+    # a scheduling hint, not semantics: specs equal whatever it says
+    assert replace(_delay(1, 0), blocking=True) == _delay(1, 0)
+
+
+@pytest.mark.parametrize(
+    "workers, cut",
+    [
+        (1, [[1, 2, 3, 4, 5, 6, 7]]),
+        (2, [[1, 2, 3, 4], [5, 6, 7]]),
+        (3, [[1, 2, 3, 4], [5], [6, 7]]),
+        (8, [[1, 2, 3, 4], [5], [6, 7]]),
+    ],
+)
+def test_mixed_word_cut_and_threads(workers, cut):
+    from stc.parallel import _groups
+
+    # letters 2, 5 and 6 block; every other letter joins the group of the
+    # blocking letter before it, and letter 1 the first group
+    specs = [
+        _delay(n, 0.01) if n in (2, 5, 6) else make_thread(n, "counter_add", v_int(n))
+        for n in range(1, 8)
+    ]
+    graph = build_graph(*specs)
+    word = Word(tuple(range(1, 8)))
+    slots = {n: None if n in (2, 5, 6) else n for n in word.letters}
+    groups = _groups(graph, slots, False, [], word.letters, workers)
+    assert [list(fn.args[1]) for fn, _ in groups] == cut
+    assert all(blocks for _, blocks in groups)
+    xs = int_list(*range(12))
+    with _thread_starts() as started:
+        got = run_pipeline(graph, word, xs, init_state(graph), workers)
+    assert got == eval_psi_ref(graph, word, xs, init_state(graph))
+    assert len(started) == len(cut) - 1
+
+
+def test_word_without_a_blocking_letter_is_one_group():
+    from stc.parallel import _groups
+
+    graph = build_graph(_delay(1, 0), make_thread(2, "counter_add", v_int(0)))
+    groups = _groups(graph, {1: None, 2: 0}, False, [], (1, 2), 8)
+    assert [(list(fn.args[1]), blocks) for fn, blocks in groups] == [([1, 2], False)]
+    assert _groups(graph, {}, False, [], (), 8) == []
+
+
+@pytest.mark.parametrize("mode", ["pipeline", "auto"])
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
+def test_cpu_only_programs_start_no_threads(mode, workers):
+    word_graph = build_graph(
+        make_thread(1, "counter_add", v_int(0)),
+        make_thread(2, "scale_by_state", v_int(3)),
+        make_thread(3, "add1_tick", v_int(0)),
+        _delay(4, 0),
+    )
+    xs = int_list(*range(40))
+    programs = [
+        Program(word_graph, Word((1, 2, 3, 4)), xs, INT_T),
+        Program(word_graph, Word((1, 2, 3, 4, 1, 2)), xs, INT_T),  # two segments
+        Program(stream_graph(), STREAM_PROG, xs, INT_T),
+        Program(branch_graph(), branch_prog(), xs, INT_T),
+    ]
+    for program in programs:
+        expect = run_program(program, "seq")
+        with _thread_starts() as started:
+            got = run_program(program, mode, workers=workers)
+        assert got == expect and started == []
+
+
+def test_sleep_branch_threads():
+    # the sleep-branch shape: producer [delay, branch_even], left and right
+    # [delay, delay], consumer [merge_sum, delay]
+    specs = [_delay(n, 0.01) for n in (1, 3, 4, 5, 6, 8)]
+    graph = build_graph(*specs, make_thread(2, "branch_even"), make_thread(7, "merge_sum"))
+    prog = BranchProgram(Word((1, 2)), Word((3, 4)), Word((5, 6)), Word((7, 8)))
+    program = Program(graph, prog, int_list(*range(20)), INT_T)
+    expect = run_program(program, "seq")
+    # pipeline@2: [delay, branch_even], two side stages, [merge_sum, delay];
+    # auto@2: one extra chunk thread for each of the six delays
+    for mode, threads in (("pipeline", 3), ("auto", 6)):
+        with _thread_starts() as started:
+            assert run_program(program, mode, workers=2) == expect
+        assert len(started) == threads, mode
+
+
+def test_auto_threads_only_for_blocking_stages():
+    graph = build_graph(make_thread(1, "scale_by_state", v_int(3)), _delay(2, 0.01))
+    xs = int_list(*range(10))
+    expect = eval_psi_ref(graph, Word((1, 2)), xs, init_state(graph))
+    with _thread_starts() as started:
+        assert eval_auto_word(graph, Word((1, 2)), xs, init_state(graph), workers=4) == expect
+    assert len(started) == 3  # the delay's chunks 1 to 3
+    # the public fast paths keep their explicit worker count
+    spec = graph.edges[1]
+    with _thread_starts() as started:
+        run_data_parallel_readonly(spec, xs, spec.init_state, workers=4)
+    assert len(started) == 3
 
 
 # --- split / join -------------------------------------------------------------
@@ -567,21 +699,27 @@ def _returned_within(call, timeout=30.0):
 
 
 def _stream_matches_reference(graph, prog, xs, workers_list=(1, 2, 4), capacity=16):
+    """Run the branch stream on ``graph`` with every thread marked blocking
+    at each of ``workers_list``; returns the number of stream threads the
+    runs started."""
+    graph = _blocking(graph)
     expect = eval_branch(graph, prog, xs, init_state(graph))
     before = threading.active_count()
-    for workers in workers_list:
-        got = _returned_within(
-            lambda: run_task_parallel_branch(
-                graph, prog, xs, init_state(graph), workers, capacity=capacity
+    with _thread_starts() as started:
+        for workers in workers_list:
+            got = _returned_within(
+                lambda: run_task_parallel_branch(
+                    graph, prog, xs, init_state(graph), workers, capacity=capacity
+                )
             )
-        )
-        assert got == expect, f"workers {workers}"
+            assert got == expect, f"workers {workers}"
     assert threading.active_count() == before
+    return len(started) - len(workers_list)  # less one helper per run
 
 
 def test_branch_stream_capacity_one():
     xs = int_list(*((n * 7919) % 1001 - 500 for n in range(200)))
-    _stream_matches_reference(stream_graph(), STREAM_PROG, xs, (1, 2, 4, 8), capacity=1)
+    assert _stream_matches_reference(stream_graph(), STREAM_PROG, xs, (1, 2, 4, 8), capacity=1)
 
 
 @pytest.mark.parametrize("order", ["left-then-right", "right-then-left"])
@@ -597,12 +735,12 @@ def test_branch_stream_one_sided_runs(order):
         make_thread(9, "counter_add", v_int(0)),
     )
     prog = BranchProgram(Word((3,)), Word((4, 6)), Word((7,)), Word((8, 9)))
-    _stream_matches_reference(graph, prog, int_list(*xs), (1, 2, 4), capacity=1)
+    assert _stream_matches_reference(graph, prog, int_list(*xs), (1, 2, 4), capacity=1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_branch_stream_small_inputs(n):
-    _stream_matches_reference(stream_graph(), STREAM_PROG, int_list(*range(3, 3 + n)))
+    assert _stream_matches_reference(stream_graph(), STREAM_PROG, int_list(*range(3, 3 + n)))
 
 
 @pytest.mark.parametrize(
@@ -622,8 +760,8 @@ def test_branch_stream_empty_words(prog):
         xs = int_list(*range(-4, 9))
     else:
         xs = sum_list(*(v_inl(v_int(n)) if n % 3 else v_inr(v_int(n)) for n in range(-4, 9)))
-    _stream_matches_reference(graph, prog, xs)
-    _stream_matches_reference(graph, prog, v_list(xs.elem, []))
+    for items in (xs, v_list(xs.elem, [])):
+        assert bool(_stream_matches_reference(graph, prog, items)) == bool(prog.letters)
 
 
 def _raising_identity(thread_id, at, raised):
@@ -637,7 +775,7 @@ def _raising_identity(thread_id, at, raised):
             raise raised[-1]
         return base.transfer(x, sigma)
 
-    return replace(base, transfer=transfer)
+    return replace(base, transfer=transfer, blocking=True)
 
 
 @pytest.mark.parametrize(
@@ -655,14 +793,20 @@ def test_branch_stream_failure_reraises_original(failing, at, workers):
         _raising_identity(n, at, raised) if n == failing else make_thread(n, "delay_identity_ms")
         for n in (1, 2, 3, 4, 5, 6, 7)
     ]
-    graph = build_graph(*specs, make_thread(8, "branch_even"), make_thread(9, "merge_sum"))
+    graph = _blocking(
+        build_graph(*specs, make_thread(8, "branch_even"), make_thread(9, "merge_sum"))
+    )
     prog = BranchProgram(Word((1, 8)), Word((2, 3)), Word((4, 5)), Word((9, 6, 7)))
     xs = v_list(INT_T, [v_int(0)] * 200 + [v_int(at)] + [v_int(1)] * 200)
     before = threading.active_count()
-    err = _raised_within(
-        lambda: run_task_parallel_branch(graph, prog, xs, init_state(graph), workers, capacity=1)
-    )
+    with _thread_starts() as started:
+        err = _raised_within(
+            lambda: run_task_parallel_branch(
+                graph, prog, xs, init_state(graph), workers, capacity=1
+            )
+        )
     assert isinstance(err, Boom) and err is raised[0]
+    assert (len(started) > 1) == (workers > 1)  # the helper, then stream threads
     assert threading.active_count() == before
 
 
@@ -683,19 +827,21 @@ def test_branch_stream_earliest_failing_stage_wins(workers):
                 raise raised[thread_id]
             return base.transfer(x, sigma)
 
-        return replace(base, transfer=transfer)
+        return replace(base, transfer=transfer, blocking=True)
 
-    graph = build_graph(
+    graph = _blocking(build_graph(
         failing(1, 1), make_thread(2, "branch_even"), make_thread(3, "delay_identity_ms"),
         make_thread(4, "delay_identity_ms"), make_thread(5, "merge_sum"), failing(6, 0),
-    )
+    ))
     prog = BranchProgram(Word((1, 2)), Word((3,)), Word((4,)), Word((5, 6)))
     xs = int_list(0, 1, 2)
     before = threading.active_count()
-    err = _raised_within(
-        lambda: run_task_parallel_branch(graph, prog, xs, init_state(graph), workers)
-    )
+    with _thread_starts() as started:
+        err = _raised_within(
+            lambda: run_task_parallel_branch(graph, prog, xs, init_state(graph), workers)
+        )
     assert set(raised) == {1, 6} and err is raised[1]
+    assert len(started) > 1  # the helper, then stream threads
     assert threading.active_count() == before
 
 
@@ -712,7 +858,7 @@ def _halting_identity(thread_id, at, raised):
             raise raised[-1]
         return base.transfer(x, sigma)
 
-    return replace(base, transfer=transfer)
+    return replace(base, transfer=transfer, blocking=True)
 
 
 @pytest.mark.parametrize("shape", ["word", "branch"])
@@ -723,7 +869,9 @@ def test_base_exception_failure_propagates_unwrapped(shape, workers):
         _halting_identity(n, 30, raised) if n == 3 else make_thread(n, "delay_identity_ms")
         for n in range(1, 7)
     ]
-    graph = build_graph(*specs, make_thread(8, "branch_even"), make_thread(9, "merge_sum"))
+    graph = _blocking(
+        build_graph(*specs, make_thread(8, "branch_even"), make_thread(9, "merge_sum"))
+    )
     xs = v_list(INT_T, [v_int(0)] * 200 + [v_int(30)] + [v_int(1)] * 200)
     if shape == "word":
         # at 4 workers thread 3 is the third of four groups: [1] [2] [3] [4, 5]
@@ -737,8 +885,10 @@ def test_base_exception_failure_propagates_unwrapped(shape, workers):
             graph, prog, xs, init_state(graph), workers, capacity=1
         )
     before = threading.active_count()
-    err = _raised_within(call)
+    with _thread_starts() as started:
+        err = _raised_within(call)
     assert isinstance(err, Halt) and err is raised[0]
+    assert len(started) > 1  # the helper, then stream threads
     assert threading.active_count() == before
 
 
@@ -754,13 +904,17 @@ def test_last_stage_failure_stops_the_first_stage_early():
         return first.transfer(x, sigma)
 
     raised = []
-    graph = build_graph(replace(first, transfer=counted), _raising_identity(2, 10, raised))
+    graph = build_graph(
+        replace(first, transfer=counted, blocking=True), _raising_identity(2, 10, raised)
+    )
     xs = int_list(*range(5000))
     before = threading.active_count()
-    err = _raised_within(
-        lambda: run_pipeline(graph, Word((1, 2)), xs, init_state(graph), 2, capacity=capacity)
-    )
+    with _thread_starts() as started:
+        err = _raised_within(
+            lambda: run_pipeline(graph, Word((1, 2)), xs, init_state(graph), 2, capacity=capacity)
+        )
     assert isinstance(err, ExecutionError) and err.__cause__ is raised[0]
+    assert len(started) == 2  # the helper and the second group
     # once the last stage fails, the first has computed at most elements
     # 0..9, the failing batch, one batch in the channel and the batch it
     # fills before its next hand-off
@@ -773,34 +927,44 @@ def test_branch_stream_stress_tiny_switch_interval():
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        _stream_matches_reference(stream_graph(), STREAM_PROG, xs, (2, 3, 8), capacity=2)
+        started = _stream_matches_reference(stream_graph(), STREAM_PROG, xs, (2, 3, 8), capacity=2)
     finally:
         sys.setswitchinterval(old)
+    assert started
 
 
-def test_branch_stream_workers_one_starts_no_thread(monkeypatch):
+def test_branch_stream_workers_one_starts_no_thread():
     graph = stream_graph()
+    xs = int_list(*range(40))
     before = threading.active_count()
-    started = _count_thread_starts(monkeypatch)
-    expect = eval_branch(graph, STREAM_PROG, int_list(*range(40)), init_state(graph))
-    got = run_task_parallel_branch(graph, STREAM_PROG, int_list(*range(40)), init_state(graph), 1)
-    assert got == expect and started == []
-    # at 2 workers: producer 2 groups, 2 side stages, consumer 2 groups
-    run_task_parallel_branch(graph, STREAM_PROG, int_list(*range(40)), init_state(graph), 2)
-    assert len(started) == 5
+    expect = eval_branch(graph, STREAM_PROG, xs, init_state(graph))
+    with _thread_starts() as started:
+        got = run_task_parallel_branch(graph, STREAM_PROG, xs, init_state(graph), 1)
+        assert got == expect and started == []
+        # no letter blocks: one fused stage at 2 workers too
+        run_task_parallel_branch(graph, STREAM_PROG, xs, init_state(graph), 2)
+        assert started == []
+        # every letter blocks, at 2 workers: producer 2 groups, 2 side
+        # stages, consumer 2 groups
+        graph = _blocking(graph)
+        assert run_task_parallel_branch(graph, STREAM_PROG, xs, init_state(graph), 1) == expect
+        assert started == []
+        assert run_task_parallel_branch(graph, STREAM_PROG, xs, init_state(graph), 2) == expect
+        assert len(started) == 5
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_flags_ignored_in_join_mutation_diverges(workers):
-    graph = branch_graph()
+    graph = _blocking(branch_graph())
     xs = int_list(*range(20))  # alternating even/odd
     expect = eval_branch(graph, branch_prog(), xs, init_state(graph))
     before = threading.active_count()
-    with mutations.enable("flags-ignored-in-join"):
+    with mutations.enable("flags-ignored-in-join"), _thread_starts() as started:
         got = _returned_within(
             lambda: run_task_parallel_branch(graph, branch_prog(), xs, init_state(graph), workers)
         )
+    assert len(started) > 1  # the helper, then stream threads
     assert threading.active_count() == before
     payloads = [sorted(v.payload for v in out.payload) for out in (got[0], expect[0])]
     assert got[0] != expect[0] and payloads[0] == payloads[1]
@@ -906,7 +1070,7 @@ def test_branch_modes_honour_check(mode, fn):
 def test_repeated_runs_identical():
     stream = program_stream(FuzzConfig(seed=23, trials=1))
     for _ in range(10):
-        p = next(stream)
+        p = _all_blocking(next(stream))
         first = run_program(p, "pipeline", workers=4)
         for workers in (1, 4):
             for _ in range(3):
