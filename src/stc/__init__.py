@@ -44,7 +44,6 @@ from .model import (
 )
 from .parallel import (
     BranchProgram,
-    classify_thread,
     eval_auto_word,
     eval_branch,
     eval_branch_elementwise,

@@ -125,6 +125,8 @@ def _print_check_table(program: Program, trial, hints_ok: bool = True) -> None:
 
 def cmd_bench(args) -> int:
     """Median wall time of a delay-stage chain, sequential vs pipelined."""
+    from .parallel import plan_pipeline
+
     specs = [
         make_thread(i, "delay_identity_ms", params={"delay_ms": args.delay_ms})
         for i in range(1, args.stages + 1)
@@ -133,7 +135,7 @@ def cmd_bench(args) -> int:
     word = Word(tuple(range(1, args.stages + 1)))
     xs = v_list(INT_T, [v_int(i) for i in range(args.list_len)])
     program = Program(graph, word, xs, INT_T)
-
+    plan_pipeline(graph, word, workers=args.workers)  # a bad --workers fails before any output
     print("mode,stages,list_len,delay_ms,wall_ms")
     for mode in ("seq", "pipeline"):
         times = []

@@ -41,6 +41,8 @@ from .model import Multigraph, RawStep, StateStore, boxed_store, raw_slots, raw_
 from .values import PortType, Tag, Value, box_list, boxer, unboxer
 
 Slots = Dict[int, Any]
+# the letters of a word, each with its raw step, in application order
+Steps = List[Tuple[int, RawStep]]
 Core = Callable[[Sequence[Any], Slots], Tuple[Sequence[Any], Slots]]
 
 
@@ -174,15 +176,23 @@ def map_letter(step: RawStep, values: Sequence[Any], sigma: Any) -> Tuple[List[A
     return staged, sigma
 
 
-def element_steps(graph: Multigraph, letters: Sequence[int], check: bool) -> List[Tuple[int, RawStep]]:
+def element_steps(graph: Multigraph, letters: Sequence[int], check: bool) -> Steps:
     return [(n, raw_step(graph.edges[n], check)) for n in letters]
 
 
-def run_element(steps: List[Tuple[int, RawStep]], slots: Slots, v: Any) -> Any:
+def run_element(steps: Steps, slots: Slots, v: Any) -> Any:
     """One element through every letter, updating ``slots`` in place."""
     for n, step in steps:
         v, slots[n] = step(v, slots[n])
     return v
+
+
+def run_stagewise(steps: Steps, slots: Slots, values: Sequence[Any]) -> Sequence[Any]:
+    """The list twin of ``run_element``: each letter maps over the whole
+    list before the next letter runs, updating ``slots`` in place."""
+    for n, step in steps:
+        values, slots[n] = map_letter(step, values, slots[n])
+    return values
 
 
 def eval_phi(
@@ -204,9 +214,7 @@ def eval_phi(
 def _psi(
     graph: Multigraph, word: Word, items: Sequence[Any], slots: Slots, check: bool = False
 ) -> Tuple[Sequence[Any], Slots]:
-    for n in word.letters:
-        items, slots[n] = map_letter(raw_step(graph.edges[n], check), items, slots[n])
-    return items, slots
+    return run_stagewise(element_steps(graph, word.letters, check), slots, items), slots
 
 
 def _interleaved(

@@ -78,7 +78,6 @@ from .model import (
 )
 from .parallel import (
     BranchProgram,
-    classify_thread,
     run_data_parallel_product,
     run_data_parallel_readonly,
     split,
@@ -208,7 +207,7 @@ def verify_classification(
     same claim: same builtin, canonical params and hint. Any other thread
     is sampled through its own functions, every time.
     """
-    kind = classify_thread(spec)
+    kind = spec.kind
     if kind is StageKind.GENERAL:
         return True
     claim = builtin_claim(spec)
@@ -660,7 +659,7 @@ def _check_fast_paths(program: Program, word: Word) -> Optional[Divergence]:
     for n in word.letters:
         spec = graph.edges[n]
         expect, st_ref = eval_psi_ref(graph, Word((n,)), current, state)
-        fast = _FAST_PATHS.get(classify_thread(spec))
+        fast = _FAST_PATHS.get(spec.kind)
         if fast is not None:
             got, sigma = fast(spec, current, state.get(n))
             if got != expect or sigma != st_ref.get(n):

@@ -14,14 +14,21 @@ store. Determinism comes from structure, not luck:
   of the blocking letter before it, or the first group if none comes
   before it. A segment with no blocking letter is one group on the
   calling thread and starts no thread.
-* A group pushes each element through all of its letters before handing
-  it on, and exclusively owns those letters' state slots in a
-  ``{letter: state}`` dict of its own, so the value/state produced for
-  the i-th element of any stage depends only on upstream FIFO order,
-  never on scheduling, and never on the cut. The calling thread runs the
-  first group; the last group writes the output list; the groups between
-  are linked by bounded FIFO channels that carry batches of elements.
-* Batches are adaptive: a group hands over its buffer as soon as the
+* Every stream stage maps a list to a list. A group maps its letters
+  over its list one letter at a time (``run_stagewise``) and exclusively
+  owns those letters' state slots in a ``{letter: state}`` dict of its
+  own. For letters that do not repeat this equals pushing each element
+  through all of them in turn, the equivalence that licenses
+  pipelining. So a stream with one stage, such as every segment or
+  branch that starts no thread, maps its whole input in one call, as
+  ``seq`` does.
+* In a stream of several stages the calling thread runs the first
+  stage, the last one writes the output list, and bounded FIFO channels
+  that carry batches of elements link them. Each stage is called once
+  per element, so a slow stage hands each element on at once, and the
+  value/state produced for the i-th element of any stage depends only on
+  upstream FIFO order, never on scheduling, and never on the cut.
+* Batches are adaptive: a stage hands over its buffer as soon as the
   next channel is empty, when the buffer reaches ``_BATCH`` elements, or
   when its own input batch ends. It never waits for a batch to fill, so
   slow (sleep-bound) stages still pass elements on one at a time while
@@ -32,6 +39,10 @@ store. Determinism comes from structure, not luck:
   the sentinel; a stage that sees a recorded failure after a hand-off
   stops computing and drains too. Every consumer drains and every
   producer closes, so plain blocking puts and gets cannot hang.
+* Threads start from the last stage (or chunk) to the first. If one
+  cannot start, the first stage that did start gets the sentinel, and
+  the run raises ``ExecutionError`` once the started threads are joined.
+  A run may ask for at most ``MAX_WORKERS`` workers.
 * Once all groups have finished, their state dicts are merged back into
   the store.
 * The read-only and product fast paths split their map into contiguous
@@ -40,13 +51,13 @@ store. Determinism comes from structure, not luck:
   fast paths honour the ``workers`` they are given.
 * A branch program under ``pipeline`` is one linear stream over the
   sum-tagged elements: the producer's groups, then side stages, then the
-  consumer's groups, each word cut as above. Side stage k applies the
-  left word's group k to an inl element and the right word's group k to
-  an inr element, keeping the tag, so FIFO order alone keeps the output
-  in place; nothing is split, flagged or rejoined. A stage that holds no
-  blocking letter is fused into a neighbouring stage, so a branch with
-  no blocking letter, like any branch at ``workers`` 1, is one stage on
-  the calling thread.
+  consumer's groups, each word cut as above. Side stage k splits its
+  list, maps the left word's group k over the inl payloads and the right
+  word's group k over the inr ones, and joins them back by the flags
+  (``_split`` and ``_join``, as ``eval_branch`` does), so FIFO order
+  keeps the output in place. A stage that holds no blocking letter is
+  fused into a neighbouring stage, so a branch with no blocking letter,
+  like any branch at ``workers`` 1, is one stage on the calling thread.
 
 Words with repeated letters cannot be pipelined in one piece; they run
 segment by segment (a barrier between segments), with each duplicate-free
@@ -54,10 +65,10 @@ segment pipelined on its own.
 
 Every executor here runs on raw values (see ``values``): elements, the
 batches on the channels and the per-group state dicts hold no ``Value``.
-A sum element is an ``Inl``/``Inr`` wrapper, so the side stages and the
-join point test its Python type. The public functions box only at their
-edges through ``composition.run_boxed``; ``split`` and ``join`` keep
-their boxed signatures for callers outside the engine.
+A sum element is an ``Inl``/``Inr`` wrapper, so ``_split`` tests its
+Python type. The public functions box only at their edges through
+``composition.run_boxed``; ``split`` and ``join`` keep their boxed
+signatures for callers outside the engine.
 """
 
 from __future__ import annotations
@@ -79,6 +90,7 @@ from .composition import (
     map_letter,
     run_boxed,
     run_element,
+    run_stagewise,
     segment_word,
     smap_check,
     unbox_input,
@@ -120,16 +132,10 @@ from .values import (
 # upper bound on the elements one channel message carries
 _BATCH = 64
 
-
-def classify_thread(spec: ThreadSpec) -> StageKind:
-    """The declared execution class of a thread.
-
-    Classification comes from the builtin registry hint; a thread without
-    a hint is GENERAL. Sampling-based inference would be unsound (a
-    finite sample cannot prove the state is never written), so no
-    inference is attempted here.
-    """
-    return spec.kind
+# The most workers a run may ask for. Each worker past the first may be
+# a thread, so a bound keeps hostile input away from the OS thread limit;
+# under the GIL more threads than blocking stages or chunks gain nothing.
+MAX_WORKERS = 64
 
 
 def run_data_parallel_readonly(
@@ -140,7 +146,7 @@ def run_data_parallel_readonly(
     Every element sees the same state value, so the map is order
     independent and may fan out across ``workers`` threads.
     """
-    if classify_thread(spec) is not StageKind.READ_ONLY:
+    if spec.kind is not StageKind.READ_ONLY:
         raise ValidationError(f"thread {spec.id} is not read-only")
     items = unbox_input(xs, spec.src)
     sigma_raw = unbox_state(sigma, spec.state_type)
@@ -154,7 +160,7 @@ def run_data_parallel_product(
     """Evaluate a product thread as an ordinary map plus an iterated
     state update: the output never reads the state and the state never
     reads the elements, so the two halves are independent."""
-    if classify_thread(spec) is not StageKind.PRODUCT:
+    if spec.kind is not StageKind.PRODUCT:
         raise ValidationError(f"thread {spec.id} is not a product thread")
     items = unbox_input(xs, spec.src)
     sigma_raw = unbox_state(sigma, spec.state_type)
@@ -196,6 +202,7 @@ def _fission(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> Li
 
     A failing chunk re-raises its original exception; when several fail,
     the first chunk's wins, so the error does not depend on scheduling.
+    A chunk thread that cannot start raises ``ExecutionError``.
     """
     k = min(workers, len(items))
     if k <= 1:
@@ -207,19 +214,44 @@ def _fission(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> Li
     def run(c: int) -> None:
         try:
             chunks[c] = list(map(fn, items[cuts[c]:cuts[c + 1]]))
-        except BaseException as exc:  # re-raised by the caller below
+        except BaseException as exc:  # re-raised by _launch
             failed[c] = exc
 
-    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, k)]
-    for t in threads:
-        t.start()
+    _launch(run, failed)
+    return [y for chunk in chunks for y in chunk]
+
+
+def _launch(
+    run: Callable[[int], None], failed: List[Optional[BaseException]],
+    inboxes: Sequence[queue.Queue] = (),
+) -> None:
+    """Run tasks ``0..len(failed) - 1``: task 0 on the calling thread and
+    every other on a thread of its own, started from the last to the
+    first. ``run(i)`` records its exception in ``failed[i]``; once every
+    thread has been joined, the earliest task's exception is re-raised.
+
+    If a thread cannot start, no task below it runs: task ``i + 1``, the
+    first that did start, gets the ``None`` sentinel in ``inboxes[i]``
+    (when it has one), the started threads are joined, and the failure is
+    raised as ``ExecutionError``."""
+    threads = []
+    for i in range(len(failed) - 1, 0, -1):
+        t = threading.Thread(target=run, args=(i,))
+        try:
+            t.start()
+        except RuntimeError as exc:
+            if i < len(inboxes):
+                inboxes[i].put(None)
+            for started in threads:
+                started.join()
+            raise ExecutionError(f"could not start a thread: {exc}") from exc
+        threads.append(t)
     run(0)
     for t in threads:
         t.join()
     for exc in failed:
         if exc is not None:
             raise exc
-    return [y for chunk in chunks for y in chunk]
 
 
 def _split(items: Sequence[Any]) -> Tuple[List[Any], List[Any], Tuple[bool, ...]]:
@@ -270,8 +302,8 @@ def join(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
     return box_list(sum_of(bs.elem, cs.elem), out)
 
 
-# one stage of a stream: takes a raw element, returns the one it hands on
-Stage = Callable[[Any], Any]
+# one stage of a stream: maps a list of raw elements to the list it hands on
+Stage = Callable[[Sequence[Any]], List[Any]]
 
 
 def _state_dropped(step: RawStep) -> RawStep:
@@ -300,7 +332,7 @@ def _groups(
 ) -> List[Tuple[Stage, bool]]:
     """``letters`` cut by ``_spans`` into fused groups, each paired with
     whether it holds a blocking letter; no group when ``letters`` is
-    empty. A group is ``run_element`` over its letters and a
+    empty. A group is ``run_stagewise`` over its letters and a
     ``{letter: state}`` dict it owns; each dict goes onto ``owned`` for
     the read-back."""
     if mutations.enabled("stage-order-swapped") and len(letters) >= 2:
@@ -314,7 +346,7 @@ def _groups(
             steps = [(n, _state_dropped(step)) for n, step in steps]
         st = {n: slots[n] for n in part}
         owned.append(st)
-        groups.append((partial(run_element, steps, st), any(blocking[a:b])))
+        groups.append((partial(run_stagewise, steps, st), any(blocking[a:b])))
     return groups
 
 
@@ -327,10 +359,12 @@ def _read_back(slots: Slots, owned) -> Slots:
 
 
 def _stream(stages: Sequence[Stage], values: Sequence[Any], capacity: int) -> List[Any]:
-    """Push ``values`` through ``stages`` in order. The calling thread runs
-    the first stage and every other stage gets a thread of its own, linked
-    by bounded FIFO channels of ``capacity`` adaptive batches; one stage
-    is a plain map on the caller.
+    """Push ``values`` through ``stages`` in order. A lone stage maps the
+    whole list at once on the calling thread. Otherwise the calling thread
+    runs the first stage and every other stage gets a thread of its own,
+    linked by bounded FIFO channels of ``capacity`` adaptive batches; each
+    stage then maps one element at a time, so a slow stage hands each
+    element on at once.
 
     Each stage closes its output channel with the ``None`` sentinel, also
     when it fails. A stage that fails, or that sees a recorded failure
@@ -339,14 +373,17 @@ def _stream(stages: Sequence[Stage], values: Sequence[Any], capacity: int) -> Li
     has been joined, a failure re-raises the original exception of the
     earliest failing stage in stage order."""
     k = len(stages)
-    if k == 0:
-        return list(values)
+    if k <= 1:
+        return stages[0](values) if stages else list(values)
+    each = [lambda v, fn=fn: fn([v])[0] for fn in stages]
     chans = [queue.Queue(maxsize=capacity) for _ in range(k - 1)]
     failed: List[Optional[BaseException]] = [None] * k
     out: List[Any] = []
 
-    def run_stage(g: int, batches) -> None:
-        fn = stages[g]
+    def run_stage(g: int) -> None:
+        fn = each[g]
+        # an iterator, so that a drain resumes where the stage stopped
+        batches = iter(chans[g - 1].get, None) if g else iter((values,))
         try:
             if g == k - 1:
                 for batch in batches:
@@ -366,7 +403,7 @@ def _stream(stages: Sequence[Stage], values: Sequence[Any], capacity: int) -> Li
                             return
                 if buf:
                     outq.put(buf)
-        except BaseException as exc:  # re-raised by the caller below
+        except BaseException as exc:  # re-raised by _launch
             failed[g] = exc
         finally:
             if g < k - 1:
@@ -374,19 +411,7 @@ def _stream(stages: Sequence[Stage], values: Sequence[Any], capacity: int) -> Li
             for _ in batches:
                 pass
 
-    threads = [
-        threading.Thread(target=run_stage, args=(g, iter(chans[g - 1].get, None)))
-        for g in range(1, k)
-    ]
-    for t in threads:
-        t.start()
-    # an iterator, so that a drain resumes where the stage stopped
-    run_stage(0, iter((values,)))
-    for t in threads:
-        t.join()
-    for exc in failed:
-        if exc is not None:
-            raise exc
+    _launch(run_stage, failed, chans)
     return out
 
 
@@ -447,7 +472,8 @@ def run_pipeline(
     over at most ``workers`` groups. The caller runs the first group and
     every other group gets a thread of its own; elements stream between
     groups in batches over bounded FIFO channels that hold ``capacity``
-    batches. A segment without a blocking letter starts no thread.
+    batches. A segment without a blocking letter starts no thread: it is
+    one group that maps its whole list letter by letter, as ``seq`` does.
 
     Words with repeated letters run as consecutive duplicate-free
     segments with a barrier in between. A single-letter segment is a
@@ -460,6 +486,8 @@ def run_pipeline(
 def _positive(workers: int) -> int:
     if workers < 1:
         raise ValidationError("workers must be a positive integer")
+    if workers > MAX_WORKERS:
+        raise ValidationError(f"workers must be at most {MAX_WORKERS}")
     return workers
 
 
@@ -617,33 +645,25 @@ def plan_branch_elementwise(graph: Multigraph, prog: BranchProgram, check: bool 
     return Plan(prog.letters, vb.src, vb.tgt, core)
 
 
-def _side_stage(left: Optional[Stage], right: Optional[Stage]) -> Stage:
-    """Apply ``left`` to an inl element's payload and ``right`` to an inr
-    one's, keeping the tag; a side without a group (None) passes as is."""
-
-    def apply(v: Any) -> Any:
-        if type(v) is Inl:
-            return v if left is None else Inl(left(v.value))
-        return v if right is None else Inr(right(v.value))
-
-    return apply
+def _side_stage(left: Stage, right: Stage, values: Sequence[Any]) -> List[Any]:
+    """Split a list of sum elements, map ``left`` over the inl payloads
+    and ``right`` over the inr ones, and join them back by the flags."""
+    lefts, rights, flags = _split(values)
+    return _join(left(lefts), right(rights), flags)
 
 
 def _fused(stages: Sequence[Tuple[Stage, bool]], workers: int) -> List[Stage]:
     """One stream stage per blocking stage of ``stages``, with each
     non-blocking stage fused into a neighbour by ``_spans``; one stage
     in all at ``workers`` 1 or when none blocks."""
-    fused: List[Stage] = []
-    for a, b in _spans([blocks for _, blocks in stages], 1 if workers == 1 else len(stages)):
-        fns = [fn for fn, _ in stages[a:b]]
-        fused.append(fns[0] if len(fns) == 1 else partial(_chain, fns))
-    return fused
+    spans = _spans([blocks for _, blocks in stages], 1 if workers == 1 else len(stages))
+    return [partial(_chain, [fn for fn, _ in stages[a:b]]) for a, b in spans]
 
 
-def _chain(fns: Sequence[Stage], v: Any) -> Any:
+def _chain(fns: Sequence[Stage], values: Sequence[Any]) -> List[Any]:
     for fn in fns:
-        v = fn(v)
-    return v
+        values = fn(values)
+    return values
 
 
 def _branch_stream(
@@ -658,9 +678,10 @@ def _branch_stream(
     owned: list = []
     cut = partial(_groups, graph, slots, check, owned, workers=workers)
     producer, left, right, consumer = (w.letters for w in prog.words())
+    # a side with fewer groups passes its payloads on as they are
     sides = [
-        (_side_stage(lf, rf), lb or rb)
-        for (lf, lb), (rf, rb) in zip_longest(cut(left), cut(right), fillvalue=(None, False))
+        (partial(_side_stage, lf, rf), lb or rb)
+        for (lf, lb), (rf, rb) in zip_longest(cut(left), cut(right), fillvalue=(list, False))
     ]
     pre = cut(producer) + sides
     post = cut(consumer)
@@ -688,11 +709,11 @@ def run_task_parallel_branch(
     sum-tagged elements: the producer's groups, then side stages pairing
     the left and right words' groups, then the consumer's groups, each
     word cut by the blocking hint as ``run_pipeline`` cuts a segment. A
-    stage without a blocking letter is fused into a neighbour. No split
-    list, flag list or join is built; FIFO order alone keeps the output
-    bit-exactly that of ``eval_branch``. At ``workers`` 1, or without a
-    blocking letter, the whole branch is one fused group on the calling
-    thread."""
+    stage without a blocking letter is fused into a neighbour. A side
+    stage splits its list, maps each side and joins them by the flags, so
+    the output is bit-exactly that of ``eval_branch``. At ``workers`` 1,
+    or without a blocking letter, the whole branch is one fused stage on
+    the calling thread and runs as ``eval_branch`` does, word by word."""
     return run_boxed(graph, xs, state, plan_branch_stream(graph, prog, workers, capacity, check))
 
 
@@ -717,12 +738,11 @@ def _auto(
 ) -> Tuple[Sequence[Any], Slots]:
     for n in word.letters:
         spec = graph.edges[n]
-        kind = classify_thread(spec)
         # under the GIL only chunks that block can overlap
         w = workers if spec.blocking else 1
-        if kind is StageKind.READ_ONLY:
+        if spec.kind is StageKind.READ_ONLY:
             items = _readonly_map(spec, items, slots[n], w, check)
-        elif kind is StageKind.PRODUCT:
+        elif spec.kind is StageKind.PRODUCT:
             items, slots[n] = _product_map(spec, items, slots[n], w, check)
         else:
             items, slots[n] = map_letter(raw_step(spec, check), items, slots[n])

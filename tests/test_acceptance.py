@@ -18,7 +18,6 @@ from stc import (
     StageKind,
     Word,
     build_graph,
-    classify_thread,
     eval_psi_ref,
     init_state,
     join,
@@ -161,7 +160,7 @@ def test_fast_paths_100_programs(capsys):
         spec = make_thread(1, fn, None if fn == "branch_even" else init)
         graph = build_graph(spec)
         expect, st = eval_psi_ref(graph, Word((1,)), xs, init_state(graph))
-        kind = classify_thread(spec)
+        kind = spec.kind
         if kind is StageKind.READ_ONLY:
             got, sigma = run_data_parallel_readonly(spec, xs, init_state(graph).get(1))
         else:

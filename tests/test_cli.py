@@ -310,6 +310,18 @@ def test_bench_csv_shape(capsys):
         assert float(cells[4]) > 0
 
 
+@pytest.mark.parametrize(
+    "workers, message",
+    [("0", "workers must be a positive integer"), ("65", "workers must be at most 64")],
+)
+def test_bench_rejects_workers_before_any_output(capsys, workers, message):
+    argv = ["bench", "--stages", "1", "--list-len", "2", "--delay-ms", "1", "--workers", workers]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: {message}\n"
+
+
 def test_dot_output(counter_file, capsys):
     assert main(["dot", counter_file]) == 0
     out = capsys.readouterr().out

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import groupby
 
 import pytest
 
@@ -15,7 +17,6 @@ from stc import (
     StageKind,
     Word,
     build_graph,
-    classify_thread,
     eval_branch,
     eval_branch_elementwise,
     eval_auto_word,
@@ -49,7 +50,8 @@ from stc.harness import (
     verify_classification,
 )
 from stc import mutations
-from stc.parallel import plan_branch
+from stc.cli import main
+from stc.parallel import MAX_WORKERS, plan_branch
 from stc.program import Program
 from conftest import counter_scale_graph, int_list
 
@@ -86,18 +88,18 @@ def _thread_starts():
 
 
 def test_classify_counter_is_general():
-    assert classify_thread(make_thread(1, "counter_add")) is StageKind.GENERAL
+    assert make_thread(1, "counter_add").kind is StageKind.GENERAL
 
 
 def test_classify_scale_is_read_only_and_holds_up(rng):
     spec = make_thread(1, "scale_by_state", v_int(3))
-    assert classify_thread(spec) is StageKind.READ_ONLY
+    assert spec.kind is StageKind.READ_ONLY
     assert verify_classification(spec, rng, trials=1000)
 
 
 def test_classify_add1_tick_is_product_and_holds_up(rng):
     spec = make_thread(1, "add1_tick", v_int(0))
-    assert classify_thread(spec) is StageKind.PRODUCT
+    assert spec.kind is StageKind.PRODUCT
     assert verify_classification(spec, rng, trials=1000)
 
 
@@ -106,7 +108,7 @@ def test_general_hint_is_not_sampled(rng):
         raise AssertionError("a GENERAL thread's transfer was sampled")
 
     spec = replace(make_thread(1, "counter_add"), transfer=boom)
-    assert classify_thread(spec) is StageKind.GENERAL
+    assert spec.kind is StageKind.GENERAL
     state = rng.state
     assert verify_classification(spec, rng)
     assert rng.state == state
@@ -1062,6 +1064,166 @@ def test_branch_modes_honour_check(mode, fn):
     run_program(program, mode, workers=2)
     with pytest.raises(PortTypeError):
         run_program(program, mode, workers=2, check=True)
+
+
+# --- stage-wise streams ----------------------------------------------------------
+
+
+def _recorded(graph, seen):
+    """``graph`` with every transfer appending its thread id to ``seen``."""
+
+    def recording(spec):
+        def transfer(x, sigma):
+            seen.append(spec.id)
+            return spec.transfer(x, sigma)
+
+        return replace(spec, transfer=transfer)
+
+    return build_graph(*(recording(spec) for spec in graph.edges.values()))
+
+
+@pytest.mark.parametrize(
+    "shape, workers, blocking",
+    [("word", 1, True), ("word", 2, False), ("branch", 1, True), ("branch", 2, False)],
+    ids=["word-w1-blocking", "word-w2-cpu-only", "branch-w1-blocking", "branch-w2-cpu-only"],
+)
+def test_lone_stage_stream_runs_stage_wise(shape, workers, blocking):
+    # a stream with one stage maps each letter over the whole list before
+    # the next letter sees any element, in the order seq calls them
+    if shape == "word":
+        graph, word = build_graph(
+            make_thread(1, "counter_add", v_int(0)),
+            make_thread(2, "scale_by_state", v_int(3)),
+            make_thread(3, "add1_tick", v_int(0)),
+        ), Word((1, 2, 3))
+    else:
+        graph, word = stream_graph(), STREAM_PROG
+    seen = []
+    graph = _recorded(_blocking(graph) if blocking else graph, seen)
+    program = Program(graph, word, int_list(*range(12)), INT_T)
+    expect = run_program(program, "seq")
+    stage_wise = list(seen)
+    # under seq the calls of each letter form one contiguous run
+    assert len([n for n, _ in groupby(stage_wise)]) == len(set(stage_wise))
+    del seen[:]
+    with _thread_starts() as started:
+        assert run_program(program, "pipeline", workers=workers) == expect
+    assert started == [] and seen == stage_wise
+
+
+# --- thread limits -----------------------------------------------------------------
+
+
+BLOCKING_WORD = {
+    "threads": [
+        {"id": n, "fn": "delay_identity_ms", "params": {"delay_ms": 1}} for n in (1, 2, 3)
+    ],
+    "word": [1, 2, 3],
+    "input": list(range(8)),
+    "input_type": "int",
+}
+
+# producer [delay, branch_even], left and right [delay, delay], consumer
+# [merge_sum, delay]
+SLEEP_BRANCH = {
+    "threads": [
+        {"id": n, "fn": "delay_identity_ms", "params": {"delay_ms": 1}} for n in (1, 3, 4, 5, 6, 8)
+    ] + [{"id": 2, "fn": "branch_even"}, {"id": 7, "fn": "merge_sum"}],
+    "word": {"branch": {"producer": [1, 2], "left": [3, 4], "right": [5, 6], "consumer": [7, 8]}},
+    "input": list(range(8)),
+    "input_type": "int",
+}
+
+
+def _program_file(tmp_path, doc):
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("doc", [BLOCKING_WORD, SLEEP_BRANCH], ids=["word", "branch"])
+@pytest.mark.parametrize("mode", ["pipeline", "auto"])
+def test_workers_above_max_start_no_threads(tmp_path, capsys, doc, mode):
+    path = _program_file(tmp_path, doc)
+    with _thread_starts() as started:
+        assert main(["run", path, "--mode", mode, "--workers", str(MAX_WORKERS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: workers must be at most {MAX_WORKERS}\n"
+    assert started == []
+    # the bound itself is allowed
+    assert main(["run", path, "--mode", mode, "--workers", str(MAX_WORKERS)]) == 0
+
+
+def test_api_rejects_workers_above_max():
+    graph = counter_scale_graph()
+    xs = int_list(1)
+    tick = make_thread(1, "add1_tick")
+    calls = [
+        lambda: run_pipeline(graph, Word((1, 2)), xs, init_state(graph), MAX_WORKERS + 1),
+        lambda: eval_auto_word(graph, Word((1, 2)), xs, init_state(graph), MAX_WORKERS + 1),
+        lambda: run_task_parallel_branch(
+            branch_graph(), branch_prog(), xs, init_state(branch_graph()), MAX_WORKERS + 1
+        ),
+        lambda: plan_branch(branch_graph(), branch_prog(), auto_workers=MAX_WORKERS + 1),
+        lambda: run_data_parallel_readonly(graph.edges[2], xs, v_int(3), MAX_WORKERS + 1),
+        lambda: run_data_parallel_product(tick, xs, v_int(0), MAX_WORKERS + 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"^workers must be at most {MAX_WORKERS}$"):
+            call()
+
+
+@contextmanager
+def _failing_start(n):
+    """Make the ``n``-th ``Thread.start`` inside the block raise, as it
+    does when the OS cannot start another thread; collect every call."""
+    calls = []
+    real_start = threading.Thread.start
+
+    def start(thread, *args, **kwargs):
+        calls.append(thread)
+        if len(calls) == n:
+            raise RuntimeError("can't start new thread")
+        return real_start(thread, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", start)
+        yield calls
+
+
+@pytest.mark.parametrize(
+    "doc, mode, workers, starts",
+    [
+        (BLOCKING_WORD, "pipeline", 3, 2),  # groups [1] [2] [3]
+        (SLEEP_BRANCH, "pipeline", 2, 3),  # four stages, as in test_sleep_branch_threads
+        (BLOCKING_WORD, "auto", 3, 6),  # two chunk threads per delay
+        (SLEEP_BRANCH, "auto", 2, 6),  # one chunk thread per delay
+    ],
+    ids=["pipeline-word", "branch-stream", "auto-word", "auto-branch"],
+)
+def test_thread_start_failure_exits_3(tmp_path, capsys, doc, mode, workers, starts):
+    path = _program_file(tmp_path, doc)
+    argv = ["run", path, "--mode", mode, "--workers", str(workers)]
+    assert main(argv) == 0
+    expect = capsys.readouterr().out
+    before = threading.active_count()
+    for n in range(1, starts + 2):
+
+        def call():
+            with _failing_start(n) as calls:
+                return main(argv), len(calls)
+
+        rc, calls = _returned_within(call, timeout=10.0)
+        captured = capsys.readouterr()
+        assert threading.active_count() == before, f"start {n}"
+        if n <= starts:
+            # no thread starts after the one that failed
+            assert (rc, calls, captured.out) == (3, n, ""), f"start {n}"
+            assert captured.err.startswith("runtime error: ")
+            assert captured.err.count("\n") == 1
+        else:
+            assert (rc, calls, captured.out) == (0, starts, expect)
 
 
 # --- determinism ----------------------------------------------------------------
