@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import statistics
 import sys
 import time
 from typing import Optional, Sequence
@@ -143,7 +142,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             run_program(program, mode, workers=args.workers)
             times.append((time.perf_counter() - t0) * 1000.0)
-        wall = statistics.median(times)
+        wall = sorted(times)[BENCH_REPEATS // 2]  # the median of an odd count
         print(f"{mode},{args.stages},{args.list_len},{args.delay_ms},{wall:.3f}")
     return 0
 

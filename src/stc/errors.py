@@ -80,7 +80,3 @@ class PortTypeError(ExecutionError):
 
 class FlagMismatch(ExecutionError):
     """A recombination flag demands an element from an exhausted side."""
-
-
-class RepeatedLetterInSegment(ExecutionError):
-    """Internal guard: a pipeline segment was built with a duplicate stage."""

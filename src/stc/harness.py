@@ -559,12 +559,6 @@ def first_divergence(
     return None
 
 
-def _interleaved_defined(program: Program) -> bool:
-    if program.is_branch:
-        return all(not smap_check(w) for w in program.word.words())
-    return not smap_check(program.word)
-
-
 def check_program(
     program: Program,
     rng: Xorshift64Star,
@@ -584,7 +578,7 @@ def check_program(
         return TrialReport(index, digest, modes, False, div, program_to_text(program))
 
     candidates: List[Tuple[str, int]] = []
-    if _interleaved_defined(program):
+    if not smap_check(program.word):  # a valid branch repeats no letter
         candidates.append(("interleaved", 1))
     candidates += [("auto", 1), ("auto", 4)]
     candidates += [("pipeline", w) for w in WORKERS_COUNTS]

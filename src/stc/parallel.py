@@ -49,19 +49,24 @@ store. Determinism comes from structure, not luck:
   chunks (stateless fission), one per worker, and concatenate the
   results in order. ``auto`` fans out only blocking stages; the public
   fast paths honour the ``workers`` they are given.
-* A branch program under ``pipeline`` is one linear stream over the
-  sum-tagged elements: the producer's groups, then side stages, then the
-  consumer's groups, each word cut as above. Side stage k splits its
-  list, maps the left word's group k over the inl payloads and the right
-  word's group k over the inr ones, and joins them back by the flags
-  (``_split`` and ``_join``, as ``eval_branch`` does), so FIFO order
-  keeps the output in place. A stage that holds no blocking letter is
-  fused into a neighbouring stage, so a branch with no blocking letter,
-  like any branch at ``workers`` 1, is one stage on the calling thread.
-
-Words with repeated letters cannot be pipelined in one piece; they run
-segment by segment (a barrier between segments), with each duplicate-free
-segment pipelined on its own.
+* ``pipeline`` and ``auto`` take a word or a branch program. Every
+  stream is built in one place (``_run_stream``) from a list of parts:
+  a word, cut into groups as above, or a branch's (left, right) words,
+  whose k-th groups form side stage k. A side stage splits its list,
+  maps the left group over the inl payloads and the right one over the
+  inr ones, and joins them back by the flags (``_split`` and ``_join``,
+  as ``eval_branch`` does), so FIFO order keeps the output in place. A
+  stage that holds no blocking letter is fused into a neighbouring
+  stage, so a stream with no blocking letter, like any stream at
+  ``workers`` 1, is one stage on the calling thread.
+* A branch program is one stream: producer, side, consumer. A word with
+  repeated letters cannot be pipelined in one piece; it runs segment by
+  segment (a barrier between segments), each duplicate-free segment a
+  stream of its own. ``auto`` runs a branch as ``eval_branch`` does,
+  with ``auto``'s stage-wise map for each of its words.
+* One failure rule holds in every mode and shape: a failing stage
+  raises its own exception, and a thread that cannot start raises
+  ``ExecutionError``.
 
 Every executor here runs on raw values (see ``values``): elements, the
 batches on the channels and the per-group state dicts hold no ``Value``.
@@ -78,7 +83,7 @@ import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from . import mutations
 from .composition import (
@@ -92,18 +97,10 @@ from .composition import (
     run_element,
     run_stagewise,
     segment_word,
-    smap_check,
     unbox_input,
     validate_word,
 )
-from .errors import (
-    ExecutionError,
-    FlagMismatch,
-    PortTypeError,
-    RepeatedLetter,
-    RepeatedLetterInSegment,
-    ValidationError,
-)
+from .errors import ExecutionError, FlagMismatch, PortTypeError, RepeatedLetter, ValidationError
 from .model import (
     Multigraph,
     RawStep,
@@ -415,90 +412,29 @@ def _stream(stages: Sequence[Stage], values: Sequence[Any], capacity: int) -> Li
     return out
 
 
-def _pipeline_segment(
-    graph: Multigraph,
-    letters: Tuple[int, ...],
-    values: Sequence[Any],
-    slots: Slots,
-    workers: int,
-    capacity: int,
-    check: bool,
-) -> Tuple[List[Any], Slots]:
-    if len(set(letters)) != len(letters) and not mutations.enabled(
-        "segment-barrier-removed"
-    ):
-        raise RepeatedLetterInSegment(f"segment {letters} repeats a letter")
-    owned: list = []
-    stages = [fn for fn, _ in _groups(graph, slots, check, owned, letters, workers)]
-    try:
-        out = _stream(stages, values, capacity)
-    except Exception as exc:
-        raise ExecutionError("pipeline stage failed") from exc
-    return out, _read_back(dict(slots), owned)
+def _side_stage(left: Stage, right: Stage, values: Sequence[Any]) -> List[Any]:
+    """Split a list of sum elements, map ``left`` over the inl payloads
+    and ``right`` over the inr ones, and join them back by the flags."""
+    lefts, rights, flags = _split(values)
+    return _join(left(lefts), right(rights), flags)
 
 
-def _pipeline(
-    graph: Multigraph,
-    word: Word,
-    items: Sequence[Any],
-    slots: Slots,
-    workers: int = 4,
-    capacity: int = 16,
-    check: bool = False,
-) -> Tuple[Sequence[Any], Slots]:
-    if mutations.enabled("segment-barrier-removed"):
-        segments: Tuple[Word, ...] = (word,)
-    else:
-        segments = segment_word(word).segments
-    for seg in segments:
-        if seg.letters:
-            items, slots = _pipeline_segment(
-                graph, seg.letters, items, slots, workers, capacity, check
-            )
-    return items, slots
+def _fused(stages: Sequence[Tuple[Stage, bool]], workers: int) -> List[Stage]:
+    """One stream stage per blocking stage of ``stages``, with each
+    non-blocking stage fused into a neighbour by ``_spans``; one stage
+    in all at ``workers`` 1 or when none blocks."""
+    spans = _spans([blocks for _, blocks in stages], 1 if workers == 1 else len(stages))
+    # a stage fused with no other runs bare, without a ``_chain`` call per element
+    return [
+        stages[a][0] if b - a == 1 else partial(_chain, [fn for fn, _ in stages[a:b]])
+        for a, b in spans
+    ]
 
 
-def run_pipeline(
-    graph: Multigraph,
-    word: Word,
-    xs: Value,
-    state: StateStore,
-    workers: int = 4,
-    capacity: int = 16,
-    check: bool = False,
-) -> Tuple[Value, StateStore]:
-    """Pipelined list semantics: each segment is cut into contiguous
-    groups of letters by the blocking hint, its blocking letters spread
-    over at most ``workers`` groups. The caller runs the first group and
-    every other group gets a thread of its own; elements stream between
-    groups in batches over bounded FIFO channels that hold ``capacity``
-    batches. A segment without a blocking letter starts no thread: it is
-    one group that maps its whole list letter by letter, as ``seq`` does.
-
-    Words with repeated letters run as consecutive duplicate-free
-    segments with a barrier in between. A single-letter segment is a
-    one-group stream on the calling thread; its failures are wrapped like
-    any other stage's. The result is bit-exactly that of ``eval_psi_ref``.
-    """
-    return run_boxed(graph, xs, state, plan_pipeline(graph, word, workers, capacity, check))
-
-
-def _positive(workers: int) -> int:
-    if workers < 1:
-        raise ValidationError("workers must be a positive integer")
-    if workers > MAX_WORKERS:
-        raise ValidationError(f"workers must be at most {MAX_WORKERS}")
-    return workers
-
-
-def plan_pipeline(
-    graph: Multigraph, word: Word, workers: int = 4, capacity: int = 16, check: bool = False
-) -> Plan:
-    vw = validate_word(graph, word)
-    core = partial(
-        _pipeline, graph, word, workers=_positive(workers), capacity=capacity, check=check
-    )
-    return Plan(word.letters, vw.src, vw.tgt, core)
+def _chain(fns: Sequence[Stage], values: Sequence[Any]) -> List[Any]:
+    for fn in fns:
+        values = fn(values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -558,6 +494,143 @@ def validate_branch(graph: Multigraph, prog: BranchProgram) -> ValidatedBranch:
     return ValidatedBranch(vp.src, vc.tgt)
 
 
+# what pipeline and auto run: a word or a branch program
+Shape = Union[Word, BranchProgram]
+# a part of a stream: a word, cut by ``_groups``, or a branch's (left, right)
+# words, whose k-th groups form side stage k
+Part = Union[Word, Tuple[Word, Word]]
+
+
+def _validated(graph: Multigraph, shape: Shape) -> Tuple[PortType, PortType]:
+    """The source and target types of a validated word or branch."""
+    if isinstance(shape, BranchProgram):
+        vb = validate_branch(graph, shape)
+        return vb.src, vb.tgt
+    vw = validate_word(graph, shape)
+    return vw.src, vw.tgt
+
+
+def _run_stream(
+    graph: Multigraph,
+    parts: Sequence[Part],
+    items: Sequence[Any],
+    slots: Slots,
+    workers: int,
+    capacity: int,
+    check: bool,
+) -> Tuple[List[Any], Slots]:
+    """Every stream: the stages of ``parts`` in order, fused by
+    ``_fused`` and run by ``_stream``."""
+    owned: list = []
+    cut = partial(_groups, graph, slots, check, owned, workers=workers)
+    stages: List[Tuple[Stage, bool]] = []
+    joined_at = None
+    for part in parts:
+        if isinstance(part, Word):
+            stages += cut(part.letters)
+            continue
+        left, right = part
+        # a side with fewer groups passes its payloads on as they are
+        pairs = zip_longest(cut(left.letters), cut(right.letters), fillvalue=(list, False))
+        stages += [(partial(_side_stage, lf, rf), lb or rb) for (lf, lb), (rf, rb) in pairs]
+        joined_at = len(stages)
+    if joined_at is not None and mutations.enabled("flags-ignored-in-join"):
+        # deliberate fault: the join point buffers its whole input and
+        # emits every inl element before any inr element
+        joined = _stream(_fused(stages[:joined_at], workers), items, capacity)
+        joined.sort(key=lambda v: type(v) is Inr)
+        values = _stream(_fused(stages[joined_at:], workers), joined, capacity)
+    else:
+        values = _stream(_fused(stages, workers), items, capacity)
+    return values, _read_back(slots, owned)
+
+
+def _pipeline(
+    graph: Multigraph,
+    shape: Shape,
+    items: Sequence[Any],
+    slots: Slots,
+    workers: int = 4,
+    capacity: int = 16,
+    check: bool = False,
+) -> Tuple[Sequence[Any], Slots]:
+    if isinstance(shape, BranchProgram):
+        streams: List[List[Part]] = [
+            [shape.producer, (shape.left, shape.right), shape.consumer]
+        ]
+    elif mutations.enabled("segment-barrier-removed"):
+        streams = [[shape]]
+    else:
+        streams = [[seg] for seg in segment_word(shape).segments]
+    for parts in streams:
+        items, slots = _run_stream(graph, parts, items, slots, workers, capacity, check)
+    return items, slots
+
+
+def run_pipeline(
+    graph: Multigraph,
+    word: Shape,
+    xs: Value,
+    state: StateStore,
+    workers: int = 4,
+    capacity: int = 16,
+    check: bool = False,
+) -> Tuple[Value, StateStore]:
+    """Pipelined list semantics: each segment is cut into contiguous
+    groups of letters by the blocking hint, its blocking letters spread
+    over at most ``workers`` groups. The caller runs the first group and
+    every other group gets a thread of its own; elements stream between
+    groups in batches over bounded FIFO channels that hold ``capacity``
+    batches. A segment without a blocking letter starts no thread: it is
+    one group that maps its whole list letter by letter, as ``seq`` does.
+
+    Words with repeated letters run as consecutive duplicate-free
+    segments with a barrier in between. A branch program runs as one
+    stream (see ``run_task_parallel_branch``). A failing stage raises its
+    own exception. The result is bit-exactly that of ``eval_psi_ref``.
+    """
+    return run_boxed(graph, xs, state, plan_pipeline(graph, word, workers, capacity, check))
+
+
+def _positive(workers: int) -> int:
+    if workers < 1:
+        raise ValidationError("workers must be a positive integer")
+    if workers > MAX_WORKERS:
+        raise ValidationError(f"workers must be at most {MAX_WORKERS}")
+    return workers
+
+
+def plan_pipeline(
+    graph: Multigraph, shape: Shape, workers: int = 4, capacity: int = 16, check: bool = False
+) -> Plan:
+    src, tgt = _validated(graph, shape)
+    core = partial(
+        _pipeline, graph, shape, workers=_positive(workers), capacity=capacity, check=check
+    )
+    return Plan(shape.letters, src, tgt, core)
+
+
+def run_task_parallel_branch(
+    graph: Multigraph,
+    prog: BranchProgram,
+    xs: Value,
+    state: StateStore,
+    workers: int = 4,
+    capacity: int = 16,
+    check: bool = False,
+) -> Tuple[Value, StateStore]:
+    """``run_pipeline`` on a branch program: one linear stream over the
+    sum-tagged elements, made of the producer's groups, then side stages
+    pairing the left and right words' groups, then the consumer's groups,
+    each word cut by the blocking hint as a segment is. A stage without a
+    blocking letter is fused into a neighbour. A side stage splits its
+    list, maps each side and joins them by the flags, so the output is
+    bit-exactly that of ``eval_branch``. At ``workers`` 1, or without a
+    blocking letter, the whole branch is one fused stage on the calling
+    thread and runs as ``eval_branch`` does, word by word."""
+    return run_boxed(graph, xs, state, plan_pipeline(graph, prog, workers, capacity, check))
+
+
 # a raw word evaluator for branch programs: (word, items, slots) -> (items, slots)
 WordCore = Callable[[Word, Sequence[Any], Slots], Tuple[Sequence[Any], Slots]]
 
@@ -587,18 +660,10 @@ def eval_branch(
     return run_boxed(graph, xs, state, plan_branch(graph, prog, check))
 
 
-def plan_branch(
-    graph: Multigraph, prog: BranchProgram, check: bool = False,
-    auto_workers: Optional[int] = None,
-) -> Plan:
-    """``eval_branch``'s plan; with ``auto_workers`` each word runs as
-    ``eval_auto_word`` runs it at that many workers."""
+def plan_branch(graph: Multigraph, prog: BranchProgram, check: bool = False) -> Plan:
     vb = validate_branch(graph, prog)
-    if auto_workers is None:
-        word_core = partial(_psi, graph, check=check)
-    else:
-        word_core = partial(_auto, graph, workers=_positive(auto_workers), check=check)
-    return Plan(prog.letters, vb.src, vb.tgt, partial(_branch, prog, word_core))
+    core = partial(_branch, prog, partial(_psi, graph, check=check))
+    return Plan(prog.letters, vb.src, vb.tgt, core)
 
 
 def _branch_elementwise(
@@ -629,102 +694,16 @@ def eval_branch_elementwise(
     time through produce/branch/consume, threading the store.
 
     Never splits or joins; agreement with ``eval_branch`` is the branch
-    analogue of the stage/element reordering equivalence. Defined only
-    when each word is duplicate-free.
+    analogue of the stage/element reordering equivalence. It is defined
+    on every valid branch, since ``validate_branch`` rejects a letter
+    that repeats anywhere in the four words.
     """
     return run_boxed(graph, xs, state, plan_branch_elementwise(graph, prog, check))
 
 
 def plan_branch_elementwise(graph: Multigraph, prog: BranchProgram, check: bool = False) -> Plan:
     vb = validate_branch(graph, prog)
-    for w in prog.words():
-        repeated = smap_check(w)
-        if repeated:
-            raise RepeatedLetter(min(repeated))
     core = partial(_branch_elementwise, graph, prog, check=check)
-    return Plan(prog.letters, vb.src, vb.tgt, core)
-
-
-def _side_stage(left: Stage, right: Stage, values: Sequence[Any]) -> List[Any]:
-    """Split a list of sum elements, map ``left`` over the inl payloads
-    and ``right`` over the inr ones, and join them back by the flags."""
-    lefts, rights, flags = _split(values)
-    return _join(left(lefts), right(rights), flags)
-
-
-def _fused(stages: Sequence[Tuple[Stage, bool]], workers: int) -> List[Stage]:
-    """One stream stage per blocking stage of ``stages``, with each
-    non-blocking stage fused into a neighbour by ``_spans``; one stage
-    in all at ``workers`` 1 or when none blocks."""
-    spans = _spans([blocks for _, blocks in stages], 1 if workers == 1 else len(stages))
-    return [partial(_chain, [fn for fn, _ in stages[a:b]]) for a, b in spans]
-
-
-def _chain(fns: Sequence[Stage], values: Sequence[Any]) -> List[Any]:
-    for fn in fns:
-        values = fn(values)
-    return values
-
-
-def _branch_stream(
-    graph: Multigraph,
-    prog: BranchProgram,
-    items: Sequence[Any],
-    slots: Slots,
-    workers: int,
-    capacity: int,
-    check: bool,
-) -> Tuple[List[Any], Slots]:
-    owned: list = []
-    cut = partial(_groups, graph, slots, check, owned, workers=workers)
-    producer, left, right, consumer = (w.letters for w in prog.words())
-    # a side with fewer groups passes its payloads on as they are
-    sides = [
-        (partial(_side_stage, lf, rf), lb or rb)
-        for (lf, lb), (rf, rb) in zip_longest(cut(left), cut(right), fillvalue=(list, False))
-    ]
-    pre = cut(producer) + sides
-    post = cut(consumer)
-    if mutations.enabled("flags-ignored-in-join"):
-        # deliberate fault: the join point buffers its whole input and
-        # emits every inl element before any inr element
-        joined = _stream(_fused(pre, workers), items, capacity)
-        joined.sort(key=lambda v: type(v) is Inr)
-        values = _stream(_fused(post, workers), joined, capacity)
-    else:
-        values = _stream(_fused(pre + post, workers), items, capacity)
-    return values, _read_back(slots, owned)
-
-
-def run_task_parallel_branch(
-    graph: Multigraph,
-    prog: BranchProgram,
-    xs: Value,
-    state: StateStore,
-    workers: int = 4,
-    capacity: int = 16,
-    check: bool = False,
-) -> Tuple[Value, StateStore]:
-    """Task-parallel branch execution as one linear stream over the
-    sum-tagged elements: the producer's groups, then side stages pairing
-    the left and right words' groups, then the consumer's groups, each
-    word cut by the blocking hint as ``run_pipeline`` cuts a segment. A
-    stage without a blocking letter is fused into a neighbour. A side
-    stage splits its list, maps each side and joins them by the flags, so
-    the output is bit-exactly that of ``eval_branch``. At ``workers`` 1,
-    or without a blocking letter, the whole branch is one fused stage on
-    the calling thread and runs as ``eval_branch`` does, word by word."""
-    return run_boxed(graph, xs, state, plan_branch_stream(graph, prog, workers, capacity, check))
-
-
-def plan_branch_stream(
-    graph: Multigraph, prog: BranchProgram, workers: int = 4, capacity: int = 16,
-    check: bool = False,
-) -> Plan:
-    vb = validate_branch(graph, prog)
-    core = partial(
-        _branch_stream, graph, prog, workers=_positive(workers), capacity=capacity, check=check
-    )
     return Plan(prog.letters, vb.src, vb.tgt, core)
 
 
@@ -751,7 +730,7 @@ def _auto(
 
 def eval_auto_word(
     graph: Multigraph,
-    word: Word,
+    word: Shape,
     xs: Value,
     state: StateStore,
     workers: int = 1,
@@ -760,11 +739,17 @@ def eval_auto_word(
     """Stage-wise evaluation that takes the data-parallel shortcut for
     every read-only or product stage and falls back to the sequential map
     for general stages. Only a blocking stage fans out over ``workers``
-    chunks; any other runs as one chunk on the calling thread."""
+    chunks; any other runs as one chunk on the calling thread. A branch
+    program runs as ``eval_branch`` runs it, with each of its words
+    evaluated this way."""
     return run_boxed(graph, xs, state, plan_auto(graph, word, workers, check))
 
 
-def plan_auto(graph: Multigraph, word: Word, workers: int = 1, check: bool = False) -> Plan:
-    vw = validate_word(graph, word)
-    core = partial(_auto, graph, word, workers=_positive(workers), check=check)
-    return Plan(word.letters, vw.src, vw.tgt, core)
+def plan_auto(graph: Multigraph, shape: Shape, workers: int = 1, check: bool = False) -> Plan:
+    src, tgt = _validated(graph, shape)
+    core = partial(_auto, graph, workers=_positive(workers), check=check)
+    if isinstance(shape, BranchProgram):
+        core = partial(_branch, shape, core)
+    else:
+        core = partial(core, shape)
+    return Plan(shape.letters, src, tgt, core)

@@ -41,7 +41,6 @@ from .parallel import (
     plan_auto,
     plan_branch,
     plan_branch_elementwise,
-    plan_branch_stream,
     plan_pipeline,
     validate_branch,
 )
@@ -305,9 +304,7 @@ def run_raw(
     elif mode == "interleaved":
         plan = (plan_branch_elementwise if branch else plan_interleaved)(graph, word, check=check)
     elif mode == "pipeline":
-        plan = (plan_branch_stream if branch else plan_pipeline)(graph, word, workers, check=check)
-    elif mode == "auto" and branch:
-        plan = plan_branch(graph, word, check=check, auto_workers=workers)
+        plan = plan_pipeline(graph, word, workers, check=check)
     elif mode == "auto":
         plan = plan_auto(graph, word, workers, check=check)
     else:

@@ -148,6 +148,20 @@ def test_mutation_failure_is_replayable():
     assert clean.equal
 
 
+def test_mutated_fuzz_report_is_pinned(capsys):
+    # The whole report of a mutated fuzz run, the failing program's text
+    # and the divergence included, must not change when the executors are
+    # restructured.
+    from stc.cli import main
+
+    argv = ["check", "--fuzz", "--seed", "3", "--trials", "50", "--mutate", "stage-order-swapped"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ac24e6383c6eaf12e3cfe0c16e208f3b922c4022bb12f83c5c063aa1b6eb6f1a"
+    )
+
+
 def test_unknown_mutation_rejected():
     with pytest.raises(ValueError):
         mutations.activate("made-up")

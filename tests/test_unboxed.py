@@ -38,7 +38,7 @@ from stc import (
     wrap64,
 )
 from stc.cli import _result_json, main
-from stc.errors import ExecutionError, PortTypeError, SchemaError
+from stc.errors import PortTypeError, SchemaError
 from stc.harness import (
     FuzzConfig,
     Xorshift64Star,
@@ -227,10 +227,9 @@ def test_unchecked_ill_typed_output_raises_port_type_error(mode, result):
     graph = build_graph(make_thread(1, "add1_tick", v_int(0)), _ill_typed_output(result),
                         make_thread(3, "counter_add", v_int(0)))
     program = Program(graph, Word((1, 2, 3)), v_list(INT_T, [v_int(4), v_int(5)]), INT_T)
-    with pytest.raises(ExecutionError) as err:
+    with pytest.raises(PortTypeError) as err:
         run_program(program, mode, workers=2)
-    cause = err.value.__cause__ if mode == "pipeline" else err.value
-    assert isinstance(cause, PortTypeError) and "thread 2 output" in str(cause)
+    assert "thread 2 output" in str(err.value)
 
 
 def test_ill_typed_state_is_kept_as_given_unchecked():
