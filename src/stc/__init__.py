@@ -9,13 +9,19 @@ single output bit.
 
 from .builtins import BuiltinEntry, builtin, builtin_names, make_thread
 from .composition import (
+    BranchProgram,
     Word,
     WordSegmentation,
+    eval_branch,
+    eval_branch_elementwise,
     eval_interleaved,
     eval_phi,
     eval_psi_ref,
+    join,
     segment_word,
     smap_check,
+    split,
+    validate_branch,
     validate_word,
 )
 from .errors import (
@@ -43,16 +49,11 @@ from .model import (
     register_thread,
 )
 from .parallel import (
-    BranchProgram,
     eval_auto_word,
-    eval_branch,
-    eval_branch_elementwise,
-    join,
     run_data_parallel_product,
     run_data_parallel_readonly,
     run_pipeline,
     run_task_parallel_branch,
-    split,
 )
 from .program import (
     Program,

@@ -1,18 +1,34 @@
-"""Words over the thread multigraph and their sequential semantics.
+"""Words and branch programs over the thread multigraph, and their
+sequential semantics.
 
 A word is a composable path of thread ids. Letters are stored in
 *application order*: ``Word((1, 4))`` applies thread 1 first, then
 thread 4. Display follows the conventional right-to-left composition
 order, so the same word prints as ``[4,1]``.
 
+A branch program is the coproduct shape: a producer word ending at a sum
+vertex, a left and a right word over its two components, and a consumer
+word starting at the sum of their results. ``split`` partitions a list of
+sum values by injection and records the flags; ``join`` merges two lists
+back by them. ``parts`` names the parts of either shape, a word alone or
+producer, ``(left, right)``, consumer, and ``endpoints`` validates either.
+
 Three evaluators share one contract and must agree bit-exactly:
 
 * ``eval_phi`` runs a single element through the whole word.
 * ``eval_psi_ref`` is the canonical list semantics: each stage consumes
-  the entire list before the next stage starts.
+  the entire list before the next stage starts. On a branch program it
+  splits the producer's output, runs each side on its own payloads and
+  joins them by the flags (``fold``).
 * ``eval_interleaved`` recurses per element (head through the whole
   word, then the tail), which is only meaningful when no letter repeats.
-  It serves as the independent oracle for the stage-wise reference.
+  On a branch program it routes each element through the side its
+  injection names, and never splits or joins. It serves as the
+  independent oracle for the stage-wise reference.
+
+The list evaluators take a word or a branch program; ``eval_branch`` and
+``eval_branch_elementwise`` are the same two functions under their
+branch names.
 
 Each public evaluator takes and returns boxed values. Its ``plan_*``
 function validates and returns a ``Plan``: the letters whose slots it
@@ -28,9 +44,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
+    FlagMismatch,
     PathMismatch,
     PortTypeError,
     RepeatedLetter,
@@ -38,7 +55,18 @@ from .errors import (
     ValidationError,
 )
 from .model import Multigraph, RawStep, StateStore, boxed_store, raw_slots, raw_step
-from .values import PortType, Tag, Value, box_list, boxer, unboxer
+from .values import (
+    Inl,
+    Inr,
+    PortType,
+    Tag,
+    TypeKind,
+    Value,
+    box_list,
+    boxer,
+    sum_of,
+    unboxer,
+)
 
 Slots = Dict[int, Any]
 # the letters of a word, each with its raw step, in application order
@@ -135,6 +163,84 @@ def segment_word(word: Word) -> WordSegmentation:
     return WordSegmentation(tuple(segments))
 
 
+@dataclass(frozen=True)
+class BranchProgram:
+    """A produce/branch/consume shape over sum-typed values.
+
+    ``producer`` ends in a sum vertex; ``left`` and ``right`` transform
+    the two components; ``consumer`` starts from the sum of the branch
+    results. The four words use pairwise-disjoint letter sets, so their
+    state slots never alias.
+    """
+
+    producer: Word
+    left: Word
+    right: Word
+    consumer: Word
+
+    def words(self) -> Tuple[Word, ...]:
+        return (self.producer, self.left, self.right, self.consumer)
+
+    @property
+    def letters(self) -> Tuple[int, ...]:
+        return tuple(n for w in self.words() for n in w.letters)
+
+
+@dataclass(frozen=True)
+class ValidatedBranch:
+    src: PortType
+    tgt: PortType
+
+
+# what every list evaluator runs: a word or a branch program
+Shape = Union[Word, BranchProgram]
+# a part of a shape: a word, or a branch's (left, right) sides
+Part = Union[Word, Tuple[Word, Word]]
+
+
+def validate_branch(graph: Multigraph, prog: BranchProgram) -> ValidatedBranch:
+    vp = validate_word(graph, prog.producer)
+    vl = validate_word(graph, prog.left)
+    vr = validate_word(graph, prog.right)
+    vc = validate_word(graph, prog.consumer)
+    if vp.tgt.kind is not TypeKind.SUM:
+        raise ValidationError(f"producer must end at a sum vertex, got {vp.tgt.name}")
+    if vl.src != vp.tgt.args[0]:
+        raise ValidationError(
+            f"left branch starts at {vl.src.name}, producer emits {vp.tgt.args[0].name}"
+        )
+    if vr.src != vp.tgt.args[1]:
+        raise ValidationError(
+            f"right branch starts at {vr.src.name}, producer emits {vp.tgt.args[1].name}"
+        )
+    merged = sum_of(vl.tgt, vr.tgt)
+    if vc.src != merged:
+        raise ValidationError(
+            f"consumer starts at {vc.src.name}, branches produce {merged.name}"
+        )
+    seen: set = set()
+    for n in prog.letters:
+        if n in seen:
+            raise RepeatedLetter(n)
+        seen.add(n)
+    return ValidatedBranch(vp.src, vc.tgt)
+
+
+def parts(shape: Shape) -> Tuple[Part, ...]:
+    """The parts of ``shape`` in order: a word alone, or a branch's
+    producer, its ``(left, right)`` sides and its consumer."""
+    if isinstance(shape, BranchProgram):
+        return (shape.producer, (shape.left, shape.right), shape.consumer)
+    return (shape,)
+
+
+def endpoints(graph: Multigraph, shape: Shape) -> Tuple[PortType, PortType]:
+    """The source and target types of a validated word or branch."""
+    validate = validate_branch if isinstance(shape, BranchProgram) else validate_word
+    valid = validate(graph, shape)
+    return valid.src, valid.tgt
+
+
 def unbox_input(xs: Value, src: PortType) -> List[Any]:
     """The raw elements of the input list ``xs`` for a ``src`` source."""
     if xs.tag is not Tag.LIST:
@@ -163,6 +269,85 @@ def run_boxed(
     plan's letters, run its core on raw values, box the result."""
     items, slots = plan.core(unbox_input(xs, plan.src), raw_slots(graph, state, plan.letters))
     return box_list(plan.tgt, items), boxed_store(graph, state, slots)
+
+
+def _split(items: Sequence[Any]) -> Tuple[List[Any], List[Any], List[bool]]:
+    """The inl payloads, the inr payloads and one flag per element, True
+    for an inl, in one pass over raw sum elements."""
+    lefts: List[Any] = []
+    rights: List[Any] = []
+    flags: List[bool] = []
+    for v in items:
+        if type(v) is Inl:
+            lefts.append(v.value)
+            flags.append(True)
+        else:
+            rights.append(v.value)
+            flags.append(False)
+    return lefts, rights, flags
+
+
+def _join(lefts: Sequence[Any], rights: Sequence[Any], flags: Sequence[bool]) -> List[Any]:
+    out: List[Any] = []
+    i = j = 0
+    for flag in flags:
+        if flag:
+            if i >= len(lefts):
+                raise FlagMismatch(f"flag {len(out)} demands a left element but none remain")
+            out.append(Inl(lefts[i]))
+            i += 1
+        else:
+            if j >= len(rights):
+                raise FlagMismatch(f"flag {len(out)} demands a right element but none remain")
+            out.append(Inr(rights[j]))
+            j += 1
+    if i != len(lefts) or j != len(rights):
+        raise FlagMismatch("flags exhausted before both sides were consumed")
+    return out
+
+
+def split(xs: Value) -> Tuple[Value, Value, Tuple[bool, ...]]:
+    """Partition a list of sum values, recording the injection order.
+
+    Returns the left elements, the right elements (both order
+    preserving), and one boolean per input element: True for a left
+    injection, False for a right one.
+    """
+    if xs.tag is not Tag.LIST or xs.elem.kind is not TypeKind.SUM:
+        raise PortTypeError(f"split needs a list of sum values, got {xs!r}")
+    left_t, right_t = xs.elem.args
+    lefts, rights, flags = _split(unbox_input(xs, xs.elem))
+    return box_list(left_t, lefts), box_list(right_t, rights), tuple(flags)
+
+
+def join(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
+    """Inverse of ``split`` given the recorded flags."""
+    if bs.tag is not Tag.LIST or cs.tag is not Tag.LIST:
+        raise PortTypeError("join needs two list values")
+    out = _join(unbox_input(bs, bs.elem), unbox_input(cs, cs.elem), flags)
+    return box_list(sum_of(bs.elem, cs.elem), out)
+
+
+def fold(
+    shape: Shape,
+    word_core: Callable[[Word, Sequence[Any], Slots], Tuple[Sequence[Any], Slots]],
+    items: Sequence[Any],
+    slots: Slots,
+) -> Tuple[Sequence[Any], Slots]:
+    """Run ``word_core`` over the parts of ``shape`` in turn. At the sides
+    the list is split, the left word runs over the inl payloads and then
+    the right one over the inr ones, and the results are joined by the
+    flags; the sides' letter sets are disjoint, so each changes only its
+    own slots."""
+    for part in parts(shape):
+        if isinstance(part, Word):
+            items, slots = word_core(part, items, slots)
+        else:
+            lefts, rights, flags = _split(items)
+            lefts, slots = word_core(part[0], lefts, slots)
+            rights, slots = word_core(part[1], rights, slots)
+            items = _join(lefts, rights, flags)
+    return items, slots
 
 
 def map_letter(step: RawStep, values: Sequence[Any], sigma: Any) -> Tuple[List[Any], Any]:
@@ -218,38 +403,58 @@ def _psi(
 
 
 def _interleaved(
-    graph: Multigraph, word: Word, items: Sequence[Any], slots: Slots, check: bool = False
+    graph: Multigraph, shape: Shape, items: Sequence[Any], slots: Slots, check: bool = False
 ) -> Tuple[List[Any], Slots]:
-    steps = element_steps(graph, word.letters, check)
-    return [run_element(steps, slots, v) for v in items], slots
+    def steps(word: Word) -> Steps:
+        return element_steps(graph, word.letters, check)
+
+    route = [steps(p) if isinstance(p, Word) else (steps(p[0]), steps(p[1])) for p in parts(shape)]
+    return [_route(route, slots, v) for v in items], slots
 
 
-def plan_psi(graph: Multigraph, word: Word, check: bool = False) -> Plan:
-    vw = validate_word(graph, word)
-    return Plan(word.letters, vw.src, vw.tgt, partial(_psi, graph, word, check=check))
+def _route(route: list, slots: Slots, v: Any) -> Any:
+    """One element through every part: a word's steps, or at the sides
+    the steps of the side its injection names, in the same injection."""
+    for part in route:
+        if type(part) is list:
+            v = run_element(part, slots, v)
+        elif type(v) is Inl:
+            v = Inl(run_element(part[0], slots, v.value))
+        else:
+            v = Inr(run_element(part[1], slots, v.value))
+    return v
 
 
-def plan_interleaved(graph: Multigraph, word: Word, check: bool = False) -> Plan:
-    repeated = smap_check(word)
-    if repeated:
-        raise RepeatedLetter(min(repeated))
-    vw = validate_word(graph, word)
-    return Plan(word.letters, vw.src, vw.tgt, partial(_interleaved, graph, word, check=check))
+def plan_psi(graph: Multigraph, shape: Shape, check: bool = False) -> Plan:
+    src, tgt = endpoints(graph, shape)
+    return Plan(shape.letters, src, tgt, partial(fold, shape, partial(_psi, graph, check=check)))
+
+
+def plan_interleaved(graph: Multigraph, shape: Shape, check: bool = False) -> Plan:
+    # a branch's repeats are rejected by ``validate_branch``, after its paths
+    if isinstance(shape, Word):
+        repeated = smap_check(shape)
+        if repeated:
+            raise RepeatedLetter(min(repeated))
+    src, tgt = endpoints(graph, shape)
+    return Plan(shape.letters, src, tgt, partial(_interleaved, graph, shape, check=check))
 
 
 def eval_psi_ref(
-    graph: Multigraph, word: Word, xs: Value, state: StateStore, check: bool = False
+    graph: Multigraph, word: Shape, xs: Value, state: StateStore, check: bool = False
 ) -> Tuple[Value, StateStore]:
     """Stage-wise list semantics, the canonical reference result.
 
     The first letter maps over the whole list (threading its private
     state element to element) before the second letter runs, and so on.
+    A branch program runs its producer, splits, runs the left side and
+    then the right one, joins by the recorded flags and runs its consumer.
     """
     return run_boxed(graph, xs, state, plan_psi(graph, word, check))
 
 
 def eval_interleaved(
-    graph: Multigraph, word: Word, xs: Value, state: StateStore, check: bool = False
+    graph: Multigraph, word: Shape, xs: Value, state: StateStore, check: bool = False
 ) -> Tuple[Value, StateStore]:
     """Element-wise semantics: head through the whole word, then the tail.
 
@@ -257,5 +462,15 @@ def eval_interleaved(
     with ``eval_psi_ref`` on that domain is the executable content of the
     stage/element reordering argument that licenses pipelining. The word
     is validated and the store copied once, not once per element.
+
+    A branch program routes one element at a time through producer, the
+    side its injection names, and consumer, and never splits or joins;
+    this is defined on every valid branch, since ``validate_branch``
+    rejects a letter that repeats anywhere in the four words.
     """
     return run_boxed(graph, xs, state, plan_interleaved(graph, word, check))
+
+
+# the branch names of the two list evaluators
+eval_branch = eval_psi_ref
+eval_branch_elementwise = eval_interleaved

@@ -59,9 +59,12 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .builtins import make_thread
 from .composition import (
+    BranchProgram,
     Word,
     eval_psi_ref,
+    join,
     smap_check,
+    split,
     validate_word,
 )
 from .errors import StcError, ValidationError
@@ -76,13 +79,7 @@ from .model import (
     init_state,
     kernel_of,
 )
-from .parallel import (
-    BranchProgram,
-    run_data_parallel_product,
-    run_data_parallel_readonly,
-    split,
-    join,
-)
+from .parallel import run_data_parallel_product, run_data_parallel_readonly
 from .program import Program, program_digest, program_to_text, run_program
 from .values import (
     BOOL_T,

@@ -1,5 +1,9 @@
 """Parallel executors: fused stage pipeline, data-parallel fast paths,
-and deterministic task-parallel branching.
+and deterministic task-parallel branching. The shapes they run, the
+coproduct's ``split`` and ``join`` and the reference evaluators live in
+``composition``; this module holds only parallelism, and re-exports
+``BranchProgram``, ``validate_branch``, ``split``, ``join`` and the
+branch names of the references for its callers.
 
 All executors here are required to agree bit-exactly with the sequential
 reference ``eval_psi_ref``, on the output list and on the final state
@@ -50,57 +54,69 @@ store. Determinism comes from structure, not luck:
   results in order. ``auto`` fans out only blocking stages; the public
   fast paths honour the ``workers`` they are given.
 * ``pipeline`` and ``auto`` take a word or a branch program. Every
-  stream is built in one place (``_run_stream``) from a list of parts:
-  a word, cut into groups as above, or a branch's (left, right) words,
-  whose k-th groups form side stage k. A side stage splits its list,
-  maps the left group over the inl payloads and the right one over the
-  inr ones, and joins them back by the flags (``_split`` and ``_join``,
-  as ``eval_branch`` does), so FIFO order keeps the output in place. A
+  stream is built in one place (``_run_stream``) from a list of parts
+  (``composition.parts``): a word, cut into groups as above, or a
+  branch's (left, right) words, whose k-th groups form side stage k. A
+  side stage splits its list, maps the left group over the inl payloads
+  and the right one over the inr ones, and joins them back by the flags
+  (``_split`` and ``_join``, as ``eval_psi_ref`` does on a branch), so
+  FIFO order keeps the output in place. A
   stage that holds no blocking letter is fused into a neighbouring
   stage, so a stream with no blocking letter, like any stream at
   ``workers`` 1, is one stage on the calling thread.
 * A branch program is one stream: producer, side, consumer. A word with
   repeated letters cannot be pipelined in one piece; it runs segment by
   segment (a barrier between segments), each duplicate-free segment a
-  stream of its own. ``auto`` runs a branch as ``eval_branch`` does,
-  with ``auto``'s stage-wise map for each of its words.
+  stream of its own. ``auto`` runs either shape through
+  ``composition.fold``, as ``eval_psi_ref`` does, with ``auto``'s
+  stage-wise map for each of its words.
 * One failure rule holds in every mode and shape: a failing stage
   raises its own exception, and a thread that cannot start raises
   ``ExecutionError``.
 
 Every executor here runs on raw values (see ``values``): elements, the
 batches on the channels and the per-group state dicts hold no ``Value``.
-A sum element is an ``Inl``/``Inr`` wrapper, so ``_split`` tests its
-Python type. The public functions box only at their edges through
-``composition.run_boxed``; ``split`` and ``join`` keep their boxed
-signatures for callers outside the engine.
+The public functions box only at their edges through
+``composition.run_boxed``.
+
+Mutation hooks (see ``mutations``) live here only, so the references
+stay free of them.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from . import mutations
-from .composition import (
+from .composition import (  # the coproduct and the branch names are re-exported
+    BranchProgram,
+    Part,
     Plan,
+    Shape,
     Slots,
     Word,
-    _psi,
+    _join,
+    _split,
     element_steps,
+    endpoints,
+    eval_branch,
+    eval_branch_elementwise,
+    fold,
+    join,
     map_letter,
+    parts,
     run_boxed,
-    run_element,
     run_stagewise,
     segment_word,
+    split,
     unbox_input,
-    validate_word,
+    validate_branch,
 )
-from .errors import ExecutionError, FlagMismatch, PortTypeError, RepeatedLetter, ValidationError
+from .errors import ExecutionError, ValidationError
 from .model import (
     Multigraph,
     RawStep,
@@ -112,19 +128,7 @@ from .model import (
     raw_step,
     raw_value_part,
 )
-from .values import (
-    Inl,
-    Inr,
-    PortType,
-    Tag,
-    TypeKind,
-    Value,
-    box_list,
-    box_state,
-    conformer,
-    sum_of,
-    unbox_state,
-)
+from .values import Inr, Value, box_list, box_state, conformer, unbox_state
 
 # upper bound on the elements one channel message carries
 _BATCH = 64
@@ -249,54 +253,6 @@ def _launch(
     for exc in failed:
         if exc is not None:
             raise exc
-
-
-def _split(items: Sequence[Any]) -> Tuple[List[Any], List[Any], Tuple[bool, ...]]:
-    flags = tuple(type(v) is Inl for v in items)
-    lefts = [v.value for v, left in zip(items, flags) if left]
-    rights = [v.value for v, left in zip(items, flags) if not left]
-    return lefts, rights, flags
-
-
-def _join(lefts: Sequence[Any], rights: Sequence[Any], flags: Sequence[bool]) -> List[Any]:
-    out: List[Any] = []
-    i = j = 0
-    for flag in flags:
-        if flag:
-            if i >= len(lefts):
-                raise FlagMismatch(f"flag {len(out)} demands a left element but none remain")
-            out.append(Inl(lefts[i]))
-            i += 1
-        else:
-            if j >= len(rights):
-                raise FlagMismatch(f"flag {len(out)} demands a right element but none remain")
-            out.append(Inr(rights[j]))
-            j += 1
-    if i != len(lefts) or j != len(rights):
-        raise FlagMismatch("flags exhausted before both sides were consumed")
-    return out
-
-
-def split(xs: Value) -> Tuple[Value, Value, Tuple[bool, ...]]:
-    """Partition a list of sum values, recording the injection order.
-
-    Returns the left elements, the right elements (both order
-    preserving), and one boolean per input element: True for a left
-    injection, False for a right one.
-    """
-    if xs.tag is not Tag.LIST or xs.elem.kind is not TypeKind.SUM:
-        raise PortTypeError(f"split needs a list of sum values, got {xs!r}")
-    left_t, right_t = xs.elem.args
-    lefts, rights, flags = _split(unbox_input(xs, xs.elem))
-    return box_list(left_t, lefts), box_list(right_t, rights), flags
-
-
-def join(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
-    """Inverse of ``split`` given the recorded flags."""
-    if bs.tag is not Tag.LIST or cs.tag is not Tag.LIST:
-        raise PortTypeError("join needs two list values")
-    out = _join(unbox_input(bs, bs.elem), unbox_input(cs, cs.elem), flags)
-    return box_list(sum_of(bs.elem, cs.elem), out)
 
 
 # one stage of a stream: maps a list of raw elements to the list it hands on
@@ -437,79 +393,6 @@ def _chain(fns: Sequence[Stage], values: Sequence[Any]) -> List[Any]:
     return values
 
 
-@dataclass(frozen=True)
-class BranchProgram:
-    """A produce/branch/consume shape over sum-typed values.
-
-    ``producer`` ends in a sum vertex; ``left`` and ``right`` transform
-    the two components; ``consumer`` starts from the sum of the branch
-    results. The four words use pairwise-disjoint letter sets, so their
-    state slots never alias.
-    """
-
-    producer: Word
-    left: Word
-    right: Word
-    consumer: Word
-
-    def words(self) -> Tuple[Word, ...]:
-        return (self.producer, self.left, self.right, self.consumer)
-
-    @property
-    def letters(self) -> Tuple[int, ...]:
-        return tuple(n for w in self.words() for n in w.letters)
-
-
-@dataclass(frozen=True)
-class ValidatedBranch:
-    src: PortType
-    tgt: PortType
-
-
-def validate_branch(graph: Multigraph, prog: BranchProgram) -> ValidatedBranch:
-    vp = validate_word(graph, prog.producer)
-    vl = validate_word(graph, prog.left)
-    vr = validate_word(graph, prog.right)
-    vc = validate_word(graph, prog.consumer)
-    if vp.tgt.kind is not TypeKind.SUM:
-        raise ValidationError(f"producer must end at a sum vertex, got {vp.tgt.name}")
-    if vl.src != vp.tgt.args[0]:
-        raise ValidationError(
-            f"left branch starts at {vl.src.name}, producer emits {vp.tgt.args[0].name}"
-        )
-    if vr.src != vp.tgt.args[1]:
-        raise ValidationError(
-            f"right branch starts at {vr.src.name}, producer emits {vp.tgt.args[1].name}"
-        )
-    merged = sum_of(vl.tgt, vr.tgt)
-    if vc.src != merged:
-        raise ValidationError(
-            f"consumer starts at {vc.src.name}, branches produce {merged.name}"
-        )
-    seen: set = set()
-    for n in prog.letters:
-        if n in seen:
-            raise RepeatedLetter(n)
-        seen.add(n)
-    return ValidatedBranch(vp.src, vc.tgt)
-
-
-# what pipeline and auto run: a word or a branch program
-Shape = Union[Word, BranchProgram]
-# a part of a stream: a word, cut by ``_groups``, or a branch's (left, right)
-# words, whose k-th groups form side stage k
-Part = Union[Word, Tuple[Word, Word]]
-
-
-def _validated(graph: Multigraph, shape: Shape) -> Tuple[PortType, PortType]:
-    """The source and target types of a validated word or branch."""
-    if isinstance(shape, BranchProgram):
-        vb = validate_branch(graph, shape)
-        return vb.src, vb.tgt
-    vw = validate_word(graph, shape)
-    return vw.src, vw.tgt
-
-
 def _run_stream(
     graph: Multigraph,
     parts: Sequence[Part],
@@ -554,16 +437,12 @@ def _pipeline(
     capacity: int = 16,
     check: bool = False,
 ) -> Tuple[Sequence[Any], Slots]:
-    if isinstance(shape, BranchProgram):
-        streams: List[List[Part]] = [
-            [shape.producer, (shape.left, shape.right), shape.consumer]
-        ]
-    elif mutations.enabled("segment-barrier-removed"):
-        streams = [[shape]]
+    if isinstance(shape, BranchProgram) or mutations.enabled("segment-barrier-removed"):
+        streams: Sequence[Sequence[Part]] = [parts(shape)]
     else:
         streams = [[seg] for seg in segment_word(shape).segments]
-    for parts in streams:
-        items, slots = _run_stream(graph, parts, items, slots, workers, capacity, check)
+    for stream in streams:
+        items, slots = _run_stream(graph, stream, items, slots, workers, capacity, check)
     return items, slots
 
 
@@ -586,8 +465,16 @@ def run_pipeline(
 
     Words with repeated letters run as consecutive duplicate-free
     segments with a barrier in between. A branch program runs as one
-    stream (see ``run_task_parallel_branch``). A failing stage raises its
-    own exception. The result is bit-exactly that of ``eval_psi_ref``.
+    linear stream over the sum-tagged elements: the producer's groups,
+    then side stages pairing the left and right words' groups, then the
+    consumer's groups, each word cut by the blocking hint as a segment
+    is. A side stage splits its list, maps each side and joins them by the
+    flags. At ``workers`` 1, or without a blocking letter, the whole
+    branch is one fused stage on the calling thread. This function is
+    also ``run_task_parallel_branch``.
+
+    A failing stage raises its own exception. The result is bit-exactly
+    that of ``eval_psi_ref``.
     """
     return run_boxed(graph, xs, state, plan_pipeline(graph, word, workers, capacity, check))
 
@@ -603,108 +490,11 @@ def _positive(workers: int) -> int:
 def plan_pipeline(
     graph: Multigraph, shape: Shape, workers: int = 4, capacity: int = 16, check: bool = False
 ) -> Plan:
-    src, tgt = _validated(graph, shape)
+    src, tgt = endpoints(graph, shape)
     core = partial(
         _pipeline, graph, shape, workers=_positive(workers), capacity=capacity, check=check
     )
     return Plan(shape.letters, src, tgt, core)
-
-
-def run_task_parallel_branch(
-    graph: Multigraph,
-    prog: BranchProgram,
-    xs: Value,
-    state: StateStore,
-    workers: int = 4,
-    capacity: int = 16,
-    check: bool = False,
-) -> Tuple[Value, StateStore]:
-    """``run_pipeline`` on a branch program: one linear stream over the
-    sum-tagged elements, made of the producer's groups, then side stages
-    pairing the left and right words' groups, then the consumer's groups,
-    each word cut by the blocking hint as a segment is. A stage without a
-    blocking letter is fused into a neighbour. A side stage splits its
-    list, maps each side and joins them by the flags, so the output is
-    bit-exactly that of ``eval_branch``. At ``workers`` 1, or without a
-    blocking letter, the whole branch is one fused stage on the calling
-    thread and runs as ``eval_branch`` does, word by word."""
-    return run_boxed(graph, xs, state, plan_pipeline(graph, prog, workers, capacity, check))
-
-
-# a raw word evaluator for branch programs: (word, items, slots) -> (items, slots)
-WordCore = Callable[[Word, Sequence[Any], Slots], Tuple[Sequence[Any], Slots]]
-
-
-def _branch(
-    prog: BranchProgram, word_core: WordCore, items: Sequence[Any], slots: Slots
-) -> Tuple[Sequence[Any], Slots]:
-    produced, slots = word_core(prog.producer, items, slots)
-    lefts, rights, flags = _split(produced)
-    lefts, slots = word_core(prog.left, lefts, slots)
-    rights, slots = word_core(prog.right, rights, slots)
-    return word_core(prog.consumer, _join(lefts, rights, flags), slots)
-
-
-def eval_branch(
-    graph: Multigraph,
-    prog: BranchProgram,
-    xs: Value,
-    state: StateStore,
-    check: bool = False,
-) -> Tuple[Value, StateStore]:
-    """Sequential branch semantics: produce, split, run both branches
-    one after the other with ``eval_psi_ref``'s core, join by the recorded
-    flags, consume. The store passes through the left branch, then the
-    right; their letter sets are disjoint, so each changes only its own
-    slots."""
-    return run_boxed(graph, xs, state, plan_branch(graph, prog, check))
-
-
-def plan_branch(graph: Multigraph, prog: BranchProgram, check: bool = False) -> Plan:
-    vb = validate_branch(graph, prog)
-    core = partial(_branch, prog, partial(_psi, graph, check=check))
-    return Plan(prog.letters, vb.src, vb.tgt, core)
-
-
-def _branch_elementwise(
-    graph: Multigraph, prog: BranchProgram, items: Sequence[Any], slots: Slots, check: bool
-) -> Tuple[List[Any], Slots]:
-    producer, left, right, consumer = (
-        element_steps(graph, w.letters, check) for w in prog.words()
-    )
-    out: List[Any] = []
-    for x in items:
-        y = run_element(producer, slots, x)
-        if type(y) is Inl:
-            d_in = Inl(run_element(left, slots, y.value))
-        else:
-            d_in = Inr(run_element(right, slots, y.value))
-        out.append(run_element(consumer, slots, d_in))
-    return out, slots
-
-
-def eval_branch_elementwise(
-    graph: Multigraph,
-    prog: BranchProgram,
-    xs: Value,
-    state: StateStore,
-    check: bool = False,
-) -> Tuple[Value, StateStore]:
-    """Independent oracle for branch programs: route one element at a
-    time through produce/branch/consume, threading the store.
-
-    Never splits or joins; agreement with ``eval_branch`` is the branch
-    analogue of the stage/element reordering equivalence. It is defined
-    on every valid branch, since ``validate_branch`` rejects a letter
-    that repeats anywhere in the four words.
-    """
-    return run_boxed(graph, xs, state, plan_branch_elementwise(graph, prog, check))
-
-
-def plan_branch_elementwise(graph: Multigraph, prog: BranchProgram, check: bool = False) -> Plan:
-    vb = validate_branch(graph, prog)
-    core = partial(_branch_elementwise, graph, prog, check=check)
-    return Plan(prog.letters, vb.src, vb.tgt, core)
 
 
 def _auto(
@@ -740,16 +530,16 @@ def eval_auto_word(
     every read-only or product stage and falls back to the sequential map
     for general stages. Only a blocking stage fans out over ``workers``
     chunks; any other runs as one chunk on the calling thread. A branch
-    program runs as ``eval_branch`` runs it, with each of its words
-    evaluated this way."""
+    program runs as ``eval_psi_ref`` runs it (``composition.fold``), with
+    each of its words evaluated this way."""
     return run_boxed(graph, xs, state, plan_auto(graph, word, workers, check))
 
 
 def plan_auto(graph: Multigraph, shape: Shape, workers: int = 1, check: bool = False) -> Plan:
-    src, tgt = _validated(graph, shape)
+    src, tgt = endpoints(graph, shape)
     core = partial(_auto, graph, workers=_positive(workers), check=check)
-    if isinstance(shape, BranchProgram):
-        core = partial(_branch, shape, core)
-    else:
-        core = partial(core, shape)
-    return Plan(shape.letters, src, tgt, core)
+    return Plan(shape.letters, src, tgt, partial(fold, shape, core))
+
+
+# the branch name of the pipeline executor
+run_task_parallel_branch = run_pipeline

@@ -30,20 +30,22 @@ import hashlib
 import json
 import reprlib
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .builtins import make_thread
-from .composition import Word, plan_interleaved, plan_psi, unbox_input, validate_word
+from .composition import (
+    BranchProgram,
+    Shape,
+    Word,
+    endpoints,
+    plan_interleaved,
+    plan_psi,
+    unbox_input,
+    validate_word,
+)
 from .errors import ParseError, SchemaError, ValidationError
 from .model import Multigraph, StateStore, boxed_store, build_graph
-from .parallel import (
-    BranchProgram,
-    plan_auto,
-    plan_branch,
-    plan_branch_elementwise,
-    plan_pipeline,
-    validate_branch,
-)
+from .parallel import plan_auto, plan_pipeline
 from .values import (
     INT64_MAX,
     INT64_MIN,
@@ -72,10 +74,7 @@ class Program:
 
     __slots__ = ("graph", "word", "input_type", "_input", "_items")
 
-    def __init__(
-        self, graph: Multigraph, word: Union[Word, BranchProgram], input: Value,
-        input_type: PortType,
-    ):
+    def __init__(self, graph: Multigraph, word: Shape, input: Value, input_type: PortType):
         self.graph = graph
         self.word = word
         self.input_type = input_type
@@ -84,8 +83,7 @@ class Program:
 
     @classmethod
     def from_raw(
-        cls, graph: Multigraph, word: Union[Word, BranchProgram], items: Sequence[Any],
-        input_type: PortType,
+        cls, graph: Multigraph, word: Shape, items: Sequence[Any], input_type: PortType
     ) -> "Program":
         """A program whose raw input elements already inhabit ``input_type``,
         and ``input_type`` feeds the word's source."""
@@ -298,11 +296,10 @@ def run_raw(
     returns the output's element type, the raw output elements and
     ``{thread id: raw state}`` for every thread."""
     graph, word = program.graph, program.word
-    branch = program.is_branch
     if mode == "seq":
-        plan = (plan_branch if branch else plan_psi)(graph, word, check=check)
+        plan = plan_psi(graph, word, check=check)
     elif mode == "interleaved":
-        plan = (plan_branch_elementwise if branch else plan_interleaved)(graph, word, check=check)
+        plan = plan_interleaved(graph, word, check=check)
     elif mode == "pipeline":
         plan = plan_pipeline(graph, word, workers, check=check)
     elif mode == "auto":
@@ -405,7 +402,7 @@ def parse_program(text: str) -> Program:
         anchor = parse_port(anchor_doc, "anchor")
 
     word_doc = _require(doc, "word", "")
-    word: Union[Word, BranchProgram]
+    word: Shape
     if isinstance(word_doc, dict):
         if set(word_doc) != {"branch"}:
             raise SchemaError("word", 'expected an array or {"branch": {...}}')
@@ -426,11 +423,9 @@ def parse_program(text: str) -> Program:
         rtgt = validate_word(graph, right).tgt
         consumer = _word_from_json(br["consumer"], "word.branch.consumer", sum_of(ltgt, rtgt))
         word = BranchProgram(producer, left, right, consumer)
-        validate_branch(graph, word)
-        src = validate_word(graph, producer).src
     else:
         word = _word_from_json(word_doc, "word", anchor)
-        src = validate_word(graph, word).src
+    src = endpoints(graph, word)[0]
 
     input_doc = _require(doc, "input", "")
     if not isinstance(input_doc, list):

@@ -20,6 +20,7 @@ from stc import (
     eval_branch,
     eval_branch_elementwise,
     eval_auto_word,
+    eval_interleaved,
     eval_psi_ref,
     init_state,
     join,
@@ -36,10 +37,11 @@ from stc import (
     v_list,
     v_str,
 )
-from stc.errors import PortTypeError, ValidationError
+from stc.errors import PathMismatch, PortTypeError, StcError, ValidationError
 from stc.harness import (
     FuzzConfig,
     _all_blocking,
+    carrier_stream,
     program_stream,
     run_program,
     verify_classification,
@@ -639,6 +641,80 @@ def test_branch_rejects_non_sum_producer():
     bad = BranchProgram(Word((2,)), Word((2,)), Word((3,)), Word((4,)))
     with pytest.raises(ValidationError):
         eval_branch(graph, bad, int_list(1), init_state(graph))
+
+
+def test_reference_evaluators_take_both_shapes():
+    graph = branch_graph()
+    for evaluate in (eval_psi_ref, eval_interleaved):
+        out, st = evaluate(graph, branch_prog(), int_list(2, 3, 4), init_state(graph))
+        assert out == int_list(3, 9, 5)
+        assert st.get(2) == v_int(2) and st.get(3) == v_int(3)
+    cfg = FuzzConfig(seed=5, trials=1)
+    branches = [
+        p for stream in (program_stream(cfg), carrier_stream(cfg))
+        for _, p in zip(range(100), stream) if p.is_branch
+    ]
+    assert branches
+    for p in branches:
+        expect = run_pipeline(p.graph, p.word, p.input, init_state(p.graph), 1)
+        assert run_pipeline(p.graph, p.word, p.input, init_state(p.graph), 2) == expect
+        assert eval_psi_ref(p.graph, p.word, p.input, init_state(p.graph)) == expect
+        assert eval_interleaved(p.graph, p.word, p.input, init_state(p.graph)) == expect
+
+
+def test_branch_names_are_the_reference_functions():
+    from stc import composition, parallel
+
+    assert parallel.eval_branch is composition.eval_psi_ref
+    assert parallel.eval_branch_elementwise is composition.eval_interleaved
+    assert parallel.run_task_parallel_branch is parallel.run_pipeline
+    for name in ("BranchProgram", "validate_branch", "split", "join"):
+        assert getattr(parallel, name) is getattr(composition, name)
+        assert getattr(parallel, name).__module__ == "stc.composition"
+
+
+def _invalid_shape_graph():
+    return build_graph(
+        make_thread(1, "branch_even"),
+        make_thread(3, "counter_add", v_int(0)),
+        make_thread(4, "merge_sum"),
+        make_thread(5, "add1_tick", v_int(0)),
+        make_thread(6, "counter_add", v_int(0)),
+    )
+
+
+_REPEATED_5 = (RepeatedLetter, "letter 5 occurs more than once in the word")
+_REPEATED_3 = (RepeatedLetter, "letter 3 occurs more than once in the word")
+_NOT_COMPOSED = (PathMismatch, "letters 2 and 3 do not compose: sum(int,int) != int")
+_CONSUMER = (ValidationError, "consumer starts at int, branches produce sum(int,int)")
+# the branch names are the reference evaluators, so each shape is run
+# through every public name that has always taken it
+_BRANCH_EVALUATORS = (
+    eval_branch, eval_branch_elementwise, run_pipeline, run_task_parallel_branch, eval_auto_word
+)
+_WORD_EVALUATORS = (eval_psi_ref, eval_interleaved, run_pipeline, eval_auto_word)
+
+
+@pytest.mark.parametrize(
+    "shape, expect",
+    [
+        # the sides share 3 and 5 in opposite order: the first repeat seen is named
+        (BranchProgram(Word((1,)), Word((3, 5)), Word((5, 3)), Word((4,))), [_REPEATED_5] * 5),
+        (BranchProgram(Word((1,)), Word((3, 3)), Word((5,)), Word((4,))), [_REPEATED_3] * 5),
+        # a branch's paths are checked before its repeats
+        (BranchProgram(Word((1,)), Word((3, 3)), Word((5,)), Word((6,))), [_CONSUMER] * 5),
+        # a word's repeats fail only the element-wise evaluator, before its path
+        (Word((3, 1, 3)), [_NOT_COMPOSED, _REPEATED_3, _NOT_COMPOSED, _NOT_COMPOSED]),
+    ],
+    ids=["sides-share-two", "repeat-within-side", "branch-path-and-repeat", "word-path-and-repeat"],
+)
+def test_invalid_shapes_raise_the_same_errors(shape, expect):
+    graph = _invalid_shape_graph()
+    evaluators = _BRANCH_EVALUATORS if isinstance(shape, BranchProgram) else _WORD_EVALUATORS
+    for evaluate, (kind, message) in zip(evaluators, expect, strict=True):
+        with pytest.raises(StcError) as info:
+            evaluate(graph, shape, int_list(1, 2), init_state(graph))
+        assert (type(info.value), str(info.value)) == (kind, message), evaluate.__name__
 
 
 def test_branch_with_empty_sides():
