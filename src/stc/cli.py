@@ -31,7 +31,6 @@ from .program import (
     dump_raw,
     export_dot,
     parse_program,
-    program_digest,
     run_program,
     run_raw,
     value_to_json,
@@ -103,7 +102,7 @@ def _print_check_table(program: Program, trial, hints_ok: bool = True) -> None:
     up to the divergence, then the run that diverged. Runs nothing itself."""
     from .model import is_acyclic
 
-    print(f"program {program_digest(program)[:16]}")
+    print(f"program {trial.digest[:16]}")
     # cycles never block execution (repeated letters run segmented), but
     # an acyclic graph guarantees every word pipelines in one piece
     print(f"graph acyclic: {str(is_acyclic(program.graph)).lower()}")

@@ -22,7 +22,12 @@ plus word-split functor checks, split/join round trips, and single-letter
 fast-path comparisons. ``check_program`` makes every one of those runs in
 one pass, with ``check`` on or off for all of them alike: ``stc check
 <file>`` runs them checked and prints its table from the result, the
-fuzzer runs them unchecked.
+fuzzer runs them unchecked. The runs return raw results (``run_raw``),
+compared with ``values.equaler`` over the output and every state slot; a
+result is boxed only when it diverges, to write the divergence. The runs
+of one check share a ``parallel.Crew``, so the threaded runs reuse the
+stage threads that the runs before them started, and all of them are
+joined before the check returns.
 
 Executors start threads only for blocking stages, so the runs with more
 than one worker use a copy of the program whose threads are all marked
@@ -32,10 +37,13 @@ thread.
 
 Classification hints are spot-checked by sampling only where there is a
 claim to test: READ_ONLY and PRODUCT threads get 200 random (element,
-state) pairs each, GENERAL threads claim nothing and are not sampled. A
-builtin's own transfer is sampled through its side-effect-free kernel (a
-delay does not sleep) and its value and state parts as they are, once
-per distinct claim within one ``verify_hints`` call.
+state) pairs each, GENERAL threads claim nothing and are not sampled.
+Sampling runs on raw values: the pairs are drawn raw, a builtin's
+transfer runs as its side-effect-free kernel (a delay does not sleep), a
+replaced one as ``model.raw_transfer`` runs it, the value and state parts
+as the executors run them, and results are compared with
+``values.equaler``. A thread made of its builtin's own functions is
+sampled once per distinct claim within one ``verify_hints`` call.
 
 Each fuzz trial also checks a *carrier program* from a second stream
 (``carrier_stream``): a random port type over the whole value grammar
@@ -44,9 +52,11 @@ routed through zero-delay delay threads, fed with edge values (NaN,
 stream draws exactly as before, so old failure seeds still replay.
 
 Both kinds of value come from one structural walker, ``_walk``: it draws
-lists, pairs and sums the same way and takes its scalars from a leaf
-table, ``_RANDOM_LEAVES`` for ``random_value`` and ``_EDGE_LEAVES`` for
-``edge_value``.
+raw lists, pairs and sums the same way and takes its raw scalars from a
+leaf table, ``_RANDOM_LEAVES`` for hint samples and ``random_value``, and
+``_EDGE_LEAVES`` for carrier inputs and ``edge_value``. ``random_value``
+and ``edge_value`` box the walk's result, so both representations draw in
+one order. Generated programs hold their inputs raw (``Program.from_raw``).
 """
 
 from __future__ import annotations
@@ -55,14 +65,16 @@ import copy
 import math
 import string
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .builtins import make_thread
 from .composition import (
     BranchProgram,
     Word,
-    eval_psi_ref,
     join,
+    map_letter,
+    plan_psi,
     smap_check,
     split,
     validate_word,
@@ -73,14 +85,28 @@ from .model import (
     StageKind,
     StateStore,
     ThreadSpec,
-    boxed_transfer,
     build_graph,
     builtin_claim,
     init_state,
     kernel_of,
+    raw_slots,
+    raw_state_part,
+    raw_step,
+    raw_transfer,
+    raw_value_part,
 )
-from .parallel import run_data_parallel_product, run_data_parallel_readonly
-from .program import Program, program_digest, program_to_text, run_program
+from .parallel import Crew, _product_map, _readonly_map
+# ``run_program`` stays importable from here: the traced benchmark
+# (``perfbench/layers.py``) wraps it by name
+from .program import (  # noqa: F401
+    Program,
+    RawResult,
+    boxed_result,
+    program_digest,
+    program_to_text,
+    run_program,
+    run_raw,
+)
 from .values import (
     BOOL_T,
     FLOAT_T,
@@ -89,20 +115,22 @@ from .values import (
     INT_T,
     STR_T,
     UNIT_T,
+    Inl,
+    Inr,
     PortType,
     TypeKind,
-    UNIT,
     Value,
+    box_list,
+    box_state,
+    boxer,
+    equaler,
     list_of,
     pair_of,
     sum_of,
-    v_bool,
-    v_float,
     v_inl,
     v_inr,
     v_int,
     v_list,
-    v_pair,
     v_str,
 )
 
@@ -155,35 +183,35 @@ class FuzzConfig:
 
 
 # random ints lie in [-1000, 1000]; random floats are eighths of such ints
-_RANDOM_LEAVES: Dict[TypeKind, Callable[[Xorshift64Star], Value]] = {
-    TypeKind.UNIT: lambda rng: UNIT,
-    TypeKind.BOOL: lambda rng: v_bool(rng.below(2) == 0),
-    TypeKind.INT: lambda rng: v_int(rng.below(2001) - 1000),
-    TypeKind.FLOAT: lambda rng: v_float((rng.below(2001) - 1000) / 8.0),
-    TypeKind.STR: lambda rng: v_str(
-        "".join(rng.pick(string.ascii_lowercase) for _ in range(rng.below(6)))
+_RANDOM_LEAVES: Dict[TypeKind, Callable[[Xorshift64Star], Any]] = {
+    TypeKind.UNIT: lambda rng: None,
+    TypeKind.BOOL: lambda rng: rng.below(2) == 0,
+    TypeKind.INT: lambda rng: rng.below(2001) - 1000,
+    TypeKind.FLOAT: lambda rng: (rng.below(2001) - 1000) / 8.0,
+    TypeKind.STR: lambda rng: "".join(
+        rng.pick(string.ascii_lowercase) for _ in range(rng.below(6))
     ),
 }
 
 
-def _walk(pt: PortType, rng: Xorshift64Star, leaves: Dict) -> Value:
-    """A random inhabitant of ``pt``: lists of 0-3 elements, either
+def _walk(pt: PortType, rng: Xorshift64Star, leaves: Dict) -> Any:
+    """A random raw inhabitant of ``pt``: lists of 0-3 elements, either
     injection of a sum with equal odds, and scalars from ``leaves``."""
     k = pt.kind
     if k is TypeKind.LIST:
-        return v_list(pt.args[0], [_walk(pt.args[0], rng, leaves) for _ in range(rng.below(4))])
+        return tuple([_walk(pt.args[0], rng, leaves) for _ in range(rng.below(4))])
     if k is TypeKind.PAIR:
-        return v_pair(_walk(pt.args[0], rng, leaves), _walk(pt.args[1], rng, leaves))
+        return (_walk(pt.args[0], rng, leaves), _walk(pt.args[1], rng, leaves))
     if k is TypeKind.SUM:
         if rng.below(2) == 0:
-            return v_inl(_walk(pt.args[0], rng, leaves))
-        return v_inr(_walk(pt.args[1], rng, leaves))
+            return Inl(_walk(pt.args[0], rng, leaves))
+        return Inr(_walk(pt.args[1], rng, leaves))
     return leaves[k](rng)
 
 
 def random_value(pt: PortType, rng: Xorshift64Star) -> Value:
     """A random inhabitant of a port type, driven entirely by ``rng``."""
-    return _walk(pt, rng, _RANDOM_LEAVES)
+    return boxer(pt)(_walk(pt, rng, _RANDOM_LEAVES))
 
 
 def verify_classification(
@@ -198,11 +226,13 @@ def verify_classification(
     mislabeled builtin early. GENERAL threads claim nothing, so they pass
     without drawing a sample or calling ``transfer``.
 
-    A thread whose functions are all its builtin's own is sampled through
-    the builtin's side-effect-free kernels (a delay does not sleep), and
-    with ``seen`` its verdict is shared by every thread that makes the
-    same claim: same builtin, canonical params and hint. Any other thread
-    is sampled through its own functions, every time.
+    Samples are raw values, compared with ``equaler``. The transfer runs
+    as its builtin kernel's side-effect-free ``sample`` (a delay does not
+    sleep), or, when replaced, as ``raw_transfer`` runs it; the parts run
+    as the executors run them. With ``seen``, the verdict of a thread
+    whose functions are all its builtin's own is shared by every thread
+    that makes the same claim: same builtin, canonical params and hint.
+    Any other thread is sampled every time.
     """
     kind = spec.kind
     if kind is StageKind.GENERAL:
@@ -211,24 +241,36 @@ def verify_classification(
     key = (claim, kind)
     if claim is not None and seen is not None and key in seen:
         return seen[key]
-    transfer = spec.transfer
-    if claim is not None:  # only a builtin's transfer may sleep, never its parts
-        transfer = boxed_transfer(kernel_of(transfer).sample, spec.src, spec.tgt, spec.state_type)
+    kernel = kernel_of(spec.transfer)
+    step = kernel.sample if kernel is not None else raw_transfer(spec)
+    src, st = spec.src, spec.state_type
+    same_state = partial(_same_state, equaler(st), st)
+    if kind is StageKind.PRODUCT:
+        value_part, state_part = raw_value_part(spec), raw_state_part(spec)
+        same_output = equaler(spec.tgt)
     ok = True
     for _ in range(trials):
-        x = random_value(spec.src, rng)
-        sigma = random_value(spec.state_type, rng)
-        y, sigma2 = transfer(x, sigma)
-        if kind is StageKind.READ_ONLY and sigma2 != sigma:
-            ok = False
+        x = _walk(src, rng, _RANDOM_LEAVES)
+        sigma = _walk(st, rng, _RANDOM_LEAVES)
+        y, sigma2 = step(x, sigma)
+        if kind is StageKind.READ_ONLY:
+            ok = same_state(sigma2, sigma)
+        else:
+            ok = same_output(y, value_part(x)) and same_state(sigma2, state_part(sigma))
+        if not ok:
             break
-        if kind is StageKind.PRODUCT:
-            if y != spec.value_part(x) or sigma2 != spec.state_part(sigma):
-                ok = False
-                break
     if claim is not None and seen is not None:
         seen[key] = ok
     return ok
+
+
+def _same_state(eq: Callable[[Any, Any], bool], st: PortType, a: Any, b: Any) -> bool:
+    """``eq`` on two raw states of type ``st``. A state that does not
+    inhabit ``st`` stays a ``Value`` (see ``unbox_state``), so such a pair
+    is compared boxed."""
+    if isinstance(a, Value) or isinstance(b, Value):
+        return box_state(a, st) == box_state(b, st)
+    return eq(a, b)
 
 
 def verify_hints(specs: Iterable[ThreadSpec], rng: Xorshift64Star) -> bool:
@@ -246,9 +288,10 @@ def _int_thread(tid: int, rng: Xorshift64Star) -> ThreadSpec:
 
 
 def _input_list(
-    pt: PortType, rng: Xorshift64Star, cfg: FuzzConfig, draw: Callable = random_value
-) -> Value:
-    return v_list(pt, [draw(pt, rng) for _ in range(rng.below(cfg.max_list_len + 1))])
+    pt: PortType, rng: Xorshift64Star, cfg: FuzzConfig, leaves: Dict = _RANDOM_LEAVES
+) -> List[Any]:
+    """Raw input elements of type ``pt``, drawn from ``leaves``."""
+    return [_walk(pt, rng, leaves) for _ in range(rng.below(cfg.max_list_len + 1))]
 
 
 def gen_random_program(cfg: FuzzConfig, rng: Optional[Xorshift64Star] = None) -> Program:
@@ -306,7 +349,7 @@ def _gen_chain(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
     rng.shuffle(word_ids)
     _maybe_extra_thread(specs, rng, cfg, extra)
     graph = build_graph(*specs)
-    return Program(graph, Word(tuple(word_ids)), _input_list(carrier, rng, cfg), carrier)
+    return Program.from_raw(graph, Word(tuple(word_ids)), _input_list(carrier, rng, cfg), carrier)
 
 
 def _gen_repeated(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
@@ -319,7 +362,7 @@ def _gen_repeated(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
         letters[-1] = letters[0]
     _maybe_extra_thread(specs, rng, cfg)
     graph = build_graph(*specs)
-    return Program(graph, Word(tuple(letters)), _input_list(INT_T, rng, cfg), INT_T)
+    return Program.from_raw(graph, Word(tuple(letters)), _input_list(INT_T, rng, cfg), INT_T)
 
 
 def _gen_branch(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
@@ -350,7 +393,7 @@ def _gen_branch(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
         right=Word(tuple(rights)) if rights else Word((), INT_T),
         consumer=Word(tuple([merger] + post)),
     )
-    return Program(graph, prog, _input_list(INT_T, rng, cfg), INT_T)
+    return Program.from_raw(graph, prog, _input_list(INT_T, rng, cfg), INT_T)
 
 
 def program_stream(cfg: FuzzConfig) -> Iterator[Program]:
@@ -388,9 +431,9 @@ def random_port_type(rng: Xorshift64Star, depth: int = 3) -> PortType:
 
 _EDGE_LEAVES = {
     **_RANDOM_LEAVES,
-    TypeKind.INT: lambda rng: v_int(rng.pick(_EDGE_INTS)),
-    TypeKind.FLOAT: lambda rng: v_float(rng.pick(_EDGE_FLOATS)),
-    TypeKind.STR: lambda rng: v_str(rng.pick(_EDGE_STRS)),
+    TypeKind.INT: lambda rng: rng.pick(_EDGE_INTS),
+    TypeKind.FLOAT: lambda rng: rng.pick(_EDGE_FLOATS),
+    TypeKind.STR: lambda rng: rng.pick(_EDGE_STRS),
 }
 
 
@@ -398,7 +441,7 @@ def edge_value(pt: PortType, rng: Xorshift64Star) -> Value:
     """A random inhabitant of ``pt`` drawn from the edges of each scalar
     domain: NaN, ±0.0, ±inf, subnormals, the 64-bit int extremes, and
     non-ASCII and lone-surrogate strings."""
-    return _walk(pt, rng, _EDGE_LEAVES)
+    return boxer(pt)(_walk(pt, rng, _EDGE_LEAVES))
 
 
 def _delay_thread(tid: int, carrier: PortType) -> ThreadSpec:
@@ -454,8 +497,8 @@ def gen_carrier_program(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
             Word(tuple(right), None if right else b),
             Word(tuple([head] + tail)),
         )
-        xs = _input_list(produced, rng, cfg, edge_value)
-        return Program(build_graph(*specs), prog, xs, produced)
+        xs = _input_list(produced, rng, cfg, _EDGE_LEAVES)
+        return Program.from_raw(build_graph(*specs), prog, xs, produced)
     t = random_port_type(rng)
     limit = min(cfg.max_word_len, cfg.max_edges)
     letters = _carrier_chain(specs, ids, t, 1 + rng.below(limit))
@@ -465,8 +508,8 @@ def gen_carrier_program(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
         letters += _carrier_chain(specs, ids, t.args[0], rng.below(limit - len(letters) + 1))
     if rng.below(4) == 0 and len(letters) < limit and specs[-1].fn_name == "delay_identity_ms":
         letters.append(letters[-1])  # a delay maps its carrier to itself
-    xs = _input_list(t, rng, cfg, edge_value)
-    return Program(build_graph(*specs), Word(tuple(letters)), xs, t)
+    xs = _input_list(t, rng, cfg, _EDGE_LEAVES)
+    return Program.from_raw(build_graph(*specs), Word(tuple(letters)), xs, t)
 
 
 def carrier_stream(cfg: FuzzConfig) -> Iterator[Program]:
@@ -564,12 +607,16 @@ def check_program(
 ) -> TrialReport:
     """Run every applicable comparison for one program.
 
-    ``check`` is passed to every ``run_program`` call, the reference
-    included. ``modes`` lists each run in order; on a divergence it ends
-    with the run that diverged."""
+    ``check`` is passed to every ``run_raw`` call, the reference
+    included. Results are compared raw (``_divergence``) and boxed only to
+    describe a divergence. The runs share one ``Crew``, so a run with
+    threads reuses the stage threads of the runs before it. ``modes``
+    lists each run in order; on a divergence it ends with the run that
+    diverged."""
     digest = program_digest(program)
     modes: List[str] = ["seq"]
-    ref = run_program(program, "seq", check=check)
+    graph = program.graph
+    ref = run_raw(program, "seq", check=check)
 
     def fail(div: Divergence) -> TrialReport:
         return TrialReport(index, digest, modes, False, div, program_to_text(program))
@@ -582,16 +629,17 @@ def check_program(
     candidates.append(("pipeline", WORKERS_COUNTS[-1]))  # determinism re-run
 
     threaded = _all_blocking(program)
-    for mode, w in candidates:
-        label = mode if mode == "interleaved" else f"{mode}@{w}"
-        modes.append(label)
-        try:
-            got = run_program(threaded if w > 1 else program, mode, workers=w, check=check)
-        except StcError as exc:
-            return fail(Divergence(label, "error", "-", "result", repr(exc)))
-        div = first_divergence(label, ref, got)
-        if div is not None:
-            return fail(div)
+    with Crew():
+        for mode, w in candidates:
+            label = mode if mode == "interleaved" else f"{mode}@{w}"
+            modes.append(label)
+            try:
+                got = run_raw(threaded if w > 1 else program, mode, workers=w, check=check)
+            except StcError as exc:
+                return fail(Divergence(label, "error", "-", "result", repr(exc)))
+            div = _divergence(graph, label, ref, got)
+            if div is not None:
+                return fail(div)
 
     word = None if program.is_branch else program.word
     if word is not None and word.letters:
@@ -604,6 +652,22 @@ def check_program(
         return fail(div)
 
     return TrialReport(index, digest, modes + ["functor", "split-join"], True)
+
+
+def _divergence(
+    graph: Multigraph, mode: str, ref: RawResult, got: RawResult
+) -> Optional[Divergence]:
+    """``first_divergence`` of two raw results over ``graph``. Equal
+    results, compared with ``equaler``, are never boxed."""
+    (ref_t, ref_out, ref_slots), (got_t, got_out, got_slots) = ref, got
+    if ref_t == got_t and len(ref_out) == len(got_out) and ref_slots.keys() == got_slots.keys():
+        edges = graph.edges
+        if all(map(equaler(ref_t), ref_out, got_out)) and all(
+            _same_state(equaler(edges[n].state_type), edges[n].state_type, a, got_slots[n])
+            for n, a in ref_slots.items()
+        ):
+            return None
+    return first_divergence(mode, boxed_result(graph, ref), boxed_result(graph, got))
 
 
 def _all_blocking(program: Program) -> Program:
@@ -621,45 +685,58 @@ def _all_blocking(program: Program) -> Program:
 
 
 def _check_functor_split(
-    program: Program, word: Word, ref: Tuple[Value, StateStore], rng: Xorshift64Star
+    program: Program, word: Word, ref: RawResult, rng: Xorshift64Star
 ) -> Optional[Divergence]:
     """Cutting a word anywhere and running the halves back to back must
     reproduce the whole word's result."""
     graph = program.graph
     cut = rng.below(len(word.letters) + 1)
     vw = validate_word(graph, word)
-    first = Word(word.letters[:cut], vw.src if cut == 0 else None)
-    second = Word(word.letters[cut:], vw.tgt if cut == len(word.letters) else None)
-    mid, st1 = eval_psi_ref(graph, first, program.input, init_state(graph))
-    out, st2 = eval_psi_ref(graph, second, mid, st1)
-    return first_divergence(f"functor-split@{cut}", ref, (out, st2))
+    first = plan_psi(graph, Word(word.letters[:cut], vw.src if cut == 0 else None))
+    second = plan_psi(graph, Word(word.letters[cut:], vw.tgt if cut == len(word.letters) else None))
+    mid, slots = first.core(program.raw_input(first.src), _initial_slots(graph))
+    out, slots = second.core(mid, slots)
+    return _divergence(graph, f"functor-split@{cut}", ref, (second.tgt, out, slots))
 
 
+def _initial_slots(graph: Multigraph) -> Dict[int, Any]:
+    return raw_slots(graph, init_state(graph), graph.edges)
+
+
+# raw (output, new state) of a single-letter fast path at one worker
 _FAST_PATHS = {
-    StageKind.READ_ONLY: run_data_parallel_readonly,
-    StageKind.PRODUCT: run_data_parallel_product,
+    StageKind.READ_ONLY: lambda spec, items, sigma: (
+        _readonly_map(spec, items, sigma, 1, False), sigma
+    ),
+    StageKind.PRODUCT: lambda spec, items, sigma: _product_map(spec, items, sigma, 1, False),
 }
 
 
 def _check_fast_paths(program: Program, word: Word) -> Optional[Divergence]:
     """Single-letter fast paths must match the reference on that letter."""
     graph = program.graph
-    state = init_state(graph)
+    slots = _initial_slots(graph)
     checked = 0
-    current = program.input
+    items = program.raw_input(validate_word(graph, word).src)
     for n in word.letters:
         spec = graph.edges[n]
-        expect, st_ref = eval_psi_ref(graph, Word((n,)), current, state)
+        tgt, st = spec.tgt, spec.state_type
+        expect, sigma_ref = map_letter(raw_step(spec, False), items, slots[n])
         fast = _FAST_PATHS.get(spec.kind)
         if fast is not None:
-            got, sigma = fast(spec, current, state.get(n))
-            if got != expect or sigma != st_ref.get(n):
+            got, sigma = fast(spec, items, slots[n])
+            if not (
+                len(got) == len(expect)
+                and all(map(equaler(tgt), got, expect))
+                and _same_state(equaler(st), st, sigma, sigma_ref)
+            ):
                 return Divergence(
                     f"fastpath[{n}]", "output", spec.fn_name,
-                    repr((expect, st_ref.get(n))), repr((got, sigma)),
+                    repr((box_list(tgt, expect), box_state(sigma_ref, st))),
+                    repr((box_list(tgt, got), box_state(sigma, st))),
                 )
             checked += 1
-        current, state = expect, st_ref
+        items, slots[n] = expect, sigma_ref
         if checked >= 2:
             break
     return None

@@ -43,10 +43,16 @@ store. Determinism comes from structure, not luck:
   the sentinel; a stage that sees a recorded failure after a hand-off
   stops computing and drains too. Every consumer drains and every
   producer closes, so plain blocking puts and gets cannot hang.
-* Threads start from the last stage (or chunk) to the first. If one
-  cannot start, the first stage that did start gets the sentinel, and
-  the run raises ``ExecutionError`` once the started threads are joined.
-  A run may ask for at most ``MAX_WORKERS`` workers.
+* Stage (or chunk) threads come from a ``Crew`` and are handed their
+  tasks from the last stage to the first. A bare run makes a crew per
+  launch, so its threads start and are joined within the launch. Inside
+  a ``with Crew():`` block, as ``stc check`` opens around its runs, a
+  launch reuses the threads that earlier launches started; each thread
+  serves one task at a time until the block ends, when every thread
+  gets the ``None`` sentinel and is joined. If a thread cannot start,
+  the first stage that did get one gets the sentinel, and the run raises
+  ``ExecutionError`` once the handed tasks have finished. A run may ask
+  for at most ``MAX_WORKERS`` workers.
 * Once all groups have finished, their state dicts are merged back into
   the store.
 * The read-only and product fast paths split their map into contiguous
@@ -222,34 +228,104 @@ def _fission(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> Li
     return [y for chunk in chunks for y in chunk]
 
 
+class Crew:
+    """Stage threads that serve tasks until they get the ``None``
+    sentinel, so that later launches reuse earlier launches' threads.
+
+    ``_launch`` takes its threads from the crew of the innermost
+    ``with Crew():`` block on the calling thread; outside any block it
+    makes a crew that lives for that one launch, so each of its tasks
+    gets a thread that starts and is joined within the launch. Every
+    thread of a crew is joined when its block ends."""
+
+    def __init__(self):
+        self._idle: List[queue.SimpleQueue] = []  # inboxes of threads with no task
+        self._inboxes: List[queue.SimpleQueue] = []
+        self._threads: List[threading.Thread] = []
+        self._outer: Optional[Crew] = None
+
+    def __enter__(self) -> "Crew":
+        self._outer = getattr(_scope, "crew", None)
+        _scope.crew = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _scope.crew = self._outer
+        self.close()
+
+    def hand(self, task: Callable[[], None]) -> Tuple[queue.SimpleQueue, Any]:
+        """Run ``task`` on an idle thread, or on a new one, and return
+        what ``wait`` takes. ``task`` must not raise. A thread that
+        cannot start raises ``RuntimeError``, as ``Thread.start`` does."""
+        if self._idle:
+            inbox = self._idle.pop()
+        else:
+            inbox = queue.SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(inbox,))
+            thread.start()
+            self._threads.append(thread)
+            self._inboxes.append(inbox)
+        done = threading.Lock()
+        done.acquire()
+        inbox.put((task, done))
+        return inbox, done
+
+    def wait(self, handed: Sequence[Tuple[queue.SimpleQueue, Any]]) -> None:
+        """Wait until every handed task has run; their threads go idle."""
+        for inbox, done in handed:
+            done.acquire()
+            self._idle.append(inbox)
+
+    def close(self) -> None:
+        """Send every thread the sentinel and join them all."""
+        for inbox in self._inboxes:
+            inbox.put(None)
+        for thread in self._threads:
+            thread.join()
+        self._idle, self._inboxes, self._threads = [], [], []
+
+
+# ``_scope.crew``: the crew of the calling thread's innermost ``with Crew():``
+_scope = threading.local()
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    for task, done in iter(inbox.get, None):
+        task()
+        done.release()
+
+
 def _launch(
     run: Callable[[int], None], failed: List[Optional[BaseException]],
     inboxes: Sequence[queue.Queue] = (),
 ) -> None:
     """Run tasks ``0..len(failed) - 1``: task 0 on the calling thread and
-    every other on a thread of its own, started from the last to the
-    first. ``run(i)`` records its exception in ``failed[i]``; once every
-    thread has been joined, the earliest task's exception is re-raised.
+    every other on a thread of the calling thread's ``Crew``, handed out
+    from the last to the first. ``run(i)`` records its exception in
+    ``failed[i]`` and never raises; once every task has run, the earliest
+    task's exception is re-raised.
 
     If a thread cannot start, no task below it runs: task ``i + 1``, the
     first that did start, gets the ``None`` sentinel in ``inboxes[i]``
-    (when it has one), the started threads are joined, and the failure is
-    raised as ``ExecutionError``."""
-    threads = []
-    for i in range(len(failed) - 1, 0, -1):
-        t = threading.Thread(target=run, args=(i,))
-        try:
-            t.start()
-        except RuntimeError as exc:
-            if i < len(inboxes):
-                inboxes[i].put(None)
-            for started in threads:
-                started.join()
-            raise ExecutionError(f"could not start a thread: {exc}") from exc
-        threads.append(t)
-    run(0)
-    for t in threads:
-        t.join()
+    (when it has one), the started tasks are waited for, and the failure
+    is raised as ``ExecutionError``."""
+    scoped = getattr(_scope, "crew", None)
+    crew = scoped if scoped is not None else Crew()
+    handed = []
+    try:
+        for i in range(len(failed) - 1, 0, -1):
+            try:
+                handed.append(crew.hand(partial(run, i)))
+            except RuntimeError as exc:
+                if i < len(inboxes):
+                    inboxes[i].put(None)
+                crew.wait(handed)
+                raise ExecutionError(f"could not start a thread: {exc}") from exc
+        run(0)
+        crew.wait(handed)
+    finally:
+        if scoped is None:
+            crew.close()
     for exc in failed:
         if exc is not None:
             raise exc

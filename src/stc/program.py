@@ -289,9 +289,12 @@ def dump_raw(doc: Any, **kwargs) -> str:
     return json.dumps(doc, default=_sum_json, **kwargs)
 
 
-def run_raw(
-    program: Program, mode: str, workers: int = 4, check: bool = False
-) -> Tuple[PortType, Sequence[Any], Dict[int, Any]]:
+# what ``run_raw`` returns: the output's element type, the raw output
+# elements and ``{thread id: raw state}``
+RawResult = Tuple[PortType, Sequence[Any], Dict[int, Any]]
+
+
+def run_raw(program: Program, mode: str, workers: int = 4, check: bool = False) -> RawResult:
     """Evaluate a program like ``run_program`` but build no ``Value``:
     returns the output's element type, the raw output elements and
     ``{thread id: raw state}`` for every thread."""
@@ -320,8 +323,13 @@ def run_program(
     """Evaluate a program under one of the four execution modes.
 
     Returns the output list and the final store, boxed."""
-    tgt, items, slots = run_raw(program, mode, workers, check)
-    return box_list(tgt, items), boxed_store(program.graph, StateStore({}), slots)
+    return boxed_result(program.graph, run_raw(program, mode, workers, check))
+
+
+def boxed_result(graph: Multigraph, result: RawResult) -> Tuple[Value, StateStore]:
+    """A ``run_raw`` result over ``graph`` in ``run_program``'s boxed form."""
+    tgt, items, slots = result
+    return box_list(tgt, items), boxed_store(graph, StateStore({}), slots)
 
 
 def _require(doc: Dict, key: str, path: str) -> Any:
@@ -439,7 +447,9 @@ def parse_program(text: str) -> Program:
 
 
 def serialize_program(program: Program) -> Dict[str, Any]:
-    """Render a program as its canonical JSON document."""
+    """Render a program as its canonical JSON document. The input holds
+    the program's raw elements when it has them, so the document is one
+    for ``dump_raw``; otherwise it holds ``value_to_json`` literals."""
     threads = []
     for tid in sorted(program.graph.edges):
         spec = program.graph.edges[tid]
@@ -462,13 +472,16 @@ def serialize_program(program: Program) -> Dict[str, Any]:
         doc["word"] = list(program.word.letters)
         if not program.word.letters:
             doc["anchor"] = program.word.anchor.name
-    doc["input"] = [value_to_json(v) for v in program.input.payload]
+    items = program._items
+    doc["input"] = (
+        list(items) if items is not None else [value_to_json(v) for v in program.input.payload]
+    )
     doc["input_type"] = program.input_type.name
     return doc
 
 
 def program_to_text(program: Program) -> str:
-    return json.dumps(serialize_program(program), sort_keys=True, separators=(",", ":"))
+    return dump_raw(serialize_program(program), sort_keys=True, separators=(",", ":"))
 
 
 def program_digest(program: Program) -> str:

@@ -15,8 +15,9 @@ engine runs (type-directed boxing; Leroy, POPL 1992):
 * **Raw** values are what executors, the parser and the renderer carry:
   unit is ``None``; bool, int, float and str are themselves; lists and
   pairs are tuples; sums are ``Inl``/``Inr`` wrappers. The type lives in
-  the ``PortType``. Raw values are never compared: ``1 == True`` and
-  ``nan != nan`` would give the wrong answer.
+  the ``PortType``. Raw values are compared only through
+  ``equaler(pt)``: plain ``==`` would give the wrong answer on
+  ``nan != nan``, ``0.0 == -0.0`` and sums.
 * **Boxed** values (``Value``) are what the public API takes and returns.
   A ``Value`` is a tuple subclass holding ``(tag, payload, elem)``, with
   read-only properties for the three fields and no instance dict.
@@ -29,7 +30,8 @@ Boxing happens only at the engine's edges: a public evaluator unboxes its
 input once with ``unboxer(pt)``, runs on raw values, and boxes its result
 once with ``boxer(pt)``. Both trust their argument to inhabit ``pt``;
 ``conformer(pt)`` is the raw-side membership test that ``check=True``
-runs. The public constructors (``v_bool``, ``v_int``, ``v_float``,
+runs, and ``equaler(pt)`` the raw-side equality that agrees with
+``Value.__eq__``. The public constructors (``v_bool``, ``v_int``, ``v_float``,
 ``v_str``, ``v_list``) check the payload's type, the 64-bit int range and
 list homogeneity; ``_int_value`` skips ``v_int``'s checks and trusts its
 caller.
@@ -47,7 +49,7 @@ import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum, unique
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Optional, Tuple
 
 from .errors import PortTypeError, SchemaError
@@ -373,7 +375,7 @@ _SCALAR_TAGS = {
 _SCALAR_TYPES = {TypeKind.BOOL: bool, TypeKind.FLOAT: float, TypeKind.STR: str}
 _payload = itemgetter(1)
 
-# The three compilers below are memoised per port type: executors fetch
+# The four compilers below are memoised per port type: executors fetch
 # them once per stage or run, never per element.
 _memo = functools.lru_cache(maxsize=1024)
 
@@ -446,6 +448,40 @@ def conformer(pt: PortType) -> Callable[[Any], bool]:
     )
 
 
+_pack_double = struct.Struct("<d").pack
+# kinds whose raw values Python's == already compares exactly
+_PLAIN_KINDS = (TypeKind.UNIT, TypeKind.BOOL, TypeKind.INT, TypeKind.STR)
+
+
+def _plain(pt: PortType) -> bool:
+    return pt.kind in _PLAIN_KINDS or (
+        pt.kind in (TypeKind.LIST, TypeKind.PAIR) and all(map(_plain, pt.args))
+    )
+
+
+@_memo
+def equaler(pt: PortType) -> Callable[[Any, Any], bool]:
+    """Equality of two raw values of type ``pt``, bit-exact as
+    ``Value.__eq__`` is on their boxed forms: floats compare by their bit
+    pattern (NaN payloads count, 0.0 differs from -0.0) and sums by
+    injection. Trusts both arguments to inhabit ``pt``."""
+    k = pt.kind
+    if _plain(pt):  # unit, bool, int and str, and tuples of them only
+        return eq
+    if k is TypeKind.FLOAT:
+        return lambda a, b: a is b or _pack_double(a) == _pack_double(b)
+    if k is TypeKind.LIST:
+        elem = equaler(pt.args[0])
+        return lambda a, b: len(a) == len(b) and all(map(elem, a, b))
+    if k is TypeKind.PAIR:
+        first, second = equaler(pt.args[0]), equaler(pt.args[1])
+        return lambda a, b: first(a[0], b[0]) and second(a[1], b[1])
+    left, right = equaler(pt.args[0]), equaler(pt.args[1])
+    return lambda a, b: type(a) is type(b) and (left if type(a) is Inl else right)(
+        a.value, b.value
+    )
+
+
 def unbox_state(v: Value, pt: PortType) -> Any:
     """A state value as the engine holds it: raw when it inhabits ``pt``.
 
@@ -461,3 +497,4 @@ def unbox_state(v: Value, pt: PortType) -> Any:
 def box_state(r: Any, pt: PortType) -> Value:
     """Inverse of ``unbox_state``."""
     return r if isinstance(r, Value) else boxer(pt)(r)
+

@@ -153,13 +153,13 @@ def test_builtin_init_state_of_the_wrong_type():
 def test_check_table_reports_a_run_that_raises(tmp_path, capsys, monkeypatch):
     from stc import harness
 
-    def run_program(program, mode, workers=4, check=False):
+    def run_raw(program, mode, workers=4, check=False):
         if (mode, workers) == ("auto", 4):
             raise ExecutionError("planted fault")
         return real(program, mode, workers=workers, check=check)
 
-    real = harness.run_program
-    monkeypatch.setattr(harness, "run_program", run_program)
+    real = harness.run_raw
+    monkeypatch.setattr(harness, "run_raw", run_raw)
     path = tmp_path / "prog.json"
     path.write_text(json.dumps(BASE), encoding="utf-8")
     assert main(["check", str(path)]) == 1

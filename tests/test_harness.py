@@ -148,6 +148,19 @@ def test_mutation_failure_is_replayable():
     assert clean.equal
 
 
+def test_clean_fuzz_report_is_pinned(capsys):
+    # The clean fuzz run of CI's equivalence step: the programs, the check
+    # rng's draws and the report must not change when the harness or the
+    # executors are restructured.
+    from stc.cli import main
+
+    assert main(["check", "--fuzz", "--seed", "1", "--trials", "200"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0f0767a7c6f7c8bae3ba65a449962c5f0ac17a724a891912895bc49420f318ed"
+    )
+
+
 def test_mutated_fuzz_report_is_pinned(capsys):
     # The whole report of a mutated fuzz run, the failing program's text
     # and the divergence included, must not change when the executors are
@@ -175,15 +188,22 @@ def test_run_program_rejects_unknown_mode():
 
 def test_check_program_still_starts_threads_on_a_cpu_only_program(monkeypatch):
     # stc run keeps a CPU-only program on one thread; the check's runs with
-    # more than one worker must still reach the threaded stream and fission
+    # more than one worker must still reach the threaded stream and fission,
+    # and they share one crew, so later runs reuse the threads of earlier ones
     import threading
 
-    started = []
-    real_start = threading.Thread.start
+    from stc.parallel import Crew
+
+    started, handed = [], []
+    real_start, real_hand = threading.Thread.start, Crew.hand
 
     def counting_start(thread, *args, **kwargs):
         started.append(thread)
         return real_start(thread, *args, **kwargs)
+
+    def counting_hand(crew, task):
+        handed.append(task)
+        return real_hand(crew, task)
 
     doc = {
         "threads": [
@@ -198,11 +218,17 @@ def test_check_program_still_starts_threads_on_a_cpu_only_program(monkeypatch):
     program = parse_program(json.dumps(doc))
     assert not any(spec.blocking for spec in program.graph.edges.values())
     monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(Crew, "hand", counting_hand)
     for mode in ("pipeline", "auto"):
         run_program(program, mode, workers=4)
-    assert started == []
+    assert started == [] and handed == []
+    before = threading.active_count()
     report = check_program(program, Xorshift64Star(1))
     assert report.equal
-    # auto@4: 3 chunk threads for each of the read-only and product letters;
-    # pipeline@2, @4, @8 and the @8 re-run: 1 + 2 + 2 + 2 group threads
-    assert len(started) == 6 + 7
+    # tasks run on threads: auto@4 hands 3 chunks for each of the read-only
+    # and product letters; pipeline@2, @4, @8 and the @8 re-run hand
+    # 1 + 2 + 2 + 2 groups
+    assert len(handed) == 6 + 7
+    # threads started: the most any one launch needs, auto@4's 3 chunks
+    assert len(started) == 3
+    assert threading.active_count() == before

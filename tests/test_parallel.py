@@ -37,7 +37,7 @@ from stc import (
     v_list,
     v_str,
 )
-from stc.errors import PathMismatch, PortTypeError, StcError, ValidationError
+from stc.errors import ExecutionError, PathMismatch, PortTypeError, StcError, ValidationError
 from stc.harness import (
     FuzzConfig,
     _all_blocking,
@@ -48,7 +48,7 @@ from stc.harness import (
 )
 from stc import mutations
 from stc.cli import main
-from stc.parallel import MAX_WORKERS, plan_auto
+from stc.parallel import MAX_WORKERS, Crew, plan_auto
 from stc.program import Program
 from conftest import counter_scale_graph, int_list
 
@@ -1285,6 +1285,103 @@ def test_thread_start_failure_exits_3(tmp_path, capsys, doc, mode, workers, star
             )
         else:
             assert (rc, calls, captured.out) == (0, starts, expect)
+
+
+# --- thread crews ---------------------------------------------------------------
+
+
+def _five_blocking(failing=None):
+    """Five blocking letters; thread ``failing`` raises on input 30."""
+    specs = [
+        _raising(n, 30) if n == failing else make_thread(n, "add1_tick", v_int(0))
+        for n in range(1, 6)
+    ]
+    return _blocking(build_graph(*specs)), Word(tuple(range(1, 6)))
+
+
+def test_crew_failing_last_stage_then_clean_run_reuses_threads():
+    bad, word = _five_blocking(failing=5)
+    good, _ = _five_blocking()
+    # letters 1 to 4 add 1 each, so thread 5 sees 30
+    failing_xs = v_list(INT_T, [v_int(0)] * 200 + [v_int(26)] + [v_int(1)] * 200)
+    xs = int_list(*range(300))
+    before = threading.active_count()
+
+    def call():
+        with Crew():
+            try:
+                run_pipeline(bad, word, failing_xs, init_state(bad), 4, capacity=1)
+            except Boom as exc:
+                failure = exc
+            clean = [
+                run_pipeline(good, word, xs, init_state(good), 4, capacity=1),
+                eval_auto_word(good, word, xs, init_state(good), workers=4),
+            ]
+            alive = threading.active_count()
+        return failure, clean, alive
+
+    with _thread_starts() as started:
+        failure, clean, alive = _returned_within(call)
+    # the last stage's own exception, raised as it is
+    assert isinstance(failure, Boom) and str(failure) == "thread 5 on 30"
+    expect = eval_psi_ref(good, word, xs, init_state(good))
+    assert clean == [expect, expect]
+    # the helper, then the three threads four groups need; the clean runs
+    # reuse those, and until the block ends they stay alive
+    assert len(started) == 1 + 3
+    assert alive >= before + 3
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_crew_thread_start_failure_raises_execution_error(n):
+    graph, word = _five_blocking()
+    xs = int_list(*range(50))
+    expect = eval_psi_ref(graph, word, xs, init_state(graph))
+    before = threading.active_count()
+
+    def call():
+        results = []
+        with _failing_start(n) as calls, Crew():
+            # workers 3 starts two threads, workers 4 reuses them and starts one
+            for workers in (3, 4, 3):
+                try:
+                    results.append(run_pipeline(graph, word, xs, init_state(graph), workers))
+                except ExecutionError as exc:
+                    results.append(str(exc))
+        return results, len(calls)
+
+    results, calls = _returned_within(call, timeout=10.0)
+    failed = "could not start a thread: can't start new thread"
+    if n <= 2:
+        # the first run fails; the second starts the threads it could not
+        assert (results, calls) == ([failed, expect, expect], 4)
+    else:
+        assert (results, calls) == ([expect, failed, expect], 3)
+    assert threading.active_count() == before
+
+
+def test_crew_joins_its_threads_when_the_block_ends():
+    graph, word = _five_blocking()
+    xs = int_list(*range(20))
+    before = threading.active_count()
+
+    def call():
+        try:
+            with Crew():
+                run_pipeline(graph, word, xs, init_state(graph), 4)
+                raise Boom("after the run")
+        except Boom as exc:
+            return exc
+
+    assert str(_returned_within(call)) == "after the run"
+    assert threading.active_count() == before
+    # outside any block a launch keeps its threads for that launch alone
+    with _thread_starts() as started:
+        for _ in range(2):
+            run_pipeline(graph, word, xs, init_state(graph), 4)
+    assert len(started) == 6
+    assert threading.active_count() == before
 
 
 # --- determinism ----------------------------------------------------------------

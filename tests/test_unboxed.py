@@ -5,15 +5,19 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import replace
 
 import pytest
 
 from stc import (
-    BranchProgram,
+    BOOL_T,
     FLOAT_T,
     INT_T,
     STR_T,
+    UNIT_T,
+    BranchProgram,
+    StageKind,
     Word,
     build_graph,
     eval_auto_word,
@@ -43,12 +47,25 @@ from stc.harness import (
     FuzzConfig,
     Xorshift64Star,
     carrier_stream,
+    edge_value,
+    random_port_type,
     run_program,
     verify_classification,
     verify_hints,
 )
 from stc.program import Program, parse_program, program_to_text, value_to_json
-from stc.values import INT64_MAX, INT64_MIN, Inl, TypeKind, Value, boxer, conformer, unboxer
+from stc.values import (
+    INT64_MAX,
+    INT64_MIN,
+    Inl,
+    Inr,
+    TypeKind,
+    Value,
+    boxer,
+    conformer,
+    equaler,
+    unboxer,
+)
 
 MODES = ("seq", "interleaved", "pipeline", "auto")
 EDGE_FLOATS = [math.nan, -0.0, 0.0, math.inf, -math.inf, 5e-324, -2.5e-320]
@@ -140,6 +157,46 @@ def test_conformer_rejects_lookalikes():
     assert not conformer(list_of(INT_T))([1])  # a raw list is a tuple
     assert not conformer(INT_T)(v_int(1))  # a Value is no raw value
     assert not conformer(sum_of(INT_T, INT_T))(Inl("x"))
+
+
+def test_equaler_agrees_with_boxed_equality():
+    rng = Xorshift64Star(77)
+    verdicts = {True: 0, False: 0}
+    for _ in range(500):
+        pt = random_port_type(rng)
+        eq, box, unbox = equaler(pt), boxer(pt), unboxer(pt)
+        for _ in range(5):
+            a, b = edge_value(pt, rng), edge_value(pt, rng)
+            # a random pair, and a pair equal by construction whose raw
+            # containers are distinct objects
+            for x, y in ((a, b), (a, box(unbox(a)))):
+                same = eq(unbox(x), unbox(y))
+                assert same == (x == y), (pt.name, x, y)
+                verdicts[same] += 1
+    assert sum(verdicts.values()) >= 5000
+    assert min(verdicts.values()) >= 1000, verdicts
+
+
+def test_equaler_compares_floats_by_bit_pattern():
+    other_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    cases = [
+        (FLOAT_T, math.nan, float("nan"), True),
+        (FLOAT_T, math.nan, other_nan, False),  # NaN payloads count
+        (FLOAT_T, 0.0, -0.0, False),
+        (FLOAT_T, 5e-324, 5e-324, True),
+        (list_of(FLOAT_T), (math.nan, -0.0), (float("nan"), -0.0), True),
+        (list_of(FLOAT_T), (0.0,), (-0.0,), False),
+        (list_of(INT_T), (1, 2), (1,), False),
+        (pair_of(INT_T, FLOAT_T), (1, math.nan), (1, float("nan")), True),
+        (sum_of(INT_T, INT_T), Inl(1), Inr(1), False),
+        (sum_of(FLOAT_T, STR_T), Inl(-0.0), Inl(0.0), False),
+        (sum_of(FLOAT_T, STR_T), Inr("\ud800"), Inr("\ud800"), True),
+        (list_of(BOOL_T), (True, False), (True, False), True),
+        (UNIT_T, None, None, True),
+    ]
+    for pt, a, b, expect in cases:
+        assert equaler(pt)(a, b) is expect, (pt.name, a, b)
+        assert (boxer(pt)(a) == boxer(pt)(b)) is expect, (pt.name, a, b)
 
 
 @pytest.mark.parametrize(
@@ -290,10 +347,47 @@ def test_replaced_transfer_is_sampled_every_time():
 
 
 def test_lying_hint_is_still_caught():
-    from stc import StageKind
-
     spec = replace(make_thread(1, "counter_add"), kind=StageKind.READ_ONLY)
     assert not verify_hints([spec, spec], Xorshift64Star(1))
+
+
+_PINNED_TYPES = (
+    "int", "float", "bool", "unit", "str", "list(float)", "pair(int,float)",
+    "sum(int,str)", "sum(float,float)", "list(pair(bool,sum(unit,float)))",
+)
+
+
+def test_hint_verdicts_and_draws_are_pinned():
+    # Hint sampling draws from the check rng that later checks share, so
+    # a change to how samples are drawn or compared must keep both the
+    # verdicts and the rng's end state.
+    specs = [
+        make_thread(1, "counter_add"),
+        make_thread(2, "scale_by_state", v_int(3)),
+        make_thread(3, "add1_tick", v_int(-2)),
+        make_thread(4, "append_tag", v_str("q")),
+        make_thread(5, "branch_even"),
+    ]
+    specs += [
+        make_thread(10 + i, "delay_identity_ms", params={"type": t, "delay_ms": 5})
+        for i, t in enumerate(_PINNED_TYPES)
+    ]
+    specs += [make_thread(30 + i, "merge_sum", params={"type": t}) for i, t in enumerate(_PINNED_TYPES)]
+    for seed, state in (
+        (1, 13447782176801063096), (2, 12423609457380539788), (3, 16405507458796924484)
+    ):
+        rng = Xorshift64Star(seed)
+        assert verify_hints(specs, rng)
+        assert rng.state == state
+    lying = [
+        replace(make_thread(1, "counter_add"), kind=StageKind.READ_ONLY),
+        replace(make_thread(3, "add1_tick"), value_part=lambda v: v),
+        replace(make_thread(3, "add1_tick"), state_part=lambda v: v),
+    ]
+    for spec in lying:
+        rng = Xorshift64Star(4)
+        assert not verify_hints([spec], rng)
+        assert rng.state == 4504699139039237  # caught on the first sample
 
 
 # --- the carrier fuzzer -------------------------------------------------------------
