@@ -196,6 +196,13 @@ class ValidatedBranch:
 Shape = Union[Word, BranchProgram]
 # a part of a shape: a word, or a branch's (left, right) sides
 Part = Union[Word, Tuple[Word, Word]]
+# a word's raw core: ``word_core(word, items, slots) -> (items, slots)``
+WordCore = Callable[[Word, Sequence[Any], Slots], Tuple[Sequence[Any], Slots]]
+# runs a branch's two sides (see ``fold``)
+RunSides = Callable[
+    [WordCore, Tuple[Word, Word], Sequence[Any], Sequence[Any], Slots],
+    Tuple[Sequence[Any], Sequence[Any], Slots],
+]
 
 
 def validate_branch(graph: Multigraph, prog: BranchProgram) -> ValidatedBranch:
@@ -328,24 +335,37 @@ def join(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
     return box_list(sum_of(bs.elem, cs.elem), out)
 
 
+def sides_in_turn(
+    word_core: WordCore, sides: Tuple[Word, Word], lefts: Sequence[Any], rights: Sequence[Any],
+    slots: Slots,
+) -> Tuple[Sequence[Any], Sequence[Any], Slots]:
+    """A branch's sides as ``eval_psi_ref`` runs them: the left word over
+    the inl payloads, then the right one over the inr ones."""
+    lefts, slots = word_core(sides[0], lefts, slots)
+    rights, slots = word_core(sides[1], rights, slots)
+    return lefts, rights, slots
+
+
 def fold(
     shape: Shape,
-    word_core: Callable[[Word, Sequence[Any], Slots], Tuple[Sequence[Any], Slots]],
+    word_core: WordCore,
+    run_sides: RunSides,
     items: Sequence[Any],
     slots: Slots,
 ) -> Tuple[Sequence[Any], Slots]:
-    """Run ``word_core`` over the parts of ``shape`` in turn. At the sides
-    the list is split, the left word runs over the inl payloads and then
-    the right one over the inr ones, and the results are joined by the
-    flags; the sides' letter sets are disjoint, so each changes only its
-    own slots."""
+    """Run ``word_core`` over the parts of ``shape`` in turn, the one
+    branch walker of the stage-wise evaluators. At the sides the list is
+    split, ``run_sides(word_core, (left, right), lefts, rights, slots)``
+    maps the left word over the inl payloads and the right one over the
+    inr ones (the reference passes ``sides_in_turn``), and the results are
+    joined by the flags; the sides' letter sets are disjoint, so each
+    changes only its own slots."""
     for part in parts(shape):
         if isinstance(part, Word):
             items, slots = word_core(part, items, slots)
         else:
             lefts, rights, flags = _split(items)
-            lefts, slots = word_core(part[0], lefts, slots)
-            rights, slots = word_core(part[1], rights, slots)
+            lefts, rights, slots = run_sides(word_core, part, lefts, rights, slots)
             items = _join(lefts, rights, flags)
     return items, slots
 
@@ -427,7 +447,8 @@ def _route(route: list, slots: Slots, v: Any) -> Any:
 
 def plan_psi(graph: Multigraph, shape: Shape, check: bool = False) -> Plan:
     src, tgt = endpoints(graph, shape)
-    return Plan(shape.letters, src, tgt, partial(fold, shape, partial(_psi, graph, check=check)))
+    core = partial(fold, shape, partial(_psi, graph, check=check), sides_in_turn)
+    return Plan(shape.letters, src, tgt, core)
 
 
 def plan_interleaved(graph: Multigraph, shape: Shape, check: bool = False) -> Plan:

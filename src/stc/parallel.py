@@ -49,10 +49,13 @@ store. Determinism comes from structure, not luck:
   a ``with Crew():`` block, as ``stc check`` opens around its runs, a
   launch reuses the threads that earlier launches started; each thread
   serves one task at a time until the block ends, when every thread
-  gets the ``None`` sentinel and is joined. If a thread cannot start,
-  the first stage that did get one gets the sentinel, and the run raises
-  ``ExecutionError`` once the handed tasks have finished. A run may ask
-  for at most ``MAX_WORKERS`` workers.
+  gets the ``None`` sentinel and is joined. A side thread of ``auto``
+  takes its chunk threads from the crew of the thread that started it,
+  so two threads may hand tasks to one crew at once; a lock guards its
+  idle threads. If a thread cannot start, the first stage that did get
+  one gets the sentinel, and the run raises ``ExecutionError`` once the
+  handed tasks have finished. A run may ask for at most ``MAX_WORKERS``
+  workers.
 * Once all groups have finished, their state dicts are merged back into
   the store.
 * The read-only and product fast paths split their map into contiguous
@@ -75,10 +78,18 @@ store. Determinism comes from structure, not luck:
   segment (a barrier between segments), each duplicate-free segment a
   stream of its own. ``auto`` runs either shape through
   ``composition.fold``, as ``eval_psi_ref`` does, with ``auto``'s
-  stage-wise map for each of its words.
+  stage-wise map for each of its words. When a branch's sides both have
+  letters and elements and one of them blocks, ``auto`` at ``workers``
+  > 1 runs the two sides at the same time (``_auto_sides``): the right
+  one on a crew thread, the left one on the calling thread, each with
+  its own fan-out, so a branch may run up to ``2 * workers`` chunks at
+  once. Each side owns a ``{letter: state}`` dict of its letters' slots,
+  merged back once both have finished.
 * One failure rule holds in every mode and shape: a failing stage
   raises its own exception, and a thread that cannot start raises
-  ``ExecutionError``.
+  ``ExecutionError``. Two branch sides that run at the same time both
+  run until they finish or fail, and the left side's exception wins, as
+  it does in ``eval_psi_ref``, which runs the left side first.
 
 Every executor here runs on raw values (see ``values``): elements, the
 batches on the channels and the per-group state dicts hold no ``Value``.
@@ -105,6 +116,7 @@ from .composition import (  # the coproduct and the branch names are re-exported
     Shape,
     Slots,
     Word,
+    WordCore,
     _join,
     _split,
     element_steps,
@@ -118,6 +130,7 @@ from .composition import (  # the coproduct and the branch names are re-exported
     run_boxed,
     run_stagewise,
     segment_word,
+    sides_in_turn,
     split,
     unbox_input,
     validate_branch,
@@ -239,6 +252,8 @@ class Crew:
     thread of a crew is joined when its block ends."""
 
     def __init__(self):
+        # two side threads of a branch under ``auto`` may hand and wait at once
+        self._lock = threading.Lock()
         self._idle: List[queue.SimpleQueue] = []  # inboxes of threads with no task
         self._inboxes: List[queue.SimpleQueue] = []
         self._threads: List[threading.Thread] = []
@@ -257,14 +272,15 @@ class Crew:
         """Run ``task`` on an idle thread, or on a new one, and return
         what ``wait`` takes. ``task`` must not raise. A thread that
         cannot start raises ``RuntimeError``, as ``Thread.start`` does."""
-        if self._idle:
-            inbox = self._idle.pop()
-        else:
+        with self._lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is None:
             inbox = queue.SimpleQueue()
             thread = threading.Thread(target=_serve, args=(inbox,))
             thread.start()
-            self._threads.append(thread)
-            self._inboxes.append(inbox)
+            with self._lock:
+                self._threads.append(thread)
+                self._inboxes.append(inbox)
         done = threading.Lock()
         done.acquire()
         inbox.put((task, done))
@@ -274,7 +290,8 @@ class Crew:
         """Wait until every handed task has run; their threads go idle."""
         for inbox, done in handed:
             done.acquire()
-            self._idle.append(inbox)
+            with self._lock:
+                self._idle.append(inbox)
 
     def close(self) -> None:
         """Send every thread the sentinel and join them all."""
@@ -607,14 +624,63 @@ def eval_auto_word(
     for general stages. Only a blocking stage fans out over ``workers``
     chunks; any other runs as one chunk on the calling thread. A branch
     program runs as ``eval_psi_ref`` runs it (``composition.fold``), with
-    each of its words evaluated this way."""
+    each of its words evaluated this way, except that at ``workers`` > 1
+    its two sides run at the same time when one of them blocks and both
+    have letters and elements (``_auto_sides``); each side then fans out
+    on its own, so up to ``2 * workers`` chunks run at once."""
     return run_boxed(graph, xs, state, plan_auto(graph, word, workers, check))
+
+
+def _auto_sides(
+    graph: Multigraph,
+    workers: int,
+    word_core: WordCore,
+    sides: Tuple[Word, Word],
+    lefts: Sequence[Any],
+    rights: Sequence[Any],
+    slots: Slots,
+) -> Tuple[Sequence[Any], Sequence[Any], Slots]:
+    """A branch's two sides at the same time, when that can gain: at
+    ``workers`` > 1, with letters and elements on both sides and a
+    blocking letter on one of them. The right side runs on a crew thread,
+    from the calling thread's crew when it has one, and the left one on
+    the calling thread; each keeps ``_auto``'s fan-out, so up to
+    ``2 * workers`` chunks run at once. Each side owns a ``{letter:
+    state}`` dict of its own letters' slots, merged back, left first,
+    once both have finished. Both sides run until they finish or fail; if
+    both fail, the left side's exception is raised, as ``eval_psi_ref``
+    raises it. Otherwise the sides run in turn and start no thread."""
+    blocks = any(graph.edges[n].blocking for word in sides for n in word.letters)
+    if workers == 1 or not (blocks and lefts and rights and all(w.letters for w in sides)):
+        return sides_in_turn(word_core, sides, lefts, rights, slots)
+    lists: List[Sequence[Any]] = [lefts, rights]
+    owned = [{n: slots[n] for n in word.letters} for word in sides]
+    failed: List[Optional[BaseException]] = [None, None]
+    crew = getattr(_scope, "crew", None)
+
+    def run(i: int) -> None:
+        if i:  # on a crew thread: chunk threads come from the caller's crew
+            _scope.crew = crew
+        try:
+            lists[i], _ = word_core(sides[i], lists[i], owned[i])
+        except BaseException as exc:  # re-raised by _launch, the left side's first
+            failed[i] = exc
+        finally:
+            if i:
+                _scope.crew = None
+
+    _launch(run, failed)
+    for st in owned:
+        slots.update(st)
+    return lists[0], lists[1], slots
 
 
 def plan_auto(graph: Multigraph, shape: Shape, workers: int = 1, check: bool = False) -> Plan:
     src, tgt = endpoints(graph, shape)
-    core = partial(_auto, graph, workers=_positive(workers), check=check)
-    return Plan(shape.letters, src, tgt, partial(fold, shape, core))
+    workers = _positive(workers)
+    core = partial(_auto, graph, workers=workers, check=check)
+    sides = partial(_auto_sides, graph, workers)
+    return Plan(shape.letters, src, tgt, partial(fold, shape, core, sides))
 
 
 # the branch name of the pipeline executor

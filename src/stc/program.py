@@ -26,7 +26,6 @@ for callers of the boxed API.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import reprlib
 from dataclasses import replace
@@ -485,6 +484,8 @@ def program_to_text(program: Program) -> str:
 
 
 def program_digest(program: Program) -> str:
+    import hashlib  # imported here, so that `stc run` does not load it
+
     return hashlib.sha256(program_to_text(program).encode("utf-8")).hexdigest()
 
 

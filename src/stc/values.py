@@ -75,6 +75,11 @@ class TypeKind(Enum):
     PAIR = "pair"
     SUM = "sum"
 
+    # Enum's own hash is a Python function that hashes the name; kinds key
+    # hot dicts and the memoised ``boxer``/``conformer`` caches, so hash by
+    # identity in C, as ``__eq__`` compares
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class PortType:

@@ -263,12 +263,14 @@ def test_module_entry_point_runs_cli(counter_file):
 
 def test_importing_the_cli_leaves_the_harness_unloaded():
     # `stc run` must not compile the fuzzer, nor load `statistics` for
-    # `stc bench`: a fresh process pays for every module it imports
+    # `stc bench` or `hashlib` for program digests: a fresh process pays
+    # for every module it imports
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, stc.cli; print(sorted({'stc.harness', 'statistics'} & set(sys.modules)))"],
+         "import sys, stc.cli;"
+         " print(sorted({'stc.harness', 'statistics', 'hashlib'} & set(sys.modules)))"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from itertools import groupby
 
@@ -490,8 +490,9 @@ def test_sleep_branch_threads():
     program = Program(graph, prog, int_list(*range(20)), INT_T)
     expect = run_program(program, "seq")
     # pipeline@2: [delay, branch_even], two side stages, [merge_sum, delay];
-    # auto@2: one extra chunk thread for each of the six delays
-    for mode, threads in (("pipeline", 3), ("auto", 6)):
+    # auto@2: one extra chunk thread for each of the six delays, and one
+    # thread for the right side, which runs while the left one does
+    for mode, threads in (("pipeline", 3), ("auto", 7)):
         with _thread_starts() as started:
             assert run_program(program, mode, workers=2) == expect
         assert len(started) == threads, mode
@@ -1253,16 +1254,19 @@ def _failing_start(n):
 
 
 @pytest.mark.parametrize(
-    "doc, mode, workers, starts",
+    "doc, mode, workers, starts, racing",
     [
-        (BLOCKING_WORD, "pipeline", 3, 2),  # groups [1] [2] [3]
-        (SLEEP_BRANCH, "pipeline", 2, 3),  # four stages, as in test_sleep_branch_threads
-        (BLOCKING_WORD, "auto", 3, 6),  # two chunk threads per delay
-        (SLEEP_BRANCH, "auto", 2, 6),  # one chunk thread per delay
+        (BLOCKING_WORD, "pipeline", 3, 2, ()),  # groups [1] [2] [3]
+        (SLEEP_BRANCH, "pipeline", 2, 3, ()),  # four stages, as in test_sleep_branch_threads
+        (BLOCKING_WORD, "auto", 3, 6, ()),  # two chunk threads per delay
+        # the producer's chunk thread, the right side's thread, the four side
+        # delays' chunk threads, which the two sides start at the same time,
+        # and the consumer's chunk thread
+        (SLEEP_BRANCH, "auto", 2, 7, range(3, 7)),
     ],
     ids=["pipeline-word", "branch-stream", "auto-word", "auto-branch"],
 )
-def test_thread_start_failure_exits_3(tmp_path, capsys, doc, mode, workers, starts):
+def test_thread_start_failure_exits_3(tmp_path, capsys, doc, mode, workers, starts, racing):
     path = _program_file(tmp_path, doc)
     argv = ["run", path, "--mode", mode, "--workers", str(workers)]
     assert main(argv) == 0
@@ -1277,14 +1281,18 @@ def test_thread_start_failure_exits_3(tmp_path, capsys, doc, mode, workers, star
         rc, calls = _returned_within(call, timeout=10.0)
         captured = capsys.readouterr()
         assert threading.active_count() == before, f"start {n}"
-        if n <= starts:
-            # no thread starts after the one that failed
-            assert (rc, calls, captured.out) == (3, n, ""), f"start {n}"
-            assert captured.err == (
-                "runtime error: could not start a thread: can't start new thread\n"
-            )
-        else:
+        if n > starts:
             assert (rc, calls, captured.out) == (0, starts, expect)
+            continue
+        assert (rc, captured.out) == (3, ""), f"start {n}"
+        assert captured.err == "runtime error: could not start a thread: can't start new thread\n"
+        if n in racing:
+            # the other side may still start its own chunk threads, but no
+            # thread starts after the sides
+            assert n <= calls < starts, f"start {n}"
+        else:
+            # no thread starts after the one that failed
+            assert calls == n, f"start {n}"
 
 
 # --- thread crews ---------------------------------------------------------------
@@ -1381,6 +1389,128 @@ def test_crew_joins_its_threads_when_the_block_ends():
         for _ in range(2):
             run_pipeline(graph, word, xs, init_state(graph), 4)
     assert len(started) == 6
+    assert threading.active_count() == before
+
+
+# --- auto's concurrent branch sides ------------------------------------------------
+
+
+def _side_program(left_transfer, right_transfer, xs):
+    """producer [branch_even], left [2], right [3], consumer [merge_sum], all
+    blocking; threads 2 and 3 wrap counter_add's transfer with the given
+    functions ``transfer(base, x, sigma)``."""
+
+    def side(thread_id, wrap):
+        base = make_thread(thread_id, "counter_add", v_int(thread_id))
+        return replace(base, transfer=lambda x, sigma: wrap(base, x, sigma))
+
+    graph = build_graph(
+        make_thread(1, "branch_even"), side(2, left_transfer), side(3, right_transfer),
+        make_thread(4, "merge_sum"),
+    )
+    prog = BranchProgram(Word((1,)), Word((2,)), Word((3,)), Word((4,)))
+    return _all_blocking(Program(graph, prog, xs, INT_T))
+
+
+def test_auto_sides_overlap():
+    # each side waits on the barrier at its first element; run in turn, the
+    # left side's wait would time out
+    both = threading.Barrier(2, timeout=10)
+
+    def waiting(at):
+        def transfer(base, x, sigma):
+            if x.payload == at:
+                both.wait()
+            return base.transfer(x, sigma)
+
+        return transfer
+
+    plain = lambda base, x, sigma: base.transfer(x, sigma)
+    xs = int_list(*range(20))
+    expect = run_program(_side_program(plain, plain, xs), "seq")
+    program = _side_program(waiting(0), waiting(1), xs)
+    before = threading.active_count()
+    for scope in (nullcontext, Crew):
+
+        def call():
+            with scope():
+                return run_program(program, "auto", workers=2)
+
+        assert _returned_within(call, timeout=20.0) == expect
+        assert threading.active_count() == before
+    assert not both.broken
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_auto_sides_both_failing_raise_the_left_exception(workers):
+    # the right side fails at its first element, the left one at its last
+    raised = []
+
+    def failing(at):
+        def transfer(base, x, sigma):
+            if x.payload == at:
+                raised.append(Boom(f"thread on {at}"))
+                raise raised[-1]
+            return base.transfer(x, sigma)
+
+        return transfer
+
+    program = _side_program(failing(18), failing(1), int_list(*range(20)))
+    with pytest.raises(Boom) as ref:
+        run_program(program, "seq")
+    assert str(ref.value) == "thread on 18"
+    del raised[:]
+    before = threading.active_count()
+    err = _raised_within(lambda: run_program(program, "auto", workers=workers))
+    assert type(err) is Boom and str(err) == str(ref.value)
+    # in turn the right side never runs; at the same time both run until they fail
+    assert sorted(str(exc) for exc in raised) == ["thread on 1"] * (workers > 1) + ["thread on 18"]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("scope", ["bare", "crew"])
+def test_auto_sides_thread_start_failure_exits_3(tmp_path, capsys, scope):
+    # the sleep-branch shape starts 7 threads at auto@2 (see
+    # test_thread_start_failure_exits_3); inside a crew it reuses some of
+    # them, so fewer starts are made
+    path = _program_file(tmp_path, SLEEP_BRANCH)
+    argv = ["run", path, "--mode", "auto", "--workers", "2"]
+    assert main(argv) == 0
+    expect = capsys.readouterr().out
+    enter = Crew if scope == "crew" else nullcontext
+    before = threading.active_count()
+    for n in range(1, 8):
+
+        def call():
+            with _failing_start(n) as calls, enter():
+                return main(argv), len(calls)
+
+        rc, calls = _returned_within(call, timeout=10.0)
+        captured = capsys.readouterr()
+        assert threading.active_count() == before, f"start {n}"
+        if scope == "bare" or n <= calls:
+            assert (rc, captured.out) == (3, ""), f"start {n}"
+        else:
+            assert (rc, captured.out) == (0, expect), f"start {n}"
+
+
+def test_auto_sides_crew_stress():
+    graph = _blocking(stream_graph())
+    runs = []
+    for i in range(200):
+        # lists of 0 to 24 elements, most of them with both sides non-empty
+        xs = int_list(*range(i, i + 3 * (i % 9)))
+        runs.append((xs, eval_psi_ref(graph, STREAM_PROG, xs, init_state(graph))))
+    before = threading.active_count()
+
+    def call():
+        with Crew():
+            return [
+                eval_auto_word(graph, STREAM_PROG, xs, init_state(graph), workers=4) == expect
+                for xs, expect in runs
+            ]
+
+    assert all(_returned_within(call, timeout=60.0))
     assert threading.active_count() == before
 
 
