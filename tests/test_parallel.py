@@ -1495,22 +1495,38 @@ def test_auto_sides_thread_start_failure_exits_3(tmp_path, capsys, scope):
 
 
 def test_auto_sides_crew_stress():
-    graph = _blocking(stream_graph())
+    # sides of three letters each, so both sides hand chunks to the crew at once
+    graph = _blocking(build_graph(
+        make_thread(1, "branch_even"),
+        *(make_thread(n, "add1_tick", v_int(n)) for n in range(2, 8)),
+        make_thread(8, "merge_sum"),
+    ))
+    prog = BranchProgram(Word((1,)), Word((2, 3, 4)), Word((5, 6, 7)), Word((8,)))
     runs = []
     for i in range(200):
         # lists of 0 to 24 elements, most of them with both sides non-empty
         xs = int_list(*range(i, i + 3 * (i % 9)))
-        runs.append((xs, eval_psi_ref(graph, STREAM_PROG, xs, init_state(graph))))
+        runs.append((xs, eval_psi_ref(graph, prog, xs, init_state(graph))))
     before = threading.active_count()
 
     def call():
-        with Crew():
-            return [
-                eval_auto_word(graph, STREAM_PROG, xs, init_state(graph), workers=4) == expect
+        with Crew() as crew:
+            equal = [
+                eval_auto_word(graph, prog, xs, init_state(graph), workers=4) == expect
                 for xs, expect in runs
             ]
+            # two sides hand and wait at once; a lost update to the idle
+            # list would leave a thread out of it or in it twice
+            idle = sorted(map(id, crew._idle)) == sorted(map(id, crew._inboxes))
+        return equal, idle
 
-    assert all(_returned_within(call, timeout=60.0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        equal, idle = _returned_within(call, timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(equal) and idle
     assert threading.active_count() == before
 
 
