@@ -87,9 +87,12 @@ store. Determinism comes from structure, not luck:
   merged back once both have finished.
 * One failure rule holds in every mode and shape: a failing stage
   raises its own exception, and a thread that cannot start raises
-  ``ExecutionError``. Two branch sides that run at the same time both
-  run until they finish or fail, and the left side's exception wins, as
-  it does in ``eval_psi_ref``, which runs the left side first.
+  ``ExecutionError``. Of two branch sides that run at the same time,
+  the left side's exception wins, as it does in ``eval_psi_ref``, which
+  runs the left side first: once the left side fails, the right one
+  stops at its next hand-out of a task, while the left one runs on when
+  the right one fails. A failed thread start in either side stops the
+  other at its next hand-out, so no thread starts after it (``_Halt``).
 
 Every executor here runs on raw values (see ``values``): elements, the
 batches on the channels and the per-group state dicts hold no ``Value``.
@@ -104,6 +107,7 @@ from __future__ import annotations
 
 import queue
 import threading
+from contextlib import nullcontext
 from functools import partial
 from itertools import zip_longest
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -302,14 +306,45 @@ class Crew:
         self._idle, self._inboxes, self._threads = [], [], []
 
 
-# ``_scope.crew``: the crew of the calling thread's innermost ``with Crew():``
+# ``_scope.crew``: the crew of the calling thread's innermost ``with Crew():``;
+# ``_scope.halt``: the ``_Halt`` of the branch side the thread runs, if any
 _scope = threading.local()
+
+
+class _Halted(Exception):
+    """Raised in a branch side under ``auto`` that stops because the other
+    side has failed; that side's exception is the one raised."""
+
+
+class _Halt:
+    """Shared by a branch's two sides under ``auto``. Every task a side
+    hands out is handed under its lock: once ``halted`` is set, by a
+    failed thread start in either side or by a failure of the left side,
+    neither side hands out another task or starts another thread."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.halted = False
+
+    def __enter__(self) -> None:
+        self._lock.acquire()
+        if self.halted:
+            self._lock.release()
+            raise _Halted
+
+    def __exit__(self, kind, *exc) -> None:
+        if kind is not None:
+            self.halted = True
+        self._lock.release()
 
 
 def _serve(inbox: queue.SimpleQueue) -> None:
     for task, done in iter(inbox.get, None):
         task()
         done.release()
+
+
+_NO_HALT = nullcontext()
 
 
 def _launch(
@@ -325,18 +360,24 @@ def _launch(
     If a thread cannot start, no task below it runs: task ``i + 1``, the
     first that did start, gets the ``None`` sentinel in ``inboxes[i]``
     (when it has one), the started tasks are waited for, and the failure
-    is raised as ``ExecutionError``."""
+    is raised as ``ExecutionError``. In a branch side under ``auto``,
+    each task is handed under the sides' ``_Halt``; once it is halted,
+    the tasks handed so far are waited for and ``_Halted`` is raised."""
     scoped = getattr(_scope, "crew", None)
     crew = scoped if scoped is not None else Crew()
+    halt = getattr(_scope, "halt", None) or _NO_HALT
     handed = []
     try:
         for i in range(len(failed) - 1, 0, -1):
             try:
-                handed.append(crew.hand(partial(run, i)))
-            except RuntimeError as exc:
+                with halt:
+                    handed.append(crew.hand(partial(run, i)))
+            except (RuntimeError, _Halted) as exc:
                 if i < len(inboxes):
                     inboxes[i].put(None)
                 crew.wait(handed)
+                if isinstance(exc, _Halted):
+                    raise
                 raise ExecutionError(f"could not start a thread: {exc}") from exc
         run(0)
         crew.wait(handed)
@@ -647,9 +688,15 @@ def _auto_sides(
     the calling thread; each keeps ``_auto``'s fan-out, so up to
     ``2 * workers`` chunks run at once. Each side owns a ``{letter:
     state}`` dict of its own letters' slots, merged back, left first,
-    once both have finished. Both sides run until they finish or fail; if
-    both fail, the left side's exception is raised, as ``eval_psi_ref``
-    raises it. Otherwise the sides run in turn and start no thread."""
+    once both have finished. Otherwise the sides run in turn and start no
+    thread.
+
+    If the left side fails, the right one stops at its next hand-out and
+    the left side's exception is raised, as ``eval_psi_ref`` raises it.
+    If the right side fails, the left one runs on, and its exception, if
+    it fails too, is the one raised. A thread start that fails in either
+    side stops the other side at its next hand-out, so no thread starts
+    after it, and raises ``ExecutionError``."""
     blocks = any(graph.edges[n].blocking for word in sides for n in word.letters)
     if workers == 1 or not (blocks and lefts and rights and all(w.letters for w in sides)):
         return sides_in_turn(word_core, sides, lefts, rights, slots)
@@ -657,15 +704,22 @@ def _auto_sides(
     owned = [{n: slots[n] for n in word.letters} for word in sides]
     failed: List[Optional[BaseException]] = [None, None]
     crew = getattr(_scope, "crew", None)
+    halt = _Halt()
 
     def run(i: int) -> None:
+        _scope.halt = halt
         if i:  # on a crew thread: chunk threads come from the caller's crew
             _scope.crew = crew
         try:
             lists[i], _ = word_core(sides[i], lists[i], owned[i])
+        except _Halted:  # the other side failed, and its exception is raised
+            pass
         except BaseException as exc:  # re-raised by _launch, the left side's first
             failed[i] = exc
+            if not i:
+                halt.halted = True
         finally:
+            _scope.halt = None
             if i:
                 _scope.crew = None
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from itertools import groupby
@@ -46,7 +47,7 @@ from stc.harness import (
     run_program,
     verify_classification,
 )
-from stc import mutations
+from stc import mutations, parallel
 from stc.cli import main
 from stc.parallel import MAX_WORKERS, Crew, plan_auto
 from stc.program import Program
@@ -1254,19 +1255,17 @@ def _failing_start(n):
 
 
 @pytest.mark.parametrize(
-    "doc, mode, workers, starts, racing",
+    "doc, mode, workers, starts",
     [
-        (BLOCKING_WORD, "pipeline", 3, 2, ()),  # groups [1] [2] [3]
-        (SLEEP_BRANCH, "pipeline", 2, 3, ()),  # four stages, as in test_sleep_branch_threads
-        (BLOCKING_WORD, "auto", 3, 6, ()),  # two chunk threads per delay
-        # the producer's chunk thread, the right side's thread, the four side
-        # delays' chunk threads, which the two sides start at the same time,
-        # and the consumer's chunk thread
-        (SLEEP_BRANCH, "auto", 2, 7, range(3, 7)),
+        (BLOCKING_WORD, "pipeline", 3, 2),  # groups [1] [2] [3]
+        (SLEEP_BRANCH, "pipeline", 2, 3),  # four stages, as in test_sleep_branch_threads
+        (BLOCKING_WORD, "auto", 3, 6),  # two chunk threads per delay
+        # one chunk thread per delay and one thread for the right side
+        (SLEEP_BRANCH, "auto", 2, 7),
     ],
     ids=["pipeline-word", "branch-stream", "auto-word", "auto-branch"],
 )
-def test_thread_start_failure_exits_3(tmp_path, capsys, doc, mode, workers, starts, racing):
+def test_thread_start_failure_exits_3(tmp_path, capsys, doc, mode, workers, starts):
     path = _program_file(tmp_path, doc)
     argv = ["run", path, "--mode", mode, "--workers", str(workers)]
     assert main(argv) == 0
@@ -1281,18 +1280,14 @@ def test_thread_start_failure_exits_3(tmp_path, capsys, doc, mode, workers, star
         rc, calls = _returned_within(call, timeout=10.0)
         captured = capsys.readouterr()
         assert threading.active_count() == before, f"start {n}"
-        if n > starts:
-            assert (rc, calls, captured.out) == (0, starts, expect)
-            continue
-        assert (rc, captured.out) == (3, ""), f"start {n}"
-        assert captured.err == "runtime error: could not start a thread: can't start new thread\n"
-        if n in racing:
-            # the other side may still start its own chunk threads, but no
-            # thread starts after the sides
-            assert n <= calls < starts, f"start {n}"
-        else:
+        if n <= starts:
             # no thread starts after the one that failed
-            assert calls == n, f"start {n}"
+            assert (rc, calls, captured.out) == (3, n, ""), f"start {n}"
+            assert captured.err == (
+                "runtime error: could not start a thread: can't start new thread\n"
+            )
+        else:
+            assert (rc, calls, captured.out) == (0, starts, expect)
 
 
 # --- thread crews ---------------------------------------------------------------
@@ -1463,8 +1458,65 @@ def test_auto_sides_both_failing_raise_the_left_exception(workers):
     before = threading.active_count()
     err = _raised_within(lambda: run_program(program, "auto", workers=workers))
     assert type(err) is Boom and str(err) == str(ref.value)
-    # in turn the right side never runs; at the same time both run until they fail
+    # in turn the right side never runs; at the same time the left side runs
+    # on after the right one has failed
     assert sorted(str(exc) for exc in raised) == ["thread on 1"] * (workers > 1) + ["thread on 18"]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("scope", ["bare", "crew"])
+@pytest.mark.parametrize("workers", [2, 4])
+def test_auto_sides_left_failure_stops_the_right_side(workers, scope):
+    # producer [1], left [2], right [3, 4], consumer [5], all read-only and
+    # blocking, so every side letter hands out chunks. The right side holds
+    # its first element until it sees the left failure; the left side fails
+    # at its first element once the right one holds. The right side then
+    # stops before it hands out letter 4's chunks.
+    base = make_thread(3, "delay_identity_ms")
+    holding = threading.Event()
+    seen, fourth = [], []
+
+    def fail(x, sigma):
+        if x.payload == 0:
+            holding.wait(10)
+            raise Boom("left on 0")
+        return base.transfer(x, sigma)
+
+    def hold(x, sigma):
+        if x.payload == 1:
+            holding.set()
+            halt = parallel._scope.halt
+            deadline = time.monotonic() + 10
+            while not halt.halted and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            seen.append(halt.halted)
+        return base.transfer(x, sigma)
+
+    def count(x, sigma):
+        fourth.append(x.payload)
+        return base.transfer(x, sigma)
+
+    graph = _blocking(build_graph(
+        make_thread(1, "branch_even"), replace(base, id=2, transfer=fail),
+        replace(base, transfer=hold), replace(base, id=4, transfer=count),
+        make_thread(5, "merge_sum"),
+    ))
+    prog = BranchProgram(Word((1,)), Word((2,)), Word((3, 4)), Word((5,)))
+    xs = int_list(*range(20))
+    holding.set()
+    with pytest.raises(Boom) as ref:
+        eval_psi_ref(graph, prog, xs, init_state(graph))
+    holding.clear()
+    enter = Crew if scope == "crew" else nullcontext
+    before = threading.active_count()
+
+    def call():
+        with enter():
+            eval_auto_word(graph, prog, xs, init_state(graph), workers=workers)
+
+    err = _raised_within(call)
+    assert type(err) is Boom and str(err) == str(ref.value)
+    assert seen == [True] and fourth == []
     assert threading.active_count() == before
 
 
