@@ -19,16 +19,20 @@ Three evaluators share one contract and must agree bit-exactly:
 * ``eval_psi_ref`` is the canonical list semantics: each stage consumes
   the entire list before the next stage starts. On a branch program it
   splits the producer's output, runs each side on its own payloads and
-  joins them by the flags (``fold``).
+  joins them by the flags (``run_route``).
 * ``eval_interleaved`` recurses per element (head through the whole
   word, then the tail), which is only meaningful when no letter repeats.
   On a branch program it routes each element through the side its
   injection names, and never splits or joins. It serves as the
-  independent oracle for the stage-wise reference.
+  independent oracle for the stage-wise reference. A failing run raises
+  the first failure in element order, which need not be the one
+  ``eval_psi_ref`` raises, the first in letter order.
 
 The list evaluators take a word or a branch program; ``eval_branch`` and
 ``eval_branch_elementwise`` are the same two functions under their
-branch names.
+branch names. Both walk a ``Route``, the steps of every part, built once
+per plan: ``run_route`` maps a list through it, ``route_element`` one
+element.
 
 Each public evaluator takes and returns boxed values. Its ``plan_*``
 function validates and returns a ``Plan``: the letters whose slots it
@@ -196,13 +200,9 @@ class ValidatedBranch:
 Shape = Union[Word, BranchProgram]
 # a part of a shape: a word, or a branch's (left, right) sides
 Part = Union[Word, Tuple[Word, Word]]
-# a word's raw core: ``word_core(word, items, slots) -> (items, slots)``
-WordCore = Callable[[Word, Sequence[Any], Slots], Tuple[Sequence[Any], Slots]]
-# runs a branch's two sides (see ``fold``)
-RunSides = Callable[
-    [WordCore, Tuple[Word, Word], Sequence[Any], Sequence[Any], Slots],
-    Tuple[Sequence[Any], Sequence[Any], Slots],
-]
+# a walk over the parts of a shape: a word's steps (a list), or the
+# (left, right) steps of a branch's sides (a tuple)
+Route = List[Union[Steps, Tuple[Steps, Steps]]]
 
 
 def validate_branch(graph: Multigraph, prog: BranchProgram) -> ValidatedBranch:
@@ -335,41 +335,6 @@ def join(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
     return box_list(sum_of(bs.elem, cs.elem), out)
 
 
-def sides_in_turn(
-    word_core: WordCore, sides: Tuple[Word, Word], lefts: Sequence[Any], rights: Sequence[Any],
-    slots: Slots,
-) -> Tuple[Sequence[Any], Sequence[Any], Slots]:
-    """A branch's sides as ``eval_psi_ref`` runs them: the left word over
-    the inl payloads, then the right one over the inr ones."""
-    lefts, slots = word_core(sides[0], lefts, slots)
-    rights, slots = word_core(sides[1], rights, slots)
-    return lefts, rights, slots
-
-
-def fold(
-    shape: Shape,
-    word_core: WordCore,
-    run_sides: RunSides,
-    items: Sequence[Any],
-    slots: Slots,
-) -> Tuple[Sequence[Any], Slots]:
-    """Run ``word_core`` over the parts of ``shape`` in turn, the one
-    branch walker of the stage-wise evaluators. At the sides the list is
-    split, ``run_sides(word_core, (left, right), lefts, rights, slots)``
-    maps the left word over the inl payloads and the right one over the
-    inr ones (the reference passes ``sides_in_turn``), and the results are
-    joined by the flags; the sides' letter sets are disjoint, so each
-    changes only its own slots."""
-    for part in parts(shape):
-        if isinstance(part, Word):
-            items, slots = word_core(part, items, slots)
-        else:
-            lefts, rights, flags = _split(items)
-            lefts, rights, slots = run_sides(word_core, part, lefts, rights, slots)
-            items = _join(lefts, rights, flags)
-    return items, slots
-
-
 def map_letter(step: RawStep, values: Sequence[Any], sigma: Any) -> Tuple[List[Any], Any]:
     """One stage of the list semantics: map a raw step over the values,
     threading its private state from element to element."""
@@ -416,39 +381,60 @@ def eval_phi(
     return boxer(vw.tgt)(y), boxed_store(graph, state, slots)
 
 
-def _psi(
-    graph: Multigraph, word: Word, items: Sequence[Any], slots: Slots, check: bool = False
-) -> Tuple[Sequence[Any], Slots]:
-    return run_stagewise(element_steps(graph, word.letters, check), slots, items), slots
+def route_of(graph: Multigraph, parts: Sequence[Part], check: bool = False) -> Route:
+    """The steps of each of ``parts`` in order: a word's, or the
+    ``(left, right)`` steps of a branch's sides."""
 
-
-def _interleaved(
-    graph: Multigraph, shape: Shape, items: Sequence[Any], slots: Slots, check: bool = False
-) -> Tuple[List[Any], Slots]:
     def steps(word: Word) -> Steps:
         return element_steps(graph, word.letters, check)
 
-    route = [steps(p) if isinstance(p, Word) else (steps(p[0]), steps(p[1])) for p in parts(shape)]
-    return [_route(route, slots, v) for v in items], slots
+    return [steps(p) if isinstance(p, Word) else (steps(p[0]), steps(p[1])) for p in parts]
 
 
-def _route(route: list, slots: Slots, v: Any) -> Any:
+def run_route(route: Route, slots: Slots, values: Sequence[Any]) -> Sequence[Any]:
+    """The list twin of ``route_element``, the one branch walker of the
+    stage-wise evaluators: each part maps over the whole list in turn. At
+    the sides the list is split, the left steps map over the inl payloads
+    and the right ones over the inr ones, and the results are joined by
+    the flags; the sides' letter sets are disjoint, so each changes only
+    its own slots."""
+    for part in route:
+        if type(part) is list:
+            values = run_stagewise(part, slots, values)
+        else:
+            lefts, rights, flags = _split(values)
+            values = _join(
+                run_stagewise(part[0], slots, lefts), run_stagewise(part[1], slots, rights), flags
+            )
+    return values
+
+
+def route_element(route: Route, slots: Slots, v: Any) -> Any:
     """One element through every part: a word's steps, or at the sides
-    the steps of the side its injection names, in the same injection."""
+    the steps of the side its injection names, in the same injection; an
+    element whose side has no steps passes as it is."""
     for part in route:
         if type(part) is list:
             v = run_element(part, slots, v)
         elif type(v) is Inl:
-            v = Inl(run_element(part[0], slots, v.value))
-        else:
+            if part[0]:
+                v = Inl(run_element(part[0], slots, v.value))
+        elif part[1]:
             v = Inr(run_element(part[1], slots, v.value))
     return v
 
 
+def _psi(route: Route, items: Sequence[Any], slots: Slots) -> Tuple[Sequence[Any], Slots]:
+    return run_route(route, slots, items), slots
+
+
+def _interleaved(route: Route, items: Sequence[Any], slots: Slots) -> Tuple[List[Any], Slots]:
+    return [route_element(route, slots, v) for v in items], slots
+
+
 def plan_psi(graph: Multigraph, shape: Shape, check: bool = False) -> Plan:
     src, tgt = endpoints(graph, shape)
-    core = partial(fold, shape, partial(_psi, graph, check=check), sides_in_turn)
-    return Plan(shape.letters, src, tgt, core)
+    return Plan(shape.letters, src, tgt, partial(_psi, route_of(graph, parts(shape), check)))
 
 
 def plan_interleaved(graph: Multigraph, shape: Shape, check: bool = False) -> Plan:
@@ -458,7 +444,8 @@ def plan_interleaved(graph: Multigraph, shape: Shape, check: bool = False) -> Pl
         if repeated:
             raise RepeatedLetter(min(repeated))
     src, tgt = endpoints(graph, shape)
-    return Plan(shape.letters, src, tgt, partial(_interleaved, graph, shape, check=check))
+    route = route_of(graph, parts(shape), check)
+    return Plan(shape.letters, src, tgt, partial(_interleaved, route))
 
 
 def eval_psi_ref(

@@ -13,8 +13,8 @@ output list and the final state store:
 
 * the stage-wise sequential reference,
 * the element-wise evaluator (when every letter is distinct),
-* the classification-driven fast-path evaluator at 1 and 4 workers
-  (``auto@1``, ``auto@4``; the second runs chunked fission),
+* ``auto`` at 1 and 4 workers (``auto@1``, ``auto@4``; the second runs
+  replicas of the stateless stages that lists of 16 or more elements allow),
 * the pipeline executor at 1, 2, 4 and 8 workers (``WORKERS_COUNTS``),
   with the last run twice to expose scheduling nondeterminism,
 

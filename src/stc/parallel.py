@@ -1,5 +1,5 @@
-"""Parallel executors: fused stage pipeline, data-parallel fast paths,
-and deterministic task-parallel branching. The shapes they run, the
+"""Parallel executors: one threaded stream core, run as ``pipeline`` and
+as ``auto``, and the data-parallel fast paths. The shapes they run, the
 coproduct's ``split`` and ``join`` and the reference evaluators live in
 ``composition``; this module holds only parallelism, and re-exports
 ``BranchProgram``, ``validate_branch``, ``split``, ``join`` and the
@@ -9,132 +9,99 @@ All executors here are required to agree bit-exactly with the sequential
 reference ``eval_psi_ref``, on the output list and on the final state
 store. Determinism comes from structure, not luck:
 
+* A word with repeated letters runs segment by segment, a barrier
+  between segments; each duplicate-free segment, and a whole branch
+  program (producer, sides, consumer), is one stream. A plan cuts its
+  streams once (``_stream_plan``); each run only makes the per-run state.
 * Threads go only where stages block. Under the GIL two CPU-bound
   stages never run at the same time, so only a thread whose ``blocking``
-  hint is set (a builtin that sleeps) can overlap with others. The
-  pipeline cuts a segment by that hint (stage fusion, after StreamIt's
-  partitioning): its blocking letters are spread over at most
-  ``workers`` contiguous groups, and every other letter joins the group
-  of the blocking letter before it, or the first group if none comes
-  before it. A segment with no blocking letter is one group on the
-  calling thread and starts no thread.
-* Every stream stage maps a list to a list. A group maps its letters
-  over its list one letter at a time (``run_stagewise``) and exclusively
-  owns those letters' state slots in a ``{letter: state}`` dict of its
-  own. For letters that do not repeat this equals pushing each element
-  through all of them in turn, the equivalence that licenses
-  pipelining. So a stream with one stage, such as every segment or
-  branch that starts no thread, maps its whole input in one call, as
-  ``seq`` does.
-* In a stream of several stages the calling thread runs the first
-  stage, the last one writes the output list, and bounded FIFO channels
-  that carry batches of elements link them. Each stage is called once
-  per element, so a slow stage hands each element on at once, and the
-  value/state produced for the i-th element of any stage depends only on
-  upstream FIFO order, never on scheduling, and never on the cut.
-* Batches are adaptive: a stage hands over its buffer as soon as the
-  next channel is empty, when the buffer reaches ``_BATCH`` elements, or
-  when its own input batch ends. It never waits for a batch to fill, so
-  slow (sleep-bound) stages still pass elements on one at a time while
-  fast ones amortise the hand-off. Channel capacity counts batches.
+  hint is set (a builtin that sleeps) can overlap with others. Each word
+  is cut by that hint (stage fusion, after StreamIt's partitioning): its
+  blocking letters are spread over at most ``workers`` groups, and every
+  other letter joins the group of the blocking letter before it, or the
+  first group. A branch's sides pair their k-th groups into side stage
+  k, which routes each element to the side its injection names. A stage
+  that holds no blocking letter is fused into a neighbour, so a stream
+  without one, like any stream at ``workers`` 1, is one stage that maps
+  its whole list letter by letter on the calling thread, as ``seq`` does.
+* ``auto`` adds stateless fission (after StreamIt's): a blocking stage
+  whose letters are all READ_ONLY or PRODUCT runs as ``workers // g``
+  replicas, ``g`` being the number of groups its word was cut into, and
+  at most one replica per ``_REPLICA_ELEMENTS`` elements. Its chunks go
+  to the replicas round-robin and come back in order. A READ_ONLY
+  letter's state passes through a replica; a PRODUCT letter runs its
+  value part there, and its state part runs once per element that
+  passed it, after the stream. Under ``auto`` a branch's sides that
+  block run as one pass per group of each side, so the sides overlap.
+* Each stage owns its letters' state slots in a ``{letter: state}`` dict
+  of its own, merged back into the store once the stream has finished.
+  For letters that do not repeat, mapping them over a list one letter
+  at a time equals pushing each element through all of them in turn,
+  the equivalence that licenses pipelining: the value and state made
+  for the i-th element depend only on FIFO order, never on scheduling,
+  the cut or the replicas.
+* Every replica of every stage is a lane (``_stream``), linked to each
+  lane of the next stage by a bounded FIFO channel of batches. A stage
+  with one lane applies its steps one element at a time and hands its
+  buffer on as soon as the next channel is empty, when the buffer holds
+  ``_BATCH`` elements, or when its input batch ends; so a slow stage
+  passes each element on at once and a fast one amortises the hand-off.
 * Shutdown is by sentinel alone; no channel operation polls or expires.
-  Every stage closes its output channel with ``None``, also when it
-  fails. A failing stage records its exception and drains its inbox to
-  the sentinel; a stage that sees a recorded failure after a hand-off
-  stops computing and drains too. Every consumer drains and every
-  producer closes, so plain blocking puts and gets cannot hang.
-* Stage (or chunk) threads come from a ``Crew`` and are handed their
-  tasks from the last stage to the first. A bare run makes a crew per
-  launch, so its threads start and are joined within the launch. Inside
-  a ``with Crew():`` block, as ``stc check`` opens around its runs, a
-  launch reuses the threads that earlier launches started; each thread
-  serves one task at a time until the block ends, when every thread
-  gets the ``None`` sentinel and is joined. A side thread of ``auto``
-  takes its chunk threads from the crew of the thread that started it,
-  so two threads may hand tasks to one crew at once; a lock guards its
-  idle threads. If a thread cannot start, the first stage that did get
-  one gets the sentinel, and the run raises ``ExecutionError`` once the
-  handed tasks have finished. A run may ask for at most ``MAX_WORKERS``
-  workers.
-* Once all groups have finished, their state dicts are merged back into
-  the store.
-* The read-only and product fast paths split their map into contiguous
-  chunks (stateless fission), one per worker, and concatenate the
-  results in order. ``auto`` fans out only blocking stages; the public
-  fast paths honour the ``workers`` they are given.
-* ``pipeline`` and ``auto`` take a word or a branch program. Every
-  stream is built in one place (``_run_stream``) from a list of parts
-  (``composition.parts``): a word, cut into groups as above, or a
-  branch's (left, right) words, whose k-th groups form side stage k. A
-  side stage splits its list, maps the left group over the inl payloads
-  and the right one over the inr ones, and joins them back by the flags
-  (``_split`` and ``_join``, as ``eval_psi_ref`` does on a branch), so
-  FIFO order keeps the output in place. A
-  stage that holds no blocking letter is fused into a neighbouring
-  stage, so a stream with no blocking letter, like any stream at
-  ``workers`` 1, is one stage on the calling thread.
-* A branch program is one stream: producer, side, consumer. A word with
-  repeated letters cannot be pipelined in one piece; it runs segment by
-  segment (a barrier between segments), each duplicate-free segment a
-  stream of its own. ``auto`` runs either shape through
-  ``composition.fold``, as ``eval_psi_ref`` does, with ``auto``'s
-  stage-wise map for each of its words. When a branch's sides both have
-  letters and elements and one of them blocks, ``auto`` at ``workers``
-  > 1 runs the two sides at the same time (``_auto_sides``): the right
-  one on a crew thread, the left one on the calling thread, each with
-  its own fan-out, so a branch may run up to ``2 * workers`` chunks at
-  once. Each side owns a ``{letter: state}`` dict of its letters' slots,
-  merged back once both have finished.
-* One failure rule holds in every mode and shape: a failing stage
-  raises its own exception, and a thread that cannot start raises
-  ``ExecutionError``. Of two branch sides that run at the same time,
-  the left side's exception wins, as it does in ``eval_psi_ref``, which
-  runs the left side first: once the left side fails, the right one
-  stops at its next hand-out of a task, while the left one runs on when
-  the right one fails. A failed thread start in either side stops the
-  other at its next hand-out, so no thread starts after it (``_Halt``).
+  Every lane closes its output channels with ``None``, also when it
+  fails, and drains its input channels to their sentinels; a lane that
+  sees a recorded failure after a hand-off stops computing.
+* Lanes run on the threads of a ``Crew``, handed their tasks from the
+  last to the first, the calling thread running the first. A bare run
+  makes a crew per launch, so its threads start and are joined within
+  the launch. Inside a ``with Crew():`` block, as ``stc check`` opens
+  around its runs, a launch reuses the threads that earlier launches
+  started, and every thread is joined when the block ends. A run may ask
+  for at most ``MAX_WORKERS`` workers.
+* The public fast paths split a read-only or product map into
+  ``workers`` contiguous chunks and concatenate the results in order.
+* One failure rule holds in every mode and shape: a failing run raises
+  the exception ``eval_psi_ref`` raises, the first failure in letter
+  order, the left side's before the right side's. A threaded stream that
+  fails runs again stage-wise on the calling thread, from its own input
+  and slots, and raises what that run raises (``_run_stream``); its
+  stages' side effects happen again. A thread that cannot start raises
+  ``ExecutionError``, with no re-run, and no thread starts after it.
 
 Every executor here runs on raw values (see ``values``): elements, the
-batches on the channels and the per-group state dicts hold no ``Value``.
+batches on the channels and the per-stage state dicts hold no ``Value``.
 The public functions box only at their edges through
 ``composition.run_boxed``.
 
 Mutation hooks (see ``mutations``) live here only, so the references
-stay free of them.
+stay free of them; a plan reads them when it is made.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from contextlib import nullcontext
 from functools import partial
-from itertools import zip_longest
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from itertools import count, zip_longest
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import mutations
 from .composition import (  # the coproduct and the branch names are re-exported
     BranchProgram,
-    Part,
     Plan,
+    Route,
     Shape,
     Slots,
     Word,
-    WordCore,
-    _join,
-    _split,
-    element_steps,
     endpoints,
     eval_branch,
     eval_branch_elementwise,
-    fold,
     join,
-    map_letter,
     parts,
+    route_element,
+    route_of,
     run_boxed,
-    run_stagewise,
+    run_route,
     segment_word,
-    sides_in_turn,
     split,
     unbox_input,
     validate_branch,
@@ -155,6 +122,11 @@ from .values import Inr, Value, box_list, box_state, conformer, unbox_state
 
 # upper bound on the elements one channel message carries
 _BATCH = 64
+
+# A replicated stage runs at most one replica per this many elements of its
+# stream's input: on a shorter list the replicas' thread hand-offs cost
+# more than they overlap.
+_REPLICA_ELEMENTS = 8
 
 # The most workers a run may ask for. Each worker past the first may be
 # a thread, so a bound keeps hostile input away from the OS thread limit;
@@ -202,21 +174,38 @@ def _readonly_map(
 def _product_map(
     spec: ThreadSpec, items: Sequence[Any], sigma: Any, workers: int, check: bool
 ) -> Tuple[List[Any], Any]:
-    out = _fission(raw_value_part(spec), items, workers)
-    h = raw_state_part(spec)
-    state = sigma
+    out = _fission(_value_part(spec, check), items, workers)
+    return out, _product_state(spec, sigma, len(out), check)
+
+
+def _value_part(spec: ThreadSpec, check: bool) -> Callable[[Any], Any]:
+    """A PRODUCT letter's raw value part; with ``check`` it conforms the
+    output to its port type."""
+    part = raw_value_part(spec)
     if not check:
-        for _ in range(len(out)):
-            state = h(state)
-        return out, state
-    ok_y, ok_st = conformer(spec.tgt), conformer(spec.state_type)
-    for y in out:
-        state = h(state)
-        if not ok_y(y):
+        return part
+    ok = conformer(spec.tgt)
+
+    def checked(x: Any) -> Any:
+        y = part(x)
+        if not ok(y):
             raise ill_typed(spec, "output", y, spec.tgt)
-        if not ok_st(state):
-            raise ill_typed(spec, "new state", state, spec.state_type)
-    return out, state
+        return y
+
+    return checked
+
+
+def _product_state(spec: ThreadSpec, sigma: Any, times: int, check: bool) -> Any:
+    """A PRODUCT letter's raw state part applied ``times`` times to
+    ``sigma``, once per element that passed the letter; with ``check`` it
+    conforms each new state to the state type."""
+    h = raw_state_part(spec)
+    ok = conformer(spec.state_type) if check else None
+    for _ in range(times):
+        sigma = h(sigma)
+        if check and not ok(sigma):
+            raise ill_typed(spec, "new state", sigma, spec.state_type)
+    return sigma
 
 
 def _fission(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> List[Any]:
@@ -256,8 +245,6 @@ class Crew:
     thread of a crew is joined when its block ends."""
 
     def __init__(self):
-        # two side threads of a branch under ``auto`` may hand and wait at once
-        self._lock = threading.Lock()
         self._idle: List[queue.SimpleQueue] = []  # inboxes of threads with no task
         self._inboxes: List[queue.SimpleQueue] = []
         self._threads: List[threading.Thread] = []
@@ -276,15 +263,13 @@ class Crew:
         """Run ``task`` on an idle thread, or on a new one, and return
         what ``wait`` takes. ``task`` must not raise. A thread that
         cannot start raises ``RuntimeError``, as ``Thread.start`` does."""
-        with self._lock:
-            inbox = self._idle.pop() if self._idle else None
+        inbox = self._idle.pop() if self._idle else None
         if inbox is None:
             inbox = queue.SimpleQueue()
             thread = threading.Thread(target=_serve, args=(inbox,))
             thread.start()
-            with self._lock:
-                self._threads.append(thread)
-                self._inboxes.append(inbox)
+            self._threads.append(thread)
+            self._inboxes.append(inbox)
         done = threading.Lock()
         done.acquire()
         inbox.put((task, done))
@@ -294,8 +279,7 @@ class Crew:
         """Wait until every handed task has run; their threads go idle."""
         for inbox, done in handed:
             done.acquire()
-            with self._lock:
-                self._idle.append(inbox)
+            self._idle.append(inbox)
 
     def close(self) -> None:
         """Send every thread the sentinel and join them all."""
@@ -306,36 +290,8 @@ class Crew:
         self._idle, self._inboxes, self._threads = [], [], []
 
 
-# ``_scope.crew``: the crew of the calling thread's innermost ``with Crew():``;
-# ``_scope.halt``: the ``_Halt`` of the branch side the thread runs, if any
+# ``_scope.crew``: the crew of the calling thread's innermost ``with Crew():``
 _scope = threading.local()
-
-
-class _Halted(Exception):
-    """Raised in a branch side under ``auto`` that stops because the other
-    side has failed; that side's exception is the one raised."""
-
-
-class _Halt:
-    """Shared by a branch's two sides under ``auto``. Every task a side
-    hands out is handed under its lock: once ``halted`` is set, by a
-    failed thread start in either side or by a failure of the left side,
-    neither side hands out another task or starts another thread."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.halted = False
-
-    def __enter__(self) -> None:
-        self._lock.acquire()
-        if self.halted:
-            self._lock.release()
-            raise _Halted
-
-    def __exit__(self, kind, *exc) -> None:
-        if kind is not None:
-            self.halted = True
-        self._lock.release()
 
 
 def _serve(inbox: queue.SimpleQueue) -> None:
@@ -344,12 +300,9 @@ def _serve(inbox: queue.SimpleQueue) -> None:
         done.release()
 
 
-_NO_HALT = nullcontext()
-
-
 def _launch(
     run: Callable[[int], None], failed: List[Optional[BaseException]],
-    inboxes: Sequence[queue.Queue] = (),
+    outboxes: Sequence[Sequence[queue.Queue]] = (),
 ) -> None:
     """Run tasks ``0..len(failed) - 1``: task 0 on the calling thread and
     every other on a thread of the calling thread's ``Crew``, handed out
@@ -357,27 +310,22 @@ def _launch(
     ``failed[i]`` and never raises; once every task has run, the earliest
     task's exception is re-raised.
 
-    If a thread cannot start, no task below it runs: task ``i + 1``, the
-    first that did start, gets the ``None`` sentinel in ``inboxes[i]``
-    (when it has one), the started tasks are waited for, and the failure
-    is raised as ``ExecutionError``. In a branch side under ``auto``,
-    each task is handed under the sides' ``_Halt``; once it is halted,
-    the tasks handed so far are waited for and ``_Halted`` is raised."""
+    If the thread for task ``i`` cannot start, no task up to ``i`` runs:
+    each of their ``outboxes`` gets the ``None`` sentinel, so the started
+    tasks see their input end; the started tasks are waited for, and the
+    failure is raised as ``ExecutionError``."""
     scoped = getattr(_scope, "crew", None)
     crew = scoped if scoped is not None else Crew()
-    halt = getattr(_scope, "halt", None) or _NO_HALT
     handed = []
     try:
         for i in range(len(failed) - 1, 0, -1):
             try:
-                with halt:
-                    handed.append(crew.hand(partial(run, i)))
-            except (RuntimeError, _Halted) as exc:
-                if i < len(inboxes):
-                    inboxes[i].put(None)
+                handed.append(crew.hand(partial(run, i)))
+            except RuntimeError as exc:
+                for box in outboxes[:i + 1]:
+                    for q in box:
+                        q.put(None)
                 crew.wait(handed)
-                if isinstance(exc, _Halted):
-                    raise
                 raise ExecutionError(f"could not start a thread: {exc}") from exc
         run(0)
         crew.wait(handed)
@@ -387,10 +335,6 @@ def _launch(
     for exc in failed:
         if exc is not None:
             raise exc
-
-
-# one stage of a stream: maps a list of raw elements to the list it hands on
-Stage = Callable[[Sequence[Any]], List[Any]]
 
 
 def _state_dropped(step: RawStep) -> RawStep:
@@ -405,178 +349,332 @@ def _spans(blocking: Sequence[bool], k: int) -> List[Tuple[int, int]]:
     ``min(k, #blocking)`` spans, and every other position joins the span
     of the blocking position before it, or the first span if none comes
     before it. Without a blocking position all of them are one span."""
-    if not blocking:
-        return []
+    if k == 1 or True not in blocking:
+        return [(0, len(blocking))] if blocking else []
     marks = [i for i, b in enumerate(blocking) if b]
     k = min(k, len(marks))
     starts = [0] + [marks[len(marks) * g // k] for g in range(1, k)]
     return list(zip(starts, starts[1:] + [len(blocking)]))
 
 
-def _groups(
-    graph: Multigraph, slots: Slots, check: bool, owned: list,
-    letters: Tuple[int, ...], workers: int,
-) -> List[Tuple[Stage, bool]]:
-    """``letters`` cut by ``_spans`` into fused groups, each paired with
-    whether it holds a blocking letter; no group when ``letters`` is
-    empty. A group is ``run_stagewise`` over its letters and a
-    ``{letter: state}`` dict it owns; each dict goes onto ``owned`` for
-    the read-back."""
+def _cut(
+    graph: Multigraph, letters: Tuple[int, ...], workers: int
+) -> List[Tuple[Tuple[int, ...], bool]]:
+    """``letters`` cut by ``_spans`` into groups, each paired with whether
+    it holds a blocking letter; no group when ``letters`` is empty."""
     if mutations.enabled("stage-order-swapped") and len(letters) >= 2:
         letters = (letters[1], letters[0]) + letters[2:]
     blocking = [graph.edges[n].blocking for n in letters]
-    groups: List[Tuple[Stage, bool]] = []
-    for a, b in _spans(blocking, workers):
-        part = letters[a:b]
-        steps = element_steps(graph, part, check)
-        if mutations.enabled("state-update-dropped"):
-            steps = [(n, _state_dropped(step)) for n, step in steps]
-        st = {n: slots[n] for n in part}
-        owned.append(st)
-        groups.append((partial(run_stagewise, steps, st), any(blocking[a:b])))
-    return groups
+    return [(letters[a:b], True in blocking[a:b]) for a, b in _spans(blocking, workers)]
+
+
+def _replica_step(spec: ThreadSpec, check: bool) -> RawStep:
+    """What a replica runs for a READ_ONLY or PRODUCT letter. A READ_ONLY
+    letter's state passes through. A PRODUCT letter runs its value part,
+    and its slot in the replica counts the elements, so that its state
+    part can run once per element after the stream (``_product_state``)."""
+    if spec.kind is StageKind.READ_ONLY:
+        step = raw_step(spec, check)
+        return lambda v, sigma: (step(v, sigma)[0], sigma)
+    part = _value_part(spec, check)
+    return lambda v, count: (part(v), count + 1)
+
+
+class _Stage:
+    """A stream stage, cut once per plan: its route (see
+    ``composition.route_element``), the letters whose slots it owns, and
+    the replicas it may run. A replicated stage also has ``replica()``,
+    which builds the route its replicas run (``_replica_step``) and
+    lists its PRODUCT letters; a run calls it only when it replicates."""
+
+    __slots__ = ("route", "letters", "replicas", "replica")
+
+    def __init__(self, route: Route, letters: Tuple[int, ...], replicas: int = 1,
+                 replica: Optional[Callable[[], Tuple[Route, List[ThreadSpec]]]] = None):
+        self.route, self.letters, self.replicas, self.replica = route, letters, replicas, replica
+
+
+def _replica(
+    route: Route, letters: Tuple[int, ...], edges, check: bool
+) -> Tuple[Route, List[ThreadSpec]]:
+    def steps(part: list) -> list:
+        return [(n, _replica_step(edges[n], check)) for n, _ in part]
+
+    products = [edges[n] for n in letters if edges[n].kind is StageKind.PRODUCT]
+    return [steps(p) if type(p) is list else (steps(p[0]), steps(p[1])) for p in route], products
+
+
+# a stream cut once per plan: the segment or branch it was cut from (for
+# the stage-wise re-run of a failed stream), its stages, and where the
+# ``flags-ignored-in-join`` fault sorts, if it is planted
+Stream = Tuple[Shape, List[_Stage], Optional[int]]
+
+
+# the planted faults that change how a stream is cut or fused
+_RESHAPING = ("stage-order-swapped", "state-update-dropped", "flags-ignored-in-join")
+
+
+def _stream_plan(
+    graph: Multigraph, shape: Shape, workers: int, check: bool, replicate: bool
+) -> Stream:
+    """Cut the stream of ``shape``, a segment or a branch, into stages.
+    Each word is cut by ``_cut``; a branch's sides pair their k-th groups
+    into side stage k, or, when ``replicate`` and a side blocks, run as
+    one pass per group of each side. Then a stage that holds no blocking
+    letter is fused into a neighbour by ``_spans``, so there is one stage
+    in all at ``workers`` 1 or when none blocks. With ``replicate``, a
+    blocking stage whose letters are all READ_ONLY or PRODUCT gets
+    ``workers // g`` replicas, where ``g`` is the number of groups its
+    word was cut into."""
+    edges, stream = graph.edges, parts(shape)
+    if (workers == 1 or not any(edges[n].blocking for n in shape.letters)) and not any(
+        map(mutations.enabled, _RESHAPING)
+    ):
+        return shape, [_Stage(route_of(graph, stream, check), shape.letters)], None
+    dropped = mutations.enabled("state-update-dropped")
+
+    def step(n: int) -> RawStep:
+        return _state_dropped(raw_step(edges[n], check)) if dropped else raw_step(edges[n], check)
+
+    def cut(word: Word) -> list:
+        groups = _cut(graph, word.letters, workers)
+        share = workers // max(1, len(groups))
+        return [
+            ([(n, step(n)) for n in ls], ls, b,
+             1 if not replicate or any(edges[n].kind is StageKind.GENERAL for n in ls)
+             else share if b else MAX_WORKERS)  # a group that does not block sets no bound
+            for ls, b in groups
+        ]
+
+    # (route part, letters, blocks, replicas)
+    members: list = []
+    joined_at = None
+    for part in stream:
+        if isinstance(part, Word):
+            members += cut(part)
+            continue
+        lefts, rights = cut(part[0]), cut(part[1])
+        if replicate and any(m[2] for m in lefts + rights):
+            members += [((steps, []), ls, b, r) for steps, ls, b, r in lefts]
+            members += [(([], steps), ls, b, r) for steps, ls, b, r in rights]
+        else:
+            pairs = zip_longest(lefts, rights, fillvalue=([], (), False, 1))
+            members += [((lf[0], rt[0]), lf[1] + rt[1], lf[2] or rt[2], 1) for lf, rt in pairs]
+        joined_at = len(members)
+
+    def fuse(members: list) -> List[_Stage]:
+        stages = []
+        for a, b in _spans([m[2] for m in members], 1 if workers == 1 else len(members)):
+            route, letters, blocks, r = [], (), False, MAX_WORKERS
+            for m in members[a:b]:
+                route.append(m[0])
+                letters += m[1]
+                blocks = blocks or m[2]
+                r = min(r, m[3])
+            if not blocks or r == 1:
+                stages.append(_Stage(route, letters))
+            else:
+                replica = partial(_replica, route, letters, edges, check)
+                stages.append(_Stage(route, letters, r, replica))
+        return stages
+
+    if joined_at is not None and mutations.enabled("flags-ignored-in-join"):
+        head = fuse(members[:joined_at])
+        return shape, head + fuse(members[joined_at:]), len(head)
+    return shape, fuse(members), None
 
 
 def _read_back(slots: Slots, owned) -> Slots:
-    """``slots`` with each group's final letter states written in."""
+    """``slots`` with each stage's final letter states written in."""
     if not mutations.enabled("state-not-forwarded"):
         for st in owned:
             slots.update(st)
     return slots
 
 
-def _stream(stages: Sequence[Stage], values: Sequence[Any], capacity: int) -> List[Any]:
-    """Push ``values`` through ``stages`` in order. A lone stage maps the
-    whole list at once on the calling thread. Otherwise the calling thread
-    runs the first stage and every other stage gets a thread of its own,
-    linked by bounded FIFO channels of ``capacity`` adaptive batches; each
-    stage then maps one element at a time, so a slow stage hands each
-    element on at once.
+# one stream stage of a run: its route, its ``{letter: state}`` dict and
+# one list function per lane
+Lanes = Tuple[Route, Slots, List[Callable[[Sequence[Any]], List[Any]]]]
 
-    Each stage closes its output channel with the ``None`` sentinel, also
-    when it fails. A stage that fails, or that sees a recorded failure
-    right after a hand-off, stops computing and drains its inbox to the
-    sentinel, so no blocking put or get is left waiting. Once every thread
-    has been joined, a failure re-raises the original exception of the
-    earliest failing stage in stage order."""
+
+def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> List[Any]:
+    """Push ``values`` through ``stages`` in order. A lone stage with one
+    replica maps the whole list at once on the calling thread. Otherwise
+    every replica of every stage (a lane) runs as a task of ``_launch``,
+    the calling thread running the first; bounded FIFO channels of
+    ``capacity`` batches link each lane of a stage to each lane of the
+    next.
+
+    Lane ``a`` of a stage with ``r`` lanes takes chunks ``a, a + r, ...``
+    of its input: chunk ``j`` comes from lane ``j % r'`` of the stage
+    before, which has ``r'`` lanes; a replicated first stage takes its
+    input one element per chunk. A replica maps a whole chunk and hands
+    it on as chunk ``j``, so the next stage reads the chunks round-robin,
+    in order. A stage with one lane that is not last applies its steps to
+    one element at a time and numbers its own output chunks (see
+    ``_hand_on``), so a slow stage hands each element on at once. The last
+    stage maps whole chunks; they are kept by number and concatenated in
+    order.
+
+    Each lane closes all its output channels with the ``None`` sentinel,
+    also when it fails. A lane that fails, or that sees a recorded
+    failure right after a hand-off, stops computing and drains its
+    channels to their sentinels, so no blocking put or get is left
+    waiting. Once every task has finished, a failure re-raises the
+    original exception of the earliest failing lane in stage order."""
     k = len(stages)
-    if k <= 1:
-        return stages[0](values) if stages else list(values)
-    each = [lambda v, fn=fn: fn([v])[0] for fn in stages]
-    chans = [queue.Queue(maxsize=capacity) for _ in range(k - 1)]
-    failed: List[Optional[BaseException]] = [None] * k
-    out: List[Any] = []
-
-    def run_stage(g: int) -> None:
-        fn = each[g]
-        # an iterator, so that a drain resumes where the stage stopped
-        batches = iter(chans[g - 1].get, None) if g else iter((values,))
-        try:
-            if g == k - 1:
-                for batch in batches:
-                    out.extend(map(fn, batch))
-                return
-            outq = chans[g]
-            for batch in batches:
-                buf = []
-                for v in batch:
-                    buf.append(fn(v))
-                    # hand over as soon as the next stage is idle, so a slow
-                    # stage never waits on a batch to fill
-                    if len(buf) >= _BATCH or outq.empty():
-                        outq.put(buf)
-                        buf = []
-                        if any(failed):
-                            return
-                if buf:
-                    outq.put(buf)
-        except BaseException as exc:  # re-raised by _launch
-            failed[g] = exc
-        finally:
-            if g < k - 1:
-                chans[g].put(None)
-            for _ in batches:
-                pass
-
-    _launch(run_stage, failed, chans)
-    return out
-
-
-def _side_stage(left: Stage, right: Stage, values: Sequence[Any]) -> List[Any]:
-    """Split a list of sum elements, map ``left`` over the inl payloads
-    and ``right`` over the inr ones, and join them back by the flags."""
-    lefts, rights, flags = _split(values)
-    return _join(left(lefts), right(rights), flags)
-
-
-def _fused(stages: Sequence[Tuple[Stage, bool]], workers: int) -> List[Stage]:
-    """One stream stage per blocking stage of ``stages``, with each
-    non-blocking stage fused into a neighbour by ``_spans``; one stage
-    in all at ``workers`` 1 or when none blocks."""
-    spans = _spans([blocks for _, blocks in stages], 1 if workers == 1 else len(stages))
-    # a stage fused with no other runs bare, without a ``_chain`` call per element
-    return [
-        stages[a][0] if b - a == 1 else partial(_chain, [fn for fn, _ in stages[a:b]])
-        for a, b in spans
+    widths = [len(lanes) for _, _, lanes in stages]
+    if widths in ([], [1]):
+        return stages[0][2][0](values) if stages else list(values)
+    # links[s][a][b]: from lane a of stage s to lane b of stage s + 1
+    links = [
+        [[queue.Queue(maxsize=capacity) for _ in range(widths[s + 1])] for _ in range(widths[s])]
+        for s in range(k - 1)
     ]
+    tasks = [(s, a) for s in range(k) for a in range(widths[s])]
+    failed: List[Optional[BaseException]] = [None] * len(tasks)
+    done: Dict[int, List[Any]] = {}  # the last stage's output chunks by number
+
+    def run_lane(t: int) -> None:
+        s, a = tasks[t]
+        r = widths[s]
+        ins = [row[a] for row in links[s - 1]] if s else []
+        if s:
+            chunks = _chunks(ins, a, r)
+        else:
+            chunks = iter((values,)) if r == 1 else ([v] for v in values[a::r])
+        outs = links[s][a] if s < k - 1 else ()
+        route, st, lanes = stages[s]
+        try:
+            if r == 1 and outs:
+                _hand_on(partial(route_element, route, st), chunks, outs, failed)
+                return
+            fn = lanes[a]
+            for j, chunk in zip(count(a, r), chunks):
+                if not outs:
+                    done[j] = fn(chunk)
+                    continue
+                outs[j % len(outs)].put(fn(chunk))
+                if any(failed):
+                    return
+        except BaseException as exc:  # re-raised by _launch
+            failed[t] = exc
+        finally:
+            for q in outs:
+                q.put(None)
+            for q in ins:
+                for _ in iter(q.get, None):
+                    pass
+
+    _launch(run_lane, failed, [links[s][a] if s < k - 1 else () for s, a in tasks])
+    return [y for j in range(len(done)) for y in done[j]]
 
 
-def _chain(fns: Sequence[Stage], values: Sequence[Any]) -> List[Any]:
-    for fn in fns:
-        values = fn(values)
-    return values
+def _chunks(ins: Sequence[queue.Queue], a: int, r: int):
+    """Chunks ``a, a + r, ...`` of a lane's input, chunk ``j`` from
+    ``ins[j % len(ins)]``, until a sentinel, which goes back for the
+    drain."""
+    for j in count(a, r):
+        q = ins[j % len(ins)]
+        chunk = q.get()
+        if chunk is None:
+            q.put(None)
+            return
+        yield chunk
+
+
+def _hand_on(each: Callable[[Any], Any], chunks, outs: Sequence[queue.Queue], failed: list) -> None:
+    """One lane's elements through ``each``, one at a time, in output
+    chunks numbered from 0: chunk ``m`` goes to ``outs[m % len(outs)]`` as
+    soon as that channel is empty, when it holds ``_BATCH`` elements, or
+    when the input chunk ends, so a slow stage never waits on a batch to
+    fill."""
+    m = 0
+    for chunk in chunks:
+        buf: List[Any] = []
+        for v in chunk:
+            buf.append(each(v))
+            q = outs[m % len(outs)]
+            if len(buf) >= _BATCH or q.empty():
+                q.put(buf)
+                buf = []
+                m += 1
+                if any(failed):
+                    return
+        if buf:
+            outs[m % len(outs)].put(buf)
+            m += 1
+
+
+def _attempt(
+    stages: Sequence[_Stage], joined_at: Optional[int], items: Sequence[Any], slots: Slots,
+    capacity: int, check: bool,
+) -> Tuple[List[Any], list]:
+    """One run of a stream's stages; returns the output and each stage's
+    ``{letter: state}`` dict. A replicated stage runs ``min(replicas, n //
+    _REPLICA_ELEMENTS)`` replicas over ``n`` elements, each with a slot
+    dict of its own; its PRODUCT letters run their state parts once every
+    lane has finished."""
+    owned, runs, replicated = [], [], []
+    for stage in stages:
+        st = {n: slots[n] for n in stage.letters}
+        owned.append(st)
+        r = min(stage.replicas, len(items) // _REPLICA_ELEMENTS)
+        if r <= 1:
+            runs.append((stage.route, st, [partial(run_route, stage.route, st)]))
+            continue
+        route, products = stage.replica()
+        lane_slots = [{**st, **dict.fromkeys((spec.id for spec in products), 0)} for _ in range(r)]
+        runs.append((stage.route, st, [partial(run_route, route, d) for d in lane_slots]))
+        replicated.append((st, products, lane_slots))
+    if joined_at is None:
+        values = _stream(runs, items, capacity)
+    else:
+        # deliberate fault: the join point buffers its whole input and
+        # emits every inl element before any inr element
+        joined = _stream(runs[:joined_at], items, capacity)
+        joined.sort(key=lambda v: type(v) is Inr)
+        values = _stream(runs[joined_at:], joined, capacity)
+    if not mutations.enabled("state-update-dropped"):
+        for st, products, lane_slots in replicated:
+            for spec in products:
+                passed = sum(d[spec.id] for d in lane_slots)
+                st[spec.id] = _product_state(spec, st[spec.id], passed, check)
+    return values, owned
 
 
 def _run_stream(
-    graph: Multigraph,
-    parts: Sequence[Part],
-    items: Sequence[Any],
-    slots: Slots,
-    workers: int,
-    capacity: int,
+    graph: Multigraph, stream: Stream, items: Sequence[Any], slots: Slots, capacity: int,
     check: bool,
 ) -> Tuple[List[Any], Slots]:
-    """Every stream: the stages of ``parts`` in order, fused by
-    ``_fused`` and run by ``_stream``."""
-    owned: list = []
-    cut = partial(_groups, graph, slots, check, owned, workers=workers)
-    stages: List[Tuple[Stage, bool]] = []
-    joined_at = None
-    for part in parts:
-        if isinstance(part, Word):
-            stages += cut(part.letters)
-            continue
-        left, right = part
-        # a side with fewer groups passes its payloads on as they are
-        pairs = zip_longest(cut(left.letters), cut(right.letters), fillvalue=(list, False))
-        stages += [(partial(_side_stage, lf, rf), lb or rb) for (lf, lb), (rf, rb) in pairs]
-        joined_at = len(stages)
-    if joined_at is not None and mutations.enabled("flags-ignored-in-join"):
-        # deliberate fault: the join point buffers its whole input and
-        # emits every inl element before any inr element
-        joined = _stream(_fused(stages[:joined_at], workers), items, capacity)
-        joined.sort(key=lambda v: type(v) is Inr)
-        values = _stream(_fused(stages[joined_at:], workers), joined, capacity)
-    else:
-        values = _stream(_fused(stages, workers), items, capacity)
+    """One stream, its stages' states written back once it succeeds.
+
+    A threaded stream (more than one lane) that fails with an exception
+    other than ``ExecutionError`` runs again stage-wise on the calling
+    thread, as at ``workers`` 1, from the same input list and slots, which
+    nothing has changed yet, and raises what that run raises: the
+    exception ``eval_psi_ref`` raises. If that run does not fail, the
+    first exception is raised."""
+    shape, stages, joined_at = stream
+    if len(stages) == 1 and stages[0].replicas == 1 and joined_at is None:
+        st = {n: slots[n] for n in stages[0].letters}
+        return run_route(stages[0].route, st, items), _read_back(slots, [st])
+    try:
+        values, owned = _attempt(stages, joined_at, items, slots, capacity, check)
+    except ExecutionError:
+        raise
+    except Exception:
+        _attempt(*_stream_plan(graph, shape, 1, check, False)[1:], items, slots, capacity, check)
+        raise
     return values, _read_back(slots, owned)
 
 
 def _pipeline(
-    graph: Multigraph,
-    shape: Shape,
-    items: Sequence[Any],
-    slots: Slots,
-    workers: int = 4,
-    capacity: int = 16,
-    check: bool = False,
+    graph: Multigraph, streams: Sequence[Stream], capacity: int, check: bool,
+    items: Sequence[Any], slots: Slots,
 ) -> Tuple[Sequence[Any], Slots]:
-    if isinstance(shape, BranchProgram) or mutations.enabled("segment-barrier-removed"):
-        streams: Sequence[Sequence[Part]] = [parts(shape)]
-    else:
-        streams = [[seg] for seg in segment_word(shape).segments]
     for stream in streams:
-        items, slots = _run_stream(graph, stream, items, slots, workers, capacity, check)
+        items, slots = _run_stream(graph, stream, items, slots, capacity, check)
     return items, slots
 
 
@@ -589,26 +687,15 @@ def run_pipeline(
     capacity: int = 16,
     check: bool = False,
 ) -> Tuple[Value, StateStore]:
-    """Pipelined list semantics: each segment is cut into contiguous
-    groups of letters by the blocking hint, its blocking letters spread
-    over at most ``workers`` groups. The caller runs the first group and
-    every other group gets a thread of its own; elements stream between
-    groups in batches over bounded FIFO channels that hold ``capacity``
-    batches. A segment without a blocking letter starts no thread: it is
-    one group that maps its whole list letter by letter, as ``seq`` does.
-
-    Words with repeated letters run as consecutive duplicate-free
-    segments with a barrier in between. A branch program runs as one
-    linear stream over the sum-tagged elements: the producer's groups,
-    then side stages pairing the left and right words' groups, then the
-    consumer's groups, each word cut by the blocking hint as a segment
-    is. A side stage splits its list, maps each side and joins them by the
-    flags. At ``workers`` 1, or without a blocking letter, the whole
-    branch is one fused stage on the calling thread. This function is
-    also ``run_task_parallel_branch``.
-
-    A failing stage raises its own exception. The result is bit-exactly
-    that of ``eval_psi_ref``.
+    """Pipelined list semantics: each segment, or a branch program as one
+    linear stream over its sum-tagged elements, is cut into groups by the
+    blocking hint, at most ``workers`` per word. The caller runs the first
+    group and every other group gets a thread of its own; elements stream
+    between groups in batches over bounded FIFO channels that hold
+    ``capacity`` batches. A stream without a blocking letter starts no
+    thread. A failing run raises the exception ``eval_psi_ref`` raises;
+    the result is bit-exactly ``eval_psi_ref``'s. This function is also
+    ``run_task_parallel_branch``.
     """
     return run_boxed(graph, xs, state, plan_pipeline(graph, word, workers, capacity, check))
 
@@ -621,35 +708,27 @@ def _positive(workers: int) -> int:
     return workers
 
 
+def _plan(
+    graph: Multigraph, shape: Shape, workers: int, capacity: int, check: bool, replicate: bool
+) -> Plan:
+    src, tgt = endpoints(graph, shape)
+    workers = _positive(workers)
+    if isinstance(shape, BranchProgram) or mutations.enabled("segment-barrier-removed"):
+        streams: Sequence[Shape] = [shape]
+    else:
+        streams = segment_word(shape).segments
+    planned = [_stream_plan(graph, stream, workers, check, replicate) for stream in streams]
+    return Plan(shape.letters, src, tgt, partial(_pipeline, graph, planned, capacity, check))
+
+
 def plan_pipeline(
     graph: Multigraph, shape: Shape, workers: int = 4, capacity: int = 16, check: bool = False
 ) -> Plan:
-    src, tgt = endpoints(graph, shape)
-    core = partial(
-        _pipeline, graph, shape, workers=_positive(workers), capacity=capacity, check=check
-    )
-    return Plan(shape.letters, src, tgt, core)
+    return _plan(graph, shape, workers, capacity, check, replicate=False)
 
 
-def _auto(
-    graph: Multigraph,
-    word: Word,
-    items: Sequence[Any],
-    slots: Slots,
-    workers: int = 1,
-    check: bool = False,
-) -> Tuple[Sequence[Any], Slots]:
-    for n in word.letters:
-        spec = graph.edges[n]
-        # under the GIL only chunks that block can overlap
-        w = workers if spec.blocking else 1
-        if spec.kind is StageKind.READ_ONLY:
-            items = _readonly_map(spec, items, slots[n], w, check)
-        elif spec.kind is StageKind.PRODUCT:
-            items, slots[n] = _product_map(spec, items, slots[n], w, check)
-        else:
-            items, slots[n] = map_letter(raw_step(spec, check), items, slots[n])
-    return items, slots
+def plan_auto(graph: Multigraph, shape: Shape, workers: int = 1, check: bool = False) -> Plan:
+    return _plan(graph, shape, workers, 16, check, replicate=True)
 
 
 def eval_auto_word(
@@ -660,81 +739,14 @@ def eval_auto_word(
     workers: int = 1,
     check: bool = False,
 ) -> Tuple[Value, StateStore]:
-    """Stage-wise evaluation that takes the data-parallel shortcut for
-    every read-only or product stage and falls back to the sequential map
-    for general stages. Only a blocking stage fans out over ``workers``
-    chunks; any other runs as one chunk on the calling thread. A branch
-    program runs as ``eval_psi_ref`` runs it (``composition.fold``), with
-    each of its words evaluated this way, except that at ``workers`` > 1
-    its two sides run at the same time when one of them blocks and both
-    have letters and elements (``_auto_sides``); each side then fans out
-    on its own, so up to ``2 * workers`` chunks run at once."""
+    """The pipeline (see ``run_pipeline``) with stateless fission: a
+    blocking stage whose letters are all READ_ONLY or PRODUCT runs as
+    ``workers // g`` replicas (``_stream_plan``), at most one per element,
+    and a branch's sides run as one stage per group of each side, so
+    they overlap. A stream without a blocking letter is one stage-wise
+    group on the calling thread and starts no thread, as ``seq`` does."""
     return run_boxed(graph, xs, state, plan_auto(graph, word, workers, check))
 
-
-def _auto_sides(
-    graph: Multigraph,
-    workers: int,
-    word_core: WordCore,
-    sides: Tuple[Word, Word],
-    lefts: Sequence[Any],
-    rights: Sequence[Any],
-    slots: Slots,
-) -> Tuple[Sequence[Any], Sequence[Any], Slots]:
-    """A branch's two sides at the same time, when that can gain: at
-    ``workers`` > 1, with letters and elements on both sides and a
-    blocking letter on one of them. The right side runs on a crew thread,
-    from the calling thread's crew when it has one, and the left one on
-    the calling thread; each keeps ``_auto``'s fan-out, so up to
-    ``2 * workers`` chunks run at once. Each side owns a ``{letter:
-    state}`` dict of its own letters' slots, merged back, left first,
-    once both have finished. Otherwise the sides run in turn and start no
-    thread.
-
-    If the left side fails, the right one stops at its next hand-out and
-    the left side's exception is raised, as ``eval_psi_ref`` raises it.
-    If the right side fails, the left one runs on, and its exception, if
-    it fails too, is the one raised. A thread start that fails in either
-    side stops the other side at its next hand-out, so no thread starts
-    after it, and raises ``ExecutionError``."""
-    blocks = any(graph.edges[n].blocking for word in sides for n in word.letters)
-    if workers == 1 or not (blocks and lefts and rights and all(w.letters for w in sides)):
-        return sides_in_turn(word_core, sides, lefts, rights, slots)
-    lists: List[Sequence[Any]] = [lefts, rights]
-    owned = [{n: slots[n] for n in word.letters} for word in sides]
-    failed: List[Optional[BaseException]] = [None, None]
-    crew = getattr(_scope, "crew", None)
-    halt = _Halt()
-
-    def run(i: int) -> None:
-        _scope.halt = halt
-        if i:  # on a crew thread: chunk threads come from the caller's crew
-            _scope.crew = crew
-        try:
-            lists[i], _ = word_core(sides[i], lists[i], owned[i])
-        except _Halted:  # the other side failed, and its exception is raised
-            pass
-        except BaseException as exc:  # re-raised by _launch, the left side's first
-            failed[i] = exc
-            if not i:
-                halt.halted = True
-        finally:
-            _scope.halt = None
-            if i:
-                _scope.crew = None
-
-    _launch(run, failed)
-    for st in owned:
-        slots.update(st)
-    return lists[0], lists[1], slots
-
-
-def plan_auto(graph: Multigraph, shape: Shape, workers: int = 1, check: bool = False) -> Plan:
-    src, tgt = endpoints(graph, shape)
-    workers = _positive(workers)
-    core = partial(_auto, graph, workers=workers, check=check)
-    sides = partial(_auto_sides, graph, workers)
-    return Plan(shape.letters, src, tgt, partial(fold, shape, core, sides))
 
 
 # the branch name of the pipeline executor

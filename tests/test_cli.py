@@ -124,7 +124,8 @@ def test_mutated_check_reports_divergence_once(chain_file, capsys):
     labels = [label for label, _ in rows]
     assert len(labels) == len(set(labels))
     assert [s for _, s in rows if s.startswith("DIVERGES")] == ["DIVERGES at index 1"]
-    assert rows[-1][0] == "pipeline@1"
+    # auto runs the pipeline's plan, so its first row diverges
+    assert rows[-1][0] == "auto@1"
 
 
 def test_check_calls_share_no_state(chain_file, capsys):

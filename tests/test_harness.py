@@ -171,7 +171,7 @@ def test_mutated_fuzz_report_is_pinned(capsys):
     assert main(argv) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "ac24e6383c6eaf12e3cfe0c16e208f3b922c4022bb12f83c5c063aa1b6eb6f1a"
+        "c918ef799a0508d7e7791dc1c5f1925e2dcb64423f58f248446e118833fbb949"
     )
 
 
@@ -225,10 +225,10 @@ def test_check_program_still_starts_threads_on_a_cpu_only_program(monkeypatch):
     before = threading.active_count()
     report = check_program(program, Xorshift64Star(1))
     assert report.equal
-    # tasks run on threads: auto@4 hands 3 chunks for each of the read-only
-    # and product letters; pipeline@2, @4, @8 and the @8 re-run hand
-    # 1 + 2 + 2 + 2 groups
-    assert len(handed) == 6 + 7
-    # threads started: the most any one launch needs, auto@4's 3 chunks
-    assert len(started) == 3
+    # tasks run on threads: auto@4 cuts the three letters into three
+    # stages, one replica each, and hands 2 of them; pipeline@2, @4, @8 and
+    # the @8 re-run hand 1 + 2 + 2 + 2 groups
+    assert len(handed) == 2 + 7
+    # threads started: the most any one launch needs, 2 stages
+    assert len(started) == 2
     assert threading.active_count() == before

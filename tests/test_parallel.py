@@ -429,7 +429,7 @@ def test_blocking_hint_comes_from_the_registry():
     ],
 )
 def test_mixed_word_cut_and_threads(workers, cut):
-    from stc.parallel import _groups
+    from stc.parallel import _cut
 
     # letters 2, 5 and 6 block; every other letter joins the group of the
     # blocking letter before it, and letter 1 the first group
@@ -439,9 +439,8 @@ def test_mixed_word_cut_and_threads(workers, cut):
     ]
     graph = build_graph(*specs)
     word = Word(tuple(range(1, 8)))
-    slots = {n: None if n in (2, 5, 6) else n for n in word.letters}
-    groups = _groups(graph, slots, False, [], word.letters, workers)
-    assert [list(fn.args[1]) for fn, _ in groups] == cut
+    groups = _cut(graph, word.letters, workers)
+    assert [list(letters) for letters, _ in groups] == cut
     assert all(blocks for _, blocks in groups)
     xs = int_list(*range(12))
     with _thread_starts() as started:
@@ -451,12 +450,11 @@ def test_mixed_word_cut_and_threads(workers, cut):
 
 
 def test_word_without_a_blocking_letter_is_one_group():
-    from stc.parallel import _groups
+    from stc.parallel import _cut
 
     graph = build_graph(_delay(1, 0), make_thread(2, "counter_add", v_int(0)))
-    groups = _groups(graph, {1: None, 2: 0}, False, [], (1, 2), 8)
-    assert [(list(fn.args[1]), blocks) for fn, blocks in groups] == [([1, 2], False)]
-    assert _groups(graph, {}, False, [], (), 8) == []
+    assert _cut(graph, (1, 2), 8) == [((1, 2), False)]
+    assert _cut(graph, (), 8) == []
 
 
 @pytest.mark.parametrize("mode", ["pipeline", "auto"])
@@ -490,22 +488,31 @@ def test_sleep_branch_threads():
     prog = BranchProgram(Word((1, 2)), Word((3, 4)), Word((5, 6)), Word((7, 8)))
     program = Program(graph, prog, int_list(*range(20)), INT_T)
     expect = run_program(program, "seq")
-    # pipeline@2: [delay, branch_even], two side stages, [merge_sum, delay];
-    # auto@2: one extra chunk thread for each of the six delays, and one
-    # thread for the right side, which runs while the left one does
-    for mode, threads in (("pipeline", 3), ("auto", 7)):
+    # pipeline@2: [delay, branch_even], two side stages, [merge_sum, delay].
+    # auto@2: [delay, branch_even] and [merge_sum, delay] as two replicas
+    # each (20 elements allow two), and one pass per side letter, so eight
+    # lanes, the first on the calling thread. auto@4: two replicas for
+    # each pass too, as each side word has two groups
+    for mode, workers, threads in (("pipeline", 2, 3), ("auto", 2, 7), ("auto", 4, 11)):
         with _thread_starts() as started:
-            assert run_program(program, mode, workers=2) == expect
-        assert len(started) == threads, mode
+            assert run_program(program, mode, workers=workers) == expect
+        assert len(started) == threads, (mode, workers)
 
 
 def test_auto_threads_only_for_blocking_stages():
     graph = build_graph(make_thread(1, "scale_by_state", v_int(3)), _delay(2, 0.01))
-    xs = int_list(*range(10))
-    expect = eval_psi_ref(graph, Word((1, 2)), xs, init_state(graph))
-    with _thread_starts() as started:
-        assert eval_auto_word(graph, Word((1, 2)), xs, init_state(graph), workers=4) == expect
-    assert len(started) == 3  # the delay's chunks 1 to 3
+    for word, n, threads in (
+        # one read-only group that blocks: four replicas, one per 8 elements
+        (Word((1, 2)), 32, 3),
+        (Word((1, 2)), 24, 2),
+        (Word((1, 2)), 10, 0),
+        (Word((1,)), 32, 0),  # no letter blocks
+    ):
+        xs = int_list(*range(n))
+        expect = eval_psi_ref(graph, word, xs, init_state(graph))
+        with _thread_starts() as started:
+            assert eval_auto_word(graph, word, xs, init_state(graph), workers=4) == expect
+        assert len(started) == threads, (word, n)
     # the public fast paths keep their explicit worker count
     spec = graph.edges[1]
     with _thread_starts() as started:
@@ -871,7 +878,10 @@ def test_branch_stream_failure_reraises_original(failing, at, workers):
                 graph, prog, xs, init_state(graph), workers, capacity=1
             )
         )
-    assert isinstance(err, Boom) and err is raised[0]
+    # a threaded stream that fails runs again stage-wise and raises what
+    # that run raises, the exception eval_psi_ref raises
+    assert isinstance(err, Boom) and err is raised[-1]
+    assert len(raised) == 1 + (workers > 1)
     assert (len(started) > 1) == (workers > 1)  # the helper, then stream threads
     assert threading.active_count() == before
 
@@ -879,18 +889,20 @@ def test_branch_stream_failure_reraises_original(failing, at, workers):
 @pytest.mark.parametrize("workers", [2, 4])
 def test_branch_stream_earliest_failing_stage_wins(workers):
     # the producer fails on element 1 while the consumer fails on element 0;
-    # a barrier makes both fail, whatever the schedule
+    # a barrier makes both fail in the threaded run, whatever the schedule.
+    # The stage-wise re-run then fails in the producer, as eval_psi_ref does
     both = threading.Barrier(2, timeout=10)
-    raised = {}
+    raised = []
 
     def failing(thread_id, at):
         base = make_thread(thread_id, "delay_identity_ms")
 
         def transfer(x, sigma):
             if x.payload == at:
-                both.wait()
-                raised[thread_id] = Boom(f"thread {thread_id}")
-                raise raised[thread_id]
+                if len(raised) < 2:
+                    both.wait()
+                raised.append((thread_id, Boom(f"thread {thread_id}")))
+                raise raised[-1][1]
             return base.transfer(x, sigma)
 
         return replace(base, transfer=transfer, blocking=True)
@@ -906,7 +918,8 @@ def test_branch_stream_earliest_failing_stage_wins(workers):
         err = _raised_within(
             lambda: run_task_parallel_branch(graph, prog, xs, init_state(graph), workers)
         )
-    assert set(raised) == {1, 6} and err is raised[1]
+    assert sorted(n for n, _ in raised[:2]) == [1, 6]
+    assert len(raised) == 3 and raised[2][0] == 1 and err is raised[2][1]
     assert len(started) > 1  # the helper, then stream threads
     assert threading.active_count() == before
 
@@ -966,7 +979,7 @@ def test_last_stage_failure_stops_the_first_stage_early():
     first = make_thread(1, "delay_identity_ms")
 
     def counted(x, sigma):
-        calls.append(x)
+        calls.append(x.payload)
         return first.transfer(x, sigma)
 
     raised = []
@@ -979,12 +992,17 @@ def test_last_stage_failure_stops_the_first_stage_early():
         err = _raised_within(
             lambda: run_pipeline(graph, Word((1, 2)), xs, init_state(graph), 2, capacity=capacity)
         )
-    assert err is raised[0]
+    # the stage-wise re-run raises the exception that is raised
+    assert len(raised) == 2 and err is raised[1]
     assert len(started) == 2  # the helper and the second group
-    # once the last stage fails, the first has computed at most elements
-    # 0..9, the failing batch, one batch in the channel and the batch it
-    # fills before its next hand-off
-    assert len(calls) < 10 + (capacity + 2) * _BATCH
+    # the re-run maps the first letter over all 5000 elements, starting
+    # again at element 0. Once the last stage failed, the threaded run's
+    # first stage had computed at most elements 0..9, the failing batch,
+    # one batch in the channel and the batch it fills before its next
+    # hand-off
+    threaded = calls.index(0, 1)
+    assert len(calls) == threaded + 5000
+    assert threaded < 10 + (capacity + 2) * _BATCH
     assert threading.active_count() == before
 
 
@@ -1196,6 +1214,10 @@ SLEEP_BRANCH = {
     "input_type": "int",
 }
 
+# the same over 16 elements, so that auto@2 runs two replicas of the
+# producer and of the consumer
+SLEEP_BRANCH_16 = {**SLEEP_BRANCH, "input": list(range(16))}
+
 
 def _program_file(tmp_path, doc):
     path = tmp_path / "prog.json"
@@ -1259,11 +1281,14 @@ def _failing_start(n):
     [
         (BLOCKING_WORD, "pipeline", 3, 2),  # groups [1] [2] [3]
         (SLEEP_BRANCH, "pipeline", 2, 3),  # four stages, as in test_sleep_branch_threads
-        (BLOCKING_WORD, "auto", 3, 6),  # two chunk threads per delay
-        # one chunk thread per delay and one thread for the right side
-        (SLEEP_BRANCH, "auto", 2, 7),
+        # groups [1] [2] [3]; 8 elements allow one replica per stage
+        (BLOCKING_WORD, "auto", 3, 2),
+        # the producer, a pass per side letter and the consumer
+        (SLEEP_BRANCH, "auto", 2, 5),
+        # the same with two replicas of the producer and of the consumer
+        (SLEEP_BRANCH_16, "auto", 2, 7),
     ],
-    ids=["pipeline-word", "branch-stream", "auto-word", "auto-branch"],
+    ids=["pipeline-word", "branch-stream", "auto-word", "auto-branch", "auto-replicas"],
 )
 def test_thread_start_failure_exits_3(tmp_path, capsys, doc, mode, workers, starts):
     path = _program_file(tmp_path, doc)
@@ -1408,8 +1433,11 @@ def _side_program(left_transfer, right_transfer, xs):
 
 
 def test_auto_sides_overlap():
-    # each side waits on the barrier at its first element; run in turn, the
-    # left side's wait would time out
+    # the right side waits on the barrier at its first element (1), the left
+    # side at its second (2). Under auto each side runs as a pass of its
+    # own, so the left pass works on element 2 while the right pass works
+    # on element 1; with both sides on one thread the first wait would time
+    # out
     both = threading.Barrier(2, timeout=10)
 
     def waiting(at):
@@ -1423,7 +1451,7 @@ def test_auto_sides_overlap():
     plain = lambda base, x, sigma: base.transfer(x, sigma)
     xs = int_list(*range(20))
     expect = run_program(_side_program(plain, plain, xs), "seq")
-    program = _side_program(waiting(0), waiting(1), xs)
+    program = _side_program(waiting(2), waiting(1), xs)
     before = threading.active_count()
     for scope in (nullcontext, Crew):
 
@@ -1457,75 +1485,20 @@ def test_auto_sides_both_failing_raise_the_left_exception(workers):
     del raised[:]
     before = threading.active_count()
     err = _raised_within(lambda: run_program(program, "auto", workers=workers))
-    assert type(err) is Boom and str(err) == str(ref.value)
-    # in turn the right side never runs; at the same time the left side runs
-    # on after the right one has failed
-    assert sorted(str(exc) for exc in raised) == ["thread on 1"] * (workers > 1) + ["thread on 18"]
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("scope", ["bare", "crew"])
-@pytest.mark.parametrize("workers", [2, 4])
-def test_auto_sides_left_failure_stops_the_right_side(workers, scope):
-    # producer [1], left [2], right [3, 4], consumer [5], all read-only and
-    # blocking, so every side letter hands out chunks. The right side holds
-    # its first element until it sees the left failure; the left side fails
-    # at its first element once the right one holds. The right side then
-    # stops before it hands out letter 4's chunks.
-    base = make_thread(3, "delay_identity_ms")
-    holding = threading.Event()
-    seen, fourth = [], []
-
-    def fail(x, sigma):
-        if x.payload == 0:
-            holding.wait(10)
-            raise Boom("left on 0")
-        return base.transfer(x, sigma)
-
-    def hold(x, sigma):
-        if x.payload == 1:
-            holding.set()
-            halt = parallel._scope.halt
-            deadline = time.monotonic() + 10
-            while not halt.halted and time.monotonic() < deadline:
-                time.sleep(1e-3)
-            seen.append(halt.halted)
-        return base.transfer(x, sigma)
-
-    def count(x, sigma):
-        fourth.append(x.payload)
-        return base.transfer(x, sigma)
-
-    graph = _blocking(build_graph(
-        make_thread(1, "branch_even"), replace(base, id=2, transfer=fail),
-        replace(base, transfer=hold), replace(base, id=4, transfer=count),
-        make_thread(5, "merge_sum"),
-    ))
-    prog = BranchProgram(Word((1,)), Word((2,)), Word((3, 4)), Word((5,)))
-    xs = int_list(*range(20))
-    holding.set()
-    with pytest.raises(Boom) as ref:
-        eval_psi_ref(graph, prog, xs, init_state(graph))
-    holding.clear()
-    enter = Crew if scope == "crew" else nullcontext
-    before = threading.active_count()
-
-    def call():
-        with enter():
-            eval_auto_word(graph, prog, xs, init_state(graph), workers=workers)
-
-    err = _raised_within(call)
-    assert type(err) is Boom and str(err) == str(ref.value)
-    assert seen == [True] and fourth == []
+    # at workers 1 the sides run stage-wise and the right side never runs;
+    # above it the threaded run fails in the right side first, and the
+    # stage-wise re-run raises the left side's exception
+    assert type(err) is Boom and str(err) == str(ref.value) and err is raised[-1]
+    assert ("thread on 1" in map(str, raised)) == (workers > 1)
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("scope", ["bare", "crew"])
 def test_auto_sides_thread_start_failure_exits_3(tmp_path, capsys, scope):
-    # the sleep-branch shape starts 7 threads at auto@2 (see
-    # test_thread_start_failure_exits_3); inside a crew it reuses some of
-    # them, so fewer starts are made
-    path = _program_file(tmp_path, SLEEP_BRANCH)
+    # the sleep-branch shape over 16 elements starts 7 threads at auto@2
+    # (see test_thread_start_failure_exits_3); inside a crew it reuses some
+    # of them, so fewer starts are made
+    path = _program_file(tmp_path, SLEEP_BRANCH_16)
     argv = ["run", path, "--mode", "auto", "--workers", "2"]
     assert main(argv) == 0
     expect = capsys.readouterr().out
@@ -1580,6 +1553,140 @@ def test_auto_sides_crew_stress():
         sys.setswitchinterval(interval)
     assert all(equal) and idle
     assert threading.active_count() == before
+
+
+# --- auto's replicas -----------------------------------------------------------------
+
+
+def _replica_shapes():
+    """Two shapes whose blocking read-only and product stages replicate
+    under auto: a word of two such letters, and a branch whose producer,
+    left side and consumer replicate while its right side holds a general
+    letter."""
+    word_graph = _blocking(build_graph(
+        make_thread(1, "add1_tick", v_int(0)), make_thread(2, "scale_by_state", v_int(3)),
+    ))
+    branch = _blocking(build_graph(
+        make_thread(1, "branch_even"), make_thread(2, "add1_tick", v_int(1)),
+        make_thread(3, "scale_by_state", v_int(-2)), make_thread(4, "counter_add", v_int(5)),
+        make_thread(5, "merge_sum"),
+    ))
+    prog = BranchProgram(Word((1,)), Word((2,)), Word((3, 4)), Word((5,)))
+    return [(word_graph, Word((1, 2))), (branch, prog)]
+
+
+def test_replica_threads_and_results():
+    # auto@4 on 40 elements: the word's two groups get 2 replicas each; the
+    # branch's producer, left pass and consumer get 4, its right side is
+    # cut into [3] with 2 replicas and [4], a general letter, with one.
+    # The first lane runs on the calling thread
+    (word_graph, word), (branch, prog) = _replica_shapes()
+    xs = int_list(*range(40))
+    for graph, shape, threads in ((word_graph, word, 3), (branch, prog, 14)):
+        expect = eval_psi_ref(graph, shape, xs, init_state(graph))
+        with _thread_starts() as started:
+            assert eval_auto_word(graph, shape, xs, init_state(graph), workers=4) == expect
+        assert len(started) == threads
+
+
+def test_replica_crew_stress():
+    # 200 auto@4 runs of both replica shapes in one crew, over lists of 0
+    # to 47 elements (0 to 5 replicas a stage), with a 10 us switch interval
+    runs = []
+    for i in range(200):
+        graph, shape = _replica_shapes()[i % 2]
+        xs = int_list(*range(i, i + (7 * i) % 48))
+        runs.append((graph, shape, xs, eval_psi_ref(graph, shape, xs, init_state(graph))))
+    before = threading.active_count()
+
+    def call():
+        with Crew() as crew:
+            equal = [
+                eval_auto_word(graph, shape, xs, init_state(graph), workers=4) == expect
+                for graph, shape, xs, expect in runs
+            ]
+            idle = sorted(map(id, crew._idle)) == sorted(map(id, crew._inboxes))
+        return equal, idle
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        equal, idle = _returned_within(call, timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(equal) and idle
+    assert threading.active_count() == before
+
+
+def _failing_reader(thread_id, fn, at, raised):
+    """Builtin ``fn`` as a blocking thread whose transfer and value part
+    raise on input ``at``, recording each exception in ``raised``."""
+    base = make_thread(thread_id, fn, v_int(thread_id))
+
+    def failing(half):
+        def run(x, *sigma):
+            if x.payload == at:
+                raised.append(Boom(f"thread {thread_id} on {at}"))
+                raise raised[-1]
+            return half(x, *sigma)
+
+        return run
+
+    halves = {"value_part": failing(base.value_part)} if base.value_part else {}
+    return replace(base, transfer=failing(base.transfer), blocking=True, **halves)
+
+
+@pytest.mark.parametrize("workers", [2, 4, 8])
+def test_replica_failure_raises_the_reference_exception(workers):
+    # A late failure in an earlier letter or in the left side, and an early
+    # one in a later letter or in the right side. The threaded run fails
+    # early, whichever it meets first; the stage-wise re-run raises the
+    # exception eval_psi_ref raises, in pipeline and auto alike.
+    raised = []
+    xs = int_list(*range(40))
+    word_graph = build_graph(
+        _failing_reader(1, "scale_by_state", 37, raised),
+        _failing_reader(2, "add1_tick", 6, raised),
+    )
+    branch = _blocking(build_graph(
+        make_thread(1, "branch_even"), _failing_reader(2, "add1_tick", 38, raised),
+        _failing_reader(3, "scale_by_state", 1, raised), make_thread(4, "merge_sum"),
+    ))
+    side = _side_program(
+        lambda base, x, sigma: _boom(raised, 18) if x.payload == 18 else base.transfer(x, sigma),
+        lambda base, x, sigma: _boom(raised, 1) if x.payload == 1 else base.transfer(x, sigma),
+        int_list(*range(20)),
+    )
+    shapes = [
+        (word_graph, Word((1, 2)), xs), (branch, branch_prog(), xs),
+        (side.graph, side.word, side.input),
+    ]
+    before = threading.active_count()
+    for graph, shape, items in shapes:
+        with pytest.raises(Boom) as ref:
+            eval_psi_ref(graph, shape, items, init_state(graph))
+        for run in (run_pipeline, eval_auto_word):
+            del raised[:]
+            err = _raised_within(lambda: run(graph, shape, items, init_state(graph), workers))
+            assert type(err) is Boom and str(err) == str(ref.value) and err is raised[-1], run
+    assert threading.active_count() == before
+
+
+def _boom(raised, at):
+    raised.append(Boom(f"thread on {at}"))
+    raise raised[-1]
+
+
+def test_replica_determinism_over_fuzz_programs():
+    # the first 100 fuzz programs over lists of up to 48 elements, every
+    # thread blocking: auto at 2, 4 and 8 workers equals seq, run after run
+    stream = program_stream(FuzzConfig(seed=1, trials=1, max_list_len=48))
+    for _ in range(100):
+        p = _all_blocking(next(stream))
+        expect = run_program(p, "seq")
+        for workers in (2, 4, 8):
+            assert run_program(p, "auto", workers=workers) == expect, workers
+            assert run_program(p, "auto", workers=workers) == expect, workers
 
 
 # --- determinism ----------------------------------------------------------------

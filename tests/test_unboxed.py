@@ -251,6 +251,10 @@ def test_int_kernels_wrap_bit_for_bit(x, s):
 
 @pytest.mark.parametrize("half", ["value_part", "state_part"])
 def test_auto_runs_a_replaced_half(half):
+    # A replicated stage (blocking, 16 elements at workers 2: two replicas)
+    # runs a PRODUCT letter's value part once per element, and its state
+    # part once per element after the stream. A stage that is not
+    # replicated runs the transfer, as seq does.
     base = make_thread(1, "add1_tick", v_int(0))
     calls = []
 
@@ -258,19 +262,23 @@ def test_auto_runs_a_replaced_half(half):
         calls.append(v)
         return v_int(2 * v.payload)
 
-    spec = replace(base, **{half: doubled})
+    spec = replace(base, blocking=True, **{half: doubled})
     graph = build_graph(spec)
-    xs = v_list(INT_T, [v_int(n) for n in (1, 2, 3)])
+    xs = v_list(INT_T, [v_int(n) for n in range(1, 17)])
+    expect = eval_psi_ref(graph, Word((1,)), xs, init_state(graph))
     for workers in (1, 2):
         del calls[:]
         out, st = eval_auto_word(graph, Word((1,)), xs, init_state(graph), workers)
-        assert len(calls) == 3
-        if half == "value_part":
-            assert out == v_list(INT_T, [v_int(2), v_int(4), v_int(6)])
-            assert st.get(1) == v_int(3)
+        if workers == 1:
+            assert calls == [] and (out, st) == expect
+        elif half == "value_part":
+            assert len(calls) == 16
+            assert out == v_list(INT_T, [v_int(2 * n) for n in range(1, 17)])
+            assert st.get(1) == v_int(16)
         else:
-            assert out == v_list(INT_T, [v_int(2), v_int(3), v_int(4)])
-            assert st.get(1) == v_int(0)  # 0 doubled, three times
+            assert len(calls) == 16
+            assert out == expect[0]
+            assert st.get(1) == v_int(0)  # 0 doubled, sixteen times
 
 
 def _ill_typed_output(result):
