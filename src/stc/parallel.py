@@ -24,22 +24,23 @@ store. Determinism comes from structure, not luck:
   that holds no blocking letter is fused into a neighbour, so a stream
   without one, like any stream at ``workers`` 1, is one stage that maps
   its whole list letter by letter on the calling thread, as ``seq`` does.
-* ``auto`` adds stateless fission (after StreamIt's): a blocking stage
-  whose letters are all READ_ONLY or PRODUCT runs as ``workers // g``
+* ``auto`` adds stateless fission (after StreamIt's) on a list of at
+  least ``2 * _REPLICA_ELEMENTS`` elements: a blocking stage whose
+  letters are all READ_ONLY or PRODUCT runs as ``workers // g``
   replicas, ``g`` being the number of groups its word was cut into, and
   at most one replica per ``_REPLICA_ELEMENTS`` elements. Its chunks go
   to the replicas round-robin and come back in order. A READ_ONLY
   letter's state passes through a replica; a PRODUCT letter runs its
   value part there, and its state part runs once per element that
-  passed it, after the stream. Under ``auto`` a branch's sides that
-  block run as one pass per group of each side, so the sides overlap.
-* Each stage owns its letters' state slots in a ``{letter: state}`` dict
-  of its own, merged back into the store once the stream has finished.
-  For letters that do not repeat, mapping them over a list one letter
-  at a time equals pushing each element through all of them in turn,
-  the equivalence that licenses pipelining: the value and state made
-  for the i-th element depend only on FIFO order, never on scheduling,
-  the cut or the replicas.
+  passed it, after the stream. A branch's sides that block run as one
+  pass per group of each side, so the sides overlap. On a shorter list
+  ``auto`` runs the pipeline's stream.
+* Each stage owns its letters' state slots in a ``{letter: state}`` dict,
+  merged back into the store once the stream has finished. For letters
+  that do not repeat, mapping them over a list one letter at a time
+  equals pushing each element through all of them in turn, so the value
+  and state made for the i-th element depend only on FIFO order, never
+  on scheduling, the cut or the replicas.
 * Every replica of every stage is a lane (``_stream``), linked to each
   lane of the next stage by a bounded FIFO channel of batches. A stage
   with one lane applies its steps one element at a time and hands its
@@ -52,11 +53,10 @@ store. Determinism comes from structure, not luck:
   sees a recorded failure after a hand-off stops computing.
 * Lanes run on the threads of a ``Crew``, handed their tasks from the
   last to the first, the calling thread running the first. A bare run
-  makes a crew per launch, so its threads start and are joined within
-  the launch. Inside a ``with Crew():`` block, as ``stc check`` opens
-  around its runs, a launch reuses the threads that earlier launches
-  started, and every thread is joined when the block ends. A run may ask
-  for at most ``MAX_WORKERS`` workers.
+  makes a crew per launch; inside a ``with Crew():`` block, as ``stc
+  check`` opens around its runs, a launch reuses the threads of earlier
+  launches, all joined when the block ends. A run may ask for at most
+  ``MAX_WORKERS`` workers.
 * The public fast paths split a read-only or product map into
   ``workers`` contiguous chunks and concatenate the results in order.
 * One failure rule holds in every mode and shape: a failing run raises
@@ -369,10 +369,10 @@ def _cut(
 
 
 def _replica_step(spec: ThreadSpec, check: bool) -> RawStep:
-    """What a replica runs for a READ_ONLY or PRODUCT letter. A READ_ONLY
-    letter's state passes through. A PRODUCT letter runs its value part,
-    and its slot in the replica counts the elements, so that its state
-    part can run once per element after the stream (``_product_state``)."""
+    """What a replica runs for a letter: a READ_ONLY letter's state passes
+    through; a PRODUCT letter runs its value part, and its slot counts the
+    elements, so that its state part runs once per element after the
+    stream (``_product_state``)."""
     if spec.kind is StageKind.READ_ONLY:
         step = raw_step(spec, check)
         return lambda v, sigma: (step(v, sigma)[0], sigma)
@@ -381,11 +381,9 @@ def _replica_step(spec: ThreadSpec, check: bool) -> RawStep:
 
 
 class _Stage:
-    """A stream stage, cut once per plan: its route (see
-    ``composition.route_element``), the letters whose slots it owns, and
-    the replicas it may run. A replicated stage also has ``replica()``,
-    which builds the route its replicas run (``_replica_step``) and
-    lists its PRODUCT letters; a run calls it only when it replicates."""
+    """A stream stage: its route, the letters whose slots it owns and the
+    replicas it may run; ``replica()`` builds its replicas' route
+    (``_replica_step``) and lists its PRODUCT letters, when a run needs it."""
 
     __slots__ = ("route", "letters", "replicas", "replica")
 
@@ -499,29 +497,24 @@ Lanes = Tuple[Route, Slots, List[Callable[[Sequence[Any]], List[Any]]]]
 
 def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> List[Any]:
     """Push ``values`` through ``stages`` in order. A lone stage with one
-    replica maps the whole list at once on the calling thread. Otherwise
-    every replica of every stage (a lane) runs as a task of ``_launch``,
-    the calling thread running the first; bounded FIFO channels of
-    ``capacity`` batches link each lane of a stage to each lane of the
-    next.
+    lane maps the whole list on the calling thread. Otherwise every lane
+    runs as a task of ``_launch``, the calling thread running the first,
+    and bounded FIFO channels of ``capacity`` batches link each lane of a
+    stage to each lane of the next.
 
     Lane ``a`` of a stage with ``r`` lanes takes chunks ``a, a + r, ...``
-    of its input: chunk ``j`` comes from lane ``j % r'`` of the stage
-    before, which has ``r'`` lanes; a replicated first stage takes its
-    input one element per chunk. A replica maps a whole chunk and hands
-    it on as chunk ``j``, so the next stage reads the chunks round-robin,
-    in order. A stage with one lane that is not last applies its steps to
-    one element at a time and numbers its own output chunks (see
-    ``_hand_on``), so a slow stage hands each element on at once. The last
-    stage maps whole chunks; they are kept by number and concatenated in
-    order.
+    of its input, chunk ``j`` from lane ``j % r'`` of the stage before
+    (``r'`` lanes); a replicated first stage takes one element per chunk.
+    A replica maps a whole chunk and hands it on as chunk ``j``, so the
+    next stage reads the chunks round-robin, in order. A stage with one
+    lane that is not last applies its steps to one element at a time
+    (``_hand_on``). The last stage's chunks are concatenated in order.
 
-    Each lane closes all its output channels with the ``None`` sentinel,
-    also when it fails. A lane that fails, or that sees a recorded
-    failure right after a hand-off, stops computing and drains its
-    channels to their sentinels, so no blocking put or get is left
-    waiting. Once every task has finished, a failure re-raises the
-    original exception of the earliest failing lane in stage order."""
+    Each lane closes its output channels with the ``None`` sentinel, also
+    when it fails, and drains its input channels to their sentinels; a
+    lane that sees a recorded failure after a hand-off stops computing.
+    Once every task has finished, the earliest failing lane's exception is
+    raised."""
     k = len(stages)
     widths = [len(lanes) for _, _, lanes in stages]
     if widths in ([], [1]):
@@ -539,10 +532,12 @@ def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> Li
         s, a = tasks[t]
         r = widths[s]
         ins = [row[a] for row in links[s - 1]] if s else []
-        if s:
-            chunks = _chunks(ins, a, r)
-        else:
+        if not s:
             chunks = iter((values,)) if r == 1 else ([v] for v in values[a::r])
+        elif len(ins) == 1:  # one lane before: its channel to this lane holds this lane's chunks
+            chunks = iter(ins[0].get, None)
+        else:
+            chunks = _chunks(ins, a, r)
         outs = links[s][a] if s < k - 1 else ()
         route, st, lanes = stages[s]
         try:
@@ -562,9 +557,11 @@ def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> Li
         finally:
             for q in outs:
                 q.put(None)
-            for q in ins:
+            for q in ins if len(ins) > 1 else ():
                 for _ in iter(q.get, None):
                     pass
+            for _ in chunks if len(ins) == 1 else ():
+                pass
 
     _launch(run_lane, failed, [links[s][a] if s < k - 1 else () for s, a in tasks])
     return [y for j in range(len(done)) for y in done[j]]
@@ -647,14 +644,12 @@ def _run_stream(
     graph: Multigraph, stream: Stream, items: Sequence[Any], slots: Slots, capacity: int,
     check: bool,
 ) -> Tuple[List[Any], Slots]:
-    """One stream, its stages' states written back once it succeeds.
-
-    A threaded stream (more than one lane) that fails with an exception
-    other than ``ExecutionError`` runs again stage-wise on the calling
-    thread, as at ``workers`` 1, from the same input list and slots, which
-    nothing has changed yet, and raises what that run raises: the
-    exception ``eval_psi_ref`` raises. If that run does not fail, the
-    first exception is raised."""
+    """One stream, its stages' states written back once it succeeds. A
+    threaded stream that fails with an exception other than
+    ``ExecutionError`` runs again stage-wise on the calling thread, from
+    the same input list and slots, which nothing has changed yet, and
+    raises what that run raises, the exception ``eval_psi_ref`` raises;
+    if that run does not fail, the first exception."""
     shape, stages, joined_at = stream
     if len(stages) == 1 and stages[0].replicas == 1 and joined_at is None:
         st = {n: slots[n] for n in stages[0].letters}
@@ -670,10 +665,13 @@ def _run_stream(
 
 
 def _pipeline(
-    graph: Multigraph, streams: Sequence[Stream], capacity: int, check: bool,
+    graph: Multigraph, streams: Sequence[Tuple[Stream, Stream]], capacity: int, check: bool,
     items: Sequence[Any], slots: Slots,
 ) -> Tuple[Sequence[Any], Slots]:
-    for stream in streams:
+    """Each stream in turn: ``auto``'s own on a list long enough to
+    replicate a stage, else the pipeline's, whose hand-offs are fewer."""
+    for short, long in streams:
+        stream = long if len(items) >= 2 * _REPLICA_ELEMENTS else short
         items, slots = _run_stream(graph, stream, items, slots, capacity, check)
     return items, slots
 
@@ -717,8 +715,10 @@ def _plan(
         streams: Sequence[Shape] = [shape]
     else:
         streams = segment_word(shape).segments
-    planned = [_stream_plan(graph, stream, workers, check, replicate) for stream in streams]
-    return Plan(shape.letters, src, tgt, partial(_pipeline, graph, planned, capacity, check))
+    short = [_stream_plan(graph, s, workers, check, False) for s in streams]
+    long = [_stream_plan(graph, s, workers, check, True) for s in streams] if replicate else short
+    core = partial(_pipeline, graph, list(zip(short, long)), capacity, check)
+    return Plan(shape.letters, src, tgt, core)
 
 
 def plan_pipeline(
@@ -739,12 +739,11 @@ def eval_auto_word(
     workers: int = 1,
     check: bool = False,
 ) -> Tuple[Value, StateStore]:
-    """The pipeline (see ``run_pipeline``) with stateless fission: a
-    blocking stage whose letters are all READ_ONLY or PRODUCT runs as
-    ``workers // g`` replicas (``_stream_plan``), at most one per element,
-    and a branch's sides run as one stage per group of each side, so
-    they overlap. A stream without a blocking letter is one stage-wise
-    group on the calling thread and starts no thread, as ``seq`` does."""
+    """The pipeline (see ``run_pipeline``) plus stateless fission on lists
+    of 16 or more elements: a blocking stage whose letters are all
+    READ_ONLY or PRODUCT runs as replicas, and a branch's blocking sides
+    as one pass per side group (``_stream_plan``). A stream without a
+    blocking letter starts no thread and costs what ``seq`` costs."""
     return run_boxed(graph, xs, state, plan_auto(graph, word, workers, check))
 
 

@@ -225,9 +225,9 @@ def test_check_program_still_starts_threads_on_a_cpu_only_program(monkeypatch):
     before = threading.active_count()
     report = check_program(program, Xorshift64Star(1))
     assert report.equal
-    # tasks run on threads: auto@4 cuts the three letters into three
-    # stages, one replica each, and hands 2 of them; pipeline@2, @4, @8 and
-    # the @8 re-run hand 1 + 2 + 2 + 2 groups
+    # tasks run on threads: on 10 elements auto@4 runs the pipeline's three
+    # stages and hands 2 of them; pipeline@2, @4, @8 and the @8 re-run hand
+    # 1 + 2 + 2 + 2 groups
     assert len(handed) == 2 + 7
     # threads started: the most any one launch needs, 2 stages
     assert len(started) == 2

@@ -1281,11 +1281,11 @@ def _failing_start(n):
     [
         (BLOCKING_WORD, "pipeline", 3, 2),  # groups [1] [2] [3]
         (SLEEP_BRANCH, "pipeline", 2, 3),  # four stages, as in test_sleep_branch_threads
-        # groups [1] [2] [3]; 8 elements allow one replica per stage
+        # on 8 elements auto runs the pipeline's streams
         (BLOCKING_WORD, "auto", 3, 2),
-        # the producer, a pass per side letter and the consumer
-        (SLEEP_BRANCH, "auto", 2, 5),
-        # the same with two replicas of the producer and of the consumer
+        (SLEEP_BRANCH, "auto", 2, 3),
+        # on 16: two replicas of the producer and of the consumer, and a
+        # pass for each side letter
         (SLEEP_BRANCH_16, "auto", 2, 7),
     ],
     ids=["pipeline-word", "branch-stream", "auto-word", "auto-branch", "auto-replicas"],
