@@ -1,79 +1,59 @@
 """Parallel executors: one threaded stream core, run as ``pipeline`` and
-as ``auto``, and the data-parallel fast paths. The shapes they run, the
+as ``auto``, and the data-parallel fast paths. The shapes, the
 coproduct's ``split`` and ``join`` and the reference evaluators live in
-``composition``; this module holds only parallelism, and re-exports
-``BranchProgram``, ``validate_branch``, ``split``, ``join`` and the
-branch names of the references for its callers.
+``composition``; this module re-exports ``BranchProgram``,
+``validate_branch``, ``split``, ``join`` and the references' branch names.
 
-All executors here are required to agree bit-exactly with the sequential
-reference ``eval_psi_ref``, on the output list and on the final state
-store. Determinism comes from structure, not luck:
+Every executor agrees bit-exactly with ``eval_psi_ref`` on the output list
+and the final state store, by structure, not luck:
 
-* A word with repeated letters runs segment by segment, a barrier
-  between segments; each duplicate-free segment, and a whole branch
-  program (producer, sides, consumer), is one stream. A plan cuts its
-  streams once (``_stream_plan``); each run only makes the per-run state.
-* Threads go only where stages block. Under the GIL two CPU-bound
-  stages never run at the same time, so only a thread whose ``blocking``
-  hint is set (a builtin that sleeps) can overlap with others. Each word
-  is cut by that hint (stage fusion, after StreamIt's partitioning): its
-  blocking letters are spread over at most ``workers`` groups, and every
-  other letter joins the group of the blocking letter before it, or the
-  first group. A branch's sides pair their k-th groups into side stage
-  k, which routes each element to the side its injection names. A stage
-  that holds no blocking letter is fused into a neighbour, so a stream
-  without one, like any stream at ``workers`` 1, is one stage that maps
-  its whole list letter by letter on the calling thread, as ``seq`` does.
-* ``auto`` adds stateless fission (after StreamIt's) on a list of at
-  least ``2 * _REPLICA_ELEMENTS`` elements: a blocking stage whose
-  letters are all READ_ONLY or PRODUCT runs as ``workers // g``
-  replicas, ``g`` being the number of groups its word was cut into, and
-  at most one replica per ``_REPLICA_ELEMENTS`` elements. Its chunks go
-  to the replicas round-robin and come back in order. A READ_ONLY
-  letter's state passes through a replica; a PRODUCT letter runs its
-  value part there, and its state part runs once per element that
-  passed it, after the stream. A branch's sides that block run as one
-  pass per group of each side, so the sides overlap. On a shorter list
+* A shape that starts no thread is one stage-wise stream on the calling
+  thread, as ``seq`` runs it. Otherwise a word with repeated letters runs
+  segment by segment, a barrier between segments, and each segment, or a
+  whole branch program, is one stream, cut once per plan.
+* Threads go only where stages block: under the GIL only a thread whose
+  ``blocking`` hint is set (a builtin that sleeps) overlaps with others.
+  Each word's blocking letters are spread over at most ``workers`` groups
+  (stage fusion, after StreamIt), every other letter joining the group
+  before it, or the first. A branch's sides pair their k-th groups into
+  side stage k, which routes each element by its injection. A stage
+  without a blocking letter is fused into a neighbour.
+* ``auto`` adds stateless fission (after StreamIt) on lists of at least
+  ``2 * _REPLICA_ELEMENTS`` elements: a blocking stage whose letters are
+  all READ_ONLY or PRODUCT runs as ``workers // g`` replicas (``g`` groups
+  in its word; at most one per ``_REPLICA_ELEMENTS`` elements), fed
+  round-robin and merged in order. A READ_ONLY letter's state passes
+  through a replica; a PRODUCT letter runs its value part there and its
+  state part once per element after the stream. A branch's blocking
+  sides run as one pass per side group, so they overlap. On shorter lists
   ``auto`` runs the pipeline's stream.
-* Each stage owns its letters' state slots in a ``{letter: state}`` dict,
-  merged back into the store once the stream has finished. For letters
-  that do not repeat, mapping them over a list one letter at a time
-  equals pushing each element through all of them in turn, so the value
-  and state made for the i-th element depend only on FIFO order, never
-  on scheduling, the cut or the replicas.
-* Every replica of every stage is a lane (``_stream``), linked to each
-  lane of the next stage by a bounded FIFO channel of batches. A stage
-  with one lane applies its steps one element at a time and hands its
-  buffer on as soon as the next channel is empty, when the buffer holds
-  ``_BATCH`` elements, or when its input batch ends; so a slow stage
-  passes each element on at once and a fast one amortises the hand-off.
-* Shutdown is by sentinel alone; no channel operation polls or expires.
-  Every lane closes its output channels with ``None``, also when it
-  fails, and drains its input channels to their sentinels; a lane that
-  sees a recorded failure after a hand-off stops computing.
-* Lanes run on the threads of a ``Crew``, handed their tasks from the
-  last to the first, the calling thread running the first. A bare run
-  makes a crew per launch; inside a ``with Crew():`` block, as ``stc
-  check`` opens around its runs, a launch reuses the threads of earlier
-  launches, all joined when the block ends. A run may ask for at most
-  ``MAX_WORKERS`` workers.
-* The public fast paths split a read-only or product map into
-  ``workers`` contiguous chunks and concatenate the results in order.
+* Each stage owns its letters' slots in a ``{letter: state}`` dict, merged
+  back once the stream has finished. For letters that do not repeat,
+  mapping them over a list one letter at a time equals pushing each
+  element through all of them, so the i-th element's value and state
+  depend only on FIFO order, never on scheduling, the cut or replicas.
+* Every replica of every stage is a lane, linked to each lane of the next
+  stage by a bounded FIFO channel of batches. A one-lane stage applies
+  its steps one element at a time and hands its buffer on as soon as the
+  next channel is empty, so a slow stage passes each element on at once.
+  Shutdown is by sentinel alone: every lane closes its output channels,
+  also when it fails, and drains its inputs; a lane that sees a recorded
+  failure after a hand-off stops computing.
+* Lanes run on the threads of a ``Crew``, handed out from the last to
+  the first, the calling thread running the first. Inside a ``with
+  Crew():`` block, as ``stc check`` opens, launches reuse threads. A run
+  may ask for at most ``MAX_WORKERS`` workers.
 * One failure rule holds in every mode and shape: a failing run raises
   the exception ``eval_psi_ref`` raises, the first failure in letter
   order, the left side's before the right side's. A threaded stream that
-  fails runs again stage-wise on the calling thread, from its own input
-  and slots, and raises what that run raises (``_run_stream``); its
-  stages' side effects happen again. A thread that cannot start raises
-  ``ExecutionError``, with no re-run, and no thread starts after it.
+  fails runs again stage-wise from its own input and slots and raises
+  what that run raises (``_run_stream``); its side effects happen again.
+  A thread that cannot start raises ``ExecutionError`` with no re-run,
+  and no thread starts after it.
 
-Every executor here runs on raw values (see ``values``): elements, the
-batches on the channels and the per-stage state dicts hold no ``Value``.
-The public functions box only at their edges through
-``composition.run_boxed``.
-
-Mutation hooks (see ``mutations``) live here only, so the references
-stay free of them; a plan reads them when it is made.
+Executors run on raw values (see ``values``) and box only at the public
+functions' edges (``composition.run_boxed``). Mutation hooks (see
+``mutations``) live here only, and a plan reads them when it is made.
 """
 
 from __future__ import annotations
@@ -300,9 +280,37 @@ def _serve(inbox: queue.SimpleQueue) -> None:
         done.release()
 
 
+class _Channel:
+    """A FIFO channel from one lane to one other holding at most
+    ``capacity`` batches (any number below 1): a put spends a slot, or
+    waits for one that a get gives back. Both are C-level queues, so a
+    hand-off takes no Python-level lock."""
+
+    __slots__ = ("_items", "_slots", "_free")
+
+    def __init__(self, capacity: int):
+        self._items, self._slots = queue.SimpleQueue(), queue.SimpleQueue()
+        self._free = capacity if capacity > 0 else float("inf")
+
+    def put(self, item: Any) -> None:
+        if self._free:
+            self._free -= 1
+        else:
+            self._slots.get()
+        self._items.put(item)
+
+    def get(self) -> Any:
+        item = self._items.get()
+        self._slots.put(None)
+        return item
+
+    def empty(self) -> bool:
+        return self._items.empty()
+
+
 def _launch(
     run: Callable[[int], None], failed: List[Optional[BaseException]],
-    outboxes: Sequence[Sequence[queue.Queue]] = (),
+    outboxes: Sequence[Sequence[_Channel]] = (),
 ) -> None:
     """Run tasks ``0..len(failed) - 1``: task 0 on the calling thread and
     every other on a thread of the calling thread's ``Crew``, handed out
@@ -402,9 +410,8 @@ def _replica(
     return [steps(p) if type(p) is list else (steps(p[0]), steps(p[1])) for p in route], products
 
 
-# a stream cut once per plan: the segment or branch it was cut from (for
-# the stage-wise re-run of a failed stream), its stages, and where the
-# ``flags-ignored-in-join`` fault sorts, if it is planted
+# a stream cut once per plan: its segment or branch (for the re-run of a
+# failed stream), its stages, and where ``flags-ignored-in-join`` sorts
 Stream = Tuple[Shape, List[_Stage], Optional[int]]
 
 
@@ -415,20 +422,13 @@ _RESHAPING = ("stage-order-swapped", "state-update-dropped", "flags-ignored-in-j
 def _stream_plan(
     graph: Multigraph, shape: Shape, workers: int, check: bool, replicate: bool
 ) -> Stream:
-    """Cut the stream of ``shape``, a segment or a branch, into stages.
-    Each word is cut by ``_cut``; a branch's sides pair their k-th groups
-    into side stage k, or, when ``replicate`` and a side blocks, run as
-    one pass per group of each side. Then a stage that holds no blocking
-    letter is fused into a neighbour by ``_spans``, so there is one stage
-    in all at ``workers`` 1 or when none blocks. With ``replicate``, a
-    blocking stage whose letters are all READ_ONLY or PRODUCT gets
-    ``workers // g`` replicas, where ``g`` is the number of groups its
-    word was cut into."""
-    edges, stream = graph.edges, parts(shape)
-    if (workers == 1 or not any(edges[n].blocking for n in shape.letters)) and not any(
-        map(mutations.enabled, _RESHAPING)
-    ):
-        return shape, [_Stage(route_of(graph, stream, check), shape.letters)], None
+    """Cut the stream of ``shape``, a segment or a branch, into stages: each
+    word by ``_cut``, a branch's sides as side stages of their k-th groups,
+    or with ``replicate``, when a side blocks, one pass per side group; a
+    stage with no blocking letter is fused into a neighbour. With
+    ``replicate`` a blocking stage whose letters are all READ_ONLY or
+    PRODUCT gets ``workers // g`` replicas, ``g`` groups in its word."""
+    edges = graph.edges
     dropped = mutations.enabled("state-update-dropped")
 
     def step(n: int) -> RawStep:
@@ -447,7 +447,7 @@ def _stream_plan(
     # (route part, letters, blocks, replicas)
     members: list = []
     joined_at = None
-    for part in stream:
+    for part in parts(shape):
         if isinstance(part, Word):
             members += cut(part)
             continue
@@ -496,32 +496,24 @@ Lanes = Tuple[Route, Slots, List[Callable[[Sequence[Any]], List[Any]]]]
 
 
 def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> List[Any]:
-    """Push ``values`` through ``stages`` in order. A lone stage with one
-    lane maps the whole list on the calling thread. Otherwise every lane
-    runs as a task of ``_launch``, the calling thread running the first,
-    and bounded FIFO channels of ``capacity`` batches link each lane of a
-    stage to each lane of the next.
-
-    Lane ``a`` of a stage with ``r`` lanes takes chunks ``a, a + r, ...``
-    of its input, chunk ``j`` from lane ``j % r'`` of the stage before
-    (``r'`` lanes); a replicated first stage takes one element per chunk.
-    A replica maps a whole chunk and hands it on as chunk ``j``, so the
-    next stage reads the chunks round-robin, in order. A stage with one
-    lane that is not last applies its steps to one element at a time
-    (``_hand_on``). The last stage's chunks are concatenated in order.
-
-    Each lane closes its output channels with the ``None`` sentinel, also
-    when it fails, and drains its input channels to their sentinels; a
-    lane that sees a recorded failure after a hand-off stops computing.
-    Once every task has finished, the earliest failing lane's exception is
-    raised."""
+    """Push ``values`` through ``stages`` in order: a lone one-lane stage on
+    the calling thread, else every lane as a task of ``_launch``, linked to
+    each lane of the next stage by a ``_Channel`` of ``capacity`` batches.
+    Lane ``a`` of ``r`` takes chunks ``a, a + r, ...``, chunk ``j`` from lane
+    ``j % r'`` of the stage before; a replicated first stage takes one
+    element per chunk. A replica maps a whole chunk and hands it on as
+    chunk ``j``; a one-lane stage that is not last maps one element at a
+    time (``_hand_on``); the last stage's chunks are joined in order. Each
+    lane closes its outputs with ``None``, also when it fails, and drains
+    its inputs; a lane that sees a recorded failure after a hand-off stops.
+    The earliest failing lane's exception is raised."""
     k = len(stages)
     widths = [len(lanes) for _, _, lanes in stages]
     if widths in ([], [1]):
         return stages[0][2][0](values) if stages else list(values)
     # links[s][a][b]: from lane a of stage s to lane b of stage s + 1
     links = [
-        [[queue.Queue(maxsize=capacity) for _ in range(widths[s + 1])] for _ in range(widths[s])]
+        [[_Channel(capacity) for _ in range(widths[s + 1])] for _ in range(widths[s])]
         for s in range(k - 1)
     ]
     tasks = [(s, a) for s in range(k) for a in range(widths[s])]
@@ -532,12 +524,11 @@ def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> Li
         s, a = tasks[t]
         r = widths[s]
         ins = [row[a] for row in links[s - 1]] if s else []
-        if not s:
-            chunks = iter((values,)) if r == 1 else ([v] for v in values[a::r])
-        elif len(ins) == 1:  # one lane before: its channel to this lane holds this lane's chunks
-            chunks = iter(ins[0].get, None)
+        ended: list = []
+        if s:
+            chunks = _chunks(ins, a, r, ended)
         else:
-            chunks = _chunks(ins, a, r)
+            chunks = iter((values,)) if r == 1 else ([v] for v in values[a::r])
         outs = links[s][a] if s < k - 1 else ()
         route, st, lanes = stages[s]
         try:
@@ -557,35 +548,32 @@ def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> Li
         finally:
             for q in outs:
                 q.put(None)
-            for q in ins if len(ins) > 1 else ():
-                for _ in iter(q.get, None):
-                    pass
-            for _ in chunks if len(ins) == 1 else ():
-                pass
+            for q in ins:
+                if q not in ended:
+                    for _ in iter(q.get, None):
+                        pass
 
     _launch(run_lane, failed, [links[s][a] if s < k - 1 else () for s, a in tasks])
     return [y for j in range(len(done)) for y in done[j]]
 
 
-def _chunks(ins: Sequence[queue.Queue], a: int, r: int):
+def _chunks(ins: Sequence[_Channel], a: int, r: int, ended: list):
     """Chunks ``a, a + r, ...`` of a lane's input, chunk ``j`` from
-    ``ins[j % len(ins)]``, until a sentinel, which goes back for the
-    drain."""
+    ``ins[j % len(ins)]``, until a sentinel; the channel that gave it goes
+    onto ``ended``."""
     for j in count(a, r):
         q = ins[j % len(ins)]
         chunk = q.get()
         if chunk is None:
-            q.put(None)
+            ended.append(q)
             return
         yield chunk
 
 
-def _hand_on(each: Callable[[Any], Any], chunks, outs: Sequence[queue.Queue], failed: list) -> None:
-    """One lane's elements through ``each``, one at a time, in output
-    chunks numbered from 0: chunk ``m`` goes to ``outs[m % len(outs)]`` as
-    soon as that channel is empty, when it holds ``_BATCH`` elements, or
-    when the input chunk ends, so a slow stage never waits on a batch to
-    fill."""
+def _hand_on(each: Callable[[Any], Any], chunks, outs: Sequence[_Channel], failed: list) -> None:
+    """A lane's elements through ``each`` one at a time, output chunk ``m``
+    going to ``outs[m % len(outs)]`` as soon as that channel is empty, at
+    ``_BATCH`` elements, or when the input chunk ends."""
     m = 0
     for chunk in chunks:
         buf: List[Any] = []
@@ -665,13 +653,17 @@ def _run_stream(
 
 
 def _pipeline(
-    graph: Multigraph, streams: Sequence[Tuple[Stream, Stream]], capacity: int, check: bool,
+    graph: Multigraph, streams: Sequence[list], capacity: int, check: bool,
     items: Sequence[Any], slots: Slots,
 ) -> Tuple[Sequence[Any], Slots]:
     """Each stream in turn: ``auto``'s own on a list long enough to
     replicate a stage, else the pipeline's, whose hand-offs are fewer."""
-    for short, long in streams:
-        stream = long if len(items) >= 2 * _REPLICA_ELEMENTS else short
+    for pair in streams:
+        stream = pair[0]
+        if len(items) >= 2 * _REPLICA_ELEMENTS:
+            if callable(pair[1]):
+                pair[1] = pair[1]()
+            stream = pair[1]
         items, slots = _run_stream(graph, stream, items, slots, capacity, check)
     return items, slots
 
@@ -686,15 +678,11 @@ def run_pipeline(
     check: bool = False,
 ) -> Tuple[Value, StateStore]:
     """Pipelined list semantics: each segment, or a branch program as one
-    linear stream over its sum-tagged elements, is cut into groups by the
-    blocking hint, at most ``workers`` per word. The caller runs the first
-    group and every other group gets a thread of its own; elements stream
-    between groups in batches over bounded FIFO channels that hold
-    ``capacity`` batches. A stream without a blocking letter starts no
-    thread. A failing run raises the exception ``eval_psi_ref`` raises;
-    the result is bit-exactly ``eval_psi_ref``'s. This function is also
-    ``run_task_parallel_branch``.
-    """
+    stream, is cut into groups by the blocking hint, at most ``workers``
+    per word, each group after the first on a thread, linked by channels
+    of ``capacity`` batches. A stream without a blocking letter starts no
+    thread. Results and failures are ``eval_psi_ref``'s. This function is
+    also ``run_task_parallel_branch``."""
     return run_boxed(graph, xs, state, plan_pipeline(graph, word, workers, capacity, check))
 
 
@@ -711,14 +699,20 @@ def _plan(
 ) -> Plan:
     src, tgt = endpoints(graph, shape)
     workers = _positive(workers)
-    if isinstance(shape, BranchProgram) or mutations.enabled("segment-barrier-removed"):
-        streams: Sequence[Shape] = [shape]
+    threads = workers > 1 and any(graph.edges[n].blocking for n in shape.letters)
+    if not threads and not any(map(mutations.enabled, _RESHAPING)):
+        # nothing can overlap: one stage-wise stream, as seq runs it
+        lone = (shape, [_Stage(route_of(graph, parts(shape), check), shape.letters)], None)
+        planned = [[lone, lone]]
     else:
-        streams = segment_word(shape).segments
-    short = [_stream_plan(graph, s, workers, check, False) for s in streams]
-    long = [_stream_plan(graph, s, workers, check, True) for s in streams] if replicate else short
-    core = partial(_pipeline, graph, list(zip(short, long)), capacity, check)
-    return Plan(shape.letters, src, tgt, core)
+        whole = isinstance(shape, BranchProgram) or mutations.enabled("segment-barrier-removed")
+        # each stream as [the pipeline's cut, auto's own], the second cut on its first use
+        planned = []
+        for stream in [shape] if whole else segment_word(shape).segments:
+            cut = partial(_stream_plan, graph, stream, workers, check)
+            short = cut(False)
+            planned.append([short, partial(cut, True) if replicate and threads else short])
+    return Plan(shape.letters, src, tgt, partial(_pipeline, graph, planned, capacity, check))
 
 
 def plan_pipeline(

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import sys
 import threading
-import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from itertools import groupby
@@ -384,6 +383,29 @@ def test_fission_chunk_failure_reraises_original():
     )
     assert err is raised[0]
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("mode", ["pipeline", "auto"])
+def test_plan_cuts_its_streams_once(monkeypatch, mode):
+    # a plan segments its word and cuts each segment when it is made, and
+    # auto's own streams on their first run over 16 or more elements;
+    # running the plan again reuses every cut
+    calls = []
+    for name in ("segment_word", "_spans"):
+        real = getattr(parallel, name)
+        monkeypatch.setattr(
+            parallel, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    graph = _blocking(counter_scale_graph())
+    plan = (parallel.plan_pipeline if mode == "pipeline" else plan_auto)(graph, Word((1, 2, 1)), 2)
+    assert calls.count("segment_word") == 1 and "_spans" in calls
+    slots = {n: spec.init_state.payload for n, spec in graph.edges.items()}
+    runs = [plan.core(list(range(n)), dict(slots)) for n in (3, 20)]
+    cut = list(calls)
+    runs += [plan.core(list(range(n)), dict(slots)) for n in (3, 20)]
+    assert calls == cut and cut.count("segment_word") == 1
+    expect = eval_psi_ref(graph, Word((1, 2, 1)), int_list(*range(20)), init_state(graph))
+    assert runs[1][0] == [v.payload for v in expect[0].payload] and runs[:2] == runs[2:]
 
 
 def test_pipeline_threads_started():
