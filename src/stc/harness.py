@@ -22,18 +22,20 @@ plus word-split functor checks, split/join round trips, and single-letter
 fast-path comparisons. ``check_program`` makes every one of those runs in
 one pass, with ``check`` on or off for all of them alike: ``stc check
 <file>`` runs them checked and prints its table from the result, the
-fuzzer runs them unchecked. The runs return raw results (``run_raw``),
-compared with ``values.equaler`` over the output and every state slot; a
-result is boxed only when it diverges, to write the divergence. The runs
-of one check share a ``parallel.Crew``, so the threaded runs reuse the
-stage threads that the runs before them started, and all of them are
-joined before the check returns.
+fuzzer runs them unchecked. The runs return raw results (as ``run_raw``
+does), compared with ``values.equaler`` over the output and every
+state slot; a result is boxed only when it diverges, to write the
+divergence. The ``pipeline`` and ``auto`` rows share one validation and
+segmentation of the shape (``parallel.planner``) and one plan per row.
+The runs of one check share a ``parallel.Crew``, so the threaded runs
+reuse the stage threads that the runs before them started, and all of
+them are joined before the check returns.
 
-Executors start threads only for blocking stages, so the runs with more
-than one worker use a copy of the program whose threads are all marked
-blocking (``_all_blocking``): they are cut into threaded groups and chunks
-as the workers allow, where ``stc run`` keeps a CPU-only program on one
-thread.
+Executors start threads only for blocking stages, so the ``pipeline`` and
+``auto`` rows plan a copy of the graph whose threads are all marked
+blocking (``_all_blocking``): with more than one worker it is cut into
+threaded groups and chunks as the workers allow, where ``stc run`` keeps a
+CPU-only program on one thread.
 
 Classification hints are spot-checked by sampling only where there is a
 claim to test: READ_ONLY and PRODUCT threads get 200 random (element,
@@ -51,11 +53,12 @@ routed through zero-delay delay threads, fed with edge values (NaN,
 ±0.0, ±inf, subnormals, 64-bit extremes, lone surrogates). The int/str
 stream draws exactly as before, so old failure seeds still replay.
 
-Both kinds of value come from one structural walker, ``_walk``: it draws
-raw lists, pairs and sums the same way and takes its raw scalars from a
-leaf table, ``_RANDOM_LEAVES`` for hint samples and ``random_value``, and
-``_EDGE_LEAVES`` for carrier inputs and ``edge_value``. ``random_value``
-and ``edge_value`` box the walk's result, so both representations draw in
+Both kinds of value come from ``sampler``, compiled once per port type
+and leaf table: a list, pair or sum sampler closes over its arguments'
+samplers, and a scalar is one call that runs the xorshift64* step inline
+(``_picker``), drawing as ``pick`` does from ``_RANDOM_LEAVES`` (hint
+samples, ``random_value``) or ``_EDGE_LEAVES`` (carrier inputs,
+``edge_value``). Those two box a sample, so both representations draw in
 one order. Generated programs hold their inputs raw (``Program.from_raw``).
 """
 
@@ -65,15 +68,17 @@ import copy
 import math
 import string
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .builtins import make_thread
 from .composition import (
     BranchProgram,
+    Plan,
     Word,
     join,
     map_letter,
+    plan_interleaved,
     plan_psi,
     smap_check,
     split,
@@ -95,7 +100,7 @@ from .model import (
     raw_transfer,
     raw_value_part,
 )
-from .parallel import Crew, _product_map, _readonly_map
+from .parallel import Crew, _product_map, _readonly_map, planner
 # ``run_program`` stays importable from here: the traced benchmark
 # (``perfbench/layers.py``) wraps it by name
 from .program import (  # noqa: F401
@@ -182,36 +187,56 @@ class FuzzConfig:
             raise ValidationError("fuzz limits must be positive")
 
 
+def _picker(table: Sequence) -> Callable[[Xorshift64Star], Any]:
+    """``rng.pick(table)`` in one call: the xorshift64* step inlined."""
+    n = len(table)
+
+    def pick(rng: Xorshift64Star) -> Any:
+        x = rng.state
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK
+        x ^= x >> 27
+        rng.state = x
+        return table[((x * XORSHIFT_MULTIPLIER) & _MASK) % n]
+
+    return pick
+
+
+_coin, _letter, _str_length = (
+    _picker((True, False)), _picker(string.ascii_lowercase), _picker(range(6))
+)
 # random ints lie in [-1000, 1000]; random floats are eighths of such ints
 _RANDOM_LEAVES: Dict[TypeKind, Callable[[Xorshift64Star], Any]] = {
     TypeKind.UNIT: lambda rng: None,
-    TypeKind.BOOL: lambda rng: rng.below(2) == 0,
-    TypeKind.INT: lambda rng: rng.below(2001) - 1000,
-    TypeKind.FLOAT: lambda rng: (rng.below(2001) - 1000) / 8.0,
-    TypeKind.STR: lambda rng: "".join(
-        rng.pick(string.ascii_lowercase) for _ in range(rng.below(6))
-    ),
+    TypeKind.BOOL: _coin,
+    TypeKind.INT: _picker(range(-1000, 1001)),
+    TypeKind.FLOAT: _picker(tuple(k / 8.0 for k in range(-1000, 1001))),
+    TypeKind.STR: lambda rng: "".join([_letter(rng) for _ in range(_str_length(rng))]),
 }
 
 
-def _walk(pt: PortType, rng: Xorshift64Star, leaves: Dict) -> Any:
-    """A random raw inhabitant of ``pt``: lists of 0-3 elements, either
-    injection of a sum with equal odds, and scalars from ``leaves``."""
+@lru_cache(maxsize=1024)
+def sampler(pt: PortType, edge: bool = False) -> Callable[[Xorshift64Star], Any]:
+    """The draw of a random raw inhabitant of ``pt``, compiled once per type:
+    lists of 0-3 elements, either injection of a sum with equal odds, and
+    scalars from ``_EDGE_LEAVES`` with ``edge``, else ``_RANDOM_LEAVES``. A
+    list draws its length first, a sum its injection before the payload."""
     k = pt.kind
     if k is TypeKind.LIST:
-        return tuple([_walk(pt.args[0], rng, leaves) for _ in range(rng.below(4))])
+        elem, length = sampler(pt.args[0], edge), _picker(range(4))
+        return lambda rng: tuple([elem(rng) for _ in range(length(rng))])
     if k is TypeKind.PAIR:
-        return (_walk(pt.args[0], rng, leaves), _walk(pt.args[1], rng, leaves))
+        first, second = sampler(pt.args[0], edge), sampler(pt.args[1], edge)
+        return lambda rng: (first(rng), second(rng))
     if k is TypeKind.SUM:
-        if rng.below(2) == 0:
-            return Inl(_walk(pt.args[0], rng, leaves))
-        return Inr(_walk(pt.args[1], rng, leaves))
-    return leaves[k](rng)
+        left, right = sampler(pt.args[0], edge), sampler(pt.args[1], edge)
+        return lambda rng: Inl(left(rng)) if _coin(rng) else Inr(right(rng))
+    return (_EDGE_LEAVES if edge else _RANDOM_LEAVES)[k]
 
 
 def random_value(pt: PortType, rng: Xorshift64Star) -> Value:
     """A random inhabitant of a port type, driven entirely by ``rng``."""
-    return boxer(pt)(_walk(pt, rng, _RANDOM_LEAVES))
+    return boxer(pt)(sampler(pt)(rng))
 
 
 def verify_classification(
@@ -243,22 +268,26 @@ def verify_classification(
         return seen[key]
     kernel = kernel_of(spec.transfer)
     step = kernel.sample if kernel is not None else raw_transfer(spec)
-    src, st = spec.src, spec.state_type
-    same_state = partial(_same_state, equaler(st), st)
-    if kind is StageKind.PRODUCT:
+    st = spec.state_type
+    draw_x, draw_sigma = sampler(spec.src), sampler(st)
+    # a builtin's kernels keep states raw; a replaced function may not
+    same_state = equaler(st) if claim is not None else partial(_same_state, equaler(st), st)
+    ok = True
+    if kind is StageKind.READ_ONLY:
+        for _ in range(trials):
+            x, sigma = draw_x(rng), draw_sigma(rng)
+            if not same_state(step(x, sigma)[1], sigma):
+                ok = False
+                break
+    else:
         value_part, state_part = raw_value_part(spec), raw_state_part(spec)
         same_output = equaler(spec.tgt)
-    ok = True
-    for _ in range(trials):
-        x = _walk(src, rng, _RANDOM_LEAVES)
-        sigma = _walk(st, rng, _RANDOM_LEAVES)
-        y, sigma2 = step(x, sigma)
-        if kind is StageKind.READ_ONLY:
-            ok = same_state(sigma2, sigma)
-        else:
-            ok = same_output(y, value_part(x)) and same_state(sigma2, state_part(sigma))
-        if not ok:
-            break
+        for _ in range(trials):
+            x, sigma = draw_x(rng), draw_sigma(rng)
+            y, sigma2 = step(x, sigma)
+            if not (same_output(y, value_part(x)) and same_state(sigma2, state_part(sigma))):
+                ok = False
+                break
     if claim is not None and seen is not None:
         seen[key] = ok
     return ok
@@ -288,10 +317,11 @@ def _int_thread(tid: int, rng: Xorshift64Star) -> ThreadSpec:
 
 
 def _input_list(
-    pt: PortType, rng: Xorshift64Star, cfg: FuzzConfig, leaves: Dict = _RANDOM_LEAVES
+    pt: PortType, rng: Xorshift64Star, cfg: FuzzConfig, edge: bool = False
 ) -> List[Any]:
-    """Raw input elements of type ``pt``, drawn from ``leaves``."""
-    return [_walk(pt, rng, leaves) for _ in range(rng.below(cfg.max_list_len + 1))]
+    """Raw input elements of type ``pt``, drawn by ``sampler(pt, edge)``."""
+    draw = sampler(pt, edge)
+    return [draw(rng) for _ in range(rng.below(cfg.max_list_len + 1))]
 
 
 def gen_random_program(cfg: FuzzConfig, rng: Optional[Xorshift64Star] = None) -> Program:
@@ -431,9 +461,9 @@ def random_port_type(rng: Xorshift64Star, depth: int = 3) -> PortType:
 
 _EDGE_LEAVES = {
     **_RANDOM_LEAVES,
-    TypeKind.INT: lambda rng: rng.pick(_EDGE_INTS),
-    TypeKind.FLOAT: lambda rng: rng.pick(_EDGE_FLOATS),
-    TypeKind.STR: lambda rng: rng.pick(_EDGE_STRS),
+    TypeKind.INT: _picker(_EDGE_INTS),
+    TypeKind.FLOAT: _picker(_EDGE_FLOATS),
+    TypeKind.STR: _picker(_EDGE_STRS),
 }
 
 
@@ -441,7 +471,7 @@ def edge_value(pt: PortType, rng: Xorshift64Star) -> Value:
     """A random inhabitant of ``pt`` drawn from the edges of each scalar
     domain: NaN, ±0.0, ±inf, subnormals, the 64-bit int extremes, and
     non-ASCII and lone-surrogate strings."""
-    return boxer(pt)(_walk(pt, rng, _EDGE_LEAVES))
+    return boxer(pt)(sampler(pt, True)(rng))
 
 
 def _delay_thread(tid: int, carrier: PortType) -> ThreadSpec:
@@ -497,7 +527,7 @@ def gen_carrier_program(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
             Word(tuple(right), None if right else b),
             Word(tuple([head] + tail)),
         )
-        xs = _input_list(produced, rng, cfg, _EDGE_LEAVES)
+        xs = _input_list(produced, rng, cfg, edge=True)
         return Program.from_raw(build_graph(*specs), prog, xs, produced)
     t = random_port_type(rng)
     limit = min(cfg.max_word_len, cfg.max_edges)
@@ -508,7 +538,7 @@ def gen_carrier_program(cfg: FuzzConfig, rng: Xorshift64Star) -> Program:
         letters += _carrier_chain(specs, ids, t.args[0], rng.below(limit - len(letters) + 1))
     if rng.below(4) == 0 and len(letters) < limit and specs[-1].fn_name == "delay_identity_ms":
         letters.append(letters[-1])  # a delay maps its carrier to itself
-    xs = _input_list(t, rng, cfg, _EDGE_LEAVES)
+    xs = _input_list(t, rng, cfg, edge=True)
     return Program.from_raw(build_graph(*specs), Word(tuple(letters)), xs, t)
 
 
@@ -607,12 +637,11 @@ def check_program(
 ) -> TrialReport:
     """Run every applicable comparison for one program.
 
-    ``check`` is passed to every ``run_raw`` call, the reference
-    included. Results are compared raw (``_divergence``) and boxed only to
-    describe a divergence. The runs share one ``Crew``, so a run with
-    threads reuses the stage threads of the runs before it. ``modes``
-    lists each run in order; on a divergence it ends with the run that
-    diverged."""
+    ``check`` is passed to every run, the reference included. Results
+    are compared raw (``_divergence``) and boxed only to describe a
+    divergence. The runs share one ``Crew``, so a run with threads reuses
+    the stage threads of the runs before it. ``modes`` lists each run in
+    order; on a divergence it ends with the run that diverged."""
     digest = program_digest(program)
     modes: List[str] = ["seq"]
     graph = program.graph
@@ -628,13 +657,23 @@ def check_program(
     candidates += [("pipeline", w) for w in WORKERS_COUNTS]
     candidates.append(("pipeline", WORKERS_COUNTS[-1]))  # determinism re-run
 
-    threaded = _all_blocking(program)
+    # the threaded rows share one validation of the shape, a row run twice
+    # one plan, and every row starts from a copy of the initial slots
+    cut = planner(_all_blocking(program).graph, program.word, check=check)
+    plans: Dict[Tuple[str, int], Plan] = {}
+    slots = _initial_slots(graph)
     with Crew():
         for mode, w in candidates:
             label = mode if mode == "interleaved" else f"{mode}@{w}"
             modes.append(label)
             try:
-                got = run_raw(threaded if w > 1 else program, mode, workers=w, check=check)
+                if (mode, w) not in plans:
+                    interleaved = mode == "interleaved"
+                    plans[mode, w] = (
+                        plan_interleaved(graph, program.word, check) if interleaved else cut(mode, w)
+                    )
+                plan = plans[mode, w]
+                got = (plan.tgt, *plan.core(program.raw_input(plan.src), dict(slots)))
             except StcError as exc:
                 return fail(Divergence(label, "error", "-", "result", repr(exc)))
             div = _divergence(graph, label, ref, got)

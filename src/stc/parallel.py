@@ -8,7 +8,8 @@ Every executor agrees bit-exactly with ``eval_psi_ref`` on the output list
 and the final state store, by structure, not luck:
 
 * A shape that starts no thread is one stage-wise stream on the calling
-  thread, as ``seq`` runs it. Otherwise a word with repeated letters runs
+  thread, as ``seq`` runs it, and a stream over at most one element runs
+  stage by stage there. Otherwise a word with repeated letters runs
   segment by segment, a barrier between segments, and each segment, or a
   whole branch program, is one stream, cut once per plan.
 * Threads go only where stages block: under the GIL only a thread whose
@@ -632,16 +633,20 @@ def _run_stream(
     graph: Multigraph, stream: Stream, items: Sequence[Any], slots: Slots, capacity: int,
     check: bool,
 ) -> Tuple[List[Any], Slots]:
-    """One stream, its stages' states written back once it succeeds. A
-    threaded stream that fails with an exception other than
-    ``ExecutionError`` runs again stage-wise on the calling thread, from
-    the same input list and slots, which nothing has changed yet, and
-    raises what that run raises, the exception ``eval_psi_ref`` raises;
-    if that run does not fail, the first exception."""
+    """One stream, its stages' states written back once it succeeds; with
+    one plain stage or at most one element it runs stage by stage on the
+    calling thread. A threaded stream that fails with an exception other
+    than ``ExecutionError`` runs again stage-wise there, from the same
+    input list and slots, which nothing has changed yet, and raises what
+    that run raises, the exception ``eval_psi_ref`` raises; if that run
+    does not fail, the first exception."""
     shape, stages, joined_at = stream
-    if len(stages) == 1 and stages[0].replicas == 1 and joined_at is None:
-        st = {n: slots[n] for n in stages[0].letters}
-        return run_route(stages[0].route, st, items), _read_back(slots, [st])
+    if len(items) <= 1 or (len(stages) == 1 and stages[0].replicas == 1 and joined_at is None):
+        owned = []
+        for stage in stages:
+            owned.append({n: slots[n] for n in stage.letters})
+            items = run_route(stage.route, owned[-1], items)
+        return items, _read_back(slots, owned)
     try:
         values, owned = _attempt(stages, joined_at, items, slots, capacity, check)
     except ExecutionError:
@@ -694,35 +699,45 @@ def _positive(workers: int) -> int:
     return workers
 
 
-def _plan(
-    graph: Multigraph, shape: Shape, workers: int, capacity: int, check: bool, replicate: bool
-) -> Plan:
+def planner(
+    graph: Multigraph, shape: Shape, capacity: int = 16, check: bool = False
+) -> Callable[[str, int], Plan]:
+    """Validate ``shape`` once; the returned function plans it as
+    ``"pipeline"`` or ``"auto"`` at a number of workers, segmenting it on
+    its first plan that cuts."""
     src, tgt = endpoints(graph, shape)
-    workers = _positive(workers)
-    threads = workers > 1 and any(graph.edges[n].blocking for n in shape.letters)
-    if not threads and not any(map(mutations.enabled, _RESHAPING)):
-        # nothing can overlap: one stage-wise stream, as seq runs it
-        lone = (shape, [_Stage(route_of(graph, parts(shape), check), shape.letters)], None)
-        planned = [[lone, lone]]
-    else:
-        whole = isinstance(shape, BranchProgram) or mutations.enabled("segment-barrier-removed")
-        # each stream as [the pipeline's cut, auto's own], the second cut on its first use
-        planned = []
-        for stream in [shape] if whole else segment_word(shape).segments:
-            cut = partial(_stream_plan, graph, stream, workers, check)
-            short = cut(False)
-            planned.append([short, partial(cut, True) if replicate and threads else short])
-    return Plan(shape.letters, src, tgt, partial(_pipeline, graph, planned, capacity, check))
+    blocks = any(graph.edges[n].blocking for n in shape.letters)
+    whole = isinstance(shape, BranchProgram) or mutations.enabled("segment-barrier-removed")
+    streams: List[Shape] = []
+
+    def plan(mode: str, workers: int) -> Plan:
+        threads = _positive(workers) > 1 and blocks
+        if not threads and not any(map(mutations.enabled, _RESHAPING)):
+            # nothing can overlap: one stage-wise stream, as seq runs it
+            lone = (shape, [_Stage(route_of(graph, parts(shape), check), shape.letters)], None)
+            planned = [[lone, lone]]
+        else:
+            if not streams:
+                streams.extend([shape] if whole else segment_word(shape).segments)
+            # each stream as [the pipeline's cut, auto's own], the second cut on its first use
+            planned = []
+            for stream in streams:
+                cut = partial(_stream_plan, graph, stream, workers, check)
+                short = cut(False)
+                planned.append([short, partial(cut, True) if mode == "auto" and threads else short])
+        return Plan(shape.letters, src, tgt, partial(_pipeline, graph, planned, capacity, check))
+
+    return plan
 
 
 def plan_pipeline(
     graph: Multigraph, shape: Shape, workers: int = 4, capacity: int = 16, check: bool = False
 ) -> Plan:
-    return _plan(graph, shape, workers, capacity, check, replicate=False)
+    return planner(graph, shape, capacity, check)("pipeline", workers)
 
 
 def plan_auto(graph: Multigraph, shape: Shape, workers: int = 1, check: bool = False) -> Plan:
-    return _plan(graph, shape, workers, 16, check, replicate=True)
+    return planner(graph, shape, 16, check)("auto", workers)
 
 
 def eval_auto_word(

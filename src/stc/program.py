@@ -44,7 +44,7 @@ from .composition import (
 )
 from .errors import ParseError, SchemaError, ValidationError
 from .model import Multigraph, StateStore, boxed_store, build_graph
-from .parallel import plan_auto, plan_pipeline
+from .parallel import planner
 from .values import (
     INT64_MAX,
     INT64_MIN,
@@ -302,10 +302,8 @@ def run_raw(program: Program, mode: str, workers: int = 4, check: bool = False) 
         plan = plan_psi(graph, word, check=check)
     elif mode == "interleaved":
         plan = plan_interleaved(graph, word, check=check)
-    elif mode == "pipeline":
-        plan = plan_pipeline(graph, word, workers, check=check)
-    elif mode == "auto":
-        plan = plan_auto(graph, word, workers, check=check)
+    elif mode in ("pipeline", "auto"):
+        plan = planner(graph, word, check=check)(mode, workers)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     slots = {n: unbox_state(spec.init_state, spec.state_type) for n, spec in graph.edges.items()}

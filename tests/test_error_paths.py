@@ -17,7 +17,7 @@ import pytest
 
 from stc.builtins import make_thread
 from stc.cli import main
-from stc.composition import Word, eval_phi, unbox_input
+from stc.composition import Plan, Word, eval_phi, unbox_input
 from stc.errors import ExecutionError, PortTypeError, SchemaError, ValidationError
 from stc.model import (
     Kernel,
@@ -153,13 +153,22 @@ def test_builtin_init_state_of_the_wrong_type():
 def test_check_table_reports_a_run_that_raises(tmp_path, capsys, monkeypatch):
     from stc import harness
 
-    def run_raw(program, mode, workers=4, check=False):
-        if (mode, workers) == ("auto", 4):
-            raise ExecutionError("planted fault")
-        return real(program, mode, workers=workers, check=check)
+    def planner(*args, **kwargs):
+        cut = real(*args, **kwargs)
 
-    real = harness.run_raw
-    monkeypatch.setattr(harness, "run_raw", run_raw)
+        def plan(mode, workers):
+            made = cut(mode, workers)
+            if (mode, workers) == ("auto", 4):
+                return Plan(made.letters, made.src, made.tgt, boom)
+            return made
+
+        return plan
+
+    def boom(items, slots):
+        raise ExecutionError("planted fault")
+
+    real = harness.planner
+    monkeypatch.setattr(harness, "planner", planner)
     path = tmp_path / "prog.json"
     path.write_text(json.dumps(BASE), encoding="utf-8")
     assert main(["check", str(path)]) == 1

@@ -5,6 +5,7 @@ import sys
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from functools import partial
 from itertools import groupby
 
 import pytest
@@ -48,6 +49,8 @@ from stc.harness import (
 )
 from stc import mutations, parallel
 from stc.cli import main
+from stc.composition import run_route
+from stc.model import raw_step
 from stc.parallel import MAX_WORKERS, Crew, plan_auto
 from stc.program import Program
 from conftest import counter_scale_graph, int_list
@@ -358,12 +361,43 @@ def test_tiny_lists_at_many_workers_match_reference(n):
     expect = eval_psi_ref(graph, word, xs, init_state(graph))
     with _thread_starts() as started:
         assert run_pipeline(graph, word, xs, init_state(graph), 8) == expect
-    assert len(started) == 2
+    # nothing can overlap on a list of at most one element
+    assert len(started) == (2 if n > 1 else 0)
     assert eval_auto_word(graph, word, xs, init_state(graph), workers=8) == expect
     for n_id, fast in ((2, run_data_parallel_readonly), (3, run_data_parallel_product)):
         spec = graph.edges[n_id]
         ref = eval_psi_ref(graph, Word((n_id,)), xs, init_state(graph))
         assert fast(spec, xs, spec.init_state, 8) == (ref[0], ref[1].get(n_id))
+
+
+@pytest.mark.parametrize("widths", [(1, 1, 1), (1, 2, 1)], ids=["lanes", "replicas"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_stream_core_over_tiny_lists(widths, n):
+    # runs keep lists this short on the calling thread, but the stream core
+    # itself still starts every lane: a sentinel with one element or none
+    # before it must end each lane and drain its inputs
+    graph = build_graph(
+        make_thread(1, "counter_add", v_int(0)),
+        make_thread(2, "scale_by_state", v_int(3)),
+        make_thread(3, "add1_tick", v_int(0)),
+    )
+    stages = []
+    for letter, width in zip((1, 2, 3), widths):
+        route = [[(letter, raw_step(graph.edges[letter], False))]]
+        st = {letter: graph.edges[letter].init_state.payload}
+        lanes = [partial(run_route, route, st if width == 1 else dict(st)) for _ in range(width)]
+        stages.append((route, st, lanes))
+    values = list(range(5, 5 + n))
+    before = threading.active_count()
+    with _thread_starts() as started:
+        out = _returned_within(lambda: parallel._stream(stages, values, capacity=1))
+    assert len(started) == 1 + sum(widths) - 1  # the helper, every lane but the first
+    assert threading.active_count() == before
+    expect, state = eval_psi_ref(graph, Word((1, 2, 3)), int_list(*values), init_state(graph))
+    assert out == [v.payload for v in expect.payload]
+    assert [st[letter] for letter, (_, st, _) in zip((1, 2, 3), stages)] == [
+        state.get(letter).payload for letter in (1, 2, 3)
+    ]
 
 
 def test_fission_chunk_failure_reraises_original():
@@ -835,7 +869,9 @@ def test_branch_stream_one_sided_runs(order):
 
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_branch_stream_small_inputs(n):
-    assert _stream_matches_reference(stream_graph(), STREAM_PROG, int_list(*range(3, 3 + n)))
+    # a stream over at most one element starts no thread
+    threads = _stream_matches_reference(stream_graph(), STREAM_PROG, int_list(*range(3, 3 + n)))
+    assert bool(threads) == (n > 1)
 
 
 @pytest.mark.parametrize(
@@ -855,8 +891,9 @@ def test_branch_stream_empty_words(prog):
         xs = int_list(*range(-4, 9))
     else:
         xs = sum_list(*(v_inl(v_int(n)) if n % 3 else v_inr(v_int(n)) for n in range(-4, 9)))
-    for items in (xs, v_list(xs.elem, [])):
-        assert bool(_stream_matches_reference(graph, prog, items)) == bool(prog.letters)
+    assert bool(_stream_matches_reference(graph, prog, xs)) == bool(prog.letters)
+    # an empty stream starts no thread
+    assert _stream_matches_reference(graph, prog, v_list(xs.elem, [])) == 0
 
 
 def _raising_identity(thread_id, at, raised):
