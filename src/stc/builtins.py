@@ -6,9 +6,11 @@ runs of the same program are reproducible.
 
 Each builtin is written once, as a raw kernel over raw values (see
 ``values``): a transfer, plus ``value_part``/``state_part`` for a product
-thread. ``make_thread`` derives the thread's ``Value``-level functions
-from the kernels and registers each kernel under its function's identity
-(``model.register_kernel``), so executors run the kernel itself. Integer
+thread. A builtin is instantiated once per claim (its name and params,
+told apart by type) in a bounded memo: the instance derives the
+``Value``-level functions from the kernels and registers each kernel
+under its function's identity (``model.register_kernel``), so executors
+run the kernel itself, and every thread making the claim shares them. Integer
 arithmetic wraps at 64 bits; a result is passed through ``wrap64`` only
 when it leaves the range, since ``wrap64(y) == y`` for every in-range
 ``y``.
@@ -29,6 +31,7 @@ Registry:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
@@ -64,7 +67,7 @@ from .values import (
 
 @dataclass(frozen=True)
 class BuiltinEntry:
-    """One registry row, instantiated per thread with its params."""
+    """One registry row, instantiated once per claim with its params."""
 
     name: str
     kind: StageKind
@@ -219,11 +222,7 @@ def make_thread(
     must inhabit the builtin's state type.
     """
     params = dict(params or {})
-    entry = builtin(fn_name)
-    unknown = set(params) - set(entry.param_keys)
-    if unknown:
-        raise SchemaError("params", f"unknown keys {sorted(unknown)} for {fn_name}")
-    parts, transfer, value_part, state_part = _build(fn_name, params)
+    parts, kind, transfer, value_part, state_part = instance(fn_name, params)
     init = parts.default_init if init_state is None else init_state
     if not init.matches(parts.state_type):
         raise SchemaError(
@@ -237,7 +236,7 @@ def make_thread(
         init_state=init,
         fn_name=fn_name,
         params=params,
-        kind=entry.kind,
+        kind=kind,
         # a builtin blocks exactly when hint sampling must avoid its transfer
         blocking=parts.sample not in (None, parts.transfer),
         transfer=transfer,
@@ -246,11 +245,28 @@ def make_thread(
     )
 
 
-def _build(fn_name: str, params: Mapping[str, Any]) -> tuple:
-    """A builtin instantiated with ``params``: its parts and its
+def instance(fn_name: str, params: Mapping[str, Any]) -> tuple:
+    """``fn_name`` instantiated with ``params``: its parts, its kind and its
     ``Value``-level transfer, value part and state part, each registered
-    with its kernel."""
-    entry = _REGISTRY[fn_name]
+    with its kernel. Equal claims share one instance; a failed one raises
+    every time."""
+    try:
+        key = frozenset([(k, type(v), v) for k, v in params.items()])
+    except TypeError:  # a list or object value, which every builtin refuses
+        return _build(fn_name, params)
+    return _claimed(fn_name, key)
+
+
+@functools.lru_cache(maxsize=1024)
+def _claimed(fn_name: str, key: frozenset) -> tuple:
+    return _build(fn_name, {k: v for k, _, v in key})
+
+
+def _build(fn_name: str, params: Mapping[str, Any]) -> tuple:
+    entry = builtin(fn_name)
+    unknown = set(params) - set(entry.param_keys)
+    if unknown:
+        raise SchemaError("params", f"unknown keys {sorted(unknown)} for {fn_name}")
     parts = entry.instantiate(params)
     src, tgt, st = parts.src, parts.tgt, parts.state_type
     canonical = dict(params)
@@ -266,4 +282,4 @@ def _build(fn_name: str, params: Mapping[str, Any]) -> tuple:
             half = boxed_part(run, a, b)
             register_kernel(half, Kernel(run, run, claim))
         halves.append(half)
-    return (parts, transfer, *halves)
+    return (parts, entry.kind, transfer, *halves)

@@ -10,15 +10,19 @@ Commands:
 Exit codes: 0 success, 1 check failure, 2 validation error, 3 runtime
 error. Machine output (run JSON, check reports, bench CSV, DOT) goes to
 stdout; diagnostics go to stderr.
+
+``main`` reads a plain ``run FILE [--mode M] [--workers N]`` argv itself,
+options in either order; any other argv goes to argparse, imported on
+first use, so every usage error and help text stays argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 import time
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import mutations
@@ -153,9 +157,11 @@ def cmd_dot(args) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> "argparse.ArgumentParser":
     """The CLI parser, built once per process; ``parse_args`` returns a
     fresh namespace on every call."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="stc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -195,8 +201,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse makes of a well-formed ``run`` argv, or None
+    when the argv holds anything argparse must judge. A token starting
+    with ``-`` is an option to argparse, so only ``--mode`` and
+    ``--workers`` may, each once, and never their values or FILE."""
+    if not argv or argv[0] != "run":
+        return None
+    file, given, tokens = None, {}, iter(argv[1:])
+    for token in tokens:
+        if token in ("--mode", "--workers") and token not in given:
+            given[token] = next(tokens, "-")
+        elif file is None and not token.startswith("-"):
+            file = token
+        else:
+            return None
+    mode, workers = given.get("--mode", "seq"), given.get("--workers", "4")
+    if file is None or mode not in MODES or workers.startswith("-"):
+        return None
+    try:  # int() is what argparse's type=int calls
+        workers = int(workers)
+    except ValueError:
+        return None
+    return SimpleNamespace(command="run", file=file, mode=mode, workers=workers, fn=cmd_run)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _run_args(argv) or _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValidationError as exc:

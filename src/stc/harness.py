@@ -74,13 +74,13 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 from .builtins import make_thread
 from .composition import (
     BranchProgram,
+    _join,
+    _split,
     Word,
-    join,
     map_letter,
     plan_interleaved,
     plan_psi,
     smap_check,
-    split,
     validate_word,
 )
 from .errors import StcError, ValidationError
@@ -131,10 +131,7 @@ from .values import (
     list_of,
     pair_of,
     sum_of,
-    v_inl,
-    v_inr,
     v_int,
-    v_list,
     v_str,
 )
 
@@ -776,16 +773,20 @@ def _check_fast_paths(program: Program, word: Word) -> Optional[Divergence]:
     return None
 
 
+_SUM_LIST = list_of(sum_of(INT_T, INT_T))
+
+
 def _check_split_join(rng: Xorshift64Star) -> Optional[Divergence]:
-    """``join`` must undo ``split`` on a random list of up to 12 sums."""
+    """``_join`` must undo ``_split`` on a random list of up to 12 raw sums;
+    the lists are boxed only to report a divergence."""
     items = []
     for _ in range(rng.below(13)):
-        inner = v_int(rng.below(201) - 100)
-        items.append(v_inl(inner) if rng.below(2) == 0 else v_inr(inner))
-    xs = v_list(sum_of(INT_T, INT_T), items)
-    back = join(*split(xs))
-    if back != xs:
-        return Divergence("split-join", "output", "round trip", repr(xs), repr(back))
+        inner = rng.below(201) - 100
+        items.append(Inl(inner) if rng.below(2) == 0 else Inr(inner))
+    back = _join(*_split(items))
+    if not equaler(_SUM_LIST)(items, back):
+        lists = (repr(box_list(_SUM_LIST.args[0], xs)) for xs in (items, back))
+        return Divergence("split-join", "output", "round trip", *lists)
     return None
 
 

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .builtins import make_thread
+from .builtins import instance, make_thread
 from .composition import (
     BranchProgram,
     Shape,
@@ -382,16 +381,15 @@ def parse_program(text: str) -> Program:
         params = td.get("params", {})
         if not isinstance(params, dict):
             raise SchemaError(f"{path}.params", "expected an object")
-        # Init literals are read against the builtin's state type, so
-        # instantiate first with the default, then swap in the parsed init.
+        # an init literal is read against the state type of the claim
         try:
-            spec = make_thread(tid, fn, None, params)
+            state_type = instance(fn, params)[0].state_type
         except SchemaError as exc:
             raise SchemaError(f"{path}.{exc.path}", exc.message) from None
+        init = td.get("init_state")
         if "init_state" in td:
-            init = value_from_json(td["init_state"], spec.state_type, f"{path}.init_state")
-            spec = replace(spec, init_state=init)
-        specs.append(spec)
+            init = value_from_json(init, state_type, f"{path}.init_state")
+        specs.append(make_thread(tid, fn, init, params))
     graph = build_graph(*specs)
 
     input_type_text = _require(doc, "input_type", "")

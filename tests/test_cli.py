@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from stc import cli
 from stc.cli import main
 
 COUNTER = {
@@ -262,20 +263,110 @@ def test_module_entry_point_runs_cli(counter_file):
     assert proc.stdout.strip() == '{"output":[10,21,32],"final_state":{"1":3}}'
 
 
-def test_importing_the_cli_leaves_the_harness_unloaded():
+def test_importing_the_cli_leaves_the_harness_unloaded(counter_file):
     # `stc run` must not compile the fuzzer, nor load `statistics` for
-    # `stc bench` or `hashlib` for program digests: a fresh process pays
-    # for every module it imports
+    # `stc bench`, `hashlib` for program digests or `argparse` for a plain
+    # argv: a fresh process pays for every module it imports
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    unwanted = "{'stc.harness', 'statistics', 'hashlib', 'argparse'} & set(sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, stc.cli;"
-         " print(sorted({'stc.harness', 'statistics', 'hashlib'} & set(sys.modules)))"],
+         f"import sys, stc.cli; print(sorted({unwanted}));"
+         f" stc.cli.main(['run', sys.argv[1], '--mode', 'auto', '--workers', '2']);"
+         f" print(sorted({unwanted}))", counter_file],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [
+        "[]", '{"output":[10,21,32],"final_state":{"1":3}}', "[]"
+    ]
+
+
+def _outcome(argv):
+    """``main(argv)``'s exit code, or its ``SystemExit`` code."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return ("SystemExit", exc.code)
+
+
+# (argv with F for the program file, whether main reads it without argparse)
+ARGV_TABLE = [
+    (["run", "F"], True),
+    (["run", "F", "--mode", "pipeline"], True),
+    (["run", "F", "--workers", "2"], True),
+    (["run", "F", "--mode", "auto", "--workers", "2"], True),
+    (["run", "F", "--workers", "2", "--mode", "interleaved"], True),
+    (["run", "--mode", "auto", "F"], True),
+    (["run", "--workers", "3", "F", "--mode", "pipeline"], True),
+    (["run", "F", "--mode=auto"], False),
+    (["run", "F", "--mo", "seq"], False),
+    (["run", "F", "--workers=2"], False),
+    (["run", "F", "--workers", " 2"], True),
+    (["run", "F", "--workers", "+2"], True),
+    (["run", "F", "--mode", "pipeline", "--workers", "2_0"], True),
+    (["run", "F", "--workers", "\u0662"], True),  # an Arabic-Indic 2
+    (["run", "F", "--workers", "\u00b2"], False),  # '²'.isdigit(), but int() refuses it
+    (["run", "F", "--workers", "x"], False),
+    (["run", "F", "--mode", "auto", "--workers", "-1"], False),
+    (["run", "F", "--mode", "auto", "--workers", "0"], True),
+    (["run", "F", "--workers", ""], False),
+    (["run", "F", "--mode", "seq", "--mode", "auto"], False),
+    (["run", "F", "--workers", "2", "--workers", "3"], False),
+    (["run", "--", "F"], False),
+    (["run", "F", "--"], False),
+    (["-h"], False),
+    (["run", "-h"], False),
+    (["run", "F", "--help"], False),
+    (["run", "-x.json"], False),
+    (["run", "missing.json"], True),
+    (["run", "F", "extra"], False),
+    (["run", "F", "--mode", "fast"], False),
+    (["run", "F", "--mode"], False),
+    (["run", "F", "--workers"], False),
+    (["run"], False),
+    ([], False),
+    (["dot", "F"], False),
+]
+
+
+@pytest.mark.parametrize("argv, fast", ARGV_TABLE, ids=[" ".join(r[0]) for r in ARGV_TABLE])
+def test_argv_matches_argparse(tmp_path, monkeypatch, capsys, counter_file, argv, fast):
+    # main reads a plain `run` argv itself; whatever it reads must come
+    # out byte for byte as argparse's parse followed by args.fn
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    (tmp_path / "-x.json").write_text(json.dumps(COUNTER), encoding="utf-8")
+    argv = [counter_file if a == "F" else a for a in argv]
+    read = cli._run_args(argv)
+    assert (read is not None) is fast
+    if fast:
+        assert vars(read) == vars(cli._build_parser().parse_args(argv))
+    got = (_outcome(argv), *capsys.readouterr())
+    monkeypatch.setattr(cli, "_run_args", lambda argv: None)
+    want = (_outcome(argv), *capsys.readouterr())
+    assert got == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "F", "--workers", "2", "--mode", "auto"],
+    ["run", "F", "--mode=x"],
+])
+def test_module_argv_matches_argparse(monkeypatch, capsys, counter_file, argv):
+    # `python -m stc.cli` reads sys.argv (main(None)) the same way
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [counter_file if a == "F" else a for a in argv]
+    monkeypatch.setattr(cli, "_run_args", lambda argv: None)
+    want = (_outcome(argv), *capsys.readouterr())
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    code = want[0][1] if isinstance(want[0], tuple) else want[0]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, *want[1:])
 
 
 BRANCH = {

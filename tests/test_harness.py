@@ -143,6 +143,21 @@ def test_stream_checks_are_pinned(stream, expect):
     assert h.hexdigest() == expect
 
 
+def test_split_join_divergence_is_reported_boxed(monkeypatch):
+    # the round trip runs on raw sums; a lost element is reported with
+    # both lists boxed, in the text the boxed check printed
+    from stc import harness
+
+    join = harness._join
+    monkeypatch.setattr(harness, "_join", lambda *sides: join(*sides)[:-1])
+    div = harness._check_split_join(Xorshift64Star(3))
+    assert (div.mode, div.kind, div.where) == ("split-join", "output", "round trip")
+    assert div.expected == (
+        "[inl(-99), inr(30), inr(-94), inr(-37), inr(-6), inl(-91), inr(-9)]:sum(int,int)"
+    )
+    assert div.actual == "[inl(-99), inr(30), inr(-94), inr(-37), inr(-6), inl(-91)]:sum(int,int)"
+
+
 def test_corpus_words_validate():
     stream = program_stream(FuzzConfig(seed=8, trials=1))
     kinds = {"branch": 0, "repeated": 0, "plain": 0}

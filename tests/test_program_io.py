@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,8 @@ from stc import (
     StageKind,
     UnknownFunction,
     UnknownThreadId,
+    Word,
+    build_graph,
     builtin,
     builtin_names,
     export_dot,
@@ -18,10 +21,12 @@ from stc import (
     program_digest,
     v_inr,
     v_int,
+    v_list,
 )
 from stc.errors import ValidationError
 from stc.harness import FuzzConfig, program_stream, run_program
-from stc.program import program_to_text, value_from_json, value_to_json
+from stc.model import builtin_claim
+from stc.program import Program, program_to_text, value_from_json, value_to_json
 from stc.values import INT_T, MAX_NESTING, UNIT, list_of, parse_port
 from conftest import fig1_graph
 
@@ -198,6 +203,57 @@ def test_delay_params_validated():
         make_thread(1, "delay_identity_ms", params={"unknown": 1})
     spec = make_thread(1, "delay_identity_ms", params={"type": "str", "delay_ms": 0})
     assert spec.src.name == "str"
+
+
+def test_equal_claims_share_one_instance():
+    # a builtin is instantiated once per claim; 1 and 1.0 are different
+    # memo keys with equal claims, and every spec keeps its own params
+    one = make_thread(1, "delay_identity_ms", params={"delay_ms": 1})
+    one_f = make_thread(2, "delay_identity_ms", params={"delay_ms": 1.0})
+    again = make_thread(3, "delay_identity_ms", params={"delay_ms": 1})
+    assert builtin_claim(one_f) == ("delay_identity_ms", (("delay_ms", 1.0), ("type", "int")))
+    assert builtin_claim(one) == builtin_claim(one_f) == builtin_claim(again)
+    assert again.transfer is one.transfer and one_f.transfer is not one.transfer
+    assert [type(s.params["delay_ms"]) for s in (one, one_f, again)] == [int, float, int]
+    assert one.params is not again.params
+    assert builtin_claim(make_thread(1, "merge_sum")) == ("merge_sum", (("type", "int"),))
+    assert builtin_claim(make_thread(1, "counter_add", v_int(5))) == ("counter_add", ())
+    doc = json.loads(MINIMAL)
+    doc["threads"] = [
+        {"id": 1, "fn": "delay_identity_ms", "params": {"delay_ms": 1}},
+        {"id": 2, "fn": "delay_identity_ms", "params": {"delay_ms": 1.0}},
+    ]
+    doc["word"] = [1, 2]
+    text = program_to_text(parse_program(json.dumps(doc)))
+    assert '"params":{"delay_ms":1}' in text and '"params":{"delay_ms":1.0}' in text
+
+
+def test_unhashable_params_raise_every_time():
+    for _ in range(2):  # a failed instance is never remembered
+        with pytest.raises(SchemaError) as err:
+            make_thread(1, "merge_sum", params={"type": ["int"]})
+        assert str(err.value) == "at params.type: port type must be a string"
+    doc = json.loads(MINIMAL)
+    doc["threads"] = [{"id": 1, "fn": "merge_sum", "params": {"type": ["int"]}}]
+    with pytest.raises(SchemaError, match=r"^at threads\[0\]\.params\.type: port type must"):
+        parse_program(json.dumps(doc))
+
+
+def test_replaced_transfer_runs_on_a_shared_instance():
+    calls = []
+
+    def echo(x, s):
+        calls.append(x)
+        return x, s
+
+    graph = build_graph(replace(make_thread(1, "counter_add"), transfer=echo))
+    program = Program(graph, Word((1,)), v_list(INT_T, [v_int(4), v_int(5)]), INT_T)
+    out, _ = run_program(program, "seq")
+    assert out == v_list(INT_T, [v_int(4), v_int(5)]) and calls == [v_int(4), v_int(5)]
+    # the claim's own transfer is untouched for the next thread
+    fresh = build_graph(make_thread(1, "counter_add"))
+    out, _ = run_program(Program(fresh, Word((1,)), program.input, INT_T), "seq")
+    assert out == v_list(INT_T, [v_int(4), v_int(6)])
 
 
 def test_export_dot_seven_edges():
