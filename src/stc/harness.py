@@ -74,9 +74,9 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 from .builtins import make_thread
 from .composition import (
     BranchProgram,
+    Word,
     _join,
     _split,
-    Word,
     map_letter,
     plan_interleaved,
     plan_psi,
