@@ -45,7 +45,10 @@ transfer runs as its side-effect-free kernel (a delay does not sleep), a
 replaced one as ``model.raw_transfer`` runs it, the value and state parts
 as the executors run them, and results are compared with
 ``values.equaler``. A thread made of its builtin's own functions is
-sampled once per distinct claim within one ``verify_hints`` call.
+sampled once per distinct claim within one ``verify_hints`` call. The
+fuzz suite samples each program's hints before it checks the program,
+from an rng of its own (seeded ``seed ^ _HINTS_SEED``), so both check
+rngs draw as before; a violated hint fails the trial.
 
 Each fuzz trial also checks a *carrier program* from a second stream
 (``carrier_stream``): a random port type over the whole value grammar
@@ -432,6 +435,8 @@ def program_stream(cfg: FuzzConfig) -> Iterator[Program]:
 
 # seeds the carrier stream and its check rng apart from the int/str stream
 _CARRIER_SEED = 0x2545F4914F6CDD1D
+# seeds the fuzz suite's hint samples apart from both check rngs
+_HINTS_SEED = 0xD1B54A32D192ED03
 _ATOM_TYPES = (UNIT_T, BOOL_T, INT_T, FLOAT_T, STR_T)
 
 _EDGE_INTS = (INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX)
@@ -549,7 +554,7 @@ def carrier_stream(cfg: FuzzConfig) -> Iterator[Program]:
 @dataclass
 class Divergence:
     mode: str
-    kind: str  # "output" | "state" | "length" | "error"
+    kind: str  # "output" | "state" | "length" | "error" | "hint"
     where: str
     expected: str
     actual: str
@@ -790,18 +795,24 @@ def _check_split_join(rng: Xorshift64Star) -> Optional[Divergence]:
     return None
 
 
-def _fuzz_trial(program: Program, rng: Xorshift64Star, index: int) -> TrialReport:
+def _fuzz_trial(
+    program: Program, rng: Xorshift64Star, hint_rng: Xorshift64Star, index: int
+) -> TrialReport:
+    """``check_program`` of ``program`` once its hints hold, sampled from
+    ``hint_rng`` as ``verify_hints`` samples them; a violated hint fails the
+    trial with a ``hints`` divergence naming its thread."""
+    modes = ["hints"]
+    seen: Dict[tuple, bool] = {}
     try:
-        return check_program(program, rng, index=index)
+        for spec in program.graph.edges.values():
+            if not verify_classification(spec, hint_rng, seen=seen):
+                div = Divergence("hints", "hint", f"thread {spec.id}", spec.kind.name, "violated")
+                break
+        else:
+            return check_program(program, rng, index=index)
     except StcError as exc:
-        return TrialReport(
-            index,
-            program_digest(program),
-            ["seq"],
-            False,
-            Divergence("harness", "error", "-", "result", repr(exc)),
-            program_to_text(program),
-        )
+        modes, div = ["seq"], Divergence("harness", "error", "-", "result", repr(exc))
+    return TrialReport(index, program_digest(program), modes, False, div, program_to_text(program))
 
 
 def run_fuzz(cfg: FuzzConfig) -> EquivReport:
@@ -809,17 +820,20 @@ def run_fuzz(cfg: FuzzConfig) -> EquivReport:
 
     Trial i checks the i-th program of ``program_stream`` and then the
     i-th of ``carrier_stream``; it passes when both do. Each stream has
-    its own check rng. The suite stops at the first failing trial."""
+    its own check rng; each program's hints are sampled, from a third rng,
+    before it is checked (``_fuzz_trial``). The suite stops at the first
+    failing trial."""
     report = EquivReport()
     stream, carriers = program_stream(cfg), carrier_stream(cfg)
     rng = Xorshift64Star(cfg.seed ^ _SEED_FILL)
     carrier_rng = Xorshift64Star(cfg.seed ^ _CARRIER_SEED ^ _SEED_FILL)
+    hint_rng = Xorshift64Star(cfg.seed ^ _HINTS_SEED)
     for i in range(cfg.trials):
         program, carrier = next(stream), next(carriers)
         report.trials += 1
-        trial = _fuzz_trial(program, rng, i)
+        trial = _fuzz_trial(program, rng, hint_rng, i)
         if trial.equal:
-            trial = _fuzz_trial(carrier, carrier_rng, i)
+            trial = _fuzz_trial(carrier, carrier_rng, hint_rng, i)
         if not trial.equal:
             report.failures.append(trial)
             break

@@ -47,14 +47,25 @@ and the final state store, by structure, not luck:
 * One failure rule holds in every mode and shape: a failing run raises
   the exception ``eval_psi_ref`` raises, the first failure in letter
   order, the left side's before the right side's. A threaded stream that
-  fails runs again stage-wise from its own input and slots and raises
+  fails runs its parts again on the calling thread by the reference route
+  (``run_route``), from its own input and a copy of its slots, and raises
   what that run raises (``_run_stream``); its side effects happen again.
   A thread that cannot start raises ``ExecutionError`` with no re-run,
   and no thread starts after it.
 
 Executors run on raw values (see ``values``) and box only at the public
-functions' edges (``composition.run_boxed``). Mutation hooks (see
-``mutations``) live here only, and a plan reads them when it is made.
+functions' edges (``composition.run_boxed``). The five planted faults of
+``mutations`` live here only, each at an edge of the plan:
+
+* ``stage-order-swapped``: ``_cut`` swaps a word's first two letters;
+* ``state-update-dropped``: every step ``_stream_plan`` makes drops its
+  state update (``_state_kept``), a replica's too;
+* ``flags-ignored-in-join``: the planner cuts a branch into two streams at
+  the join, where ``_pipeline`` puts every inl element first;
+* ``state-not-forwarded``: ``_run_stream`` writes no stage's states back;
+* ``segment-barrier-removed``: the planner runs a word as one stream.
+
+Under any of the first three, a run that starts no thread is cut too.
 """
 
 from __future__ import annotations
@@ -68,6 +79,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from . import mutations
 from .composition import (  # the coproduct and the branch names are re-exported
     BranchProgram,
+    Part,
     Plan,
     Route,
     Shape,
@@ -346,9 +358,9 @@ def _launch(
             raise exc
 
 
-def _state_dropped(step: RawStep) -> RawStep:
-    """The planted ``state-update-dropped`` fault: ``step`` with every
-    state update discarded."""
+def _state_kept(step: RawStep) -> RawStep:
+    """``step`` with every state update discarded: what a replica runs for
+    a READ_ONLY letter, and the planted ``state-update-dropped`` fault."""
     return lambda v, sigma: (step(v, sigma)[0], sigma)
 
 
@@ -383,57 +395,50 @@ def _replica_step(spec: ThreadSpec, check: bool) -> RawStep:
     elements, so that its state part runs once per element after the
     stream (``_product_state``)."""
     if spec.kind is StageKind.READ_ONLY:
-        step = raw_step(spec, check)
-        return lambda v, sigma: (step(v, sigma)[0], sigma)
+        return _state_kept(raw_step(spec, check))
     part = _value_part(spec, check)
     return lambda v, count: (part(v), count + 1)
 
 
 class _Stage:
     """A stream stage: its route, the letters whose slots it owns and the
-    replicas it may run; ``replica()`` builds its replicas' route
-    (``_replica_step``) and lists its PRODUCT letters, when a run needs it."""
+    replicas it may run; a replicated stage also holds its replicas' route
+    (``_replica_step``) and its PRODUCT letters."""
 
-    __slots__ = ("route", "letters", "replicas", "replica")
+    __slots__ = ("route", "letters", "replicas", "lane_route", "products")
 
     def __init__(self, route: Route, letters: Tuple[int, ...], replicas: int = 1,
-                 replica: Optional[Callable[[], Tuple[Route, List[ThreadSpec]]]] = None):
-        self.route, self.letters, self.replicas, self.replica = route, letters, replicas, replica
+                 lane_route: Route = (), products: Tuple[int, ...] = ()):
+        self.route, self.letters, self.replicas = route, letters, replicas
+        self.lane_route, self.products = lane_route, products
 
 
-def _replica(
-    route: Route, letters: Tuple[int, ...], edges, check: bool
-) -> Tuple[Route, List[ThreadSpec]]:
-    def steps(part: list) -> list:
-        return [(n, _replica_step(edges[n], check)) for n, _ in part]
-
-    products = [edges[n] for n in letters if edges[n].kind is StageKind.PRODUCT]
-    return [steps(p) if type(p) is list else (steps(p[0]), steps(p[1])) for p in route], products
+# a stream cut once per plan: the parts it runs, a segment's word or a
+# branch's parts, and its stages
+Stream = Tuple[Tuple[Part, ...], List[_Stage]]
 
 
-# a stream cut once per plan: its segment or branch (for the re-run of a
-# failed stream), its stages, and where ``flags-ignored-in-join`` sorts
-Stream = Tuple[Shape, List[_Stage], Optional[int]]
-
-
-# the planted faults that change how a stream is cut or fused
+# the planted faults that change how a stream is cut, fused or split
 _RESHAPING = ("stage-order-swapped", "state-update-dropped", "flags-ignored-in-join")
 
 
 def _stream_plan(
-    graph: Multigraph, shape: Shape, workers: int, check: bool, replicate: bool
+    graph: Multigraph, stream_parts: Tuple[Part, ...], workers: int, check: bool, replicate: bool
 ) -> Stream:
-    """Cut the stream of ``shape``, a segment or a branch, into stages: each
-    word by ``_cut``, a branch's sides as side stages of their k-th groups,
-    or with ``replicate``, when a side blocks, one pass per side group; a
-    stage with no blocking letter is fused into a neighbour. With
-    ``replicate`` a blocking stage whose letters are all READ_ONLY or
-    PRODUCT gets ``workers // g`` replicas, ``g`` groups in its word."""
+    """Cut the stream of ``stream_parts`` into stages: each word by
+    ``_cut``, a branch's sides as side stages of their k-th groups, or with
+    ``replicate``, when a side blocks, one pass per side group; a stage
+    with no blocking letter is fused into a neighbour. With ``replicate``
+    a blocking stage whose letters are all READ_ONLY or PRODUCT gets
+    ``workers // g`` replicas, ``g`` groups in its word."""
     edges = graph.edges
     dropped = mutations.enabled("state-update-dropped")
 
-    def step(n: int) -> RawStep:
-        return _state_dropped(raw_step(edges[n], check)) if dropped else raw_step(edges[n], check)
+    def step(n: int, make: Callable[[ThreadSpec, bool], RawStep] = raw_step) -> RawStep:
+        return _state_kept(make(edges[n], check)) if dropped else make(edges[n], check)
+
+    def lane(steps: list) -> list:
+        return [(n, step(n, _replica_step)) for n, _ in steps]
 
     def cut(word: Word) -> list:
         groups = _cut(graph, word.letters, workers)
@@ -447,8 +452,7 @@ def _stream_plan(
 
     # (route part, letters, blocks, replicas)
     members: list = []
-    joined_at = None
-    for part in parts(shape):
+    for part in stream_parts:
         if isinstance(part, Word):
             members += cut(part)
             continue
@@ -459,36 +463,22 @@ def _stream_plan(
         else:
             pairs = zip_longest(lefts, rights, fillvalue=([], (), False, 1))
             members += [((lf[0], rt[0]), lf[1] + rt[1], lf[2] or rt[2], 1) for lf, rt in pairs]
-        joined_at = len(members)
 
-    def fuse(members: list) -> List[_Stage]:
-        stages = []
-        for a, b in _spans([m[2] for m in members], 1 if workers == 1 else len(members)):
-            route, letters, blocks, r = [], (), False, MAX_WORKERS
-            for m in members[a:b]:
-                route.append(m[0])
-                letters += m[1]
-                blocks = blocks or m[2]
-                r = min(r, m[3])
-            if not blocks or r == 1:
-                stages.append(_Stage(route, letters))
-            else:
-                replica = partial(_replica, route, letters, edges, check)
-                stages.append(_Stage(route, letters, r, replica))
-        return stages
-
-    if joined_at is not None and mutations.enabled("flags-ignored-in-join"):
-        head = fuse(members[:joined_at])
-        return shape, head + fuse(members[joined_at:]), len(head)
-    return shape, fuse(members), None
-
-
-def _read_back(slots: Slots, owned) -> Slots:
-    """``slots`` with each stage's final letter states written in."""
-    if not mutations.enabled("state-not-forwarded"):
-        for st in owned:
-            slots.update(st)
-    return slots
+    stages = []
+    for a, b in _spans([m[2] for m in members], 1 if workers == 1 else len(members)):
+        route, letters, blocks, r = [], (), False, MAX_WORKERS
+        for m in members[a:b]:
+            route.append(m[0])
+            letters += m[1]
+            blocks = blocks or m[2]
+            r = min(r, m[3])
+        if not blocks or r == 1:
+            stages.append(_Stage(route, letters))
+            continue
+        lanes = [lane(p) if type(p) is list else (lane(p[0]), lane(p[1])) for p in route]
+        products = tuple(n for n in letters if edges[n].kind is StageKind.PRODUCT)
+        stages.append(_Stage(route, letters, r, lanes, products))
+    return stream_parts, stages
 
 
 # one stream stage of a run: its route, its ``{letter: state}`` dict and
@@ -497,21 +487,19 @@ Lanes = Tuple[Route, Slots, List[Callable[[Sequence[Any]], List[Any]]]]
 
 
 def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> List[Any]:
-    """Push ``values`` through ``stages`` in order: a lone one-lane stage on
-    the calling thread, else every lane as a task of ``_launch``, linked to
-    each lane of the next stage by a ``_Channel`` of ``capacity`` batches.
-    Lane ``a`` of ``r`` takes chunks ``a, a + r, ...``, chunk ``j`` from lane
-    ``j % r'`` of the stage before; a replicated first stage takes one
-    element per chunk. A replica maps a whole chunk and hands it on as
-    chunk ``j``; a one-lane stage that is not last maps one element at a
-    time (``_hand_on``); the last stage's chunks are joined in order. Each
-    lane closes its outputs with ``None``, also when it fails, and drains
-    its inputs; a lane that sees a recorded failure after a hand-off stops.
-    The earliest failing lane's exception is raised."""
+    """Push ``values`` through ``stages`` in order, every lane a task of
+    ``_launch``, linked to each lane of the next stage by a ``_Channel`` of
+    ``capacity`` batches; at least two lanes in all. Lane ``a`` of ``r``
+    takes chunks ``a, a + r, ...``, chunk ``j`` from lane ``j % r'`` of the
+    stage before; a replicated first stage takes one element per chunk. A
+    replica maps a whole chunk and hands it on as chunk ``j``; a one-lane
+    stage that is not last maps one element at a time (``_hand_on``); the
+    last stage's chunks are joined in order. Each lane closes its outputs
+    with ``None``, also when it fails, and drains its inputs; a lane that
+    sees a recorded failure after a hand-off stops. The earliest failing
+    lane's exception is raised."""
     k = len(stages)
     widths = [len(lanes) for _, _, lanes in stages]
-    if widths in ([], [1]):
-        return stages[0][2][0](values) if stages else list(values)
     # links[s][a][b]: from lane a of stage s to lane b of stage s + 1
     links = [
         [[_Channel(capacity) for _ in range(widths[s + 1])] for _ in range(widths[s])]
@@ -592,69 +580,52 @@ def _hand_on(each: Callable[[Any], Any], chunks, outs: Sequence[_Channel], faile
             m += 1
 
 
-def _attempt(
-    stages: Sequence[_Stage], joined_at: Optional[int], items: Sequence[Any], slots: Slots,
-    capacity: int, check: bool,
-) -> Tuple[List[Any], list]:
-    """One run of a stream's stages; returns the output and each stage's
-    ``{letter: state}`` dict. A replicated stage runs ``min(replicas, n //
-    _REPLICA_ELEMENTS)`` replicas over ``n`` elements, each with a slot
-    dict of its own; its PRODUCT letters run their state parts once every
-    lane has finished."""
-    owned, runs, replicated = [], [], []
-    for stage in stages:
-        st = {n: slots[n] for n in stage.letters}
-        owned.append(st)
-        r = min(stage.replicas, len(items) // _REPLICA_ELEMENTS)
-        if r <= 1:
-            runs.append((stage.route, st, [partial(run_route, stage.route, st)]))
-            continue
-        route, products = stage.replica()
-        lane_slots = [{**st, **dict.fromkeys((spec.id for spec in products), 0)} for _ in range(r)]
-        runs.append((stage.route, st, [partial(run_route, route, d) for d in lane_slots]))
-        replicated.append((st, products, lane_slots))
-    if joined_at is None:
-        values = _stream(runs, items, capacity)
-    else:
-        # deliberate fault: the join point buffers its whole input and
-        # emits every inl element before any inr element
-        joined = _stream(runs[:joined_at], items, capacity)
-        joined.sort(key=lambda v: type(v) is Inr)
-        values = _stream(runs[joined_at:], joined, capacity)
-    if not mutations.enabled("state-update-dropped"):
-        for st, products, lane_slots in replicated:
-            for spec in products:
-                passed = sum(d[spec.id] for d in lane_slots)
-                st[spec.id] = _product_state(spec, st[spec.id], passed, check)
-    return values, owned
-
-
 def _run_stream(
     graph: Multigraph, stream: Stream, items: Sequence[Any], slots: Slots, capacity: int,
     check: bool,
-) -> Tuple[List[Any], Slots]:
-    """One stream, its stages' states written back once it succeeds; with
-    one plain stage or at most one element it runs stage by stage on the
-    calling thread. A threaded stream that fails with an exception other
-    than ``ExecutionError`` runs again stage-wise there, from the same
-    input list and slots, which nothing has changed yet, and raises what
-    that run raises, the exception ``eval_psi_ref`` raises; if that run
-    does not fail, the first exception."""
-    shape, stages, joined_at = stream
-    if len(items) <= 1 or (len(stages) == 1 and stages[0].replicas == 1 and joined_at is None):
-        owned = []
-        for stage in stages:
-            owned.append({n: slots[n] for n in stage.letters})
-            items = run_route(stage.route, owned[-1], items)
-        return items, _read_back(slots, owned)
-    try:
-        values, owned = _attempt(stages, joined_at, items, slots, capacity, check)
-    except ExecutionError:
-        raise
-    except Exception:
-        _attempt(*_stream_plan(graph, shape, 1, check, False)[1:], items, slots, capacity, check)
-        raise
-    return values, _read_back(slots, owned)
+) -> Tuple[Sequence[Any], Slots]:
+    """One run of a stream, each stage on a ``{letter: state}`` dict of its
+    own, written back once the stream succeeds. No stage, one stage without
+    replicas or at most one element runs stage by stage on the calling
+    thread. A replicated stage runs ``min(replicas, n // _REPLICA_ELEMENTS)``
+    replicas over ``n`` elements, each on a dict of its own; its PRODUCT
+    letters' state parts run once every lane has finished. A threaded
+    stream that fails, other than with ``ExecutionError``, runs its parts by
+    the reference route from the same input and slots, which nothing has
+    changed yet, and raises what that run raises, ``eval_psi_ref``'s
+    exception; else the first one."""
+    stream_parts, stages = stream
+    owned = [{n: slots[n] for n in stage.letters} for stage in stages]
+    if len(items) <= 1 or not stages or len(stages) == 1 and stages[0].replicas == 1:
+        for stage, st in zip(stages, owned):
+            items = run_route(stage.route, st, items)
+    else:
+        staged, replicated = [], []
+        for stage, st in zip(stages, owned):
+            r = min(stage.replicas, len(items) // _REPLICA_ELEMENTS)
+            if r <= 1:
+                staged.append((stage.route, st, [partial(run_route, stage.route, st)]))
+                continue
+            lane_slots = [{**st, **dict.fromkeys(stage.products, 0)} for _ in range(r)]
+            replica = partial(run_route, stage.lane_route)
+            staged.append((stage.route, st, [partial(replica, d) for d in lane_slots]))
+            replicated.append((st, stage.products, lane_slots))
+        try:
+            values = _stream(staged, items, capacity)
+            for st, products, lane_slots in replicated:
+                for n in products:
+                    passed = sum(d[n] for d in lane_slots)
+                    st[n] = _product_state(graph.edges[n], st[n], passed, check)
+        except ExecutionError:
+            raise
+        except Exception:
+            run_route(route_of(graph, stream_parts, check), dict(slots), items)
+            raise
+        items = values
+    if not mutations.enabled("state-not-forwarded"):
+        for st in owned:
+            slots.update(st)
+    return items, slots
 
 
 def _pipeline(
@@ -670,6 +641,10 @@ def _pipeline(
                 pair[1] = pair[1]()
             stream = pair[1]
         items, slots = _run_stream(graph, stream, items, slots, capacity, check)
+        if type(stream[0][-1]) is tuple and mutations.enabled("flags-ignored-in-join"):
+            # deliberate fault: a barrier at the join, which emits every inl
+            # element before any inr element
+            items = sorted(items, key=lambda v: type(v) is Inr)
     return items, slots
 
 
@@ -707,18 +682,23 @@ def planner(
     its first plan that cuts."""
     src, tgt = endpoints(graph, shape)
     blocks = any(graph.edges[n].blocking for n in shape.letters)
-    whole = isinstance(shape, BranchProgram) or mutations.enabled("segment-barrier-removed")
-    streams: List[Shape] = []
+    whole = parts(shape)
+    if isinstance(shape, BranchProgram):
+        # with ``flags-ignored-in-join``, a barrier at the join, where ``_pipeline`` sorts
+        fixed = [whole[:2], whole[2:]] if mutations.enabled("flags-ignored-in-join") else [whole]
+    else:
+        fixed = [whole] if mutations.enabled("segment-barrier-removed") else None
+    streams: List[Tuple[Part, ...]] = []
 
     def plan(mode: str, workers: int) -> Plan:
         threads = _positive(workers) > 1 and blocks
         if not threads and not any(map(mutations.enabled, _RESHAPING)):
             # nothing can overlap: one stage-wise stream, as seq runs it
-            lone = (shape, [_Stage(route_of(graph, parts(shape), check), shape.letters)], None)
+            lone = (whole, [_Stage(route_of(graph, whole, check), shape.letters)])
             planned = [[lone, lone]]
         else:
             if not streams:
-                streams.extend([shape] if whole else segment_word(shape).segments)
+                streams.extend(fixed or [(w,) for w in segment_word(shape).segments])
             # each stream as [the pipeline's cut, auto's own], the second cut on its first use
             planned = []
             for stream in streams:
@@ -754,7 +734,6 @@ def eval_auto_word(
     as one pass per side group (``_stream_plan``). A stream without a
     blocking letter starts no thread and costs what ``seq`` costs."""
     return run_boxed(graph, xs, state, plan_auto(graph, word, workers, check))
-
 
 
 # the branch name of the pipeline executor

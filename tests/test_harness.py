@@ -208,6 +208,33 @@ def test_mutations_detected(name):
     assert failure.divergence is not None
 
 
+def test_fuzz_fails_a_mislabeled_builtin_at_trial_0():
+    # add1_tick claiming READ_ONLY: the first program of seed 1 holds one,
+    # and the suite samples each program's hints before it runs it
+    from dataclasses import replace
+
+    from stc import builtins
+    from stc.model import StageKind
+
+    real = builtins._REGISTRY["add1_tick"]
+    builtins._REGISTRY["add1_tick"] = replace(real, kind=StageKind.READ_ONLY)
+    builtins._claimed.cache_clear()  # a claim's instance is memoised
+    try:
+        report = run_fuzz(FuzzConfig(seed=1, trials=5))
+    finally:
+        builtins._REGISTRY["add1_tick"] = real
+        builtins._claimed.cache_clear()
+    assert report.trials == 1 and report.passed == 0
+    failure = report.failures[0]
+    assert failure.index == 0 and failure.modes == ["hints"]
+    div = failure.divergence
+    assert (div.mode, div.kind, div.expected, div.actual) == (
+        "hints", "hint", "READ_ONLY", "violated"
+    )
+    thread = int(div.where.removeprefix("thread "))
+    assert parse_program(failure.program_text).graph.edges[thread].fn_name == "add1_tick"
+
+
 def test_mutation_failure_is_replayable():
     with mutations.enable("state-update-dropped"):
         report = run_fuzz(FuzzConfig(seed=11, trials=500))

@@ -1097,17 +1097,22 @@ def test_branch_stream_workers_one_starts_no_thread():
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_flags_ignored_in_join_mutation_diverges(workers):
+@pytest.mark.parametrize(
+    "workers, run",
+    [(1, run_task_parallel_branch), (2, run_task_parallel_branch),
+     (4, run_task_parallel_branch), (4, eval_auto_word)],
+    ids=["1", "2", "4", "auto-4"],
+)
+def test_flags_ignored_in_join_mutation_diverges(workers, run):
+    # the fault is a barrier at the join: at one worker too, and in auto's
+    # own cut, which a list of 20 elements gets
     graph = _blocking(branch_graph())
     xs = int_list(*range(20))  # alternating even/odd
     expect = eval_branch(graph, branch_prog(), xs, init_state(graph))
     before = threading.active_count()
     with mutations.enable("flags-ignored-in-join"), _thread_starts() as started:
-        got = _returned_within(
-            lambda: run_task_parallel_branch(graph, branch_prog(), xs, init_state(graph), workers)
-        )
-    assert len(started) > 1  # the helper, then stream threads
+        got = _returned_within(lambda: run(graph, branch_prog(), xs, init_state(graph), workers))
+    assert (len(started) > 1) == (workers > 1)  # the helper, then stream threads
     assert threading.active_count() == before
     payloads = [sorted(v.payload for v in out.payload) for out in (got[0], expect[0])]
     assert got[0] != expect[0] and payloads[0] == payloads[1]
@@ -1734,6 +1739,47 @@ def test_replica_failure_raises_the_reference_exception(workers):
 def _boom(raised, at):
     raised.append(Boom(f"thread on {at}"))
     raise raised[-1]
+
+
+def _failing_counter(thread_id, at, raised):
+    """``counter_add`` as a blocking thread that raises once its state
+    reaches ``at``, recording each exception in ``raised``."""
+    base = make_thread(thread_id, "counter_add", v_int(0))
+
+    def transfer(x, sigma):
+        if sigma.payload == at:
+            raised.append(Boom(f"thread {thread_id} at state {at}"))
+            raise raised[-1]
+        return base.transfer(x, sigma)
+
+    return replace(base, transfer=transfer, blocking=True)
+
+
+@pytest.mark.parametrize("mode, workers", [("pipeline", 2), ("pipeline", 4), ("auto", 4)])
+def test_second_segment_failure_raises_the_reference_exception(mode, workers):
+    # [2,1,2,1] runs as two segments. Over n elements each letter's state
+    # counts 0..n-1 in the first segment, so only the second reaches the
+    # states at which they fail: letter 1 late (at its 3001st element),
+    # letter 2 early (at its 2nd). The reference raises letter 1's
+    # exception. The threaded segment stops at letter 2's, since letter 1
+    # can run at most ``capacity`` full batches ahead, and its re-run must
+    # start from the input and the states the first segment left.
+    raised, n = [], 4000
+    graph = build_graph(
+        _failing_counter(1, n + 3000, raised), _failing_counter(2, n + 1, raised)
+    )
+    word, xs = Word((1, 2, 1, 2)), int_list(*range(n))
+    with pytest.raises(Boom) as ref:
+        eval_psi_ref(graph, word, xs, init_state(graph))
+    assert str(ref.value) == f"thread 1 at state {n + 3000}"
+    run = run_pipeline if mode == "pipeline" else eval_auto_word
+    del raised[:]
+    before = threading.active_count()
+    with _thread_starts() as started:
+        err = _raised_within(lambda: run(graph, word, xs, init_state(graph), workers))
+    assert type(err) is Boom and str(err) == str(ref.value) and err is raised[-1]
+    assert len(started) > 1  # the helper, then stream threads
+    assert threading.active_count() == before
 
 
 def test_replica_determinism_over_fuzz_programs():
