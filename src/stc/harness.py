@@ -23,10 +23,11 @@ fast-path comparisons. ``check_program`` makes every one of those runs in
 one pass, with ``check`` on or off for all of them alike: ``stc check
 <file>`` runs them checked and prints its table from the result, the
 fuzzer runs them unchecked. The runs return raw results (as ``run_raw``
-does), compared with ``values.equaler`` over the output and every
-state slot; a result is boxed only when it diverges, to write the
-divergence. The ``pipeline`` and ``auto`` rows share one validation and
-segmentation of the shape (``parallel.planner``) and one plan per row.
+does); ``first_divergence`` compares every row, functor split and fast
+path with ``values.equaler`` over the output and every state slot, and
+only the two values a row reports are boxed. The ``pipeline`` and
+``auto`` rows share one validation and segmentation of the shape
+(``parallel.planner``) and one plan per row.
 The runs of one check share a ``parallel.Crew``, so the threaded runs
 reuse the stage threads that the runs before them started, and all of
 them are joined before the check returns.
@@ -45,10 +46,10 @@ transfer runs as its side-effect-free kernel (a delay does not sleep), a
 replaced one as ``model.raw_transfer`` runs it, the value and state parts
 as the executors run them, and results are compared with
 ``values.equaler``. A thread made of its builtin's own functions is
-sampled once per distinct claim within one ``verify_hints`` call. The
-fuzz suite samples each program's hints before it checks the program,
-from an rng of its own (seeded ``seed ^ _HINTS_SEED``), so both check
-rngs draw as before; a violated hint fails the trial.
+sampled once per distinct claim within one ``verify_hints`` call or one
+fuzz run. The fuzz suite samples each program's hints before it checks
+the program, from an rng of its own (seeded ``seed ^ _HINTS_SEED``), so
+both check rngs draw as before; a violated hint fails the trial.
 
 Each fuzz trial also checks a *carrier program* from a second stream
 (``carrier_stream``): a random port type over the whole value grammar
@@ -90,13 +91,11 @@ from .errors import StcError, ValidationError
 from .model import (
     Multigraph,
     StageKind,
-    StateStore,
     ThreadSpec,
     build_graph,
     builtin_claim,
-    init_state,
+    initial_slots,
     kernel_of,
-    raw_slots,
     raw_state_part,
     raw_step,
     raw_transfer,
@@ -108,7 +107,6 @@ from .parallel import Crew, _product_map, _readonly_map, planner
 from .program import (  # noqa: F401
     Program,
     RawResult,
-    boxed_result,
     program_digest,
     program_to_text,
     run_program,
@@ -603,29 +601,27 @@ class EquivReport:
 
 
 def first_divergence(
-    mode: str, ref: Tuple[Value, StateStore], got: Tuple[Value, StateStore]
+    graph: Multigraph, mode: str, ref: RawResult, got: RawResult
 ) -> Optional[Divergence]:
-    """Locate the first output index or state slot where two results part."""
-    ref_out, ref_state = ref
-    got_out, got_state = got
-    if len(got_out.payload) != len(ref_out.payload):
-        return Divergence(
-            mode, "length", "output",
-            str(len(ref_out.payload)), str(len(got_out.payload)),
-        )
-    for i, (a, b) in enumerate(zip(ref_out.payload, got_out.payload)):
-        if a != b:
-            return Divergence(mode, "output", f"index {i}", repr(a), repr(b))
-    ref_slots = ref_state.as_dict()
-    got_slots = got_state.as_dict()
-    for n in sorted(set(ref_slots) | set(got_slots)):
-        if ref_slots.get(n) != got_slots.get(n):
-            return Divergence(
-                mode, "state", f"slot {n}",
-                repr(ref_slots.get(n)), repr(got_slots.get(n)),
-            )
-    if ref_out != got_out:
-        return Divergence(mode, "output", "list type", repr(ref_out), repr(got_out))
+    """Locate the first output index or state slot where two raw results
+    over ``graph`` part, or ``None`` when they are equal. Values compare
+    with ``equaler``; only the two a divergence reports are boxed."""
+    (tgt, ref_out, ref_slots), (got_tgt, got_out, got_slots) = ref, got
+    if len(got_out) != len(ref_out):
+        return Divergence(mode, "length", "output", str(len(ref_out)), str(len(got_out)))
+    same = equaler(tgt)
+    if not all(map(same, ref_out, got_out)):
+        i = next(i for i, ok in enumerate(map(same, ref_out, got_out)) if not ok)
+        a, b = boxer(tgt)(ref_out[i]), boxer(tgt)(got_out[i])
+        return Divergence(mode, "output", f"index {i}", repr(a), repr(b))
+    for n in sorted(ref_slots):
+        st, a, b = graph.edges[n].state_type, ref_slots[n], got_slots[n]
+        if not _same_state(equaler(st), st, a, b):
+            a, b = box_state(a, st), box_state(b, st)
+            return Divergence(mode, "state", f"slot {n}", repr(a), repr(b))
+    if got_tgt != tgt:  # unreachable: every row plans the same shape
+        lists = (repr(box_list(t, xs)) for t, xs, _ in (ref, got))
+        return Divergence(mode, "output", "list type", *lists)
     return None
 
 
@@ -638,8 +634,8 @@ def check_program(
     """Run every applicable comparison for one program.
 
     ``check`` is passed to every run, the reference included. Results
-    are compared raw (``_divergence``) and boxed only to describe a
-    divergence. The runs share one ``Crew``, so a run with threads reuses
+    are compared raw by ``first_divergence``, which boxes only what it
+    reports. The runs share one ``Crew``, so a run with threads reuses
     the stage threads of the runs before it. ``modes`` lists each run in
     order; on a divergence it ends with the run that diverged."""
     digest = program_digest(program)
@@ -660,7 +656,7 @@ def check_program(
     # the threaded rows share one validation of the shape, and every row
     # starts from a copy of the initial slots
     cut = planner(_all_blocking(program).graph, program.word, check=check)
-    slots = _initial_slots(graph)
+    slots = initial_slots(graph)
     with Crew():
         for mode, w in candidates:
             label = mode if mode == "interleaved" else f"{mode}@{w}"
@@ -673,7 +669,7 @@ def check_program(
                 got = (plan.tgt, *plan.core(program.raw_input(plan.src), dict(slots)))
             except StcError as exc:
                 return fail(Divergence(label, "error", "-", "result", repr(exc)))
-            div = _divergence(graph, label, ref, got)
+            div = first_divergence(graph, label, ref, got)
             if div is not None:
                 return fail(div)
 
@@ -688,22 +684,6 @@ def check_program(
         return fail(div)
 
     return TrialReport(index, digest, modes + ["functor", "split-join"], True)
-
-
-def _divergence(
-    graph: Multigraph, mode: str, ref: RawResult, got: RawResult
-) -> Optional[Divergence]:
-    """``first_divergence`` of two raw results over ``graph``. Equal
-    results, compared with ``equaler``, are never boxed."""
-    (ref_t, ref_out, ref_slots), (got_t, got_out, got_slots) = ref, got
-    if ref_t == got_t and len(ref_out) == len(got_out) and ref_slots.keys() == got_slots.keys():
-        edges = graph.edges
-        if all(map(equaler(ref_t), ref_out, got_out)) and all(
-            _same_state(equaler(edges[n].state_type), edges[n].state_type, a, got_slots[n])
-            for n, a in ref_slots.items()
-        ):
-            return None
-    return first_divergence(mode, boxed_result(graph, ref), boxed_result(graph, got))
 
 
 def _all_blocking(program: Program) -> Program:
@@ -730,13 +710,9 @@ def _check_functor_split(
     vw = validate_word(graph, word)
     first = plan_psi(graph, Word(word.letters[:cut], vw.src if cut == 0 else None))
     second = plan_psi(graph, Word(word.letters[cut:], vw.tgt if cut == len(word.letters) else None))
-    mid, slots = first.core(program.raw_input(first.src), _initial_slots(graph))
+    mid, slots = first.core(program.raw_input(first.src), initial_slots(graph))
     out, slots = second.core(mid, slots)
-    return _divergence(graph, f"functor-split@{cut}", ref, (second.tgt, out, slots))
-
-
-def _initial_slots(graph: Multigraph) -> Dict[int, Any]:
-    return raw_slots(graph, init_state(graph), graph.edges)
+    return first_divergence(graph, f"functor-split@{cut}", ref, (second.tgt, out, slots))
 
 
 # raw (output, new state) of a single-letter fast path at one worker
@@ -751,26 +727,19 @@ _FAST_PATHS = {
 def _check_fast_paths(program: Program, word: Word) -> Optional[Divergence]:
     """Single-letter fast paths must match the reference on that letter."""
     graph = program.graph
-    slots = _initial_slots(graph)
+    slots = initial_slots(graph)
     checked = 0
     items = program.raw_input(validate_word(graph, word).src)
     for n in word.letters:
         spec = graph.edges[n]
-        tgt, st = spec.tgt, spec.state_type
         expect, sigma_ref = map_letter(raw_step(spec, False), items, slots[n])
         fast = _FAST_PATHS.get(spec.kind)
         if fast is not None:
             got, sigma = fast(spec, items, slots[n])
-            if not (
-                len(got) == len(expect)
-                and all(map(equaler(tgt), got, expect))
-                and _same_state(equaler(st), st, sigma, sigma_ref)
-            ):
-                return Divergence(
-                    f"fastpath[{n}]", "output", spec.fn_name,
-                    repr((box_list(tgt, expect), box_state(sigma_ref, st))),
-                    repr((box_list(tgt, got), box_state(sigma, st))),
-                )
+            ref, run = (spec.tgt, expect, {n: sigma_ref}), (spec.tgt, got, {n: sigma})
+            div = first_divergence(graph, f"fastpath[{n}]", ref, run)
+            if div is not None:
+                return div
             checked += 1
         items, slots[n] = expect, sigma_ref
         if checked >= 2:
@@ -796,20 +765,19 @@ def _check_split_join(rng: Xorshift64Star) -> Optional[Divergence]:
 
 
 def _fuzz_trial(
-    program: Program, rng: Xorshift64Star, hint_rng: Xorshift64Star, index: int
+    program: Program, rng: Xorshift64Star, hint_rng: Xorshift64Star,
+    seen: Dict[tuple, bool], index: int,
 ) -> TrialReport:
     """``check_program`` of ``program`` once its hints hold, sampled from
-    ``hint_rng`` as ``verify_hints`` samples them; a violated hint fails the
-    trial with a ``hints`` divergence naming its thread."""
-    modes = ["hints"]
-    seen: Dict[tuple, bool] = {}
+    ``hint_rng`` with the fuzz run's ``seen`` verdicts; a violated hint
+    fails the trial with a ``hints`` divergence naming its thread."""
+    specs = program.graph.edges.values()
     try:
-        for spec in program.graph.edges.values():
-            if not verify_classification(spec, hint_rng, seen=seen):
-                div = Divergence("hints", "hint", f"thread {spec.id}", spec.kind.name, "violated")
-                break
-        else:
+        bad = next((s for s in specs if not verify_classification(s, hint_rng, seen=seen)), None)
+        if bad is None:
             return check_program(program, rng, index=index)
+        modes = ["hints"]
+        div = Divergence("hints", "hint", f"thread {bad.id}", bad.kind.name, "violated")
     except StcError as exc:
         modes, div = ["seq"], Divergence("harness", "error", "-", "result", repr(exc))
     return TrialReport(index, program_digest(program), modes, False, div, program_to_text(program))
@@ -821,19 +789,19 @@ def run_fuzz(cfg: FuzzConfig) -> EquivReport:
     Trial i checks the i-th program of ``program_stream`` and then the
     i-th of ``carrier_stream``; it passes when both do. Each stream has
     its own check rng; each program's hints are sampled, from a third rng,
-    before it is checked (``_fuzz_trial``). The suite stops at the first
-    failing trial."""
+    before it is checked (``_fuzz_trial``), each distinct claim once per
+    run. The suite stops at the first failing trial."""
     report = EquivReport()
     stream, carriers = program_stream(cfg), carrier_stream(cfg)
     rng = Xorshift64Star(cfg.seed ^ _SEED_FILL)
     carrier_rng = Xorshift64Star(cfg.seed ^ _CARRIER_SEED ^ _SEED_FILL)
-    hint_rng = Xorshift64Star(cfg.seed ^ _HINTS_SEED)
+    hint_rng, seen = Xorshift64Star(cfg.seed ^ _HINTS_SEED), {}
     for i in range(cfg.trials):
         program, carrier = next(stream), next(carriers)
         report.trials += 1
-        trial = _fuzz_trial(program, rng, hint_rng, i)
+        trial = _fuzz_trial(program, rng, hint_rng, seen, i)
         if trial.equal:
-            trial = _fuzz_trial(carrier, carrier_rng, hint_rng, i)
+            trial = _fuzz_trial(carrier, carrier_rng, hint_rng, seen, i)
         if not trial.equal:
             report.failures.append(trial)
             break

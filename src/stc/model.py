@@ -344,6 +344,11 @@ def init_state(graph: Multigraph) -> StateStore:
     return StateStore({n: spec.init_state for n, spec in graph.edges.items()})
 
 
+def initial_slots(graph: Multigraph) -> Dict[int, Any]:
+    """Every thread's declared initial state, raw (see ``unbox_state``)."""
+    return {n: unbox_state(spec.init_state, spec.state_type) for n, spec in graph.edges.items()}
+
+
 def raw_slots(graph: Multigraph, state: StateStore, letters) -> Dict[int, Any]:
     """The raw states of ``letters``' slots in ``state``."""
     return {n: unbox_state(state.get(n), graph.edges[n].state_type) for n in set(letters)}

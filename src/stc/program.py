@@ -42,7 +42,7 @@ from .composition import (
     validate_word,
 )
 from .errors import ParseError, SchemaError, ValidationError
-from .model import Multigraph, StateStore, boxed_store, build_graph
+from .model import Multigraph, StateStore, boxed_store, build_graph, initial_slots
 from .parallel import planner
 from .values import (
     INT64_MAX,
@@ -58,7 +58,6 @@ from .values import (
     boxer,
     parse_port,
     sum_of,
-    unbox_state,
 )
 
 
@@ -305,8 +304,7 @@ def run_raw(program: Program, mode: str, workers: int = 4, check: bool = False) 
         plan = planner(graph, word, check=check)(mode, workers)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    slots = {n: unbox_state(spec.init_state, spec.state_type) for n, spec in graph.edges.items()}
-    items, slots = plan.core(program.raw_input(plan.src), slots)
+    items, slots = plan.core(program.raw_input(plan.src), initial_slots(graph))
     return plan.tgt, items, slots
 
 
@@ -319,13 +317,8 @@ def run_program(
     """Evaluate a program under one of the four execution modes.
 
     Returns the output list and the final store, boxed."""
-    return boxed_result(program.graph, run_raw(program, mode, workers, check))
-
-
-def boxed_result(graph: Multigraph, result: RawResult) -> Tuple[Value, StateStore]:
-    """A ``run_raw`` result over ``graph`` in ``run_program``'s boxed form."""
-    tgt, items, slots = result
-    return box_list(tgt, items), boxed_store(graph, StateStore({}), slots)
+    tgt, items, slots = run_raw(program, mode, workers, check)
+    return box_list(tgt, items), boxed_store(program.graph, StateStore({}), slots)
 
 
 def _require(doc: Dict, key: str, path: str) -> Any:

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import astuple
 
 import pytest
 
 from stc import mutations, parse_program, smap_check, validate_word
+from stc.builtins import make_thread
 from stc.harness import (
     FuzzConfig,
     Xorshift64Star,
@@ -13,6 +16,7 @@ from stc.harness import (
     carrier_stream,
     check_program,
     edge_value,
+    first_divergence,
     gen_random_program,
     program_stream,
     random_port_type,
@@ -21,7 +25,9 @@ from stc.harness import (
     run_program,
     verify_hints,
 )
+from stc.model import build_graph
 from stc.program import program_digest, value_to_json
+from stc.values import FLOAT_T, INT_T, Inl, Inr, sum_of, v_int, v_str
 
 
 def test_xorshift_published_constants():
@@ -156,6 +162,125 @@ def test_split_join_divergence_is_reported_boxed(monkeypatch):
         "[inl(-99), inr(30), inr(-94), inr(-37), inr(-6), inl(-91), inr(-9)]:sum(int,int)"
     )
     assert div.actual == "[inl(-99), inr(30), inr(-94), inr(-37), inr(-6), inl(-91)]:sum(int,int)"
+
+
+_SLOTS = {1: 3, 2: "t", 3: None}
+_SUMS = sum_of(INT_T, INT_T)
+
+
+@pytest.mark.parametrize(
+    "ref,got,expect",
+    [
+        ((FLOAT_T, [1.5, 0.0], _SLOTS), (FLOAT_T, [1.5, -0.0], _SLOTS),
+         ("output", "index 1", "0.0", "-0.0")),
+        ((FLOAT_T, [math.nan], _SLOTS), (FLOAT_T, [float("nan")], _SLOTS), None),
+        ((_SUMS, [Inl(1), Inr(2)], _SLOTS), (_SUMS, [Inl(1), Inl(2)], _SLOTS),
+         ("output", "index 1", "inr(2)", "inl(2)")),
+        ((INT_T, [1, 2], _SLOTS), (INT_T, [1, 3], {**_SLOTS, 1: 4, 2: "u"}),
+         ("output", "index 1", "2", "3")),
+        ((INT_T, [1], _SLOTS), (INT_T, [1], {**_SLOTS, 1: v_str("x")}),
+         ("state", "slot 1", "3", "'x'")),
+        ((INT_T, [1], _SLOTS), (INT_T, [1], {**_SLOTS, 3: v_int(2)}),
+         ("state", "slot 3", "unit", "2")),
+        ((INT_T, [1], {**_SLOTS, 1: v_str("x")}), (INT_T, [1], {**_SLOTS, 1: v_str("x")}), None),
+        ((INT_T, [1], {3: None, 2: "t", 1: 3}), (INT_T, [1], {3: None, 2: "u", 1: 4}),
+         ("state", "slot 1", "3", "4")),
+        ((INT_T, [1, 2], _SLOTS), (INT_T, [1], {**_SLOTS, 1: 4}), ("length", "output", "2", "1")),
+    ],
+    ids=["zero-sign", "nan", "sum", "first-index", "ill-typed-state", "ill-typed-unit",
+         "ill-typed-equal", "first-slot", "length"],
+)
+def test_first_divergence_text_on_raw_results(ref, got, expect):
+    # raw results are compared raw, and only the two reported values are
+    # boxed: the text is what the boxed comparison printed on the boxed
+    # results. The output is compared before the state, the state slot by
+    # slot in id order, and a state that does not inhabit its type (a
+    # Value of another type) is compared and printed as that Value.
+    threads = (make_thread(1, "counter_add"), make_thread(2, "append_tag"))
+    graph = build_graph(*threads, make_thread(3, "branch_even"))
+    div = first_divergence(graph, "m", ref, got)
+    assert (div and astuple(div)) == (expect and ("m", *expect))
+
+
+_FAST_DOC = {
+    "threads": [
+        {"id": 1, "fn": "counter_add"},
+        {"id": 2, "fn": "scale_by_state", "init_state": 3},
+        {"id": 3, "fn": "add1_tick"},
+    ],
+    "word": [1, 2, 3],
+    "input": [1, 2, 3, 4, 5],
+    "input_type": "int",
+}
+
+
+@pytest.mark.parametrize(
+    "fault,expect",
+    [
+        (lambda out, sigma: (out[:-1], sigma), ("fastpath[2]", "length", "output", "5", "4")),
+        (lambda out, sigma: (out, sigma + 1), ("fastpath[2]", "state", "slot 2", "3", "4")),
+    ],
+    ids=["element-dropped", "state-bumped"],
+)
+def test_fast_path_divergence_is_located(monkeypatch, fault, expect):
+    # a wrong fast path is located as any run is: by the first differing
+    # length, index or state slot of its one letter (2, the first
+    # read-only letter of the word)
+    from stc import harness
+
+    fast = {
+        kind: lambda spec, items, sigma, run=run: fault(*run(spec, items, sigma))
+        for kind, run in harness._FAST_PATHS.items()
+    }
+    monkeypatch.setattr(harness, "_FAST_PATHS", fast)
+    report = check_program(parse_program(json.dumps(_FAST_DOC)), Xorshift64Star(1))
+    assert not report.equal and astuple(report.divergence) == expect
+
+
+def test_functor_split_divergence_is_located(monkeypatch):
+    # a half that drops its first letter's state update leaves that slot
+    # at its initial state; the rows pass, so the functor split, cut
+    # where the check rng's first draw says, reports the slot
+    from stc import harness
+    from stc.composition import Plan
+
+    real = harness.plan_psi
+
+    def dropping(graph, shape, check=False):
+        plan = real(graph, shape, check)
+
+        def core(items, slots):
+            before = dict(slots)
+            out, after = plan.core(items, slots)
+            return out, {**after, **{n: before[n] for n in plan.letters[:1]}}
+
+        return Plan(plan.letters, plan.src, plan.tgt, core)
+
+    monkeypatch.setattr(harness, "plan_psi", dropping)
+    cut = Xorshift64Star(1).below(4)
+    report = check_program(parse_program(json.dumps(_FAST_DOC)), Xorshift64Star(1))
+    assert astuple(report.divergence) == (f"functor-split@{cut}", "state", "slot 1", "5", "0")
+
+
+def test_fuzz_samples_each_claim_once_per_run(monkeypatch):
+    # one fuzz run shares its hint verdicts: a claim is sampled, and its
+    # kernel looked up, the first time a thread makes it and never again
+    from stc import harness
+    from stc.model import StageKind, builtin_claim
+
+    calls = []
+    real = harness.kernel_of
+    monkeypatch.setattr(harness, "kernel_of", lambda fn: calls.append(fn) or real(fn))
+    cfg = FuzzConfig(seed=1, trials=20)
+    assert run_fuzz(cfg).ok
+    claims = {
+        (builtin_claim(spec), spec.kind)
+        for stream in (program_stream, carrier_stream)
+        for _, p in zip(range(cfg.trials), stream(cfg))
+        for spec in p.graph.edges.values()
+        if spec.kind is not StageKind.GENERAL
+    }
+    assert len(calls) == len(claims)
 
 
 def test_corpus_words_validate():
