@@ -18,14 +18,16 @@ output list and the final state store:
 * the pipeline executor at 1, 2, 4 and 8 workers (``WORKERS_COUNTS``),
   with the last run twice to expose scheduling nondeterminism,
 
-plus word-split functor checks, split/join round trips, and single-letter
-fast-path comparisons. ``check_program`` makes every one of those runs in
-one pass, with ``check`` on or off for all of them alike: ``stc check
-<file>`` runs them checked and prints its table from the result, the
-fuzzer runs them unchecked. The runs return raw results (as ``run_raw``
-does); ``first_divergence`` compares every row, functor split and fast
-path with ``values.equaler`` over the output and every state slot, and
-only the two values a row reports are boxed. The ``pipeline`` and
+plus word-split functor checks and split/join round trips.
+``check_program`` makes every one of those runs in one pass, with
+``check`` on or off for all of them alike: ``stc check <file>`` runs them
+checked and prints its table from the result, the fuzzer runs them
+unchecked. The runs return raw results (as ``run_raw`` does);
+``first_divergence`` compares every row and functor split with
+``values.equaler`` over the output and every state slot, and only the two
+values a row reports are boxed. The public fast paths
+(``run_data_parallel_*``) are ``auto`` on a one-letter word, so the
+``auto`` rows run what they run. The ``pipeline`` and
 ``auto`` rows share one validation and segmentation of the shape
 (``parallel.planner``) and one plan per row.
 The runs of one check share a ``parallel.Crew``, so the threaded runs
@@ -35,8 +37,8 @@ them are joined before the check returns.
 Executors start threads only for blocking stages, so the ``pipeline`` and
 ``auto`` rows plan a copy of the graph whose threads are all marked
 blocking (``_all_blocking``): with more than one worker it is cut into
-threaded groups and chunks as the workers allow, where ``stc run`` keeps a
-CPU-only program on one thread.
+threaded groups and replicas as the workers allow, where ``stc run`` keeps
+a CPU-only program on one thread.
 
 Classification hints are spot-checked by sampling only where there is a
 claim to test: READ_ONLY and PRODUCT threads get 200 random (element,
@@ -81,7 +83,6 @@ from .composition import (
     Word,
     _join,
     _split,
-    map_letter,
     plan_interleaved,
     plan_psi,
     smap_check,
@@ -97,11 +98,10 @@ from .model import (
     initial_slots,
     kernel_of,
     raw_state_part,
-    raw_step,
     raw_transfer,
     raw_value_part,
 )
-from .parallel import Crew, _product_map, _readonly_map, planner
+from .parallel import Crew, planner
 # ``run_program`` stays importable from here: the traced benchmark
 # (``perfbench/layers.py``) wraps it by name
 from .program import (  # noqa: F401
@@ -673,23 +673,24 @@ def check_program(
             if div is not None:
                 return fail(div)
 
-    word = None if program.is_branch else program.word
-    if word is not None and word.letters:
-        div = _check_functor_split(program, word, ref, rng) or _check_fast_paths(program, word)
+    modes.append("functor")
+    if not program.is_branch and program.word.letters:
+        div = _check_functor_split(program, program.word, ref, rng)
         if div is not None:
             return fail(div)
 
+    modes.append("split-join")
     div = _check_split_join(rng)
     if div is not None:
         return fail(div)
 
-    return TrialReport(index, digest, modes + ["functor", "split-join"], True)
+    return TrialReport(index, digest, modes, True)
 
 
 def _all_blocking(program: Program) -> Program:
     """``program`` with every thread marked blocking. Executors start
     threads only for blocking stages, so the rows with more than one
-    worker run this copy: it is cut into as many groups and chunks as the
+    worker run this copy: it is cut into as many groups and replicas as the
     workers allow, and keeps channels, drains and per-group state under
     test whatever the program's delays."""
     graph = program.graph
@@ -713,38 +714,6 @@ def _check_functor_split(
     mid, slots = first.core(program.raw_input(first.src), initial_slots(graph))
     out, slots = second.core(mid, slots)
     return first_divergence(graph, f"functor-split@{cut}", ref, (second.tgt, out, slots))
-
-
-# raw (output, new state) of a single-letter fast path at one worker
-_FAST_PATHS = {
-    StageKind.READ_ONLY: lambda spec, items, sigma: (
-        _readonly_map(spec, items, sigma, 1, False), sigma
-    ),
-    StageKind.PRODUCT: lambda spec, items, sigma: _product_map(spec, items, sigma, 1, False),
-}
-
-
-def _check_fast_paths(program: Program, word: Word) -> Optional[Divergence]:
-    """Single-letter fast paths must match the reference on that letter."""
-    graph = program.graph
-    slots = initial_slots(graph)
-    checked = 0
-    items = program.raw_input(validate_word(graph, word).src)
-    for n in word.letters:
-        spec = graph.edges[n]
-        expect, sigma_ref = map_letter(raw_step(spec, False), items, slots[n])
-        fast = _FAST_PATHS.get(spec.kind)
-        if fast is not None:
-            got, sigma = fast(spec, items, slots[n])
-            ref, run = (spec.tgt, expect, {n: sigma_ref}), (spec.tgt, got, {n: sigma})
-            div = first_divergence(graph, f"fastpath[{n}]", ref, run)
-            if div is not None:
-                return div
-            checked += 1
-        items, slots[n] = expect, sigma_ref
-        if checked >= 2:
-            break
-    return None
 
 
 _SUM_LIST = list_of(sum_of(INT_T, INT_T))

@@ -1,8 +1,9 @@
 """Parallel executors: one threaded stream core, run as ``pipeline`` and
-as ``auto``, and the data-parallel fast paths. The shapes, the
-coproduct's ``split`` and ``join`` and the reference evaluators live in
-``composition``; this module re-exports ``BranchProgram``,
-``validate_branch``, ``split``, ``join`` and the references' branch names.
+as ``auto``; the data-parallel fast paths are ``auto`` on a one-letter
+word. The shapes, the coproduct's ``split`` and ``join`` and the
+reference evaluators live in ``composition``; this module re-exports
+``BranchProgram``, ``validate_branch``, ``split``, ``join`` and the
+references' branch names.
 
 Every executor agrees bit-exactly with ``eval_psi_ref`` on the output list
 and the final state store, by structure, not luck:
@@ -54,8 +55,9 @@ and the final state store, by structure, not luck:
   and no thread starts after it.
 
 Executors run on raw values (see ``values``) and box only at the public
-functions' edges (``composition.run_boxed``). The five planted faults of
-``mutations`` live here only, each at an edge of the plan:
+functions' edges (``composition.run_boxed``, ``_one_letter``). The five
+planted faults of ``mutations`` live here only, each at an edge of the
+plan:
 
 * ``stage-order-swapped``: ``_cut`` swaps a word's first two letters;
 * ``state-update-dropped``: every step ``_stream_plan`` makes drops its
@@ -106,6 +108,7 @@ from .model import (
     StageKind,
     StateStore,
     ThreadSpec,
+    build_graph,
     ill_typed,
     raw_state_part,
     raw_step,
@@ -123,7 +126,7 @@ _REPLICA_ELEMENTS = 8
 
 # The most workers a run may ask for. Each worker past the first may be
 # a thread, so a bound keeps hostile input away from the OS thread limit;
-# under the GIL more threads than blocking stages or chunks gain nothing.
+# under the GIL more threads than blocking lanes gain nothing.
 MAX_WORKERS = 64
 
 
@@ -133,14 +136,10 @@ def run_data_parallel_readonly(
     """Map a read-only thread over a list; the state passes through.
 
     Every element sees the same state value, so the map is order
-    independent and may fan out across ``workers`` threads.
-    """
+    independent, and a blocking letter may run as ``auto``'s replicas."""
     if spec.kind is not StageKind.READ_ONLY:
         raise ValidationError(f"thread {spec.id} is not read-only")
-    items = unbox_input(xs, spec.src)
-    sigma_raw = unbox_state(sigma, spec.state_type)
-    out = _readonly_map(spec, items, sigma_raw, _positive(workers), check)
-    return box_list(spec.tgt, out), sigma
+    return _one_letter(spec, xs, sigma, workers, check)
 
 
 def run_data_parallel_product(
@@ -151,41 +150,18 @@ def run_data_parallel_product(
     reads the elements, so the two halves are independent."""
     if spec.kind is not StageKind.PRODUCT:
         raise ValidationError(f"thread {spec.id} is not a product thread")
-    items = unbox_input(xs, spec.src)
-    sigma_raw = unbox_state(sigma, spec.state_type)
-    out, state = _product_map(spec, items, sigma_raw, _positive(workers), check)
-    return box_list(spec.tgt, out), box_state(state, spec.state_type)
+    return _one_letter(spec, xs, sigma, workers, check)
 
 
-def _readonly_map(
-    spec: ThreadSpec, items: Sequence[Any], sigma: Any, workers: int, check: bool
-) -> List[Any]:
-    step = raw_step(spec, check)
-    return _fission(lambda v: step(v, sigma)[0], items, workers)
-
-
-def _product_map(
-    spec: ThreadSpec, items: Sequence[Any], sigma: Any, workers: int, check: bool
-) -> Tuple[List[Any], Any]:
-    out = _fission(_value_part(spec, check), items, workers)
-    return out, _product_state(spec, sigma, len(out), check)
-
-
-def _value_part(spec: ThreadSpec, check: bool) -> Callable[[Any], Any]:
-    """A PRODUCT letter's raw value part; with ``check`` it conforms the
-    output to its port type."""
-    part = raw_value_part(spec)
-    if not check:
-        return part
-    ok = conformer(spec.tgt)
-
-    def checked(x: Any) -> Any:
-        y = part(x)
-        if not ok(y):
-            raise ill_typed(spec, "output", y, spec.tgt)
-        return y
-
-    return checked
+def _one_letter(
+    spec: ThreadSpec, xs: Value, sigma: Value, workers: int, check: bool
+) -> Tuple[Value, Value]:
+    """``spec``'s one-letter word run as ``auto`` from state ``sigma``,
+    the list and the slot boxed at the edge."""
+    plan = plan_auto(build_graph(spec), Word((spec.id,)), workers, check)
+    slots = {spec.id: unbox_state(sigma, spec.state_type)}
+    items, slots = plan.core(unbox_input(xs, plan.src), slots)
+    return box_list(plan.tgt, items), box_state(slots[spec.id], spec.state_type)
 
 
 def _product_state(spec: ThreadSpec, sigma: Any, times: int, check: bool) -> Any:
@@ -199,32 +175,6 @@ def _product_state(spec: ThreadSpec, sigma: Any, times: int, check: bool) -> Any
         if check and not ok(sigma):
             raise ill_typed(spec, "new state", sigma, spec.state_type)
     return sigma
-
-
-def _fission(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> List[Any]:
-    """``[fn(v) for v in items]`` split into ``min(workers, len(items))``
-    contiguous chunks, chunk 0 on the calling thread, concatenated in
-    order. Sound only because ``fn`` reads no state that changes.
-
-    A failing chunk re-raises its original exception; when several fail,
-    the first chunk's wins, so the error does not depend on scheduling.
-    A chunk thread that cannot start raises ``ExecutionError``.
-    """
-    k = min(workers, len(items))
-    if k <= 1:
-        return list(map(fn, items))
-    cuts = [len(items) * c // k for c in range(k + 1)]
-    chunks: List[List[Any]] = [[] for _ in range(k)]
-    failed: List[Optional[BaseException]] = [None] * k
-
-    def run(c: int) -> None:
-        try:
-            chunks[c] = list(map(fn, items[cuts[c]:cuts[c + 1]]))
-        except BaseException as exc:  # re-raised by _launch
-            failed[c] = exc
-
-    _launch(run, failed)
-    return [y for chunk in chunks for y in chunk]
 
 
 class Crew:
@@ -323,18 +273,19 @@ class _Channel:
 
 def _launch(
     run: Callable[[int], None], failed: List[Optional[BaseException]],
-    outboxes: Sequence[Sequence[_Channel]] = (),
+    outboxes: Sequence[Sequence[_Channel]],
 ) -> None:
-    """Run tasks ``0..len(failed) - 1``: task 0 on the calling thread and
-    every other on a thread of the calling thread's ``Crew``, handed out
-    from the last to the first. ``run(i)`` records its exception in
-    ``failed[i]`` and never raises; once every task has run, the earliest
-    task's exception is re-raised.
+    """Run ``_stream``'s lanes ``0..len(failed) - 1``: lane 0 on the calling
+    thread, every other on a thread of the calling thread's ``Crew``, handed
+    out from the last to the first. ``run(i)`` records its exception in
+    ``failed[i]`` and never raises; once every lane has run, the earliest
+    lane's exception is re-raised.
 
-    If the thread for task ``i`` cannot start, no task up to ``i`` runs:
-    each of their ``outboxes`` gets the ``None`` sentinel, so the started
-    tasks see their input end; the started tasks are waited for, and the
-    failure is raised as ``ExecutionError``."""
+    If the thread for lane ``i`` cannot start, no lane up to ``i`` runs:
+    each of their ``outboxes``, lane ``j``'s output channels, gets the
+    ``None`` sentinel, so the started lanes see their input end; the
+    started lanes are waited for, and the failure is raised as
+    ``ExecutionError``."""
     scoped = getattr(_scope, "crew", None)
     crew = scoped if scoped is not None else Crew()
     handed = []
@@ -393,11 +344,22 @@ def _replica_step(spec: ThreadSpec, check: bool) -> RawStep:
     """What a replica runs for a letter: a READ_ONLY letter's state passes
     through; a PRODUCT letter runs its value part, and its slot counts the
     elements, so that its state part runs once per element after the
-    stream (``_product_state``)."""
+    stream (``_product_state``); with ``check`` the value part's output is
+    conformed to its port type."""
     if spec.kind is StageKind.READ_ONLY:
         return _state_kept(raw_step(spec, check))
-    part = _value_part(spec, check)
-    return lambda v, count: (part(v), count + 1)
+    part = raw_value_part(spec)
+    if not check:
+        return lambda v, count: (part(v), count + 1)
+    ok = conformer(spec.tgt)
+
+    def checked(v: Any, count: int) -> Tuple[Any, int]:
+        y = part(v)
+        if not ok(y):
+            raise ill_typed(spec, "output", y, spec.tgt)
+        return y, count + 1
+
+    return checked
 
 
 class _Stage:

@@ -214,29 +214,6 @@ _FAST_DOC = {
 }
 
 
-@pytest.mark.parametrize(
-    "fault,expect",
-    [
-        (lambda out, sigma: (out[:-1], sigma), ("fastpath[2]", "length", "output", "5", "4")),
-        (lambda out, sigma: (out, sigma + 1), ("fastpath[2]", "state", "slot 2", "3", "4")),
-    ],
-    ids=["element-dropped", "state-bumped"],
-)
-def test_fast_path_divergence_is_located(monkeypatch, fault, expect):
-    # a wrong fast path is located as any run is: by the first differing
-    # length, index or state slot of its one letter (2, the first
-    # read-only letter of the word)
-    from stc import harness
-
-    fast = {
-        kind: lambda spec, items, sigma, run=run: fault(*run(spec, items, sigma))
-        for kind, run in harness._FAST_PATHS.items()
-    }
-    monkeypatch.setattr(harness, "_FAST_PATHS", fast)
-    report = check_program(parse_program(json.dumps(_FAST_DOC)), Xorshift64Star(1))
-    assert not report.equal and astuple(report.divergence) == expect
-
-
 def test_functor_split_divergence_is_located(monkeypatch):
     # a half that drops its first letter's state update leaves that slot
     # at its initial state; the rows pass, so the functor split, cut
@@ -260,6 +237,7 @@ def test_functor_split_divergence_is_located(monkeypatch):
     cut = Xorshift64Star(1).below(4)
     report = check_program(parse_program(json.dumps(_FAST_DOC)), Xorshift64Star(1))
     assert astuple(report.divergence) == (f"functor-split@{cut}", "state", "slot 1", "5", "0")
+    assert report.modes[-1] == "functor"
 
 
 def test_fuzz_samples_each_claim_once_per_run(monkeypatch):

@@ -6,7 +6,7 @@ import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from functools import partial
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 
@@ -135,15 +135,27 @@ def test_readonly_fast_path_rejects_general():
         run_data_parallel_readonly(make_thread(1, "counter_add"), int_list(1), v_int(0))
 
 
+# the fast paths' worker counts, lengths and blocking hints: a blocking
+# letter over 16 or more elements runs one replica per 8 elements, at most
+# one per worker, the first on the calling thread; else no thread starts
+_FAST_CASES = list(product((False, True), (0, 1, 15, 16, 17, 40), (1, 2, 4, 8)))
+
+
+def _fast_threads(blocking, n, workers):
+    return min(workers, n // 8) - 1 if blocking and workers > 1 and n >= 16 else 0
+
+
 def test_readonly_matches_reference(rng):
-    spec = make_thread(1, "scale_by_state", v_int(5))
-    graph = build_graph(spec)
-    for _ in range(30):
-        xs = int_list(*(rng.below(2001) - 1000 for _ in range(rng.below(20))))
+    base = make_thread(1, "scale_by_state", v_int(5))
+    for blocking, n, workers in _FAST_CASES:
+        spec = replace(base, blocking=blocking)
+        graph = build_graph(spec)
+        xs = int_list(*(rng.below(2001) - 1000 for _ in range(n)))
         expect, st = eval_psi_ref(graph, Word((1,)), xs, init_state(graph))
-        for workers in (1, 4):
+        with _thread_starts() as started:
             got, sigma = run_data_parallel_readonly(spec, xs, v_int(5), workers)
-            assert got == expect and sigma == st.get(1)
+        assert got == expect and sigma == st.get(1)
+        assert len(started) == _fast_threads(blocking, n, workers), (blocking, n, workers)
 
 
 def test_product_fast_path():
@@ -160,13 +172,16 @@ def test_product_fast_path_empty():
 
 
 def test_product_matches_reference_and_iterated_update(rng):
-    spec = make_thread(1, "add1_tick", v_int(0))
-    graph = build_graph(spec)
-    for _ in range(30):
-        xs = int_list(*(rng.below(2001) - 1000 for _ in range(rng.below(20))))
+    base = make_thread(1, "add1_tick", v_int(0))
+    for blocking, n, workers in _FAST_CASES:
+        spec = replace(base, blocking=blocking)
+        graph = build_graph(spec)
+        xs = int_list(*(rng.below(2001) - 1000 for _ in range(n)))
         expect, st = eval_psi_ref(graph, Word((1,)), xs, init_state(graph))
-        got, sigma = run_data_parallel_product(spec, xs, v_int(0))
+        with _thread_starts() as started:
+            got, sigma = run_data_parallel_product(spec, xs, v_int(0), workers)
         assert got == expect and sigma == st.get(1)
+        assert len(started) == _fast_threads(blocking, n, workers), (blocking, n, workers)
         state = v_int(0)
         for _ in range(len(xs.payload)):
             state = spec.state_part(state)
@@ -400,22 +415,25 @@ def test_stream_core_over_tiny_lists(widths, n):
     ]
 
 
-def test_fission_chunk_failure_reraises_original():
+def test_fast_path_replica_failure_raises_the_rerun_exception():
+    # 20 elements allow two replicas; 13 fails in the second, on a thread.
+    # The stream then runs once more by the reference route, which fails
+    # on 13 again and raises that exception, eval_psi_ref's
     base = make_thread(1, "scale_by_state", v_int(3))
     raised = []
 
     def transfer(x, sigma):
         if x.payload == 13:
-            raised.append(Boom("chunk 2"))
+            raised.append(Boom("on 13"))
             raise raised[-1]
         return base.transfer(x, sigma)
 
-    spec = replace(base, transfer=transfer)
+    spec = replace(base, transfer=transfer, blocking=True)
     before = threading.active_count()
     err = _raised_within(
         lambda: run_data_parallel_readonly(spec, int_list(*range(20)), v_int(3), workers=4)
     )
-    assert err is raised[0]
+    assert len(raised) == 2 and err is raised[-1]
     assert threading.active_count() == before
 
 
@@ -569,11 +587,12 @@ def test_auto_threads_only_for_blocking_stages():
         with _thread_starts() as started:
             assert eval_auto_word(graph, word, xs, init_state(graph), workers=4) == expect
         assert len(started) == threads, (word, n)
-    # the public fast paths keep their explicit worker count
+    # a public fast path is auto on its one letter: no thread when it does
+    # not block
     spec = graph.edges[1]
     with _thread_starts() as started:
         run_data_parallel_readonly(spec, xs, spec.init_state, workers=4)
-    assert len(started) == 3
+    assert len(started) == 0
 
 
 # --- split / join -------------------------------------------------------------

@@ -305,10 +305,13 @@ def test_ill_typed_state_is_kept_as_given_unchecked():
         out, st = fn(graph, Word((1,)), v_list(INT_T, [v_int(7)]), init_state(graph))
         assert out == v_list(INT_T, [v_int(7)])
         assert st.get(1) == v_str("bad")  # never boxed under the int tag
+    # a blocking product letter's replicas, two over 16 elements, leave its
+    # state part to run once per element after the stream
     tick = make_thread(2, "add1_tick", v_int(0))
-    tick = replace(tick, state_part=lambda sigma: v_str("bad"))
-    out, sigma = run_data_parallel_product(tick, v_list(INT_T, [v_int(7)]), v_int(0))
-    assert out == v_list(INT_T, [v_int(8)]) and sigma == v_str("bad")
+    tick = replace(tick, state_part=lambda sigma: v_str("bad"), blocking=True)
+    xs = v_list(INT_T, [v_int(n) for n in range(16)])
+    out, sigma = run_data_parallel_product(tick, xs, v_int(0), workers=2)
+    assert out == v_list(INT_T, [v_int(n + 1) for n in range(16)]) and sigma == v_str("bad")
 
 
 # --- hint sampling --------------------------------------------------------------
