@@ -48,13 +48,6 @@ from .model import (
     is_acyclic,
     register_thread,
 )
-from .parallel import (
-    eval_auto_word,
-    run_data_parallel_product,
-    run_data_parallel_readonly,
-    run_pipeline,
-    run_task_parallel_branch,
-)
 from .program import (
     Program,
     export_dot,
@@ -90,14 +83,19 @@ from .values import (
 
 __version__ = "0.1.0"
 
-# The fuzzer and check harness load on first use, so that `stc run` and
-# other importers of the engine alone never compile them.
+# The fuzzer and check harness, and the threaded executors, load on first
+# use: `stc run` and other importers of the engine alone never compile the
+# harness, and `seq` and `interleaved` never load threads.
 _HARNESS = ("FuzzConfig", "Xorshift64Star", "gen_random_program", "run_fuzz")
+_THREADED = ("eval_auto_word", "run_data_parallel_product", "run_data_parallel_readonly",
+             "run_pipeline", "run_task_parallel_branch")
 
 
 def __getattr__(name: str):
     if name in _HARNESS:
-        from . import harness
-
-        return getattr(harness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from . import harness as module
+    elif name in _THREADED:
+        from . import parallel as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

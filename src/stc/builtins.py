@@ -222,7 +222,16 @@ def make_thread(
     must inhabit the builtin's state type.
     """
     params = dict(params or {})
-    parts, kind, transfer, value_part, state_part = instance(fn_name, params)
+    return thread_of(instance(fn_name, params), thread_id, fn_name, init_state, params)
+
+
+def thread_of(
+    made: tuple, thread_id: int, fn_name: str, init_state: Optional[Value],
+    params: Mapping[str, Any],
+) -> ThreadSpec:
+    """``make_thread`` from ``made``, the ``instance(fn_name, params)`` its
+    caller already holds; the thread keeps ``params`` as given."""
+    parts, kind, transfer, value_part, state_part = made
     init = parts.default_init if init_state is None else init_state
     if not init.matches(parts.state_type):
         raise SchemaError(

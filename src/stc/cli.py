@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import mutations
 from .builtins import make_thread
-from .composition import Word
+from .composition import MODES, Word, planner
 from .errors import ExecutionError, StcError, ValidationError
 from .model import build_graph
 from .program import (
@@ -41,7 +41,6 @@ from .program import (
 )
 from .values import INT_T, v_int, v_list
 
-MODES = ("seq", "interleaved", "pipeline", "auto")
 BENCH_REPEATS = 5
 
 
@@ -127,8 +126,6 @@ def _print_check_table(program: Program, trial, hints_ok: bool = True) -> None:
 
 def cmd_bench(args) -> int:
     """Median wall time of a delay-stage chain, sequential vs pipelined."""
-    from .parallel import plan_pipeline
-
     specs = [
         make_thread(i, "delay_identity_ms", params={"delay_ms": args.delay_ms})
         for i in range(1, args.stages + 1)
@@ -137,7 +134,7 @@ def cmd_bench(args) -> int:
     word = Word(tuple(range(1, args.stages + 1)))
     xs = v_list(INT_T, [v_int(i) for i in range(args.list_len)])
     program = Program(graph, word, xs, INT_T)
-    plan_pipeline(graph, word, workers=args.workers)  # a bad --workers fails before any output
+    planner(graph, word)("pipeline", args.workers)  # a bad --workers fails before any output
     print("mode,stages,list_len,delay_ms,wall_ms")
     for mode in ("seq", "pipeline"):
         times = []

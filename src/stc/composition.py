@@ -34,20 +34,21 @@ branch names. Both walk a ``Route``, the steps of every part, built once
 per plan: ``run_route`` maps a list through it, ``route_element`` one
 element.
 
-Each public evaluator takes and returns boxed values. Its ``plan_*``
-function validates and returns a ``Plan``: the letters whose slots it
-uses, the source and target types, and a raw core
-``core(items, slots) -> (items, slots)`` over raw elements and a
-``{thread id: raw state}`` dict the core may update in place.
-``run_boxed`` unboxes the input list and those slots once, runs the core
-and boxes the result once; ``stc run`` runs the same plans without
-boxing at all.
+Every evaluator plans through ``planner``, the one place a mode becomes
+an executor: it validates a shape once and plans it in any of ``MODES``
+as a ``Plan``, the letters whose slots it uses, the source and target
+types and a raw core ``core(items, slots) -> (items, slots)`` over raw
+elements and a ``{thread id: raw state}`` dict it may update in place.
+``pipeline`` and ``auto`` take their core from ``parallel``, loaded on
+the first threaded plan. ``run_boxed``, the one boxed edge, unboxes the
+input list and the plan's slots once, runs the core and boxes the result
+once; ``stc run`` and ``stc check`` run the same plans on raw values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -272,8 +273,8 @@ class Plan:
 def run_boxed(
     graph: Multigraph, xs: Value, state: StateStore, plan: Plan
 ) -> Tuple[Value, StateStore]:
-    """The edge of every list evaluator: unbox ``xs`` and the slots of the
-    plan's letters, run its core on raw values, box the result."""
+    """The one boxed edge, of every list evaluator and fast path: unbox
+    ``xs`` and the slots of the plan's letters, run its core, box the result."""
     items, slots = plan.core(unbox_input(xs, plan.src), raw_slots(graph, state, plan.letters))
     return box_list(plan.tgt, items), boxed_store(graph, state, slots)
 
@@ -432,20 +433,51 @@ def _interleaved(route: Route, items: Sequence[Any], slots: Slots) -> Tuple[List
     return [route_element(route, slots, v) for v in items], slots
 
 
-def plan_psi(graph: Multigraph, shape: Shape, check: bool = False) -> Plan:
-    src, tgt = endpoints(graph, shape)
-    return Plan(shape.letters, src, tgt, partial(_psi, route_of(graph, parts(shape), check)))
+# the four ways to run a shape, every one planned by ``planner``
+MODES = ("seq", "interleaved", "pipeline", "auto")
 
 
-def plan_interleaved(graph: Multigraph, shape: Shape, check: bool = False) -> Plan:
-    # a branch's repeats are rejected by ``validate_branch``, after its paths
-    if isinstance(shape, Word):
-        repeated = smap_check(shape)
-        if repeated:
-            raise RepeatedLetter(min(repeated))
-    src, tgt = endpoints(graph, shape)
-    route = route_of(graph, parts(shape), check)
-    return Plan(shape.letters, src, tgt, partial(_interleaved, route))
+@lru_cache(maxsize=None)
+def _stream_planner() -> Callable:
+    """``parallel.stream_planner``, imported on the first threaded plan."""
+    from .parallel import stream_planner
+
+    return stream_planner
+
+
+def planner(
+    graph: Multigraph, shape: Shape, capacity: int = 16, check: bool = False
+) -> Callable[..., Plan]:
+    """The one place a mode becomes an executor: ``plan(mode, workers=1)``
+    plans ``shape`` in one of ``MODES``, else raises ``ValueError``. The
+    first plan validates the shape and builds its reference route, which
+    ``seq``, ``interleaved`` and the threadless stream share; ``pipeline``
+    and ``auto`` take their core from ``parallel.stream_planner``, which
+    alone checks ``workers``. ``interleaved`` rejects a word's repeated
+    letter before its path is checked."""
+    src = tgt = route = streams = None
+
+    def plan(mode: str, workers: int = 1) -> Plan:
+        nonlocal src, tgt, route, streams
+        if mode == "interleaved" and isinstance(shape, Word):
+            # a branch's repeats are rejected by ``validate_branch``, after its paths
+            repeated = smap_check(shape)
+            if repeated:
+                raise RepeatedLetter(min(repeated))
+        if route is None:
+            src, tgt = endpoints(graph, shape)
+            route = route_of(graph, parts(shape), check)
+        if mode == "seq" or mode == "interleaved":
+            core = partial(_psi if mode == "seq" else _interleaved, route)
+        elif mode == "pipeline" or mode == "auto":
+            if streams is None:
+                streams = _stream_planner()(graph, shape, route, capacity, check)
+            core = streams(mode, workers)
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        return Plan(shape.letters, src, tgt, core)
+
+    return plan
 
 
 def eval_psi_ref(
@@ -458,7 +490,7 @@ def eval_psi_ref(
     A branch program runs its producer, splits, runs the left side and
     then the right one, joins by the recorded flags and runs its consumer.
     """
-    return run_boxed(graph, xs, state, plan_psi(graph, word, check))
+    return run_boxed(graph, xs, state, planner(graph, word, check=check)("seq"))
 
 
 def eval_interleaved(
@@ -476,7 +508,7 @@ def eval_interleaved(
     this is defined on every valid branch, since ``validate_branch``
     rejects a letter that repeats anywhere in the four words.
     """
-    return run_boxed(graph, xs, state, plan_interleaved(graph, word, check))
+    return run_boxed(graph, xs, state, planner(graph, word, check=check)("interleaved"))
 
 
 # the branch names of the two list evaluators

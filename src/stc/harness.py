@@ -22,23 +22,23 @@ plus word-split functor checks and split/join round trips.
 ``check_program`` makes every one of those runs in one pass, with
 ``check`` on or off for all of them alike: ``stc check <file>`` runs them
 checked and prints its table from the result, the fuzzer runs them
-unchecked. The runs return raw results (as ``run_raw`` does);
-``first_divergence`` compares every row and functor split with
-``values.equaler`` over the output and every state slot, and only the two
-values a row reports are boxed. The public fast paths
-(``run_data_parallel_*``) are ``auto`` on a one-letter word, so the
-``auto`` rows run what they run. The ``pipeline`` and
-``auto`` rows share one validation and segmentation of the shape
-(``parallel.planner``) and one plan per row.
-The runs of one check share a ``parallel.Crew``, so the threaded runs
-reuse the stage threads that the runs before them started, and all of
-them are joined before the check returns.
+unchecked. One ``composition.planner`` validates and segments the shape
+once and plans the reference and every row, one plan per row; each
+functor-split half is planned as ``seq`` over the same graph. The runs
+return raw results (as ``run_raw`` does); ``first_divergence`` compares
+each with the reference by ``values.equaler`` over the output and every
+state slot, and only the two values a row reports are boxed. The public
+fast paths (``run_data_parallel_*``) are ``auto`` on a one-letter word, so
+the ``auto`` rows run what they run. The runs of one check share a
+``parallel.Crew``, so the threaded runs reuse the stage threads that the
+runs before them started, and all of them are joined before the check
+returns.
 
-Executors start threads only for blocking stages, so the ``pipeline`` and
-``auto`` rows plan a copy of the graph whose threads are all marked
-blocking (``_all_blocking``): with more than one worker it is cut into
-threaded groups and replicas as the workers allow, where ``stc run`` keeps
-a CPU-only program on one thread.
+Executors start threads only for blocking stages, so a check plans on a
+copy of the graph whose threads are all marked blocking
+(``_all_blocking``): with more than one worker it is cut into threaded
+groups and replicas as the workers allow, where ``stc run`` keeps a
+CPU-only program on one thread. The hint changes no result.
 
 Classification hints are spot-checked by sampling only where there is a
 claim to test: READ_ONLY and PRODUCT threads get 200 random (element,
@@ -78,16 +78,7 @@ from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .builtins import make_thread
-from .composition import (
-    BranchProgram,
-    Word,
-    _join,
-    _split,
-    plan_interleaved,
-    plan_psi,
-    smap_check,
-    validate_word,
-)
+from .composition import BranchProgram, Plan, Word, _join, _split, planner, smap_check
 from .errors import StcError, ValidationError
 from .model import (
     Multigraph,
@@ -101,7 +92,7 @@ from .model import (
     raw_transfer,
     raw_value_part,
 )
-from .parallel import Crew, planner
+from .parallel import Crew
 # ``run_program`` stays importable from here: the traced benchmark
 # (``perfbench/layers.py``) wraps it by name
 from .program import (  # noqa: F401
@@ -110,7 +101,6 @@ from .program import (  # noqa: F401
     program_digest,
     program_to_text,
     run_program,
-    run_raw,
 )
 from .values import (
     BOOL_T,
@@ -606,7 +596,7 @@ def first_divergence(
     """Locate the first output index or state slot where two raw results
     over ``graph`` part, or ``None`` when they are equal. Values compare
     with ``equaler``; only the two a divergence reports are boxed."""
-    (tgt, ref_out, ref_slots), (got_tgt, got_out, got_slots) = ref, got
+    (tgt, ref_out, ref_slots), (_, got_out, got_slots) = ref, got
     if len(got_out) != len(ref_out):
         return Divergence(mode, "length", "output", str(len(ref_out)), str(len(got_out)))
     same = equaler(tgt)
@@ -619,9 +609,6 @@ def first_divergence(
         if not _same_state(equaler(st), st, a, b):
             a, b = box_state(a, st), box_state(b, st)
             return Divergence(mode, "state", f"slot {n}", repr(a), repr(b))
-    if got_tgt != tgt:  # unreachable: every row plans the same shape
-        lists = (repr(box_list(t, xs)) for t, xs, _ in (ref, got))
-        return Divergence(mode, "output", "list type", *lists)
     return None
 
 
@@ -640,8 +627,14 @@ def check_program(
     order; on a divergence it ends with the run that diverged."""
     digest = program_digest(program)
     modes: List[str] = ["seq"]
-    graph = program.graph
-    ref = run_raw(program, "seq", check=check)
+    graph = _all_blocking(program).graph
+    plan, slots = planner(graph, program.word, check=check), initial_slots(graph)
+
+    def run(row: Plan) -> RawResult:  # every run starts from a copy of the initial slots
+        return (row.tgt, *row.core(program.raw_input(row.src), dict(slots)))
+
+    seq = plan("seq", 1)
+    ref = run(seq)
 
     def fail(div: Divergence) -> TrialReport:
         return TrialReport(index, digest, modes, False, div, program_to_text(program))
@@ -653,20 +646,14 @@ def check_program(
     candidates += [("pipeline", w) for w in WORKERS_COUNTS]
     candidates.append(("pipeline", WORKERS_COUNTS[-1]))  # determinism re-run
 
-    # the threaded rows share one validation of the shape, and every row
-    # starts from a copy of the initial slots
-    cut = planner(_all_blocking(program).graph, program.word, check=check)
-    slots = initial_slots(graph)
     with Crew():
         for mode, w in candidates:
             label = mode if mode == "interleaved" else f"{mode}@{w}"
             modes.append(label)
             try:
-                if mode == "interleaved":
-                    plan = plan_interleaved(graph, program.word, check)
-                elif label != modes[-2]:  # the determinism re-run reuses its row's plan
-                    plan = cut(mode, w)
-                got = (plan.tgt, *plan.core(program.raw_input(plan.src), dict(slots)))
+                if label != modes[-2]:  # the determinism re-run reuses its row's plan
+                    row = plan(mode, w)
+                got = run(row)
             except StcError as exc:
                 return fail(Divergence(label, "error", "-", "result", repr(exc)))
             div = first_divergence(graph, label, ref, got)
@@ -674,8 +661,17 @@ def check_program(
                 return fail(div)
 
     modes.append("functor")
-    if not program.is_branch and program.word.letters:
-        div = _check_functor_split(program, program.word, ref, rng)
+    letters = program.word.letters
+    if not program.is_branch and letters:
+        # the word cut anywhere, its halves planned as ``seq`` and run back
+        # to back, must reproduce the reference
+        cut = rng.below(len(letters) + 1)
+        halves = (Word(letters[:cut], seq.src if cut == 0 else None),
+                  Word(letters[cut:], seq.tgt if cut == len(letters) else None))
+        first, second = (planner(graph, half, check=check)("seq", 1) for half in halves)
+        _, mid, after = run(first)
+        got = (second.tgt, *second.core(mid, after))
+        div = first_divergence(graph, f"functor-split@{cut}", ref, got)
         if div is not None:
             return fail(div)
 
@@ -689,31 +685,16 @@ def check_program(
 
 def _all_blocking(program: Program) -> Program:
     """``program`` with every thread marked blocking. Executors start
-    threads only for blocking stages, so the rows with more than one
-    worker run this copy: it is cut into as many groups and replicas as the
-    workers allow, and keeps channels, drains and per-group state under
-    test whatever the program's delays."""
+    threads only for blocking stages, so a check plans every run on this
+    copy's graph: with more than one worker it is cut into as many groups
+    and replicas as the workers allow, and keeps channels, drains and
+    per-group state under test whatever the program's delays."""
     graph = program.graph
     threaded = copy.copy(program)
     threaded.graph = Multigraph(
         {n: replace(spec, blocking=True) for n, spec in graph.edges.items()}, graph.vertices
     )
     return threaded
-
-
-def _check_functor_split(
-    program: Program, word: Word, ref: RawResult, rng: Xorshift64Star
-) -> Optional[Divergence]:
-    """Cutting a word anywhere and running the halves back to back must
-    reproduce the whole word's result."""
-    graph = program.graph
-    cut = rng.below(len(word.letters) + 1)
-    vw = validate_word(graph, word)
-    first = plan_psi(graph, Word(word.letters[:cut], vw.src if cut == 0 else None))
-    second = plan_psi(graph, Word(word.letters[cut:], vw.tgt if cut == len(word.letters) else None))
-    mid, slots = first.core(program.raw_input(first.src), initial_slots(graph))
-    out, slots = second.core(mid, slots)
-    return first_divergence(graph, f"functor-split@{cut}", ref, (second.tgt, out, slots))
 
 
 _SUM_LIST = list_of(sum_of(INT_T, INT_T))

@@ -1,9 +1,11 @@
 """Parallel executors: one threaded stream core, run as ``pipeline`` and
 as ``auto``; the data-parallel fast paths are ``auto`` on a one-letter
-word. The shapes, the coproduct's ``split`` and ``join`` and the
-reference evaluators live in ``composition``; this module re-exports
-``BranchProgram``, ``validate_branch``, ``split``, ``join`` and the
-references' branch names.
+word. ``composition.planner`` plans every mode and imports this module
+on its first threaded plan, for ``stream_planner``. The shapes, the
+coproduct's ``split`` and ``join`` and the reference evaluators live in
+``composition``; this module re-exports ``BranchProgram``,
+``validate_branch``, ``split``, ``join`` and the references' branch
+names.
 
 Every executor agrees bit-exactly with ``eval_psi_ref`` on the output list
 and the final state store, by structure, not luck:
@@ -51,11 +53,11 @@ and the final state store, by structure, not luck:
   fails runs its parts again on the calling thread by the reference route
   (``run_route``), from its own input and a copy of its slots, and raises
   what that run raises (``_run_stream``); its side effects happen again.
-  A thread that cannot start raises ``ExecutionError`` with no re-run,
-  and no thread starts after it.
+  Only a thread that cannot start (``_Unstarted``) is raised with no
+  re-run, and no thread starts after it.
 
-Executors run on raw values (see ``values``) and box only at the public
-functions' edges (``composition.run_boxed``, ``_one_letter``). The five
+Executors run on raw values (see ``values``); every public function here
+boxes at one edge, ``composition.run_boxed``. The five
 planted faults of ``mutations`` live here only, each at an edge of the
 plan:
 
@@ -81,24 +83,23 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from . import mutations
 from .composition import (  # the coproduct and the branch names are re-exported
     BranchProgram,
+    Core,
     Part,
-    Plan,
     Route,
     Shape,
     Slots,
     Word,
-    endpoints,
     eval_branch,
     eval_branch_elementwise,
     join,
     parts,
+    planner,
     route_element,
     route_of,
     run_boxed,
     run_route,
     segment_word,
     split,
-    unbox_input,
     validate_branch,
 )
 from .errors import ExecutionError, ValidationError
@@ -114,7 +115,7 @@ from .model import (
     raw_step,
     raw_value_part,
 )
-from .values import Inr, Value, box_list, box_state, conformer, unbox_state
+from .values import Inr, Value, conformer
 
 # upper bound on the elements one channel message carries
 _BATCH = 64
@@ -156,12 +157,11 @@ def run_data_parallel_product(
 def _one_letter(
     spec: ThreadSpec, xs: Value, sigma: Value, workers: int, check: bool
 ) -> Tuple[Value, Value]:
-    """``spec``'s one-letter word run as ``auto`` from state ``sigma``,
-    the list and the slot boxed at the edge."""
-    plan = plan_auto(build_graph(spec), Word((spec.id,)), workers, check)
-    slots = {spec.id: unbox_state(sigma, spec.state_type)}
-    items, slots = plan.core(unbox_input(xs, plan.src), slots)
-    return box_list(plan.tgt, items), box_state(slots[spec.id], spec.state_type)
+    """``spec``'s one-letter word run as ``auto`` from state ``sigma``."""
+    graph = build_graph(spec)
+    plan = planner(graph, Word((spec.id,)), check=check)("auto", workers)
+    out, state = run_boxed(graph, xs, StateStore({spec.id: sigma}), plan)
+    return out, state.get(spec.id)
 
 
 def _product_state(spec: ThreadSpec, sigma: Any, times: int, check: bool) -> Any:
@@ -271,6 +271,10 @@ class _Channel:
         return self._items.empty()
 
 
+class _Unstarted(ExecutionError):
+    """A lane's thread could not start; the one failure not run again."""
+
+
 def _launch(
     run: Callable[[int], None], failed: List[Optional[BaseException]],
     outboxes: Sequence[Sequence[_Channel]],
@@ -285,7 +289,7 @@ def _launch(
     each of their ``outboxes``, lane ``j``'s output channels, gets the
     ``None`` sentinel, so the started lanes see their input end; the
     started lanes are waited for, and the failure is raised as
-    ``ExecutionError``."""
+    ``_Unstarted``, an ``ExecutionError``."""
     scoped = getattr(_scope, "crew", None)
     crew = scoped if scoped is not None else Crew()
     handed = []
@@ -298,7 +302,7 @@ def _launch(
                     for q in box:
                         q.put(None)
                 crew.wait(handed)
-                raise ExecutionError(f"could not start a thread: {exc}") from exc
+                raise _Unstarted(f"could not start a thread: {exc}") from exc
         run(0)
         crew.wait(handed)
     finally:
@@ -552,10 +556,10 @@ def _run_stream(
     thread. A replicated stage runs ``min(replicas, n // _REPLICA_ELEMENTS)``
     replicas over ``n`` elements, each on a dict of its own; its PRODUCT
     letters' state parts run once every lane has finished. A threaded
-    stream that fails, other than with ``ExecutionError``, runs its parts by
-    the reference route from the same input and slots, which nothing has
-    changed yet, and raises what that run raises, ``eval_psi_ref``'s
-    exception; else the first one."""
+    stream that fails, other than because a thread could not start, runs
+    its parts by the reference route from the same input and slots, which
+    nothing has changed yet, and raises what that run raises,
+    ``eval_psi_ref``'s exception; else the first one."""
     stream_parts, stages = stream
     owned = [{n: slots[n] for n in stage.letters} for stage in stages]
     if len(items) <= 1 or not stages or len(stages) == 1 and stages[0].replicas == 1:
@@ -578,7 +582,7 @@ def _run_stream(
                 for n in products:
                     passed = sum(d[n] for d in lane_slots)
                     st[n] = _product_state(graph.edges[n], st[n], passed, check)
-        except ExecutionError:
+        except _Unstarted:
             raise
         except Exception:
             run_route(route_of(graph, stream_parts, check), dict(slots), items)
@@ -625,24 +629,16 @@ def run_pipeline(
     of ``capacity`` batches. A stream without a blocking letter starts no
     thread. Results and failures are ``eval_psi_ref``'s. This function is
     also ``run_task_parallel_branch``."""
-    return run_boxed(graph, xs, state, plan_pipeline(graph, word, workers, capacity, check))
+    return run_boxed(graph, xs, state, planner(graph, word, capacity, check)("pipeline", workers))
 
 
-def _positive(workers: int) -> int:
-    if workers < 1:
-        raise ValidationError("workers must be a positive integer")
-    if workers > MAX_WORKERS:
-        raise ValidationError(f"workers must be at most {MAX_WORKERS}")
-    return workers
-
-
-def planner(
-    graph: Multigraph, shape: Shape, capacity: int = 16, check: bool = False
-) -> Callable[[str, int], Plan]:
-    """Validate ``shape`` once; the returned function plans it as
-    ``"pipeline"`` or ``"auto"`` at a number of workers, segmenting it on
-    its first plan that cuts."""
-    src, tgt = endpoints(graph, shape)
+def stream_planner(
+    graph: Multigraph, shape: Shape, route: Route, capacity: int, check: bool
+) -> Callable[[str, int], Core]:
+    """The threaded half of ``composition.planner`` for a validated
+    ``shape`` whose reference route is ``route``: the returned function
+    gives its ``"pipeline"`` or ``"auto"`` core at a number of workers,
+    segmenting the shape on its first plan that cuts."""
     blocks = any(graph.edges[n].blocking for n in shape.letters)
     whole = parts(shape)
     if isinstance(shape, BranchProgram):
@@ -652,11 +648,15 @@ def planner(
         fixed = [whole] if mutations.enabled("segment-barrier-removed") else None
     streams: List[Tuple[Part, ...]] = []
 
-    def plan(mode: str, workers: int) -> Plan:
-        threads = _positive(workers) > 1 and blocks
+    def core(mode: str, workers: int) -> Core:
+        if workers < 1:
+            raise ValidationError("workers must be a positive integer")
+        if workers > MAX_WORKERS:
+            raise ValidationError(f"workers must be at most {MAX_WORKERS}")
+        threads = workers > 1 and blocks
         if not threads and not any(map(mutations.enabled, _RESHAPING)):
             # nothing can overlap: one stage-wise stream, as seq runs it
-            lone = (whole, [_Stage(route_of(graph, whole, check), shape.letters)])
+            lone = (whole, [_Stage(route, shape.letters)])
             planned = [[lone, lone]]
         else:
             if not streams:
@@ -667,19 +667,9 @@ def planner(
                 cut = partial(_stream_plan, graph, stream, workers, check)
                 short = cut(False)
                 planned.append([short, partial(cut, True) if mode == "auto" and threads else short])
-        return Plan(shape.letters, src, tgt, partial(_pipeline, graph, planned, capacity, check))
+        return partial(_pipeline, graph, planned, capacity, check)
 
-    return plan
-
-
-def plan_pipeline(
-    graph: Multigraph, shape: Shape, workers: int = 4, capacity: int = 16, check: bool = False
-) -> Plan:
-    return planner(graph, shape, capacity, check)("pipeline", workers)
-
-
-def plan_auto(graph: Multigraph, shape: Shape, workers: int = 1, check: bool = False) -> Plan:
-    return planner(graph, shape, 16, check)("auto", workers)
+    return core
 
 
 def eval_auto_word(
@@ -695,7 +685,7 @@ def eval_auto_word(
     READ_ONLY or PRODUCT runs as replicas, and a branch's blocking sides
     as one pass per side group (``_stream_plan``). A stream without a
     blocking letter starts no thread and costs what ``seq`` costs."""
-    return run_boxed(graph, xs, state, plan_auto(graph, word, workers, check))
+    return run_boxed(graph, xs, state, planner(graph, word, check=check)("auto", workers))
 
 
 # the branch name of the pipeline executor

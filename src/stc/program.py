@@ -20,8 +20,9 @@ values are single-key objects {"inl": ...} or {"inr": ...}.
 
 Literals are read straight into raw values (``read_value``) and raw
 results are rendered straight to JSON (``dump_raw``), so ``stc run``
-builds no ``Value``. ``Program.input`` boxes the input list on first use
-for callers of the boxed API.
+builds no ``Value``; ``run_raw`` plans through ``composition.planner``.
+``Program.input`` boxes the input list on first use for callers of the
+boxed API.
 """
 
 from __future__ import annotations
@@ -30,20 +31,18 @@ import json
 import reprlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .builtins import instance, make_thread
+from .builtins import instance, thread_of
 from .composition import (
     BranchProgram,
     Shape,
     Word,
     endpoints,
-    plan_interleaved,
-    plan_psi,
+    planner,
     unbox_input,
     validate_word,
 )
 from .errors import ParseError, SchemaError, ValidationError
 from .model import Multigraph, StateStore, boxed_store, build_graph, initial_slots
-from .parallel import planner
 from .values import (
     INT64_MAX,
     INT64_MIN,
@@ -295,16 +294,8 @@ def run_raw(program: Program, mode: str, workers: int = 4, check: bool = False) 
     """Evaluate a program like ``run_program`` but build no ``Value``:
     returns the output's element type, the raw output elements and
     ``{thread id: raw state}`` for every thread."""
-    graph, word = program.graph, program.word
-    if mode == "seq":
-        plan = plan_psi(graph, word, check=check)
-    elif mode == "interleaved":
-        plan = plan_interleaved(graph, word, check=check)
-    elif mode in ("pipeline", "auto"):
-        plan = planner(graph, word, check=check)(mode, workers)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    items, slots = plan.core(program.raw_input(plan.src), initial_slots(graph))
+    plan = planner(program.graph, program.word, check=check)(mode, workers)
+    items, slots = plan.core(program.raw_input(plan.src), initial_slots(program.graph))
     return plan.tgt, items, slots
 
 
@@ -376,13 +367,13 @@ def parse_program(text: str) -> Program:
             raise SchemaError(f"{path}.params", "expected an object")
         # an init literal is read against the state type of the claim
         try:
-            state_type = instance(fn, params)[0].state_type
+            made = instance(fn, params)
         except SchemaError as exc:
             raise SchemaError(f"{path}.{exc.path}", exc.message) from None
         init = td.get("init_state")
         if "init_state" in td:
-            init = value_from_json(init, state_type, f"{path}.init_state")
-        specs.append(make_thread(tid, fn, init, params))
+            init = value_from_json(init, made[0].state_type, f"{path}.init_state")
+        specs.append(thread_of(made, tid, fn, init, params))
     graph = build_graph(*specs)
 
     input_type_text = _require(doc, "input_type", "")

@@ -266,20 +266,26 @@ def test_module_entry_point_runs_cli(counter_file):
 def test_importing_the_cli_leaves_the_harness_unloaded(counter_file):
     # `stc run` must not compile the fuzzer, nor load `statistics` for
     # `stc bench`, `hashlib` for program digests or `argparse` for a plain
-    # argv: a fresh process pays for every module it imports
+    # argv, and `seq` and `interleaved` must not load the threaded
+    # executors or `queue`: a fresh process pays for every module it imports
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     unwanted = "{'stc.harness', 'statistics', 'hashlib', 'argparse'} & set(sys.modules)"
+    threaded = "{'stc.parallel', 'queue'} & set(sys.modules)"
+    run = "stc.cli.main(['run', sys.argv[1], '--mode', '{}', '--workers', '2'])"
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, stc.cli; print(sorted({unwanted}));"
-         f" stc.cli.main(['run', sys.argv[1], '--mode', 'auto', '--workers', '2']);"
-         f" print(sorted({unwanted}))", counter_file],
+         f"import sys, stc.cli; print(sorted({unwanted}), sorted({threaded}));"
+         + "".join(
+             f" {run.format(mode)}; print(sorted({unwanted}), sorted({threaded}));"
+             for mode in ("seq", "interleaved", "auto")
+         ), counter_file],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    result = '{"output":[10,21,32],"final_state":{"1":3}}'
     assert proc.stdout.splitlines() == [
-        "[]", '{"output":[10,21,32],"final_state":{"1":3}}', "[]"
+        "[] []", result, "[] []", result, "[] []", result, "[] ['queue', 'stc.parallel']"
     ]
 
 

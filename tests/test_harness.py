@@ -25,9 +25,9 @@ from stc.harness import (
     run_program,
     verify_hints,
 )
-from stc.model import build_graph
+from stc.model import ThreadSpec, build_graph
 from stc.program import program_digest, value_to_json
-from stc.values import FLOAT_T, INT_T, Inl, Inr, sum_of, v_int, v_str
+from stc.values import FLOAT_T, INT_T, Inl, Inr, sum_of, v_float, v_int, v_str
 
 
 def test_xorshift_published_constants():
@@ -186,9 +186,16 @@ _SUMS = sum_of(INT_T, INT_T)
         ((INT_T, [1], {3: None, 2: "t", 1: 3}), (INT_T, [1], {3: None, 2: "u", 1: 4}),
          ("state", "slot 1", "3", "4")),
         ((INT_T, [1, 2], _SLOTS), (INT_T, [1], {**_SLOTS, 1: 4}), ("length", "output", "2", "1")),
+        # slot 4 holds a float: plain equality of its raw states would
+        # raise on a Value and take 0.0 for -0.0
+        ((INT_T, [1], {4: 0.5}), (INT_T, [1], {4: v_str("x")}),
+         ("state", "slot 4", "0.5", "'x'")),
+        ((INT_T, [1], {4: v_str("x")}), (INT_T, [1], {4: v_str("x")}), None),
+        ((INT_T, [1], {4: 0.0}), (INT_T, [1], {4: -0.0}), ("state", "slot 4", "0.0", "-0.0")),
     ],
     ids=["zero-sign", "nan", "sum", "first-index", "ill-typed-state", "ill-typed-unit",
-         "ill-typed-equal", "first-slot", "length"],
+         "ill-typed-equal", "first-slot", "length", "ill-typed-float", "ill-typed-float-equal",
+         "float-zero-sign"],
 )
 def test_first_divergence_text_on_raw_results(ref, got, expect):
     # raw results are compared raw, and only the two reported values are
@@ -197,7 +204,9 @@ def test_first_divergence_text_on_raw_results(ref, got, expect):
     # slot in id order, and a state that does not inhabit its type (a
     # Value of another type) is compared and printed as that Value.
     threads = (make_thread(1, "counter_add"), make_thread(2, "append_tag"))
-    graph = build_graph(*threads, make_thread(3, "branch_even"))
+    # a GENERAL thread whose state is a float, which no builtin has
+    floaty = ThreadSpec(4, INT_T, INT_T, FLOAT_T, v_float(0.0), "float_state")
+    graph = build_graph(*threads, make_thread(3, "branch_even"), floaty)
     div = first_divergence(graph, "m", ref, got)
     assert (div and astuple(div)) == (expect and ("m", *expect))
 
@@ -221,21 +230,29 @@ def test_functor_split_divergence_is_located(monkeypatch):
     from stc import harness
     from stc.composition import Plan
 
-    real = harness.plan_psi
+    real = harness.planner
+    program = parse_program(json.dumps(_FAST_DOC))
 
-    def dropping(graph, shape, check=False):
-        plan = real(graph, shape, check)
+    def dropping(graph, shape, *args, **kwargs):
+        planned = real(graph, shape, *args, **kwargs)
+        if shape is program.word:  # the check's own planner, not a half's
+            return planned
 
-        def core(items, slots):
-            before = dict(slots)
-            out, after = plan.core(items, slots)
-            return out, {**after, **{n: before[n] for n in plan.letters[:1]}}
+        def half(*modes):
+            plan = planned(*modes)
 
-        return Plan(plan.letters, plan.src, plan.tgt, core)
+            def core(items, slots):
+                before = dict(slots)
+                out, after = plan.core(items, slots)
+                return out, {**after, **{n: before[n] for n in plan.letters[:1]}}
 
-    monkeypatch.setattr(harness, "plan_psi", dropping)
+            return Plan(plan.letters, plan.src, plan.tgt, core)
+
+        return half
+
+    monkeypatch.setattr(harness, "planner", dropping)
     cut = Xorshift64Star(1).below(4)
-    report = check_program(parse_program(json.dumps(_FAST_DOC)), Xorshift64Star(1))
+    report = check_program(program, Xorshift64Star(1))
     assert astuple(report.divergence) == (f"functor-split@{cut}", "state", "slot 1", "5", "0")
     assert report.modes[-1] == "functor"
 

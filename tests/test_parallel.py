@@ -49,9 +49,9 @@ from stc.harness import (
 )
 from stc import mutations, parallel
 from stc.cli import main
-from stc.composition import run_route
-from stc.model import raw_step
-from stc.parallel import MAX_WORKERS, Crew, plan_auto
+from stc.composition import planner, run_route
+from stc.model import Kernel, boxed_part, boxed_transfer, raw_step, register_kernel
+from stc.parallel import MAX_WORKERS, Crew
 from stc.program import Program
 from conftest import counter_scale_graph, int_list
 
@@ -226,7 +226,7 @@ def test_auto_and_fast_paths_reject_nonpositive_workers(workers):
     tick = make_thread(1, "add1_tick")
     calls = [
         lambda: eval_auto_word(graph, Word((1, 2)), int_list(1), init_state(graph), workers),
-        lambda: plan_auto(branch_graph, branch, workers),
+        lambda: planner(branch_graph, branch)("auto", workers),
         lambda: run_data_parallel_readonly(graph.edges[2], int_list(1), v_int(3), workers),
         lambda: run_data_parallel_product(tick, int_list(1), v_int(0), workers),
     ]
@@ -437,6 +437,42 @@ def test_fast_path_replica_failure_raises_the_rerun_exception():
     assert threading.active_count() == before
 
 
+def _kernel_fn(run, *types):
+    """A boxed function of ``types`` whose registered raw kernel is ``run``."""
+    fn = (boxed_transfer if len(types) == 3 else boxed_part)(run, *types)
+    register_kernel(fn, Kernel(run, run, ("ill-typed", ())))
+    return fn
+
+
+@pytest.mark.parametrize("part, what", [("value_part", "output"), ("state_part", "new state")])
+@pytest.mark.parametrize("rerun_fails", [False, True], ids=["rerun-passes", "rerun-fails"])
+def test_replica_failure_raises_the_rerun_error_or_its_own(part, what, rerun_fails):
+    # 32 elements at 4 workers make 4 replicas of a blocking PRODUCT letter.
+    # A replica runs its value part, and its state part runs once per
+    # element after the stream; with ``check`` an ill-typed result of
+    # either fails. The stage-wise re-run runs the letter's transfer: when
+    # that succeeds the replica's own exception is raised, else the
+    # re-run's, eval_psi_ref's
+    base = make_thread(1, "add1_tick", v_int(0))
+    types = (base.src, base.tgt) if part == "value_part" else (base.state_type,) * 2
+    spec = replace(base, blocking=True, **{part: _kernel_fn(lambda r: "bad", *types)})
+    expect = f"thread 1 {what} 'bad' is not a int"
+    if rerun_fails:
+        transfer = _kernel_fn(lambda x, s: ("worse", s), INT_T, INT_T, INT_T)
+        spec = replace(spec, transfer=transfer)
+        expect = "thread 1 output 'worse' is not a int"
+    before = threading.active_count()
+    with _thread_starts() as started:
+        err = _raised_within(
+            lambda: run_data_parallel_product(
+                spec, int_list(*range(32)), v_int(0), workers=4, check=True
+            )
+        )
+    assert type(err) is PortTypeError and str(err) == expect
+    assert len(started) == 1 + 3  # the helper thread and three replica lanes
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("mode", ["pipeline", "auto"])
 def test_plan_cuts_its_streams_once(monkeypatch, mode):
     # a plan segments its word and cuts each segment when it is made, and
@@ -449,7 +485,7 @@ def test_plan_cuts_its_streams_once(monkeypatch, mode):
             parallel, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
         )
     graph = _blocking(counter_scale_graph())
-    plan = (parallel.plan_pipeline if mode == "pipeline" else plan_auto)(graph, Word((1, 2, 1)), 2)
+    plan = planner(graph, Word((1, 2, 1)))(mode, 2)
     assert calls.count("segment_word") == 1 and "_spans" in calls
     slots = {n: spec.init_state.payload for n, spec in graph.edges.items()}
     runs = [plan.core(list(range(n)), dict(slots)) for n in (3, 20)]
@@ -1332,7 +1368,7 @@ def test_api_rejects_workers_above_max():
         lambda: run_task_parallel_branch(
             branch_graph(), branch_prog(), xs, init_state(branch_graph()), MAX_WORKERS + 1
         ),
-        lambda: plan_auto(branch_graph(), branch_prog(), MAX_WORKERS + 1),
+        lambda: planner(branch_graph(), branch_prog())("auto", MAX_WORKERS + 1),
         lambda: run_data_parallel_readonly(graph.edges[2], xs, v_int(3), MAX_WORKERS + 1),
         lambda: run_data_parallel_product(tick, xs, v_int(0), MAX_WORKERS + 1),
     ]

@@ -239,6 +239,33 @@ def test_unhashable_params_raise_every_time():
         parse_program(json.dumps(doc))
 
 
+def test_parse_builds_one_instance_per_thread(monkeypatch):
+    # the parser reads each init literal against the instance's state type
+    # and builds the thread from that same instance: one call per thread
+    from stc import builtins, program
+
+    calls = []
+    real = builtins.instance
+
+    def counting(fn_name, params):
+        calls.append(fn_name)
+        return real(fn_name, params)
+
+    monkeypatch.setattr(program, "instance", counting)
+    monkeypatch.setattr(builtins, "instance", counting)
+    doc = json.loads(MINIMAL)
+    doc["threads"] = [
+        {"id": 1, "fn": "counter_add", "init_state": 4},
+        {"id": 2, "fn": "delay_identity_ms", "params": {"delay_ms": 0}},
+        {"id": 3, "fn": "append_tag", "init_state": "q"},
+    ]
+    doc["word"] = [1, 2]
+    parsed = parse_program(json.dumps(doc))
+    assert calls == ["counter_add", "delay_identity_ms", "append_tag"]
+    assert parsed.graph.edges[3].init_state.payload == "q"
+    assert parsed.graph.edges[2].params == {"delay_ms": 0}
+
+
 def test_replaced_transfer_runs_on_a_shared_instance():
     calls = []
 
