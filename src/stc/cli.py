@@ -35,11 +35,10 @@ from .program import (
     dump_raw,
     export_dot,
     parse_program,
-    run_program,
     run_raw,
     value_to_json,
 )
-from .values import INT_T, v_int, v_list
+from .values import INT_T
 
 BENCH_REPEATS = 5
 
@@ -132,15 +131,14 @@ def cmd_bench(args) -> int:
     ]
     graph = build_graph(*specs)
     word = Word(tuple(range(1, args.stages + 1)))
-    xs = v_list(INT_T, [v_int(i) for i in range(args.list_len)])
-    program = Program(graph, word, xs, INT_T)
+    program = Program.from_raw(graph, word, range(args.list_len), INT_T)
     planner(graph, word)("pipeline", args.workers)  # a bad --workers fails before any output
     print("mode,stages,list_len,delay_ms,wall_ms")
     for mode in ("seq", "pipeline"):
         times = []
         for _ in range(BENCH_REPEATS):
             t0 = time.perf_counter()
-            run_program(program, mode, workers=args.workers)
+            run_raw(program, mode, workers=args.workers)
             times.append((time.perf_counter() - t0) * 1000.0)
         wall = sorted(times)[BENCH_REPEATS // 2]  # the median of an odd count
         print(f"{mode},{args.stages},{args.list_len},{args.delay_ms},{wall:.3f}")

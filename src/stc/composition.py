@@ -39,10 +39,12 @@ an executor: it validates a shape once and plans it in any of ``MODES``
 as a ``Plan``, the letters whose slots it uses, the source and target
 types and a raw core ``core(items, slots) -> (items, slots)`` over raw
 elements and a ``{thread id: raw state}`` dict it may update in place.
-``pipeline`` and ``auto`` take their core from ``parallel``, loaded on
-the first threaded plan. ``run_boxed``, the one boxed edge, unboxes the
-input list and the plan's slots once, runs the core and boxes the result
-once; ``stc run`` and ``stc check`` run the same plans on raw values.
+``pipeline`` and ``auto`` plan as ``seq`` where no thread can start, at
+one worker or when no letter blocks; only a plan that can start one
+takes its core from ``parallel``, loaded on the first such plan.
+``run_boxed``, the one boxed edge, unboxes the input list and the plan's
+slots once, runs the core and boxes the result once; ``stc run`` and
+``stc check`` run the same plans on raw values.
 """
 
 from __future__ import annotations
@@ -436,6 +438,11 @@ def _interleaved(route: Route, items: Sequence[Any], slots: Slots) -> Tuple[List
 # the four ways to run a shape, every one planned by ``planner``
 MODES = ("seq", "interleaved", "pipeline", "auto")
 
+# The most workers a run may ask for. Each worker past the first may be
+# a thread, so a bound keeps hostile input away from the OS thread limit;
+# under the GIL more threads than blocking lanes gain nothing.
+MAX_WORKERS = 64
+
 
 @lru_cache(maxsize=None)
 def _stream_planner() -> Callable:
@@ -448,13 +455,15 @@ def _stream_planner() -> Callable:
 def planner(
     graph: Multigraph, shape: Shape, capacity: int = 16, check: bool = False
 ) -> Callable[..., Plan]:
-    """The one place a mode becomes an executor: ``plan(mode, workers=1)``
+    """The one place a mode becomes an executor, and the one place that
+    decides whether a plan can start a thread: ``plan(mode, workers=1)``
     plans ``shape`` in one of ``MODES``, else raises ``ValueError``. The
     first plan validates the shape and builds its reference route, which
-    ``seq``, ``interleaved`` and the threadless stream share; ``pipeline``
-    and ``auto`` take their core from ``parallel.stream_planner``, which
-    alone checks ``workers``. ``interleaved`` rejects a word's repeated
-    letter before its path is checked."""
+    ``seq`` and ``interleaved`` run. ``pipeline`` and ``auto`` check
+    ``workers`` against ``MAX_WORKERS``; at one worker, or when no letter
+    blocks, nothing can overlap and they run ``seq``'s core, else
+    ``parallel.stream_planner``'s. ``interleaved`` rejects a word's
+    repeated letter before its path is checked."""
     src = tgt = route = streams = None
 
     def plan(mode: str, workers: int = 1) -> Plan:
@@ -467,12 +476,19 @@ def planner(
         if route is None:
             src, tgt = endpoints(graph, shape)
             route = route_of(graph, parts(shape), check)
-        if mode == "seq" or mode == "interleaved":
+        if mode == "pipeline" or mode == "auto":
+            if workers < 1:
+                raise ValidationError("workers must be a positive integer")
+            if workers > MAX_WORKERS:
+                raise ValidationError(f"workers must be at most {MAX_WORKERS}")
+            if workers == 1 or not any(graph.edges[n].blocking for n in shape.letters):
+                core = partial(_psi, route)  # nothing can overlap: seq's plan
+            else:
+                if streams is None:
+                    streams = _stream_planner()(graph, shape, capacity, check)
+                core = streams(mode, workers)
+        elif mode == "seq" or mode == "interleaved":
             core = partial(_psi if mode == "seq" else _interleaved, route)
-        elif mode == "pipeline" or mode == "auto":
-            if streams is None:
-                streams = _stream_planner()(graph, shape, route, capacity, check)
-            core = streams(mode, workers)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         return Plan(shape.letters, src, tgt, core)

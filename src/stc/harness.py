@@ -38,7 +38,10 @@ Executors start threads only for blocking stages, so a check plans on a
 copy of the graph whose threads are all marked blocking
 (``_all_blocking``): with more than one worker it is cut into threaded
 groups and replicas as the workers allow, where ``stc run`` keeps a
-CPU-only program on one thread. The hint changes no result.
+CPU-only program on one thread. The hint changes no result. The
+one-worker rows (``auto@1``, ``pipeline@1``) run ``seq``'s plan, as every
+plan that can start no thread does, so only the rows with more than one
+worker reach the threaded executor and its planted faults.
 
 Classification hints are spot-checked by sampling only where there is a
 claim to test: READ_ONLY and PRODUCT threads get 200 random (element,

@@ -1,7 +1,9 @@
 """Parallel executors: one threaded stream core, run as ``pipeline`` and
 as ``auto``; the data-parallel fast paths are ``auto`` on a one-letter
-word. ``composition.planner`` plans every mode and imports this module
-on its first threaded plan, for ``stream_planner``. The shapes, the
+word. ``composition.planner`` plans every mode, and alone decides whether
+a plan can start a thread: at one worker, or when no letter blocks, it
+plans ``pipeline`` and ``auto`` as ``seq``. It imports this module on its
+first plan that can start one, for ``stream_planner``. The shapes, the
 coproduct's ``split`` and ``join`` and the reference evaluators live in
 ``composition``; this module re-exports ``BranchProgram``,
 ``validate_branch``, ``split``, ``join`` and the references' branch
@@ -10,11 +12,10 @@ names.
 Every executor agrees bit-exactly with ``eval_psi_ref`` on the output list
 and the final state store, by structure, not luck:
 
-* A shape that starts no thread is one stage-wise stream on the calling
-  thread, as ``seq`` runs it, and a stream over at most one element runs
-  stage by stage there. Otherwise a word with repeated letters runs
-  segment by segment, a barrier between segments, and each segment, or a
-  whole branch program, is one stream, cut once per plan.
+* A word with repeated letters runs segment by segment, a barrier
+  between segments, and each segment, or a whole branch program, is one
+  stream, cut once per plan. A stream over at most one element runs
+  stage by stage on the calling thread.
 * Threads go only where stages block: under the GIL only a thread whose
   ``blocking`` hint is set (a builtin that sleeps) overlaps with others.
   Each word's blocking letters are spread over at most ``workers`` groups
@@ -45,8 +46,7 @@ and the final state store, by structure, not luck:
   failure after a hand-off stops computing.
 * Lanes run on the threads of a ``Crew``, handed out from the last to
   the first, the calling thread running the first. Inside a ``with
-  Crew():`` block, as ``stc check`` opens, launches reuse threads. A run
-  may ask for at most ``MAX_WORKERS`` workers.
+  Crew():`` block, as ``stc check`` opens, launches reuse threads.
 * One failure rule holds in every mode and shape: a failing run raises
   the exception ``eval_psi_ref`` raises, the first failure in letter
   order, the left side's before the right side's. A threaded stream that
@@ -58,8 +58,8 @@ and the final state store, by structure, not luck:
 
 Executors run on raw values (see ``values``); every public function here
 boxes at one edge, ``composition.run_boxed``. The five
-planted faults of ``mutations`` live here only, each at an edge of the
-plan:
+planted faults of ``mutations`` live here only, each at an edge of a
+threaded plan, so a plan that can start no thread runs none of them:
 
 * ``stage-order-swapped``: ``_cut`` swaps a word's first two letters;
 * ``state-update-dropped``: every step ``_stream_plan`` makes drops its
@@ -68,8 +68,6 @@ plan:
   the join, where ``_pipeline`` puts every inl element first;
 * ``state-not-forwarded``: ``_run_stream`` writes no stage's states back;
 * ``segment-barrier-removed``: the planner runs a word as one stream.
-
-Under any of the first three, a run that starts no thread is cut too.
 """
 
 from __future__ import annotations
@@ -81,7 +79,8 @@ from itertools import count, zip_longest
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import mutations
-from .composition import (  # the coproduct and the branch names are re-exported
+from .composition import (  # the coproduct, MAX_WORKERS and the branch names are re-exported
+    MAX_WORKERS,
     BranchProgram,
     Core,
     Part,
@@ -124,11 +123,6 @@ _BATCH = 64
 # stream's input: on a shorter list the replicas' thread hand-offs cost
 # more than they overlap.
 _REPLICA_ELEMENTS = 8
-
-# The most workers a run may ask for. Each worker past the first may be
-# a thread, so a bound keeps hostile input away from the OS thread limit;
-# under the GIL more threads than blocking lanes gain nothing.
-MAX_WORKERS = 64
 
 
 def run_data_parallel_readonly(
@@ -325,7 +319,7 @@ def _spans(blocking: Sequence[bool], k: int) -> List[Tuple[int, int]]:
     ``min(k, #blocking)`` spans, and every other position joins the span
     of the blocking position before it, or the first span if none comes
     before it. Without a blocking position all of them are one span."""
-    if k == 1 or True not in blocking:
+    if True not in blocking:
         return [(0, len(blocking))] if blocking else []
     marks = [i for i, b in enumerate(blocking) if b]
     k = min(k, len(marks))
@@ -384,10 +378,6 @@ class _Stage:
 Stream = Tuple[Tuple[Part, ...], List[_Stage]]
 
 
-# the planted faults that change how a stream is cut, fused or split
-_RESHAPING = ("stage-order-swapped", "state-update-dropped", "flags-ignored-in-join")
-
-
 def _stream_plan(
     graph: Multigraph, stream_parts: Tuple[Part, ...], workers: int, check: bool, replicate: bool
 ) -> Stream:
@@ -431,7 +421,7 @@ def _stream_plan(
             members += [((lf[0], rt[0]), lf[1] + rt[1], lf[2] or rt[2], 1) for lf, rt in pairs]
 
     stages = []
-    for a, b in _spans([m[2] for m in members], 1 if workers == 1 else len(members)):
+    for a, b in _spans([m[2] for m in members], len(members)):
         route, letters, blocks, r = [], (), False, MAX_WORKERS
         for m in members[a:b]:
             route.append(m[0])
@@ -633,40 +623,28 @@ def run_pipeline(
 
 
 def stream_planner(
-    graph: Multigraph, shape: Shape, route: Route, capacity: int, check: bool
+    graph: Multigraph, shape: Shape, capacity: int, check: bool
 ) -> Callable[[str, int], Core]:
-    """The threaded half of ``composition.planner`` for a validated
-    ``shape`` whose reference route is ``route``: the returned function
-    gives its ``"pipeline"`` or ``"auto"`` core at a number of workers,
-    segmenting the shape on its first plan that cuts."""
-    blocks = any(graph.edges[n].blocking for n in shape.letters)
+    """The threaded half of ``composition.planner``, for a validated
+    ``shape`` with a blocking letter: the returned function gives its
+    ``"pipeline"`` or ``"auto"`` core at more than one worker, each
+    segment, or a whole branch program, one stream."""
     whole = parts(shape)
     if isinstance(shape, BranchProgram):
         # with ``flags-ignored-in-join``, a barrier at the join, where ``_pipeline`` sorts
-        fixed = [whole[:2], whole[2:]] if mutations.enabled("flags-ignored-in-join") else [whole]
+        streams = [whole[:2], whole[2:]] if mutations.enabled("flags-ignored-in-join") else [whole]
+    elif mutations.enabled("segment-barrier-removed"):
+        streams = [whole]
     else:
-        fixed = [whole] if mutations.enabled("segment-barrier-removed") else None
-    streams: List[Tuple[Part, ...]] = []
+        streams = [(w,) for w in segment_word(shape).segments]
 
     def core(mode: str, workers: int) -> Core:
-        if workers < 1:
-            raise ValidationError("workers must be a positive integer")
-        if workers > MAX_WORKERS:
-            raise ValidationError(f"workers must be at most {MAX_WORKERS}")
-        threads = workers > 1 and blocks
-        if not threads and not any(map(mutations.enabled, _RESHAPING)):
-            # nothing can overlap: one stage-wise stream, as seq runs it
-            lone = (whole, [_Stage(route, shape.letters)])
-            planned = [[lone, lone]]
-        else:
-            if not streams:
-                streams.extend(fixed or [(w,) for w in segment_word(shape).segments])
-            # each stream as [the pipeline's cut, auto's own], the second cut on its first use
-            planned = []
-            for stream in streams:
-                cut = partial(_stream_plan, graph, stream, workers, check)
-                short = cut(False)
-                planned.append([short, partial(cut, True) if mode == "auto" and threads else short])
+        # each stream as [the pipeline's cut, auto's own], the second cut on its first use
+        planned = []
+        for stream in streams:
+            cut = partial(_stream_plan, graph, stream, workers, check)
+            short = cut(False)
+            planned.append([short, partial(cut, True) if mode == "auto" else short])
         return partial(_pipeline, graph, planned, capacity, check)
 
     return core
@@ -683,8 +661,8 @@ def eval_auto_word(
     """The pipeline (see ``run_pipeline``) plus stateless fission on lists
     of 16 or more elements: a blocking stage whose letters are all
     READ_ONLY or PRODUCT runs as replicas, and a branch's blocking sides
-    as one pass per side group (``_stream_plan``). A stream without a
-    blocking letter starts no thread and costs what ``seq`` costs."""
+    as one pass per side group (``_stream_plan``). At one worker, or
+    without a blocking letter, it runs ``seq``'s plan."""
     return run_boxed(graph, xs, state, planner(graph, word, check=check)("auto", workers))
 
 

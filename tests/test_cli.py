@@ -125,8 +125,9 @@ def test_mutated_check_reports_divergence_once(chain_file, capsys):
     labels = [label for label, _ in rows]
     assert len(labels) == len(set(labels))
     assert [s for _, s in rows if s.startswith("DIVERGES")] == ["DIVERGES at index 1"]
-    # auto runs the pipeline's plan, so its first row diverges
-    assert rows[-1][0] == "auto@1"
+    # a planted fault acts only on a threaded plan: auto@1 runs seq's plan,
+    # and auto@4, the first row with more than one worker, diverges
+    assert rows[-1][0] == "auto@4"
 
 
 def test_check_calls_share_no_state(chain_file, capsys):
@@ -263,29 +264,35 @@ def test_module_entry_point_runs_cli(counter_file):
     assert proc.stdout.strip() == '{"output":[10,21,32],"final_state":{"1":3}}'
 
 
-def test_importing_the_cli_leaves_the_harness_unloaded(counter_file):
+def test_importing_the_cli_leaves_the_harness_unloaded(counter_file, tmp_path):
     # `stc run` must not compile the fuzzer, nor load `statistics` for
     # `stc bench`, `hashlib` for program digests or `argparse` for a plain
-    # argv, and `seq` and `interleaved` must not load the threaded
-    # executors or `queue`: a fresh process pays for every module it imports
+    # argv, and a plan that can start no thread, any mode on a CPU-only
+    # program, must not load the threaded executors or `queue`: a fresh
+    # process pays for every module it imports. A delay that sleeps blocks,
+    # so its plan at two workers loads both.
+    delay_file = tmp_path / "delay.json"
+    delay = dict(COUNTER, threads=[{"id": 1, "fn": "delay_identity_ms", "params": {"delay_ms": 1}}])
+    delay_file.write_text(json.dumps(delay), encoding="utf-8")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     unwanted = "{'stc.harness', 'statistics', 'hashlib', 'argparse'} & set(sys.modules)"
     threaded = "{'stc.parallel', 'queue'} & set(sys.modules)"
-    run = "stc.cli.main(['run', sys.argv[1], '--mode', '{}', '--workers', '2'])"
+    run = "stc.cli.main(['run', sys.argv[{}], '--mode', '{}', '--workers', '2'])"
+    runs = [(1, mode) for mode in ("seq", "interleaved", "pipeline", "auto")] + [(2, "auto")]
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, stc.cli; print(sorted({unwanted}), sorted({threaded}));"
          + "".join(
-             f" {run.format(mode)}; print(sorted({unwanted}), sorted({threaded}));"
-             for mode in ("seq", "interleaved", "auto")
-         ), counter_file],
+             f" {run.format(arg, mode)}; print(sorted({unwanted}), sorted({threaded}));"
+             for arg, mode in runs
+         ), counter_file, str(delay_file)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     result = '{"output":[10,21,32],"final_state":{"1":3}}'
-    assert proc.stdout.splitlines() == [
-        "[] []", result, "[] []", result, "[] []", result, "[] ['queue', 'stc.parallel']"
+    assert proc.stdout.splitlines() == ["[] []"] + [result, "[] []"] * 4 + [
+        '{"output":[10,20,30],"final_state":{"1":null}}', "[] ['queue', 'stc.parallel']"
     ]
 
 

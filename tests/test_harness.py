@@ -3,15 +3,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 
-from stc import mutations, parse_program, smap_check, validate_word
+from stc import Word, mutations, parse_program, smap_check, validate_word
 from stc.builtins import make_thread
 from stc.harness import (
     FuzzConfig,
     Xorshift64Star,
+    _fuzz_trial,
     _picker,
     carrier_stream,
     check_program,
@@ -26,7 +27,7 @@ from stc.harness import (
     verify_hints,
 )
 from stc.model import ThreadSpec, build_graph
-from stc.program import program_digest, value_to_json
+from stc.program import Program, program_digest, program_to_text, value_to_json
 from stc.values import FLOAT_T, INT_T, Inl, Inr, sum_of, v_float, v_int, v_str
 
 
@@ -355,6 +356,19 @@ def test_fuzz_fails_a_mislabeled_builtin_at_trial_0():
     assert parse_program(failure.program_text).graph.edges[thread].fn_name == "add1_tick"
 
 
+def test_fuzz_trial_reports_a_failing_reference_run_as_a_harness_error():
+    # a replaced transfer whose output is ill-typed makes the reference run
+    # itself raise; the trial reports it, it does not end in a traceback
+    spec = replace(make_thread(1, "counter_add"), transfer=lambda x, s: (v_str("bad"), s))
+    program = Program.from_raw(build_graph(spec), Word((1,)), [1, 2], INT_T)
+    trial = _fuzz_trial(program, Xorshift64Star(1), Xorshift64Star(2), {}, 3)
+    assert (trial.index, trial.modes, trial.equal) == (3, ["seq"], False)
+    div = trial.divergence
+    assert (div.mode, div.kind, div.where, div.expected) == ("harness", "error", "-", "result")
+    assert div.actual.startswith("PortTypeError(")
+    assert trial.program_text == program_to_text(program)
+
+
 def test_mutation_failure_is_replayable():
     with mutations.enable("state-update-dropped"):
         report = run_fuzz(FuzzConfig(seed=11, trials=500))
@@ -383,14 +397,15 @@ def test_clean_fuzz_report_is_pinned(capsys):
 def test_mutated_fuzz_report_is_pinned(capsys):
     # The whole report of a mutated fuzz run, the failing program's text
     # and the divergence included, must not change when the executors are
-    # restructured.
+    # restructured. A planted fault acts only on a threaded plan, so the
+    # report diverges at auto@4, the first row with more than one worker.
     from stc.cli import main
 
     argv = ["check", "--fuzz", "--seed", "3", "--trials", "50", "--mutate", "stage-order-swapped"]
     assert main(argv) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c918ef799a0508d7e7791dc1c5f1925e2dcb64423f58f248446e118833fbb949"
+        "e81c277dbd2badae1cb3e7ba4c8ef5ba7a188367094c59f1cde98ed9a1363a82"
     )
 
 

@@ -6,6 +6,8 @@ from stc import (
     DuplicateThreadId,
     INT_T,
     Multigraph,
+    PortTypeError,
+    STR_T,
     UnknownFunction,
     build_graph,
     init_state,
@@ -93,6 +95,19 @@ def test_state_store_domain_is_fixed():
     with pytest.raises(KeyError):
         store.set(2, v_int(1))
     assert store.domain == frozenset({1})
+
+
+def test_state_store_set_replaces_a_slot_and_prints_sorted():
+    graph = build_graph(make_thread(2, "append_tag", v_str("t")), make_thread(1, "counter_add"))
+    store = init_state(graph)
+    store.set(1, v_int(7))
+    assert store.get(1) == v_int(7) and store.domain == frozenset({1, 2})
+    assert repr(store) == f"{{1: {v_int(7)!r}, 2: {v_str('t')!r}}}"
+
+
+def test_vertex_renaming_rejects_an_incompatible_carrier():
+    with pytest.raises(PortTypeError, match="cannot move to incompatible vertices"):
+        make_thread(9, "counter_add").at(vertex("a", STR_T), vertex("b", INT_T))
 
 
 def test_vertex_renaming_keeps_structure():

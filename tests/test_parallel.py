@@ -1159,8 +1159,9 @@ def test_branch_stream_workers_one_starts_no_thread():
     ids=["1", "2", "4", "auto-4"],
 )
 def test_flags_ignored_in_join_mutation_diverges(workers, run):
-    # the fault is a barrier at the join: at one worker too, and in auto's
-    # own cut, which a list of 20 elements gets
+    # the fault is a barrier at the join of a threaded plan, also in auto's
+    # own cut, which a list of 20 elements gets; at one worker the plan is
+    # seq's, which no planted fault touches
     graph = _blocking(branch_graph())
     xs = int_list(*range(20))  # alternating even/odd
     expect = eval_branch(graph, branch_prog(), xs, init_state(graph))
@@ -1169,8 +1170,22 @@ def test_flags_ignored_in_join_mutation_diverges(workers, run):
         got = _returned_within(lambda: run(graph, branch_prog(), xs, init_state(graph), workers))
     assert (len(started) > 1) == (workers > 1)  # the helper, then stream threads
     assert threading.active_count() == before
+    if workers == 1:
+        assert got == expect
+        return
     payloads = [sorted(v.payload for v in out.payload) for out in (got[0], expect[0])]
     assert got[0] != expect[0] and payloads[0] == payloads[1]
+
+
+def test_flags_ignored_in_join_with_an_empty_consumer_runs_a_stream_with_no_stage():
+    # the fault's barrier cuts the branch at the join, so an empty consumer
+    # is a stream of its own with no stage, which passes its input on
+    graph = build_graph(_delay(1, 1), make_thread(2, "branch_even"))
+    prog = BranchProgram(Word((1, 2)), Word((), INT_T), Word((), INT_T), Word((), SUM_II))
+    with mutations.enable("flags-ignored-in-join"):
+        out, _ = run_pipeline(graph, prog, int_list(*range(5)), init_state(graph), 2)
+    assert out == sum_list(*map(v_inl, int_list(0, 2, 4).payload),
+                           *map(v_inr, int_list(1, 3).payload))
 
 
 # --- auto mode -----------------------------------------------------------------

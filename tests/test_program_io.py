@@ -26,7 +26,13 @@ from stc import (
 from stc.errors import ValidationError
 from stc.harness import FuzzConfig, program_stream, run_program
 from stc.model import builtin_claim
-from stc.program import Program, program_to_text, value_from_json, value_to_json
+from stc.program import (
+    Program,
+    program_to_text,
+    serialize_program,
+    value_from_json,
+    value_to_json,
+)
 from stc.values import INT_T, MAX_NESTING, UNIT, list_of, parse_port
 from conftest import fig1_graph
 
@@ -126,6 +132,16 @@ def test_parse_branch_rejects_shared_letters():
 
 def test_serialize_round_trip_minimal():
     program = parse_program(MINIMAL)
+    again = parse_program(program_to_text(program))
+    assert again == program
+    assert program_digest(again) == program_digest(program)
+
+
+def test_serialize_empty_word_writes_its_anchor():
+    graph = build_graph(make_thread(1, "counter_add"))
+    program = Program(graph, Word((), INT_T), v_list(INT_T, [v_int(4)]), INT_T)
+    doc = serialize_program(program)
+    assert doc["word"] == [] and doc["anchor"] == "int"
     again = parse_program(program_to_text(program))
     assert again == program
     assert program_digest(again) == program_digest(program)

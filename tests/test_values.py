@@ -54,6 +54,11 @@ def test_value_equality_is_structural():
     assert UNIT == UNIT
 
 
+def test_a_value_without_an_injection_does_not_match_a_sum():
+    assert v_inl(v_int(1)).matches(sum_of(INT_T, INT_T))
+    assert not v_int(1).matches(sum_of(INT_T, INT_T))
+
+
 def test_float_equality_is_bitwise_and_total():
     nan = float("nan")
     assert v_float(nan) == v_float(nan)
