@@ -15,6 +15,13 @@ arithmetic wraps at 64 bits; a result is passed through ``wrap64`` only
 when it leaves the range, since ``wrap64(y) == y`` for every in-range
 ``y``.
 
+Every builtin but a delay that sleeps also has a list kernel next to its
+transfer kernel, ``over(xs, s) -> (outputs, new state)``: the stage-wise
+map of the letter in one comprehension, returning and raising what
+``composition.map_letter`` does with the transfer kernel. It is
+registered with the transfer's ``Kernel`` (``model.list_kernel``). An
+int-state builtin hands any state but an in-range int to ``map_letter``.
+
 Registry:
 
     counter_add        int -> int,  int state     y = x + s, s' = s + 1
@@ -33,12 +40,15 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from itertools import count
+from operator import add
 from typing import Any, Callable, Mapping, Optional
 
+from .composition import map_letter
 from .errors import SchemaError, UnknownFunction
 from .model import (
     Kernel,
+    ListStep,
     RawStep,
     StageKind,
     ThreadSpec,
@@ -56,6 +66,7 @@ from .values import (
     Inl,
     Inr,
     PortType,
+    Record,
     Value,
     parse_port,
     sum_of,
@@ -65,30 +76,42 @@ from .values import (
 )
 
 
-@dataclass(frozen=True)
-class BuiltinEntry:
+class BuiltinEntry(Record):
     """One registry row, instantiated once per claim with its params."""
 
-    name: str
-    kind: StageKind
-    param_keys: frozenset
-    instantiate: Callable[[Mapping[str, Any]], "ThreadParts"]
+    __slots__ = ("name", "kind", "param_keys", "instantiate")
+
+    def __init__(self, name: str, kind: StageKind, param_keys: frozenset,
+                 instantiate: Callable[[Mapping[str, Any]], "ThreadParts"]):
+        self.name, self.kind, self.param_keys, self.instantiate = name, kind, param_keys, instantiate
 
 
-@dataclass(frozen=True)
-class ThreadParts:
+class ThreadParts(Record):
     """One instantiated builtin: its types and raw kernels. ``sample`` is
     the transfer kernel hint sampling runs, when it differs from
-    ``transfer`` (a kernel that sleeps); the thread is then ``blocking``."""
+    ``transfer`` (a kernel that sleeps); the thread is then ``blocking``.
+    ``over`` is ``transfer``'s list kernel, where one comprehension maps it
+    over a list (see ``model.list_kernel``)."""
 
-    src: PortType
-    tgt: PortType
-    state_type: PortType
-    default_init: Value
-    transfer: RawStep
-    value_part: Optional[Callable[[Any], Any]] = None
-    state_part: Optional[Callable[[Any], Any]] = None
-    sample: Optional[RawStep] = None
+    __slots__ = ("src", "tgt", "state_type", "default_init", "transfer", "value_part",
+                 "state_part", "sample", "over")
+
+    def __init__(
+        self, src: PortType, tgt: PortType, state_type: PortType, default_init: Value,
+        transfer: RawStep, value_part: Optional[Callable[[Any], Any]] = None,
+        state_part: Optional[Callable[[Any], Any]] = None, sample: Optional[RawStep] = None,
+        over: Optional[ListStep] = None,
+    ):
+        self.src, self.tgt, self.state_type, self.default_init = src, tgt, state_type, default_init
+        self.transfer, self.value_part, self.state_part = transfer, value_part, state_part
+        self.sample, self.over = sample, over
+
+
+def _int64(s: Any) -> bool:
+    """Whether the list kernel of an int-state builtin takes the state
+    ``s``: from an in-range int, its state after n elements is
+    ``wrap64(s + n)``; any other state runs through ``map_letter``."""
+    return type(s) is int and INT64_MIN <= s <= INT64_MAX
 
 
 def _counter_add(params: Mapping) -> ThreadParts:
@@ -100,7 +123,14 @@ def _counter_add(params: Mapping) -> ThreadParts:
             s if s <= INT64_MAX else wrap64(s),
         )
 
-    return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn)
+    # x + wrap64(s + i) and x + s + i wrap to the same int
+    def over(xs, s):
+        if not _int64(s):
+            return map_letter(fn, xs, s)
+        ys = [y if INT64_MIN <= y <= INT64_MAX else wrap64(y) for y in map(add, xs, count(s))]
+        return ys, wrap64(s + len(xs))
+
+    return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn, over=over)
 
 
 def _scale_by_state(params: Mapping) -> ThreadParts:
@@ -108,7 +138,10 @@ def _scale_by_state(params: Mapping) -> ThreadParts:
         y = x * s
         return (y if INT64_MIN <= y <= INT64_MAX else wrap64(y)), s
 
-    return ThreadParts(INT_T, INT_T, INT_T, v_int(1), fn)
+    def over(xs, s):
+        return [y if INT64_MIN <= y <= INT64_MAX else wrap64(y) for x in xs for y in [x * s]], s
+
+    return ThreadParts(INT_T, INT_T, INT_T, v_int(1), fn, over=over)
 
 
 def _add1_tick(params: Mapping) -> ThreadParts:
@@ -121,14 +154,23 @@ def _add1_tick(params: Mapping) -> ThreadParts:
         s += 1
         return (x if x <= INT64_MAX else wrap64(x)), (s if s <= INT64_MAX else wrap64(s))
 
-    return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn, value_part=g, state_part=g)
+    def over(xs, s):
+        if not _int64(s):
+            return map_letter(fn, xs, s)
+        ys = [y if y <= INT64_MAX else wrap64(y) for x in xs for y in [x + 1]]
+        return ys, wrap64(s + len(xs))
+
+    return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn, value_part=g, state_part=g, over=over)
 
 
 def _branch_even(params: Mapping) -> ThreadParts:
     def fn(x: int, s: None):
         return (Inl(x) if x % 2 == 0 else Inr(x)), s
 
-    return ThreadParts(INT_T, sum_of(INT_T, INT_T), UNIT_T, UNIT, fn)
+    def over(xs, s):
+        return [Inl(x) if x % 2 == 0 else Inr(x) for x in xs], s
+
+    return ThreadParts(INT_T, sum_of(INT_T, INT_T), UNIT_T, UNIT, fn, over=over)
 
 
 def _carrier(params: Mapping) -> PortType:
@@ -144,7 +186,10 @@ def _merge_sum(params: Mapping) -> ThreadParts:
     def fn(x, s: None):
         return x.value, s
 
-    return ThreadParts(sum_of(d, d), d, UNIT_T, UNIT, fn)
+    def over(xs, s):
+        return [x.value for x in xs], s
+
+    return ThreadParts(sum_of(d, d), d, UNIT_T, UNIT, fn, over=over)
 
 
 # about 31 years; much longer sleeps overflow the deadline time.sleep
@@ -170,14 +215,19 @@ def _delay_identity_ms(params: Mapping) -> ThreadParts:
         time.sleep(seconds)
         return x, s
 
-    return ThreadParts(t, t, UNIT_T, UNIT, fn if seconds else identity, sample=identity)
+    if seconds:  # a delay that sleeps is mapped element by element
+        return ThreadParts(t, t, UNIT_T, UNIT, fn, sample=identity)
+    return ThreadParts(t, t, UNIT_T, UNIT, identity, over=lambda xs, s: (list(xs), s))
 
 
 def _append_tag(params: Mapping) -> ThreadParts:
     def fn(x: str, s: str):
         return x + s, s
 
-    return ThreadParts(STR_T, STR_T, STR_T, v_str(""), fn)
+    def over(xs, s):
+        return [x + s for x in xs], s
+
+    return ThreadParts(STR_T, STR_T, STR_T, v_str(""), fn, over=over)
 
 
 _REGISTRY = {
@@ -283,7 +333,9 @@ def _build(fn_name: str, params: Mapping[str, Any]) -> tuple:
         canonical["type"] = _carrier(params).name
     claim = (fn_name, tuple(sorted(canonical.items())))
     transfer = boxed_transfer(parts.transfer, src, tgt, st)
-    register_kernel(transfer, Kernel(parts.transfer, parts.sample or parts.transfer, claim))
+    register_kernel(
+        transfer, Kernel(parts.transfer, parts.sample or parts.transfer, claim, parts.over)
+    )
     halves = []
     for run, a, b in ((parts.value_part, src, tgt), (parts.state_part, st, st)):
         half = None

@@ -12,8 +12,9 @@ error. Machine output (run JSON, check reports, bench CSV, DOT) goes to
 stdout; diagnostics go to stderr.
 
 ``main`` reads a plain ``run FILE [--mode M] [--workers N]`` argv itself,
-options in either order; any other argv goes to argparse, imported on
-first use, so every usage error and help text stays argparse's own.
+options in either order, and a bare ``check FILE``; any other argv goes
+to argparse, imported on first use, so every usage error and help text
+stays argparse's own.
 """
 
 from __future__ import annotations
@@ -197,10 +198,16 @@ def _build_parser() -> "argparse.ArgumentParser":
 
 
 def _run_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
-    """The namespace argparse makes of a well-formed ``run`` argv, or None
-    when the argv holds anything argparse must judge. A token starting
-    with ``-`` is an option to argparse, so only ``--mode`` and
-    ``--workers`` may, each once, and never their values or FILE."""
+    """The namespace argparse makes of a well-formed ``run`` argv or a bare
+    ``check FILE``, or None when the argv holds anything argparse must
+    judge. A token starting with ``-`` is an option to argparse, so only
+    ``run``'s ``--mode`` and ``--workers`` may, each once, and never their
+    values or FILE."""
+    if len(argv) == 2 and argv[0] == "check" and not argv[1].startswith("-"):
+        return SimpleNamespace(
+            command="check", file=argv[1], fuzz=False, seed=1, trials=100, max_edges=8,
+            max_word_len=5, max_list_len=16, mutate=None, fn=cmd_check,
+        )
     if not argv or argv[0] != "run":
         return None
     file, given, tokens = None, {}, iter(argv[1:])

@@ -32,7 +32,13 @@ The list evaluators take a word or a branch program; ``eval_branch`` and
 ``eval_branch_elementwise`` are the same two functions under their
 branch names. Both walk a ``Route``, the steps of every part, built once
 per plan: ``run_route`` maps a list through it, ``route_element`` one
-element.
+element. ``run_route`` maps each letter with ``run_stagewise``, which
+runs a builtin's list kernel where the step is the builtin's own
+unchecked kernel and ``map_letter`` otherwise. So ``seq``, a threadless
+``pipeline`` or ``auto`` plan and the re-run of a failed stream map whole
+lists, while ``interleaved``, a one-lane threaded stage and a replica
+(whose steps are wrapped, ``parallel._replica_step``) apply the element
+kernels.
 
 Every evaluator plans through ``planner``, the one place a mode becomes
 an executor: it validates a shape once and plans it in any of ``MODES``
@@ -49,7 +55,6 @@ slots once, runs the core and boxes the result once; ``stc run`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,11 +66,20 @@ from .errors import (
     UnknownThreadId,
     ValidationError,
 )
-from .model import Multigraph, RawStep, StateStore, boxed_store, raw_slots, raw_step
+from .model import (
+    Multigraph,
+    RawStep,
+    StateStore,
+    boxed_store,
+    list_kernel,
+    raw_slots,
+    raw_step,
+)
 from .values import (
     Inl,
     Inr,
     PortType,
+    Record,
     Tag,
     TypeKind,
     Value,
@@ -81,12 +95,13 @@ Steps = List[Tuple[int, RawStep]]
 Core = Callable[[Sequence[Any], Slots], Tuple[Sequence[Any], Slots]]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A path in the multigraph, or the empty path anchored at a vertex."""
 
-    letters: Tuple[int, ...] = ()
-    anchor: Optional[PortType] = None
+    __slots__ = ("letters", "anchor")
+
+    def __init__(self, letters: Tuple[int, ...] = (), anchor: Optional[PortType] = None):
+        self.letters, self.anchor = letters, anchor
 
     def then(self, later: "Word") -> "Word":
         """Compose: apply ``self`` first, then ``later``."""
@@ -101,22 +116,24 @@ class Word:
         return "[" + ",".join(str(n) for n in reversed(self.letters)) + "]"
 
 
-@dataclass(frozen=True)
-class ValidatedWord:
-    word: Word
-    src: PortType
-    tgt: PortType
+class ValidatedWord(Record):
+    __slots__ = ("word", "src", "tgt")
+
+    def __init__(self, word: Word, src: PortType, tgt: PortType):
+        self.word, self.src, self.tgt = word, src, tgt
 
 
-@dataclass(frozen=True)
-class WordSegmentation:
+class WordSegmentation(Record):
     """Maximal duplicate-free runs of a word, in application order.
 
     Concatenating the segments in order reproduces the original word, and
     every segment has pairwise-distinct letters.
     """
 
-    segments: Tuple[Word, ...]
+    __slots__ = ("segments",)
+
+    def __init__(self, segments: Tuple[Word, ...]):
+        self.segments = segments
 
 
 def validate_word(graph: Multigraph, word: Word) -> ValidatedWord:
@@ -170,8 +187,7 @@ def segment_word(word: Word) -> WordSegmentation:
     return WordSegmentation(tuple(segments))
 
 
-@dataclass(frozen=True)
-class BranchProgram:
+class BranchProgram(Record):
     """A produce/branch/consume shape over sum-typed values.
 
     ``producer`` ends in a sum vertex; ``left`` and ``right`` transform
@@ -180,10 +196,10 @@ class BranchProgram:
     state slots never alias.
     """
 
-    producer: Word
-    left: Word
-    right: Word
-    consumer: Word
+    __slots__ = ("producer", "left", "right", "consumer")
+
+    def __init__(self, producer: Word, left: Word, right: Word, consumer: Word):
+        self.producer, self.left, self.right, self.consumer = producer, left, right, consumer
 
     def words(self) -> Tuple[Word, ...]:
         return (self.producer, self.left, self.right, self.consumer)
@@ -191,12 +207,6 @@ class BranchProgram:
     @property
     def letters(self) -> Tuple[int, ...]:
         return tuple(n for w in self.words() for n in w.letters)
-
-
-@dataclass(frozen=True)
-class ValidatedBranch:
-    src: PortType
-    tgt: PortType
 
 
 # what every list evaluator runs: a word or a branch program
@@ -208,7 +218,9 @@ Part = Union[Word, Tuple[Word, Word]]
 Route = List[Union[Steps, Tuple[Steps, Steps]]]
 
 
-def validate_branch(graph: Multigraph, prog: BranchProgram) -> ValidatedBranch:
+def validate_branch(graph: Multigraph, prog: BranchProgram) -> Tuple[PortType, PortType]:
+    """Check the four words and how they meet; the branch's source and
+    target types."""
     vp = validate_word(graph, prog.producer)
     vl = validate_word(graph, prog.left)
     vr = validate_word(graph, prog.right)
@@ -233,7 +245,7 @@ def validate_branch(graph: Multigraph, prog: BranchProgram) -> ValidatedBranch:
         if n in seen:
             raise RepeatedLetter(n)
         seen.add(n)
-    return ValidatedBranch(vp.src, vc.tgt)
+    return vp.src, vc.tgt
 
 
 def parts(shape: Shape) -> Tuple[Part, ...]:
@@ -246,8 +258,9 @@ def parts(shape: Shape) -> Tuple[Part, ...]:
 
 def endpoints(graph: Multigraph, shape: Shape) -> Tuple[PortType, PortType]:
     """The source and target types of a validated word or branch."""
-    validate = validate_branch if isinstance(shape, BranchProgram) else validate_word
-    valid = validate(graph, shape)
+    if isinstance(shape, BranchProgram):
+        return validate_branch(graph, shape)
+    valid = validate_word(graph, shape)
     return valid.src, valid.tgt
 
 
@@ -362,9 +375,16 @@ def run_element(steps: Steps, slots: Slots, v: Any) -> Any:
 
 def run_stagewise(steps: Steps, slots: Slots, values: Sequence[Any]) -> Sequence[Any]:
     """The list twin of ``run_element``: each letter maps over the whole
-    list before the next letter runs, updating ``slots`` in place."""
+    list before the next letter runs, updating ``slots`` in place. A step
+    that is a builtin's own unchecked kernel runs as its list kernel
+    (``model.list_kernel``), one comprehension per letter; any other step,
+    a checked one included, runs through ``map_letter``."""
     for n, step in steps:
-        values, slots[n] = map_letter(step, values, slots[n])
+        over = list_kernel(step)
+        if over is None:
+            values, slots[n] = map_letter(step, values, slots[n])
+        else:
+            values, slots[n] = over(values, slots[n])
     return values
 
 

@@ -76,7 +76,7 @@ from __future__ import annotations
 import copy
 import math
 import string
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -94,6 +94,7 @@ from .model import (
     raw_state_part,
     raw_transfer,
     raw_value_part,
+    replace,
 )
 from .parallel import Crew
 # ``run_program`` stays importable from here: the traced benchmark

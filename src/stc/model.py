@@ -11,21 +11,27 @@ A thread's public functions (``transfer``, ``value_part``,
 kernels instead (see ``values``). A builtin registers the raw kernel of
 each function it makes, keyed by the function's identity; ``raw_step``
 and friends look a kernel up there. Any other function, such as one
-swapped in with ``dataclasses.replace``, is run as box -> function ->
-unbox, so it is still the function that runs.
+swapped in with ``replace``, is run as box -> function -> unbox, so it
+is still the function that runs. A builtin's transfer kernel may also
+have a list kernel (``list_kernel``), the whole stage-wise map of one
+letter in one comprehension.
+
+The records here (``ThreadSpec``, ``Multigraph``), like ``PortType`` and
+the shapes, are ``values.Record``s, not dataclasses: ``replace`` copies
+one with some fields changed, as ``dataclasses.replace`` would.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import deque
-from dataclasses import dataclass, field, replace
 from enum import Enum, unique
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DuplicateThreadId, PortTypeError
 from .values import (
     PortType,
+    Record,
     Value,
     box_state,
     boxer,
@@ -37,6 +43,8 @@ from .values import (
 TransferFn = Callable[[Value, Value], Tuple[Value, Value]]
 # the raw counterpart: raw (element, state) -> raw (output, new state)
 RawStep = Callable[[Any, Any], Tuple[Any, Any]]
+# a raw step over a whole list: raw (elements, state) -> (outputs, new state)
+ListStep = Callable[[Sequence[Any], Any], Tuple[List[Any], Any]]
 
 
 @unique
@@ -53,8 +61,7 @@ class StageKind(Enum):
     PRODUCT = "product"
 
 
-@dataclass(frozen=True)
-class ThreadSpec:
+class ThreadSpec(Record):
     """One fundamental state thread: a typed transfer function plus its
     private state slot.
 
@@ -64,25 +71,28 @@ class ThreadSpec:
 
     ``blocking`` is a scheduling hint, not semantics: the transfer blocks
     (sleeps) rather than computes, so it can overlap with other work under
-    the GIL. Executors start threads only for blocking stages.
+    the GIL. Executors start threads only for blocking stages. Neither the
+    hint nor the functions take part in ``==``, and only the hint is shown
+    by ``repr``.
     """
 
-    id: int
-    src: PortType
-    tgt: PortType
-    state_type: PortType
-    init_state: Value
-    fn_name: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-    kind: StageKind = StageKind.GENERAL
-    blocking: bool = field(default=False, compare=False)
-    transfer: TransferFn = field(compare=False, repr=False, default=None)
-    value_part: Optional[Callable[[Value], Value]] = field(
-        compare=False, repr=False, default=None
-    )
-    state_part: Optional[Callable[[Value], Value]] = field(
-        compare=False, repr=False, default=None
-    )
+    __slots__ = ("id", "src", "tgt", "state_type", "init_state", "fn_name", "params", "kind",
+                 "blocking", "transfer", "value_part", "state_part")
+    _compared = __slots__[:8]
+    _shown = __slots__[:9]
+
+    def __init__(
+        self, id: int, src: PortType, tgt: PortType, state_type: PortType, init_state: Value,
+        fn_name: str, params: Optional[Mapping[str, Any]] = None,
+        kind: StageKind = StageKind.GENERAL, blocking: bool = False,
+        transfer: Optional[TransferFn] = None,
+        value_part: Optional[Callable[[Value], Value]] = None,
+        state_part: Optional[Callable[[Value], Value]] = None,
+    ):
+        self.id, self.src, self.tgt, self.state_type = id, src, tgt, state_type
+        self.init_state, self.fn_name, self.kind, self.blocking = init_state, fn_name, kind, blocking
+        self.params = {} if params is None else params
+        self.transfer, self.value_part, self.state_part = transfer, value_part, state_part
 
     def at(self, src: PortType, tgt: PortType) -> "ThreadSpec":
         """The same thread re-anchored between distinctly named vertices.
@@ -96,6 +106,14 @@ class ThreadSpec:
                 f"{src.name} -> {tgt.name}"
             )
         return replace(self, src=src, tgt=tgt)
+
+
+def replace(obj: Record, **changes: Any) -> Record:
+    """A copy of the record ``obj`` with ``changes`` to its fields, made by
+    its class's ``__init__``, as ``dataclasses.replace`` makes one."""
+    fields = {n: getattr(obj, n) for n in obj.__slots__}
+    fields.update(changes)
+    return type(obj)(**fields)
 
 
 def expect_port(spec: ThreadSpec, what: str, v: Value, pt: PortType) -> None:
@@ -123,21 +141,38 @@ class Kernel:
     """The raw counterpart of one builtin function. ``sample`` is what hint
     sampling calls: ``run`` without its side effects (it never sleeps).
     Threads with equal ``claim``s, (builtin name, canonical params),
-    compute the same function. A plain class: a dataclass would cost every
-    process start a code generation."""
+    compute the same function. ``over``, where the builtin has one, is
+    ``run``'s list kernel (``list_kernel``). A plain class: a dataclass
+    would cost every process start a code generation."""
 
-    __slots__ = ("run", "sample", "claim")
+    __slots__ = ("run", "sample", "claim", "over")
 
-    def __init__(self, run: Callable, sample: Callable, claim: tuple):
-        self.run, self.sample, self.claim = run, sample, claim
+    def __init__(self, run: Callable, sample: Callable, claim: tuple,
+                 over: Optional[ListStep] = None):
+        self.run, self.sample, self.claim, self.over = run, sample, claim, over
 
 
 # builtin function -> its Kernel; an entry dies with its function
 _KERNELS: "weakref.WeakKeyDictionary[Callable, Kernel]" = weakref.WeakKeyDictionary()
+# a builtin's element kernel -> its list kernel, where it has one
+_LIST_KERNELS: "weakref.WeakKeyDictionary[RawStep, ListStep]" = weakref.WeakKeyDictionary()
 
 
 def register_kernel(fn: Callable, kernel: Kernel) -> None:
     _KERNELS[fn] = kernel
+    if kernel.over is not None:
+        _LIST_KERNELS[kernel.run] = kernel.over
+
+
+def list_kernel(step: RawStep) -> Optional[ListStep]:
+    """The list kernel of ``step`` when ``step`` is a builtin's own
+    unchecked transfer kernel and the builtin has one, else None. It maps
+    ``step`` over a whole list: ``over(xs, s)`` returns and raises what
+    ``composition.map_letter(step, xs, s)`` does."""
+    try:
+        return _LIST_KERNELS.get(step)
+    except TypeError:  # not weakly referenceable, so never registered
+        return None
 
 
 def kernel_of(fn: Optional[Callable]) -> Optional[Kernel]:
@@ -251,13 +286,16 @@ def raw_step(spec: ThreadSpec, check: bool) -> RawStep:
     return checked
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(Record):
     """Directed multigraph of threads: vertices are port types, edges are
     thread ids. Parallel edges between the same vertex pair are allowed."""
 
-    edges: Mapping[int, ThreadSpec] = field(default_factory=dict)
-    vertices: frozenset = frozenset()
+    __slots__ = ("edges", "vertices")
+
+    def __init__(self, edges: Optional[Mapping[int, ThreadSpec]] = None,
+                 vertices: frozenset = frozenset()):
+        self.edges = {} if edges is None else edges
+        self.vertices = vertices
 
     @staticmethod
     def empty() -> "Multigraph":

@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
 from enum import Enum, unique
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Any, Callable, Iterable, Optional, Tuple
 
 from .errors import PortTypeError, SchemaError
@@ -81,11 +80,46 @@ class TypeKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class PortType:
-    name: str
-    kind: TypeKind
-    args: Tuple["PortType", ...] = ()
+class Record:
+    """Base of the engine's record classes, in place of frozen dataclasses,
+    whose code generation every process start would pay. A subclass names
+    its fields in ``__slots__``, in its ``__init__``'s order. Equality and
+    hash follow the fields in ``_compared`` and repr shows those in
+    ``_shown``, every field unless a subclass narrows them, as a
+    dataclass's ``field(compare=False)`` and ``field(repr=False)`` do. No
+    field is assigned after ``__init__``; ``model.replace`` makes a changed
+    copy."""
+
+    __slots__ = ()
+    _compared: Optional[Tuple[str, ...]] = None
+    _shown: Optional[Tuple[str, ...]] = None
+
+    def __init_subclass__(cls) -> None:
+        # the compared fields as one tuple, read in C (attrgetter makes a
+        # tuple of two or more names only)
+        names = cls._compared or cls.__slots__
+        cls._key = staticmethod(
+            attrgetter(*names) if len(names) > 1 else lambda r: (getattr(r, names[0]),)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown or self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class PortType(Record):
+    __slots__ = ("name", "kind", "args")
+
+    def __init__(self, name: str, kind: TypeKind, args: Tuple["PortType", ...] = ()):
+        self.name, self.kind, self.args = name, kind, args
 
     def structure(self) -> tuple:
         """Name-free structural descriptor, compared for compatibility."""

@@ -266,23 +266,27 @@ def test_module_entry_point_runs_cli(counter_file):
 
 def test_importing_the_cli_leaves_the_harness_unloaded(counter_file, tmp_path):
     # `stc run` must not compile the fuzzer, nor load `statistics` for
-    # `stc bench`, `hashlib` for program digests or `argparse` for a plain
-    # argv, and a plan that can start no thread, any mode on a CPU-only
-    # program, must not load the threaded executors or `queue`: a fresh
-    # process pays for every module it imports. A delay that sleeps blocks,
-    # so its plan at two workers loads both.
+    # `stc bench`, `hashlib` for program digests, `argparse` for a plain
+    # argv or `dataclasses` (with `inspect`) for its records, and a plan
+    # that can start no thread, any mode on a CPU-only program, must not
+    # load the threaded executors or `queue`: a fresh process pays for
+    # every module it imports. A delay that sleeps blocks, so its plan at
+    # two workers loads both. Modules a site hook loaded before `stc.cli`
+    # do not count.
     delay_file = tmp_path / "delay.json"
     delay = dict(COUNTER, threads=[{"id": 1, "fn": "delay_identity_ms", "params": {"delay_ms": 1}}])
     delay_file.write_text(json.dumps(delay), encoding="utf-8")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    unwanted = "{'stc.harness', 'statistics', 'hashlib', 'argparse'} & set(sys.modules)"
-    threaded = "{'stc.parallel', 'queue'} & set(sys.modules)"
+    unwanted = ("{'stc.harness', 'statistics', 'hashlib', 'argparse', 'dataclasses', 'inspect'}"
+                " & set(sys.modules) - before")
+    threaded = "{'stc.parallel', 'queue'} & set(sys.modules) - before"
     run = "stc.cli.main(['run', sys.argv[{}], '--mode', '{}', '--workers', '2'])"
     runs = [(1, mode) for mode in ("seq", "interleaved", "pipeline", "auto")] + [(2, "auto")]
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, stc.cli; print(sorted({unwanted}), sorted({threaded}));"
+         "import sys; before = set(sys.modules); import stc.cli;"
+         f" print(sorted({unwanted}), sorted({threaded}));"
          + "".join(
              f" {run.format(arg, mode)}; print(sorted({unwanted}), sorted({threaded}));"
              for arg, mode in runs
@@ -293,6 +297,35 @@ def test_importing_the_cli_leaves_the_harness_unloaded(counter_file, tmp_path):
     result = '{"output":[10,21,32],"final_state":{"1":3}}'
     assert proc.stdout.splitlines() == ["[] []"] + [result, "[] []"] * 4 + [
         '{"output":[10,20,30],"final_state":{"1":null}}', "[] ['queue', 'stc.parallel']"
+    ]
+
+
+def test_a_bare_check_reads_its_argv_without_argparse(counter_file):
+    # `stc check FILE` prints the same table whether or not argparse reads
+    # its argv, and a fresh process running it never loads argparse
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import stc.cli;"
+         " code = stc.cli.main(['check', sys.argv[1]]);"
+         " print(code, sorted({'argparse'} & set(sys.modules) - before))", counter_file],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "program 27685d5565dc1a9e",
+        "graph acyclic: false",
+        "classification hints: ok",
+        "seq          reference",
+        "interleaved  equal",
+        "auto@1       equal",
+        "auto@4       equal",
+        "pipeline@1   equal",
+        "pipeline@2   equal",
+        "pipeline@4   equal",
+        "pipeline@8   equal",
+        "0 []",
     ]
 
 
@@ -341,6 +374,14 @@ ARGV_TABLE = [
     (["run"], False),
     ([], False),
     (["dot", "F"], False),
+    (["check", "F"], True),
+    (["check", "missing.json"], True),
+    (["check", "-x.json"], False),
+    (["check", "F", "--seed", "2"], False),
+    (["check", "--trials", "3", "F"], False),
+    (["check", "F", "extra"], False),
+    (["check"], False),
+    (["check", "-h"], False),
 ]
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import json
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -27,6 +26,7 @@ from stc.model import (
     init_state,
     raw_step,
     register_kernel,
+    replace,
 )
 from stc.parallel import (
     BranchProgram,

@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import pytest
 
@@ -26,7 +26,7 @@ from stc.harness import (
     run_program,
     verify_hints,
 )
-from stc.model import ThreadSpec, build_graph
+from stc.model import ThreadSpec, build_graph, replace
 from stc.program import Program, program_digest, program_to_text, value_to_json
 from stc.values import FLOAT_T, INT_T, Inl, Inr, sum_of, v_float, v_int, v_str
 
@@ -332,8 +332,6 @@ def test_mutations_detected(name):
 def test_fuzz_fails_a_mislabeled_builtin_at_trial_0():
     # add1_tick claiming READ_ONLY: the first program of seed 1 holds one,
     # and the suite samples each program's hints before it runs it
-    from dataclasses import replace
-
     from stc import builtins
     from stc.model import StageKind
 

@@ -114,3 +114,29 @@ def test_vertex_renaming_keeps_structure():
     spec = make_thread(9, "delay_identity_ms").at(vertex("a", INT_T), vertex("b", INT_T))
     assert spec.src.name == "a" and spec.tgt.name == "b"
     assert spec.src.compatible(INT_T)
+
+
+def test_records_compare_hash_and_print_by_their_fields():
+    # the records are plain classes that compare, hash and print as the
+    # frozen dataclasses they replace did
+    from stc import Word
+    from stc.model import replace
+    from stc.values import TypeKind
+
+    assert repr(INT_T) == "PortType(name='int', kind=<TypeKind.INT: 'int'>, args=())"
+    assert hash(INT_T) == hash(("int", TypeKind.INT, ()))
+    assert INT_T != ("int", TypeKind.INT, ()) and vertex("a", INT_T) != INT_T
+    assert Word((1, 2)) == Word((1, 2)) and hash(Word((1, 2))) == hash(((1, 2), None))
+    assert repr(Word((), INT_T)) == f"Word(letters=(), anchor={INT_T!r})"
+    spec = make_thread(1, "counter_add", v_int(4))
+    # neither the blocking hint nor the functions take part in ==, and
+    # repr shows the hint but no function
+    assert spec == replace(spec, blocking=True, transfer=None)
+    assert spec != replace(spec, init_state=v_int(5))
+    assert repr(spec).endswith("fn_name='counter_add', params={}, "
+                               "kind=<StageKind.GENERAL: 'general'>, blocking=False)")
+    with pytest.raises(TypeError):
+        hash(spec)  # its params are a dict
+    with pytest.raises(TypeError):
+        replace(spec, colour="red")
+    assert Multigraph().edges == {} and Multigraph().edges is not Multigraph().edges

@@ -4,7 +4,6 @@ import json
 import sys
 import threading
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
 from functools import partial
 from itertools import groupby, product
 
@@ -50,7 +49,7 @@ from stc.harness import (
 from stc import mutations, parallel
 from stc.cli import main
 from stc.composition import planner, run_route
-from stc.model import Kernel, boxed_part, boxed_transfer, raw_step, register_kernel
+from stc.model import Kernel, boxed_part, boxed_transfer, raw_step, register_kernel, replace
 from stc.parallel import MAX_WORKERS, Crew
 from stc.program import Program
 from conftest import counter_scale_graph, int_list

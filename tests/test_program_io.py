@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -25,7 +24,7 @@ from stc import (
 )
 from stc.errors import ValidationError
 from stc.harness import FuzzConfig, program_stream, run_program
-from stc.model import builtin_claim
+from stc.model import builtin_claim, replace
 from stc.program import (
     Program,
     program_to_text,

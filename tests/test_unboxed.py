@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import replace
 
 import pytest
 
@@ -43,6 +42,7 @@ from stc import (
 )
 from stc.cli import _result_json, main
 from stc.errors import PortTypeError, SchemaError
+from stc.model import replace
 from stc.harness import (
     FuzzConfig,
     Xorshift64Star,
