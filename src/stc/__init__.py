@@ -11,7 +11,6 @@ from .builtins import BuiltinEntry, builtin, builtin_names, make_thread
 from .composition import (
     BranchProgram,
     Word,
-    WordSegmentation,
     eval_branch,
     eval_branch_elementwise,
     eval_interleaved,

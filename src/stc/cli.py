@@ -126,6 +126,10 @@ def _print_check_table(program: Program, trial, hints_ok: bool = True) -> None:
 
 def cmd_bench(args) -> int:
     """Median wall time of a delay-stage chain, sequential vs pipelined."""
+    if args.stages < 1:
+        raise ValidationError("--stages must be a positive integer")
+    if args.list_len < 0:
+        raise ValidationError("--list-len must be a non-negative integer")
     specs = [
         make_thread(i, "delay_identity_ms", params={"delay_ms": args.delay_ms})
         for i in range(1, args.stages + 1)

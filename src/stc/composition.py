@@ -116,32 +116,13 @@ class Word(Record):
         return "[" + ",".join(str(n) for n in reversed(self.letters)) + "]"
 
 
-class ValidatedWord(Record):
-    __slots__ = ("word", "src", "tgt")
-
-    def __init__(self, word: Word, src: PortType, tgt: PortType):
-        self.word, self.src, self.tgt = word, src, tgt
-
-
-class WordSegmentation(Record):
-    """Maximal duplicate-free runs of a word, in application order.
-
-    Concatenating the segments in order reproduces the original word, and
-    every segment has pairwise-distinct letters.
-    """
-
-    __slots__ = ("segments",)
-
-    def __init__(self, segments: Tuple[Word, ...]):
-        self.segments = segments
-
-
-def validate_word(graph: Multigraph, word: Word) -> ValidatedWord:
-    """Check that consecutive letters compose and resolve the endpoints."""
+def validate_word(graph: Multigraph, word: Word) -> Tuple[PortType, PortType]:
+    """Check that consecutive letters compose; the word's source and
+    target types."""
     if not word.letters:
         if word.anchor is None:
             raise ValidationError("empty word needs an anchor vertex")
-        return ValidatedWord(word, word.anchor, word.anchor)
+        return word.anchor, word.anchor
     for n in word.letters:
         if n not in graph.edges:
             raise UnknownThreadId(n)
@@ -150,7 +131,7 @@ def validate_word(graph: Multigraph, word: Word) -> ValidatedWord:
         required = graph.src(word.letters[i + 1])
         if produced != required:
             raise PathMismatch(i + 1, produced, required)
-    return ValidatedWord(word, graph.src(word.letters[0]), graph.tgt(word.letters[-1]))
+    return graph.src(word.letters[0]), graph.tgt(word.letters[-1])
 
 
 def smap_check(word: Word) -> frozenset:
@@ -165,8 +146,10 @@ def smap_check(word: Word) -> frozenset:
     return frozenset(repeated)
 
 
-def segment_word(word: Word) -> WordSegmentation:
-    """Greedy split into maximal duplicate-free segments.
+def segment_word(word: Word) -> Tuple[Word, ...]:
+    """Greedy split into maximal duplicate-free segments, in application
+    order: concatenated they reproduce the word, and no segment repeats a
+    letter.
 
     The greedy scan runs from the first-applied end, so the earliest
     segment is as long as possible. A word without repeats (including the
@@ -184,7 +167,7 @@ def segment_word(word: Word) -> WordSegmentation:
             current.append(n)
             seen.add(n)
     segments.append(Word(tuple(current), word.anchor if not current else None))
-    return WordSegmentation(tuple(segments))
+    return tuple(segments)
 
 
 class BranchProgram(Record):
@@ -221,31 +204,31 @@ Route = List[Union[Steps, Tuple[Steps, Steps]]]
 def validate_branch(graph: Multigraph, prog: BranchProgram) -> Tuple[PortType, PortType]:
     """Check the four words and how they meet; the branch's source and
     target types."""
-    vp = validate_word(graph, prog.producer)
-    vl = validate_word(graph, prog.left)
-    vr = validate_word(graph, prog.right)
-    vc = validate_word(graph, prog.consumer)
-    if vp.tgt.kind is not TypeKind.SUM:
-        raise ValidationError(f"producer must end at a sum vertex, got {vp.tgt.name}")
-    if vl.src != vp.tgt.args[0]:
+    psrc, ptgt = validate_word(graph, prog.producer)
+    lsrc, ltgt = validate_word(graph, prog.left)
+    rsrc, rtgt = validate_word(graph, prog.right)
+    csrc, ctgt = validate_word(graph, prog.consumer)
+    if ptgt.kind is not TypeKind.SUM:
+        raise ValidationError(f"producer must end at a sum vertex, got {ptgt.name}")
+    if lsrc != ptgt.args[0]:
         raise ValidationError(
-            f"left branch starts at {vl.src.name}, producer emits {vp.tgt.args[0].name}"
+            f"left branch starts at {lsrc.name}, producer emits {ptgt.args[0].name}"
         )
-    if vr.src != vp.tgt.args[1]:
+    if rsrc != ptgt.args[1]:
         raise ValidationError(
-            f"right branch starts at {vr.src.name}, producer emits {vp.tgt.args[1].name}"
+            f"right branch starts at {rsrc.name}, producer emits {ptgt.args[1].name}"
         )
-    merged = sum_of(vl.tgt, vr.tgt)
-    if vc.src != merged:
+    merged = sum_of(ltgt, rtgt)
+    if csrc != merged:
         raise ValidationError(
-            f"consumer starts at {vc.src.name}, branches produce {merged.name}"
+            f"consumer starts at {csrc.name}, branches produce {merged.name}"
         )
     seen: set = set()
     for n in prog.letters:
         if n in seen:
             raise RepeatedLetter(n)
         seen.add(n)
-    return vp.src, vc.tgt
+    return psrc, ctgt
 
 
 def parts(shape: Shape) -> Tuple[Part, ...]:
@@ -260,18 +243,21 @@ def endpoints(graph: Multigraph, shape: Shape) -> Tuple[PortType, PortType]:
     """The source and target types of a validated word or branch."""
     if isinstance(shape, BranchProgram):
         return validate_branch(graph, shape)
-    valid = validate_word(graph, shape)
-    return valid.src, valid.tgt
+    return validate_word(graph, shape)
+
+
+def check_feeds(elem: PortType, src: PortType) -> None:
+    """Raise ``PortTypeError`` unless input elements of type ``elem`` feed
+    a ``src`` source."""
+    if not elem.compatible(src):
+        raise PortTypeError(f"input element type {elem.name} does not feed a {src.name} source")
 
 
 def unbox_input(xs: Value, src: PortType) -> List[Any]:
     """The raw elements of the input list ``xs`` for a ``src`` source."""
     if xs.tag is not Tag.LIST:
         raise PortTypeError(f"expected a list value, got {xs!r}")
-    if not xs.elem.compatible(src):
-        raise PortTypeError(
-            f"input element type {xs.elem.name} does not feed a {src.name} source"
-        )
+    check_feeds(xs.elem, src)
     return list(map(unboxer(src), xs.payload))
 
 
@@ -396,12 +382,12 @@ def eval_phi(
     Only the state slots named in the word can change; the empty word is
     the identity.
     """
-    vw = validate_word(graph, word)
-    if not x.matches(vw.src):
-        raise PortTypeError(f"input {x!r} is not a {vw.src.name}")
+    src, tgt = validate_word(graph, word)
+    if not x.matches(src):
+        raise PortTypeError(f"input {x!r} is not a {src.name}")
     slots = raw_slots(graph, state, word.letters)
-    y = run_element(element_steps(graph, word.letters, check), slots, unboxer(vw.src)(x))
-    return boxer(vw.tgt)(y), boxed_store(graph, state, slots)
+    y = run_element(element_steps(graph, word.letters, check), slots, unboxer(src)(x))
+    return boxer(tgt)(y), boxed_store(graph, state, slots)
 
 
 def route_of(graph: Multigraph, parts: Sequence[Part], check: bool = False) -> Route:

@@ -34,11 +34,11 @@ the ``auto`` rows run what they run. The runs of one check share a
 runs before them started, and all of them are joined before the check
 returns.
 
-Executors start threads only for blocking stages, so a check plans on a
-copy of the graph whose threads are all marked blocking
-(``_all_blocking``): with more than one worker it is cut into threaded
-groups and replicas as the workers allow, where ``stc run`` keeps a
-CPU-only program on one thread. The hint changes no result. The
+Executors start threads only for blocking stages, so a check plans on
+``_all_blocking(program.graph)``, a copy of the program's graph whose
+threads are all marked blocking: with more than one worker it is cut
+into threaded groups and replicas as the workers allow, where ``stc run``
+keeps a CPU-only program on one thread. The hint changes no result. The
 one-worker rows (``auto@1``, ``pipeline@1``) run ``seq``'s plan, as every
 plan that can start no thread does, so only the rows with more than one
 worker reach the threaded executor and its planted faults.
@@ -73,7 +73,6 @@ one order. Generated programs hold their inputs raw (``Program.from_raw``).
 
 from __future__ import annotations
 
-import copy
 import math
 import string
 from dataclasses import asdict, dataclass, field
@@ -631,7 +630,7 @@ def check_program(
     order; on a divergence it ends with the run that diverged."""
     digest = program_digest(program)
     modes: List[str] = ["seq"]
-    graph = _all_blocking(program).graph
+    graph = _all_blocking(program.graph)
     plan, slots = planner(graph, program.word, check=check), initial_slots(graph)
 
     def run(row: Plan) -> RawResult:  # every run starts from a copy of the initial slots
@@ -687,18 +686,15 @@ def check_program(
     return TrialReport(index, digest, modes, True)
 
 
-def _all_blocking(program: Program) -> Program:
-    """``program`` with every thread marked blocking. Executors start
+def _all_blocking(graph: Multigraph) -> Multigraph:
+    """``graph`` with every thread marked blocking. Executors start
     threads only for blocking stages, so a check plans every run on this
-    copy's graph: with more than one worker it is cut into as many groups
-    and replicas as the workers allow, and keeps channels, drains and
+    copy: with more than one worker it is cut into as many groups and
+    replicas as the workers allow, and keeps channels, drains and
     per-group state under test whatever the program's delays."""
-    graph = program.graph
-    threaded = copy.copy(program)
-    threaded.graph = Multigraph(
+    return Multigraph(
         {n: replace(spec, blocking=True) for n, spec in graph.edges.items()}, graph.vertices
     )
-    return threaded
 
 
 _SUM_LIST = list_of(sum_of(INT_T, INT_T))

@@ -297,10 +297,6 @@ class Multigraph(Record):
         self.edges = {} if edges is None else edges
         self.vertices = vertices
 
-    @staticmethod
-    def empty() -> "Multigraph":
-        return Multigraph({}, frozenset())
-
     def src(self, thread_id: int) -> PortType:
         return self.edges[thread_id].src
 
@@ -318,10 +314,13 @@ def register_thread(spec: ThreadSpec, graph: Multigraph) -> Multigraph:
 
 
 def build_graph(*specs: ThreadSpec) -> Multigraph:
-    graph = Multigraph.empty()
+    """The graph of ``specs``, filled in one pass; ids must be distinct."""
+    edges: Dict[int, ThreadSpec] = {}
     for spec in specs:
-        graph = register_thread(spec, graph)
-    return graph
+        if spec.id in edges:
+            raise DuplicateThreadId(spec.id)
+        edges[spec.id] = spec
+    return Multigraph(edges, frozenset(v for spec in specs for v in (spec.src, spec.tgt)))
 
 
 def is_acyclic(graph: Multigraph) -> bool:

@@ -636,7 +636,7 @@ def stream_planner(
     elif mutations.enabled("segment-barrier-removed"):
         streams = [whole]
     else:
-        streams = [(w,) for w in segment_word(shape).segments]
+        streams = [(w,) for w in segment_word(shape)]
 
     def core(mode: str, workers: int) -> Core:
         # each stream as [the pipeline's cut, auto's own], the second cut on its first use

@@ -18,11 +18,11 @@ builtin's defaults apply. Value literals are plain JSON, read against the
 expected port type: unit is null, pairs are two-element arrays, and sum
 values are single-key objects {"inl": ...} or {"inr": ...}.
 
-Literals are read straight into raw values (``read_value``) and raw
+Literals are read straight into raw values (``read_items``) and raw
 results are rendered straight to JSON (``dump_raw``), so ``stc run``
 builds no ``Value``; ``run_raw`` plans through ``composition.planner``.
-``Program.input`` boxes the input list on first use for callers of the
-boxed API.
+A ``Program`` holds its input list raw, and ``Program.input`` boxes it
+on first use for callers of the boxed API.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .composition import (
     BranchProgram,
     Shape,
     Word,
+    check_feeds,
     endpoints,
     planner,
     unbox_input,
@@ -64,27 +65,26 @@ class Program:
     """One runnable unit: a graph, a word (or branch) over it, and a
     typed input list.
 
-    The input list is held in whichever representation it was given in,
-    a boxed list ``Value`` or raw elements (``from_raw``), and converted
-    to the other on first use."""
+    The input list is held as raw elements of ``input_type``. The
+    constructor unboxes a boxed list once, and raises ``PortTypeError``
+    unless it is a list whose elements feed ``input_type``; ``from_raw``
+    takes raw elements. ``input`` boxes them on first use."""
 
-    __slots__ = ("graph", "word", "input_type", "_input", "_items")
+    __slots__ = ("graph", "word", "input_type", "_items", "_input")
 
     def __init__(self, graph: Multigraph, word: Shape, input: Value, input_type: PortType):
-        self.graph = graph
-        self.word = word
-        self.input_type = input_type
+        self.graph, self.word, self.input_type = graph, word, input_type
+        self._items = tuple(unbox_input(input, input_type))
         self._input: Optional[Value] = input
-        self._items: Optional[tuple] = None
 
     @classmethod
     def from_raw(
         cls, graph: Multigraph, word: Shape, items: Sequence[Any], input_type: PortType
     ) -> "Program":
-        """A program whose raw input elements already inhabit ``input_type``,
-        and ``input_type`` feeds the word's source."""
-        program = cls(graph, word, None, input_type)
-        program._items = tuple(items)
+        """A program whose raw input elements already inhabit ``input_type``."""
+        program = cls.__new__(cls)
+        program.graph, program.word, program.input_type = graph, word, input_type
+        program._items, program._input = tuple(items), None
         return program
 
     @property
@@ -94,10 +94,9 @@ class Program:
         return self._input
 
     def raw_input(self, src: PortType) -> tuple:
-        """The raw input elements for a word with source ``src``; a boxed
-        input is checked as every evaluator checks its list."""
-        if self._items is None:
-            self._items = tuple(unbox_input(self._input, src))
+        """The raw input elements, for a word with source ``src``; raises
+        ``PortTypeError`` unless ``input_type`` feeds ``src``."""
+        check_feeds(self.input_type, src)
         return self._items
 
     @property
@@ -240,13 +239,11 @@ def read_items(objs: list, pt: PortType, path: str) -> list:
         raise _misfit_error(bad, path) from None
 
 
-def value_from_json(obj: Any, pt: PortType, path: str, depth: int = 0) -> Value:
-    """Read a plain JSON literal against an expected port type.
-
-    ``depth`` counts the enclosing lists, pairs and sums; a literal that
-    nests deeper than ``MAX_NESTING`` is rejected."""
+def value_from_json(obj: Any, pt: PortType, path: str) -> Value:
+    """Read a plain JSON literal against an expected port type; a literal
+    that nests deeper than ``MAX_NESTING`` is rejected."""
     try:
-        raw = _read(obj, pt, depth)
+        raw = _read(obj, pt, 0)
     except _Misfit as bad:
         raise _misfit_error(bad, path) from None
     return boxer(pt)(raw)
@@ -399,15 +396,15 @@ def parse_program(text: str) -> Program:
                 "word.branch", "expected producer/left/right/consumer arrays"
             )
         producer = _word_from_json(br["producer"], "word.branch.producer", input_type)
-        ptgt = validate_word(graph, producer).tgt
+        ptgt = validate_word(graph, producer)[1]
         if ptgt.kind is not TypeKind.SUM:
             raise SchemaError(
                 "word.branch.producer", f"must end at a sum vertex, got {ptgt.name}"
             )
         left = _word_from_json(br["left"], "word.branch.left", ptgt.args[0])
         right = _word_from_json(br["right"], "word.branch.right", ptgt.args[1])
-        ltgt = validate_word(graph, left).tgt
-        rtgt = validate_word(graph, right).tgt
+        ltgt = validate_word(graph, left)[1]
+        rtgt = validate_word(graph, right)[1]
         consumer = _word_from_json(br["consumer"], "word.branch.consumer", sum_of(ltgt, rtgt))
         word = BranchProgram(producer, left, right, consumer)
     else:
@@ -427,8 +424,7 @@ def parse_program(text: str) -> Program:
 
 def serialize_program(program: Program) -> Dict[str, Any]:
     """Render a program as its canonical JSON document. The input holds
-    the program's raw elements when it has them, so the document is one
-    for ``dump_raw``; otherwise it holds ``value_to_json`` literals."""
+    the program's raw elements, so the document is one for ``dump_raw``."""
     threads = []
     for tid in sorted(program.graph.edges):
         spec = program.graph.edges[tid]
@@ -451,10 +447,7 @@ def serialize_program(program: Program) -> Dict[str, Any]:
         doc["word"] = list(program.word.letters)
         if not program.word.letters:
             doc["anchor"] = program.word.anchor.name
-    items = program._items
-    doc["input"] = (
-        list(items) if items is not None else [value_to_json(v) for v in program.input.payload]
-    )
+    doc["input"] = list(program._items)
     doc["input_type"] = program.input_type.name
     return doc
 

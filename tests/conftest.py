@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import pytest
 
 from stc import (
@@ -50,3 +53,22 @@ def int_list(*ns):
 @pytest.fixture
 def rng():
     return Xorshift64Star(0xDECAFBAD)
+
+
+@contextmanager
+def thread_starts(fail_at=None):
+    """Collect every ``Thread.start`` inside the block. With ``fail_at=n``
+    the n-th call raises, as it does when the OS cannot start another
+    thread."""
+    calls = []
+    real_start = threading.Thread.start
+
+    def start(thread, *args, **kwargs):
+        calls.append(thread)
+        if len(calls) == fail_at:
+            raise RuntimeError("can't start new thread")
+        return real_start(thread, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", start)
+        yield calls

@@ -75,7 +75,7 @@ def test_functor_law_100_splits(capsys):
             continue
         word = p.word
         cut = rng.below(len(word.letters) + 1)
-        src = validate_word(p.graph, word).src
+        src, _ = validate_word(p.graph, word)
         first = Word(word.letters[:cut], src if cut == 0 else None)
         rest = Word(word.letters[cut:], src if cut == len(word.letters) else None)
         store = init_state(p.graph)
@@ -235,7 +235,7 @@ def test_branch_determinism_byte_identical(capsys):
         p = next(stream)
         if p.is_branch:
             # marked blocking, so that workers 4 runs a threaded stream
-            programs.append(_all_blocking(p))
+            programs.append(Program(_all_blocking(p.graph), p.word, p.input, p.input_type))
     for p in programs:
         renders = set()
         for workers in (1, 4):

@@ -459,12 +459,21 @@ def test_bench_csv_shape(capsys):
         assert float(cells[4]) > 0
 
 
+_BENCH_REJECTS = [
+    ("--workers", "0", "workers must be a positive integer"),
+    ("--workers", "65", "workers must be at most 64"),
+    ("--stages", "0", "--stages must be a positive integer"),
+    ("--list-len", "-1", "--list-len must be a non-negative integer"),
+]
+
+
 @pytest.mark.parametrize(
-    "workers, message",
-    [("0", "workers must be a positive integer"), ("65", "workers must be at most 64")],
+    "flag, value, message", _BENCH_REJECTS, ids=[f"{v}-{m}" for _, v, m in _BENCH_REJECTS]
 )
-def test_bench_rejects_workers_before_any_output(capsys, workers, message):
-    argv = ["bench", "--stages", "1", "--list-len", "2", "--delay-ms", "1", "--workers", workers]
+def test_bench_rejects_workers_before_any_output(capsys, flag, value, message):
+    options = {"--stages": "1", "--list-len": "2", "--delay-ms": "1", "--workers": "4"}
+    options[flag] = value
+    argv = ["bench", *(token for option in options.items() for token in option)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -26,14 +26,15 @@ from conftest import B, counter_scale_graph, fig1_graph, int_list
 
 
 def test_validate_composable_path():
-    vw = validate_word(fig1_graph(), Word((1, 4)))  # displays as [4,1]
-    assert vw.src.name == "a" and vw.tgt.name == "e"
-    assert str(vw.word) == "[4,1]"
+    word = Word((1, 4))  # displays as [4,1]
+    src, tgt = validate_word(fig1_graph(), word)
+    assert src.name == "a" and tgt.name == "e"
+    assert str(word) == "[4,1]"
 
 
 def test_validate_empty_word_is_identity_anchor():
-    vw = validate_word(fig1_graph(), Word((), B))
-    assert vw.src == vw.tgt == B
+    src, tgt = validate_word(fig1_graph(), Word((), B))
+    assert src == tgt == B
 
 
 def test_validate_broken_path():
@@ -130,18 +131,18 @@ def test_smap_check():
 
 def test_segment_word_already_distinct():
     seg = segment_word(Word((1, 4)))
-    assert [s.letters for s in seg.segments] == [(1, 4)]
+    assert [s.letters for s in seg] == [(1, 4)]
 
 
 def test_segment_word_greedy_from_first_applied():
     seg = segment_word(Word((6, 7, 6)))
-    assert [s.letters for s in seg.segments] == [(6, 7), (6,)]
+    assert [s.letters for s in seg] == [(6, 7), (6,)]
 
 
 def test_segment_word_empty():
     seg = segment_word(Word((), B))
-    assert [s.letters for s in seg.segments] == [()]
-    assert seg.segments[0].anchor == B
+    assert [s.letters for s in seg] == [()]
+    assert seg[0].anchor == B
 
 
 def test_segment_concatenation_reproduces_word(rng):
@@ -150,7 +151,7 @@ def test_segment_concatenation_reproduces_word(rng):
         word = Word(letters, INT_T if not letters else None)
         seg = segment_word(word)
         rebuilt = ()
-        for s in seg.segments:
+        for s in seg:
             assert len(set(s.letters)) == len(s.letters)
             rebuilt += s.letters
         assert rebuilt == letters
@@ -183,7 +184,7 @@ def test_composition_law_phi(rng):
         if not word.letters or not p.input.payload:
             continue
         cut = rng.below(len(word.letters) + 1)
-        src = validate_word(p.graph, word).src
+        src, _ = validate_word(p.graph, word)
         first = Word(word.letters[:cut], src if cut == 0 else None)
         rest = Word(word.letters[cut:], src if cut == len(word.letters) else None)
         x = p.input.payload[0]
@@ -209,7 +210,7 @@ def test_functor_law_psi(rng):
         p = _random_program(seed)
         word = p.word
         cut = rng.below(len(word.letters) + 1)
-        src = validate_word(p.graph, word).src
+        src, _ = validate_word(p.graph, word)
         first = Word(word.letters[:cut], src if cut == 0 else None)
         rest = Word(word.letters[cut:], src if cut == len(word.letters) else None)
         store = init_state(p.graph)
@@ -258,7 +259,7 @@ def test_state_isolation_across_evaluators():
 def test_type_preservation_of_outputs():
     graph = counter_scale_graph()
     word = Word((1, 2))
-    vw = validate_word(graph, word)
+    _, tgt = validate_word(graph, word)
     out, _ = eval_psi_ref(graph, word, int_list(1, 2), init_state(graph))
-    assert out.elem == vw.tgt
-    assert all(v.matches(vw.tgt) for v in out.payload)
+    assert out.elem == tgt
+    assert all(v.matches(tgt) for v in out.payload)

@@ -29,6 +29,7 @@ from stc.harness import (
 from stc.model import ThreadSpec, build_graph, replace
 from stc.program import Program, program_digest, program_to_text, value_to_json
 from stc.values import FLOAT_T, INT_T, Inl, Inr, sum_of, v_float, v_int, v_str
+from conftest import thread_starts
 
 
 def test_xorshift_published_constants():
@@ -426,12 +427,8 @@ def test_check_program_still_starts_threads_on_a_cpu_only_program(monkeypatch):
 
     from stc.parallel import Crew
 
-    started, handed = [], []
-    real_start, real_hand = threading.Thread.start, Crew.hand
-
-    def counting_start(thread, *args, **kwargs):
-        started.append(thread)
-        return real_start(thread, *args, **kwargs)
+    handed = []
+    real_hand = Crew.hand
 
     def counting_hand(crew, task):
         handed.append(task)
@@ -449,13 +446,13 @@ def test_check_program_still_starts_threads_on_a_cpu_only_program(monkeypatch):
     }
     program = parse_program(json.dumps(doc))
     assert not any(spec.blocking for spec in program.graph.edges.values())
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
     monkeypatch.setattr(Crew, "hand", counting_hand)
-    for mode in ("pipeline", "auto"):
-        run_program(program, mode, workers=4)
-    assert started == [] and handed == []
-    before = threading.active_count()
-    report = check_program(program, Xorshift64Star(1))
+    with thread_starts() as started:
+        for mode in ("pipeline", "auto"):
+            run_program(program, mode, workers=4)
+        assert started == [] and handed == []
+        before = threading.active_count()
+        report = check_program(program, Xorshift64Star(1))
     assert report.equal
     # tasks run on threads: on 10 elements auto@4 runs the pipeline's three
     # stages and hands 2 of them; pipeline@2, @4, @8 and the @8 re-run hand

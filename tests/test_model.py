@@ -22,16 +22,38 @@ from conftest import A, B, C, fig1_graph
 
 
 def test_register_single_counter():
-    graph = register_thread(make_thread(1, "counter_add", v_int(0)), Multigraph.empty())
+    graph = register_thread(make_thread(1, "counter_add", v_int(0)), Multigraph())
     assert set(graph.edges) == {1}
     assert graph.vertices == {INT_T}
     assert graph.src(1) == INT_T and graph.tgt(1) == INT_T
 
 
 def test_register_duplicate_id_rejected():
-    graph = register_thread(make_thread(1, "counter_add"), Multigraph.empty())
+    graph = register_thread(make_thread(1, "counter_add"), Multigraph())
     with pytest.raises(DuplicateThreadId):
         register_thread(make_thread(1, "scale_by_state"), graph)
+
+
+def test_build_graph_makes_one_multigraph(monkeypatch):
+    # one dict filled in one pass: a graph per spec would copy the edges
+    # once per spec, and parsing would grow with the square of the thread count
+    made = []
+    real_init = Multigraph.__init__
+
+    def counting_init(graph, *args, **kwargs):
+        made.append(graph)
+        real_init(graph, *args, **kwargs)
+
+    monkeypatch.setattr(Multigraph, "__init__", counting_init)
+    graph = build_graph(*(make_thread(n, "counter_add") for n in range(1, 101)))
+    assert made == [graph]
+    assert list(graph.edges) == list(range(1, 101)) and graph.vertices == {INT_T}
+
+
+def test_build_graph_rejects_the_first_repeated_id():
+    specs = [make_thread(n, "counter_add") for n in (1, 2, 2, 1)]
+    with pytest.raises(DuplicateThreadId, match="^thread id 2 is already registered$"):
+        build_graph(*specs)
 
 
 def test_unknown_function_rejected():
@@ -40,7 +62,7 @@ def test_unknown_function_rejected():
 
 
 def test_register_is_nondestructive():
-    g0 = Multigraph.empty()
+    g0 = Multigraph()
     g1 = register_thread(make_thread(1, "counter_add"), g0)
     assert not g0.edges and len(g1.edges) == 1
 
@@ -52,7 +74,7 @@ def test_seven_edge_graph_shape():
 
 
 def test_init_state_empty_graph():
-    assert init_state(Multigraph.empty()).as_dict() == {}
+    assert init_state(Multigraph()).as_dict() == {}
 
 
 def test_init_state_copies_declared_inits():

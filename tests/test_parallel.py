@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from functools import partial
 from itertools import groupby, product
 
@@ -52,35 +52,13 @@ from stc.composition import planner, run_route
 from stc.model import Kernel, boxed_part, boxed_transfer, raw_step, register_kernel, replace
 from stc.parallel import MAX_WORKERS, Crew
 from stc.program import Program
-from conftest import counter_scale_graph, int_list
+from conftest import counter_scale_graph, int_list, thread_starts
 
 SUM_II = sum_of(INT_T, INT_T)
 
 
 def sum_list(*items):
     return v_list(SUM_II, list(items))
-
-
-def _blocking(graph):
-    """``graph`` with every thread marked blocking. The pipeline and auto
-    start threads only for blocking stages, so a test of the threaded
-    stream or of fission runs on this copy."""
-    return build_graph(*(replace(spec, blocking=True) for spec in graph.edges.values()))
-
-
-@contextmanager
-def _thread_starts():
-    """Collect every thread started inside the block."""
-    started = []
-    real_start = threading.Thread.start
-
-    def counting_start(thread, *args, **kwargs):
-        started.append(thread)
-        return real_start(thread, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(threading.Thread, "start", counting_start)
-        yield started
 
 
 # --- classification ---------------------------------------------------------
@@ -151,7 +129,7 @@ def test_readonly_matches_reference(rng):
         graph = build_graph(spec)
         xs = int_list(*(rng.below(2001) - 1000 for _ in range(n)))
         expect, st = eval_psi_ref(graph, Word((1,)), xs, init_state(graph))
-        with _thread_starts() as started:
+        with thread_starts() as started:
             got, sigma = run_data_parallel_readonly(spec, xs, v_int(5), workers)
         assert got == expect and sigma == st.get(1)
         assert len(started) == _fast_threads(blocking, n, workers), (blocking, n, workers)
@@ -177,7 +155,7 @@ def test_product_matches_reference_and_iterated_update(rng):
         graph = build_graph(spec)
         xs = int_list(*(rng.below(2001) - 1000 for _ in range(n)))
         expect, st = eval_psi_ref(graph, Word((1,)), xs, init_state(graph))
-        with _thread_starts() as started:
+        with thread_starts() as started:
             got, sigma = run_data_parallel_product(spec, xs, v_int(0), workers)
         assert got == expect and sigma == st.get(1)
         assert len(started) == _fast_threads(blocking, n, workers), (blocking, n, workers)
@@ -257,16 +235,16 @@ def test_pipeline_repeated_letters_run_segmented():
 
 
 def test_pipeline_small_capacity_backpressure():
-    graph = _blocking(counter_scale_graph())
+    graph = _all_blocking(counter_scale_graph())
     xs = int_list(*range(50))
     expect = eval_psi_ref(graph, Word((1, 2)), xs, init_state(graph))
-    with _thread_starts() as started:
+    with thread_starts() as started:
         got = run_pipeline(graph, Word((1, 2)), xs, init_state(graph), 2, capacity=1)
     assert got == expect and len(started) == 1
 
 
 def test_pipeline_multiplexes_more_stages_than_workers():
-    graph = _blocking(build_graph(
+    graph = _all_blocking(build_graph(
         make_thread(1, "counter_add", v_int(0)),
         make_thread(2, "add1_tick", v_int(0)),
         make_thread(3, "scale_by_state", v_int(2)),
@@ -276,7 +254,7 @@ def test_pipeline_multiplexes_more_stages_than_workers():
     word = Word((1, 2, 3, 4, 5))
     xs = int_list(*range(25))
     expect = eval_psi_ref(graph, word, xs, init_state(graph))
-    with _thread_starts() as started:
+    with thread_starts() as started:
         got = run_pipeline(graph, word, xs, init_state(graph), workers=2)
     assert got == expect and len(started) == 1
 
@@ -332,11 +310,11 @@ def test_pipeline_stage_failure_surfaces_and_joins(position, workers):
         _raising(n, 30) if n == position + 1 else make_thread(n, "add1_tick", v_int(0))
         for n in range(1, 6)
     ]
-    graph = _blocking(build_graph(*specs))
+    graph = _all_blocking(build_graph(*specs))
     word = Word(tuple(range(1, 6)))
     xs = v_list(INT_T, [v_int(0)] * 200 + [v_int(30 - position)] + [v_int(1)] * 200)
     before = threading.active_count()
-    with _thread_starts() as started:
+    with thread_starts() as started:
         err = _raised_within(
             lambda: run_pipeline(graph, word, xs, init_state(graph), workers, capacity=1)
         )
@@ -347,14 +325,14 @@ def test_pipeline_stage_failure_surfaces_and_joins(position, workers):
 
 def test_pipeline_stress_more_workers_than_cores():
     specs = [make_thread(n, ("counter_add", "add1_tick")[n % 2], v_int(n)) for n in range(1, 9)]
-    graph = _blocking(build_graph(*specs))
+    graph = _all_blocking(build_graph(*specs))
     word = Word(tuple(range(1, 9)))
     xs = int_list(*range(600))
     expect = eval_psi_ref(graph, word, xs, init_state(graph))
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with _thread_starts() as started:
+        with thread_starts() as started:
             for workers in (3, 8):
                 got = run_pipeline(graph, word, xs, init_state(graph), workers, capacity=2)
                 assert got == expect
@@ -365,7 +343,7 @@ def test_pipeline_stress_more_workers_than_cores():
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_tiny_lists_at_many_workers_match_reference(n):
-    graph = _blocking(build_graph(
+    graph = _all_blocking(build_graph(
         make_thread(1, "counter_add", v_int(0)),
         make_thread(2, "scale_by_state", v_int(3)),
         make_thread(3, "add1_tick", v_int(0)),
@@ -373,7 +351,7 @@ def test_tiny_lists_at_many_workers_match_reference(n):
     word = Word((1, 2, 3))
     xs = int_list(*range(5, 5 + n))
     expect = eval_psi_ref(graph, word, xs, init_state(graph))
-    with _thread_starts() as started:
+    with thread_starts() as started:
         assert run_pipeline(graph, word, xs, init_state(graph), 8) == expect
     # nothing can overlap on a list of at most one element
     assert len(started) == (2 if n > 1 else 0)
@@ -403,7 +381,7 @@ def test_stream_core_over_tiny_lists(widths, n):
         stages.append((route, st, lanes))
     values = list(range(5, 5 + n))
     before = threading.active_count()
-    with _thread_starts() as started:
+    with thread_starts() as started:
         out = _returned_within(lambda: parallel._stream(stages, values, capacity=1))
     assert len(started) == 1 + sum(widths) - 1  # the helper, every lane but the first
     assert threading.active_count() == before
@@ -461,7 +439,7 @@ def test_replica_failure_raises_the_rerun_error_or_its_own(part, what, rerun_fai
         spec = replace(spec, transfer=transfer)
         expect = "thread 1 output 'worse' is not a int"
     before = threading.active_count()
-    with _thread_starts() as started:
+    with thread_starts() as started:
         err = _raised_within(
             lambda: run_data_parallel_product(
                 spec, int_list(*range(32)), v_int(0), workers=4, check=True
@@ -483,7 +461,7 @@ def test_plan_cuts_its_streams_once(monkeypatch, mode):
         monkeypatch.setattr(
             parallel, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
         )
-    graph = _blocking(counter_scale_graph())
+    graph = _all_blocking(counter_scale_graph())
     plan = planner(graph, Word((1, 2, 1)))(mode, 2)
     assert calls.count("segment_word") == 1 and "_spans" in calls
     slots = {n: spec.init_state.payload for n, spec in graph.edges.items()}
@@ -497,9 +475,9 @@ def test_plan_cuts_its_streams_once(monkeypatch, mode):
 
 def test_pipeline_threads_started():
     specs = [make_thread(n, "counter_add", v_int(n)) for n in range(1, 7)]
-    graph = _blocking(build_graph(*specs))
+    graph = _all_blocking(build_graph(*specs))
     xs = int_list(*range(40))
-    with _thread_starts() as started:
+    with thread_starts() as started:
         run_pipeline(graph, Word((1, 2, 3, 4, 5, 6)), xs, init_state(graph), workers=1)
         assert len(started) == 0
         # segments [1,2,3] and [3,4,5,6] after the repeated letter 3
@@ -552,7 +530,7 @@ def test_mixed_word_cut_and_threads(workers, cut):
     assert [list(letters) for letters, _ in groups] == cut
     assert all(blocks for _, blocks in groups)
     xs = int_list(*range(12))
-    with _thread_starts() as started:
+    with thread_starts() as started:
         got = run_pipeline(graph, word, xs, init_state(graph), workers)
     assert got == eval_psi_ref(graph, word, xs, init_state(graph))
     assert len(started) == len(cut) - 1
@@ -584,7 +562,7 @@ def test_cpu_only_programs_start_no_threads(mode, workers):
     ]
     for program in programs:
         expect = run_program(program, "seq")
-        with _thread_starts() as started:
+        with thread_starts() as started:
             got = run_program(program, mode, workers=workers)
         assert got == expect and started == []
 
@@ -603,7 +581,7 @@ def test_sleep_branch_threads():
     # lanes, the first on the calling thread. auto@4: two replicas for
     # each pass too, as each side word has two groups
     for mode, workers, threads in (("pipeline", 2, 3), ("auto", 2, 7), ("auto", 4, 11)):
-        with _thread_starts() as started:
+        with thread_starts() as started:
             assert run_program(program, mode, workers=workers) == expect
         assert len(started) == threads, (mode, workers)
 
@@ -619,13 +597,13 @@ def test_auto_threads_only_for_blocking_stages():
     ):
         xs = int_list(*range(n))
         expect = eval_psi_ref(graph, word, xs, init_state(graph))
-        with _thread_starts() as started:
+        with thread_starts() as started:
             assert eval_auto_word(graph, word, xs, init_state(graph), workers=4) == expect
         assert len(started) == threads, (word, n)
     # a public fast path is auto on its one letter: no thread when it does
     # not block
     spec = graph.edges[1]
-    with _thread_starts() as started:
+    with thread_starts() as started:
         run_data_parallel_readonly(spec, xs, spec.init_state, workers=4)
     assert len(started) == 0
 
@@ -885,10 +863,10 @@ def _stream_matches_reference(graph, prog, xs, workers_list=(1, 2, 4), capacity=
     """Run the branch stream on ``graph`` with every thread marked blocking
     at each of ``workers_list``; returns the number of stream threads the
     runs started."""
-    graph = _blocking(graph)
+    graph = _all_blocking(graph)
     expect = eval_branch(graph, prog, xs, init_state(graph))
     before = threading.active_count()
-    with _thread_starts() as started:
+    with thread_starts() as started:
         for workers in workers_list:
             got = _returned_within(
                 lambda: run_task_parallel_branch(
@@ -979,13 +957,13 @@ def test_branch_stream_failure_reraises_original(failing, at, workers):
         _raising_identity(n, at, raised) if n == failing else make_thread(n, "delay_identity_ms")
         for n in (1, 2, 3, 4, 5, 6, 7)
     ]
-    graph = _blocking(
+    graph = _all_blocking(
         build_graph(*specs, make_thread(8, "branch_even"), make_thread(9, "merge_sum"))
     )
     prog = BranchProgram(Word((1, 8)), Word((2, 3)), Word((4, 5)), Word((9, 6, 7)))
     xs = v_list(INT_T, [v_int(0)] * 200 + [v_int(at)] + [v_int(1)] * 200)
     before = threading.active_count()
-    with _thread_starts() as started:
+    with thread_starts() as started:
         err = _raised_within(
             lambda: run_task_parallel_branch(
                 graph, prog, xs, init_state(graph), workers, capacity=1
@@ -1020,14 +998,14 @@ def test_branch_stream_earliest_failing_stage_wins(workers):
 
         return replace(base, transfer=transfer, blocking=True)
 
-    graph = _blocking(build_graph(
+    graph = _all_blocking(build_graph(
         failing(1, 1), make_thread(2, "branch_even"), make_thread(3, "delay_identity_ms"),
         make_thread(4, "delay_identity_ms"), make_thread(5, "merge_sum"), failing(6, 0),
     ))
     prog = BranchProgram(Word((1, 2)), Word((3,)), Word((4,)), Word((5, 6)))
     xs = int_list(0, 1, 2)
     before = threading.active_count()
-    with _thread_starts() as started:
+    with thread_starts() as started:
         err = _raised_within(
             lambda: run_task_parallel_branch(graph, prog, xs, init_state(graph), workers)
         )
@@ -1061,7 +1039,7 @@ def test_base_exception_failure_propagates_unwrapped(shape, workers):
         _halting_identity(n, 30, raised) if n == 3 else make_thread(n, "delay_identity_ms")
         for n in range(1, 7)
     ]
-    graph = _blocking(
+    graph = _all_blocking(
         build_graph(*specs, make_thread(8, "branch_even"), make_thread(9, "merge_sum"))
     )
     xs = v_list(INT_T, [v_int(0)] * 200 + [v_int(30)] + [v_int(1)] * 200)
@@ -1077,7 +1055,7 @@ def test_base_exception_failure_propagates_unwrapped(shape, workers):
             graph, prog, xs, init_state(graph), workers, capacity=1
         )
     before = threading.active_count()
-    with _thread_starts() as started:
+    with thread_starts() as started:
         err = _raised_within(call)
     assert isinstance(err, Halt) and err is raised[0]
     assert len(started) > 1  # the helper, then stream threads
@@ -1101,7 +1079,7 @@ def test_last_stage_failure_stops_the_first_stage_early():
     )
     xs = int_list(*range(5000))
     before = threading.active_count()
-    with _thread_starts() as started:
+    with thread_starts() as started:
         err = _raised_within(
             lambda: run_pipeline(graph, Word((1, 2)), xs, init_state(graph), 2, capacity=capacity)
         )
@@ -1135,7 +1113,7 @@ def test_branch_stream_workers_one_starts_no_thread():
     xs = int_list(*range(40))
     before = threading.active_count()
     expect = eval_branch(graph, STREAM_PROG, xs, init_state(graph))
-    with _thread_starts() as started:
+    with thread_starts() as started:
         got = run_task_parallel_branch(graph, STREAM_PROG, xs, init_state(graph), 1)
         assert got == expect and started == []
         # no letter blocks: one fused stage at 2 workers too
@@ -1143,7 +1121,7 @@ def test_branch_stream_workers_one_starts_no_thread():
         assert started == []
         # every letter blocks, at 2 workers: producer 2 groups, 2 side
         # stages, consumer 2 groups
-        graph = _blocking(graph)
+        graph = _all_blocking(graph)
         assert run_task_parallel_branch(graph, STREAM_PROG, xs, init_state(graph), 1) == expect
         assert started == []
         assert run_task_parallel_branch(graph, STREAM_PROG, xs, init_state(graph), 2) == expect
@@ -1161,11 +1139,11 @@ def test_flags_ignored_in_join_mutation_diverges(workers, run):
     # the fault is a barrier at the join of a threaded plan, also in auto's
     # own cut, which a list of 20 elements gets; at one worker the plan is
     # seq's, which no planted fault touches
-    graph = _blocking(branch_graph())
+    graph = _all_blocking(branch_graph())
     xs = int_list(*range(20))  # alternating even/odd
     expect = eval_branch(graph, branch_prog(), xs, init_state(graph))
     before = threading.active_count()
-    with mutations.enable("flags-ignored-in-join"), _thread_starts() as started:
+    with mutations.enable("flags-ignored-in-join"), thread_starts() as started:
         got = _returned_within(lambda: run(graph, branch_prog(), xs, init_state(graph), workers))
     assert (len(started) > 1) == (workers > 1)  # the helper, then stream threads
     assert threading.active_count() == before
@@ -1312,14 +1290,14 @@ def test_lone_stage_stream_runs_stage_wise(shape, workers, blocking):
     else:
         graph, word = stream_graph(), STREAM_PROG
     seen = []
-    graph = _recorded(_blocking(graph) if blocking else graph, seen)
+    graph = _recorded(_all_blocking(graph) if blocking else graph, seen)
     program = Program(graph, word, int_list(*range(12)), INT_T)
     expect = run_program(program, "seq")
     stage_wise = list(seen)
     # under seq the calls of each letter form one contiguous run
     assert len([n for n, _ in groupby(stage_wise)]) == len(set(stage_wise))
     del seen[:]
-    with _thread_starts() as started:
+    with thread_starts() as started:
         assert run_program(program, "pipeline", workers=workers) == expect
     assert started == [] and seen == stage_wise
 
@@ -1362,7 +1340,7 @@ def _program_file(tmp_path, doc):
 @pytest.mark.parametrize("mode", ["pipeline", "auto"])
 def test_workers_above_max_start_no_threads(tmp_path, capsys, doc, mode):
     path = _program_file(tmp_path, doc)
-    with _thread_starts() as started:
+    with thread_starts() as started:
         assert main(["run", path, "--mode", mode, "--workers", str(MAX_WORKERS + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1391,24 +1369,6 @@ def test_api_rejects_workers_above_max():
             call()
 
 
-@contextmanager
-def _failing_start(n):
-    """Make the ``n``-th ``Thread.start`` inside the block raise, as it
-    does when the OS cannot start another thread; collect every call."""
-    calls = []
-    real_start = threading.Thread.start
-
-    def start(thread, *args, **kwargs):
-        calls.append(thread)
-        if len(calls) == n:
-            raise RuntimeError("can't start new thread")
-        return real_start(thread, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(threading.Thread, "start", start)
-        yield calls
-
-
 @pytest.mark.parametrize(
     "doc, mode, workers, starts",
     [
@@ -1432,7 +1392,7 @@ def test_thread_start_failure_exits_3(tmp_path, capsys, doc, mode, workers, star
     for n in range(1, starts + 2):
 
         def call():
-            with _failing_start(n) as calls:
+            with thread_starts(fail_at=n) as calls:
                 return main(argv), len(calls)
 
         rc, calls = _returned_within(call, timeout=10.0)
@@ -1457,7 +1417,7 @@ def _five_blocking(failing=None):
         _raising(n, 30) if n == failing else make_thread(n, "add1_tick", v_int(0))
         for n in range(1, 6)
     ]
-    return _blocking(build_graph(*specs)), Word(tuple(range(1, 6)))
+    return _all_blocking(build_graph(*specs)), Word(tuple(range(1, 6)))
 
 
 def test_crew_failing_last_stage_then_clean_run_reuses_threads():
@@ -1481,7 +1441,7 @@ def test_crew_failing_last_stage_then_clean_run_reuses_threads():
             alive = threading.active_count()
         return failure, clean, alive
 
-    with _thread_starts() as started:
+    with thread_starts() as started:
         failure, clean, alive = _returned_within(call)
     # the last stage's own exception, raised as it is
     assert isinstance(failure, Boom) and str(failure) == "thread 5 on 30"
@@ -1503,7 +1463,7 @@ def test_crew_thread_start_failure_raises_execution_error(n):
 
     def call():
         results = []
-        with _failing_start(n) as calls, Crew():
+        with thread_starts(fail_at=n) as calls, Crew():
             # workers 3 starts two threads, workers 4 reuses them and starts one
             for workers in (3, 4, 3):
                 try:
@@ -1538,7 +1498,7 @@ def test_crew_joins_its_threads_when_the_block_ends():
     assert str(_returned_within(call)) == "after the run"
     assert threading.active_count() == before
     # outside any block a launch keeps its threads for that launch alone
-    with _thread_starts() as started:
+    with thread_starts() as started:
         for _ in range(2):
             run_pipeline(graph, word, xs, init_state(graph), 4)
     assert len(started) == 6
@@ -1562,7 +1522,7 @@ def _side_program(left_transfer, right_transfer, xs):
         make_thread(4, "merge_sum"),
     )
     prog = BranchProgram(Word((1,)), Word((2,)), Word((3,)), Word((4,)))
-    return _all_blocking(Program(graph, prog, xs, INT_T))
+    return Program(_all_blocking(graph), prog, xs, INT_T)
 
 
 def test_auto_sides_overlap():
@@ -1640,7 +1600,7 @@ def test_auto_sides_thread_start_failure_exits_3(tmp_path, capsys, scope):
     for n in range(1, 8):
 
         def call():
-            with _failing_start(n) as calls, enter():
+            with thread_starts(fail_at=n) as calls, enter():
                 return main(argv), len(calls)
 
         rc, calls = _returned_within(call, timeout=10.0)
@@ -1654,7 +1614,7 @@ def test_auto_sides_thread_start_failure_exits_3(tmp_path, capsys, scope):
 
 def test_auto_sides_crew_stress():
     # sides of three letters each, so both sides hand chunks to the crew at once
-    graph = _blocking(build_graph(
+    graph = _all_blocking(build_graph(
         make_thread(1, "branch_even"),
         *(make_thread(n, "add1_tick", v_int(n)) for n in range(2, 8)),
         make_thread(8, "merge_sum"),
@@ -1696,10 +1656,10 @@ def _replica_shapes():
     under auto: a word of two such letters, and a branch whose producer,
     left side and consumer replicate while its right side holds a general
     letter."""
-    word_graph = _blocking(build_graph(
+    word_graph = _all_blocking(build_graph(
         make_thread(1, "add1_tick", v_int(0)), make_thread(2, "scale_by_state", v_int(3)),
     ))
-    branch = _blocking(build_graph(
+    branch = _all_blocking(build_graph(
         make_thread(1, "branch_even"), make_thread(2, "add1_tick", v_int(1)),
         make_thread(3, "scale_by_state", v_int(-2)), make_thread(4, "counter_add", v_int(5)),
         make_thread(5, "merge_sum"),
@@ -1717,7 +1677,7 @@ def test_replica_threads_and_results():
     xs = int_list(*range(40))
     for graph, shape, threads in ((word_graph, word, 3), (branch, prog, 14)):
         expect = eval_psi_ref(graph, shape, xs, init_state(graph))
-        with _thread_starts() as started:
+        with thread_starts() as started:
             assert eval_auto_word(graph, shape, xs, init_state(graph), workers=4) == expect
         assert len(started) == threads
 
@@ -1781,7 +1741,7 @@ def test_replica_failure_raises_the_reference_exception(workers):
         _failing_reader(1, "scale_by_state", 37, raised),
         _failing_reader(2, "add1_tick", 6, raised),
     )
-    branch = _blocking(build_graph(
+    branch = _all_blocking(build_graph(
         make_thread(1, "branch_even"), _failing_reader(2, "add1_tick", 38, raised),
         _failing_reader(3, "scale_by_state", 1, raised), make_thread(4, "merge_sum"),
     ))
@@ -1844,7 +1804,7 @@ def test_second_segment_failure_raises_the_reference_exception(mode, workers):
     run = run_pipeline if mode == "pipeline" else eval_auto_word
     del raised[:]
     before = threading.active_count()
-    with _thread_starts() as started:
+    with thread_starts() as started:
         err = _raised_within(lambda: run(graph, word, xs, init_state(graph), workers))
     assert type(err) is Boom and str(err) == str(ref.value) and err is raised[-1]
     assert len(started) > 1  # the helper, then stream threads
@@ -1856,7 +1816,8 @@ def test_replica_determinism_over_fuzz_programs():
     # thread blocking: auto at 2, 4 and 8 workers equals seq, run after run
     stream = program_stream(FuzzConfig(seed=1, trials=1, max_list_len=48))
     for _ in range(100):
-        p = _all_blocking(next(stream))
+        p = next(stream)
+        p = Program(_all_blocking(p.graph), p.word, p.input, p.input_type)
         expect = run_program(p, "seq")
         for workers in (2, 4, 8):
             assert run_program(p, "auto", workers=workers) == expect, workers
@@ -1869,7 +1830,8 @@ def test_replica_determinism_over_fuzz_programs():
 def test_repeated_runs_identical():
     stream = program_stream(FuzzConfig(seed=23, trials=1))
     for _ in range(10):
-        p = _all_blocking(next(stream))
+        p = next(stream)
+        p = Program(_all_blocking(p.graph), p.word, p.input, p.input_type)
         first = run_program(p, "pipeline", workers=4)
         for workers in (1, 4):
             for _ in range(3):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -18,11 +19,13 @@ from stc import (
     make_thread,
     parse_program,
     program_digest,
+    v_float,
+    v_inl,
     v_inr,
     v_int,
     v_list,
 )
-from stc.errors import ValidationError
+from stc.errors import PortTypeError, ValidationError
 from stc.harness import FuzzConfig, program_stream, run_program
 from stc.model import builtin_claim, replace
 from stc.program import (
@@ -32,7 +35,7 @@ from stc.program import (
     value_from_json,
     value_to_json,
 )
-from stc.values import INT_T, MAX_NESTING, UNIT, list_of, parse_port
+from stc.values import FLOAT_T, INT_T, MAX_NESTING, STR_T, UNIT, list_of, parse_port, sum_of
 from conftest import fig1_graph
 
 MINIMAL = json.dumps(
@@ -144,6 +147,29 @@ def test_serialize_empty_word_writes_its_anchor():
     again = parse_program(program_to_text(program))
     assert again == program
     assert program_digest(again) == program_digest(program)
+
+
+def test_boxed_program_checks_its_input_when_made():
+    # an unchecked list would serialize to a document parse_program rejects
+    graph = build_graph(make_thread(1, "counter_add"))
+    xs = v_list(INT_T, [v_int(1), v_int(2)])
+    with pytest.raises(PortTypeError, match="^input element type int does not feed a str source$"):
+        Program(graph, Word((1,)), xs, STR_T)
+    with pytest.raises(PortTypeError, match="^expected a list value, got "):
+        Program(graph, Word((1,)), v_int(1), INT_T)
+
+
+def test_boxed_program_round_trips_edge_floats_and_both_injections():
+    t = sum_of(FLOAT_T, FLOAT_T)
+    graph = build_graph(make_thread(1, "delay_identity_ms", params={"type": t.name}))
+    floats = [v_float(-0.0), v_float(math.nan), v_float(0.0)]
+    xs = v_list(t, [v_inl(x) for x in floats] + [v_inr(x) for x in floats])
+    program = Program(graph, Word((1,)), xs, t)
+    text = program_to_text(program)
+    again = parse_program(text)
+    assert again == program and program_to_text(again) == text
+    assert program_digest(again) == program_digest(program)
+    assert '{"inl":-0.0},{"inl":NaN},{"inl":0.0},{"inr":-0.0}' in text
 
 
 def test_serialize_round_trip_fuzz_corpus():
@@ -313,7 +339,7 @@ def test_export_dot_seven_edges():
 def test_export_dot_empty_graph():
     from stc import Multigraph
 
-    dot = export_dot(Multigraph.empty())
+    dot = export_dot(Multigraph())
     assert dot == "digraph {\n}\n"
 
 
