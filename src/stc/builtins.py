@@ -7,10 +7,11 @@ runs of the same program are reproducible.
 Each builtin is written once, as a raw kernel over raw values (see
 ``values``): a transfer, plus ``value_part``/``state_part`` for a product
 thread. A builtin is instantiated once per claim (its name and params,
-told apart by type) in a bounded memo: the instance derives the
-``Value``-level functions from the kernels and registers each kernel
-under its function's identity (``model.register_kernel``), so executors
-run the kernel itself, and every thread making the claim shares them. Integer
+told apart by type) in a bounded memo. The instance is a template
+``ThreadSpec`` with no id: its ``Value``-level functions are derived from
+the kernels and each carries its ``model.Kernel`` (``boxed_transfer``,
+``boxed_part``), so executors run the kernel itself, and every thread
+making the claim (``thread_of``) shares them. Integer
 arithmetic wraps at 64 bits; a result is passed through ``wrap64`` only
 when it leaves the range, since ``wrap64(y) == y`` for every in-range
 ``y``.
@@ -18,8 +19,8 @@ when it leaves the range, since ``wrap64(y) == y`` for every in-range
 Every builtin but a delay that sleeps also has a list kernel next to its
 transfer kernel, ``over(xs, s) -> (outputs, new state)``: the stage-wise
 map of the letter in one comprehension, returning and raising what
-``composition.map_letter`` does with the transfer kernel. It is
-registered with the transfer's ``Kernel`` (``model.list_kernel``). An
+``composition.map_letter`` does with the transfer kernel. The transfer
+kernel carries it as its ``over`` attribute (``model.list_kernel``). An
 int-state builtin hands any state but an in-range int to ``map_letter``.
 
 Registry:
@@ -48,13 +49,11 @@ from .composition import map_letter
 from .errors import SchemaError, UnknownFunction
 from .model import (
     Kernel,
-    ListStep,
     RawStep,
     StageKind,
     ThreadSpec,
     boxed_part,
     boxed_transfer,
-    register_kernel,
 )
 from .values import (
     INT64_MAX,
@@ -90,21 +89,20 @@ class ThreadParts(Record):
     """One instantiated builtin: its types and raw kernels. ``sample`` is
     the transfer kernel hint sampling runs, when it differs from
     ``transfer`` (a kernel that sleeps); the thread is then ``blocking``.
-    ``over`` is ``transfer``'s list kernel, where one comprehension maps it
-    over a list (see ``model.list_kernel``)."""
+    ``transfer`` carries its list kernel as ``over`` where one
+    comprehension maps it over a list (see ``model.list_kernel``)."""
 
     __slots__ = ("src", "tgt", "state_type", "default_init", "transfer", "value_part",
-                 "state_part", "sample", "over")
+                 "state_part", "sample")
 
     def __init__(
         self, src: PortType, tgt: PortType, state_type: PortType, default_init: Value,
         transfer: RawStep, value_part: Optional[Callable[[Any], Any]] = None,
         state_part: Optional[Callable[[Any], Any]] = None, sample: Optional[RawStep] = None,
-        over: Optional[ListStep] = None,
     ):
         self.src, self.tgt, self.state_type, self.default_init = src, tgt, state_type, default_init
         self.transfer, self.value_part, self.state_part = transfer, value_part, state_part
-        self.sample, self.over = sample, over
+        self.sample = sample
 
 
 def _int64(s: Any) -> bool:
@@ -130,7 +128,8 @@ def _counter_add(params: Mapping) -> ThreadParts:
         ys = [y if INT64_MIN <= y <= INT64_MAX else wrap64(y) for y in map(add, xs, count(s))]
         return ys, wrap64(s + len(xs))
 
-    return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn, over=over)
+    fn.over = over
+    return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn)
 
 
 def _scale_by_state(params: Mapping) -> ThreadParts:
@@ -141,7 +140,8 @@ def _scale_by_state(params: Mapping) -> ThreadParts:
     def over(xs, s):
         return [y if INT64_MIN <= y <= INT64_MAX else wrap64(y) for x in xs for y in [x * s]], s
 
-    return ThreadParts(INT_T, INT_T, INT_T, v_int(1), fn, over=over)
+    fn.over = over
+    return ThreadParts(INT_T, INT_T, INT_T, v_int(1), fn)
 
 
 def _add1_tick(params: Mapping) -> ThreadParts:
@@ -160,7 +160,8 @@ def _add1_tick(params: Mapping) -> ThreadParts:
         ys = [y if y <= INT64_MAX else wrap64(y) for x in xs for y in [x + 1]]
         return ys, wrap64(s + len(xs))
 
-    return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn, value_part=g, state_part=g, over=over)
+    fn.over = over
+    return ThreadParts(INT_T, INT_T, INT_T, v_int(0), fn, value_part=g, state_part=g)
 
 
 def _branch_even(params: Mapping) -> ThreadParts:
@@ -170,7 +171,8 @@ def _branch_even(params: Mapping) -> ThreadParts:
     def over(xs, s):
         return [Inl(x) if x % 2 == 0 else Inr(x) for x in xs], s
 
-    return ThreadParts(INT_T, sum_of(INT_T, INT_T), UNIT_T, UNIT, fn, over=over)
+    fn.over = over
+    return ThreadParts(INT_T, sum_of(INT_T, INT_T), UNIT_T, UNIT, fn)
 
 
 def _carrier(params: Mapping) -> PortType:
@@ -189,7 +191,8 @@ def _merge_sum(params: Mapping) -> ThreadParts:
     def over(xs, s):
         return [x.value for x in xs], s
 
-    return ThreadParts(sum_of(d, d), d, UNIT_T, UNIT, fn, over=over)
+    fn.over = over
+    return ThreadParts(sum_of(d, d), d, UNIT_T, UNIT, fn)
 
 
 # about 31 years; much longer sleeps overflow the deadline time.sleep
@@ -217,7 +220,8 @@ def _delay_identity_ms(params: Mapping) -> ThreadParts:
 
     if seconds:  # a delay that sleeps is mapped element by element
         return ThreadParts(t, t, UNIT_T, UNIT, fn, sample=identity)
-    return ThreadParts(t, t, UNIT_T, UNIT, identity, over=lambda xs, s: (list(xs), s))
+    identity.over = lambda xs, s: (list(xs), s)
+    return ThreadParts(t, t, UNIT_T, UNIT, identity)
 
 
 def _append_tag(params: Mapping) -> ThreadParts:
@@ -227,7 +231,8 @@ def _append_tag(params: Mapping) -> ThreadParts:
     def over(xs, s):
         return [x + s for x in xs], s
 
-    return ThreadParts(STR_T, STR_T, STR_T, v_str(""), fn, over=over)
+    fn.over = over
+    return ThreadParts(STR_T, STR_T, STR_T, v_str(""), fn)
 
 
 _REGISTRY = {
@@ -272,43 +277,30 @@ def make_thread(
     must inhabit the builtin's state type.
     """
     params = dict(params or {})
-    return thread_of(instance(fn_name, params), thread_id, fn_name, init_state, params)
+    return thread_of(instance(fn_name, params), thread_id, init_state, params)
 
 
 def thread_of(
-    made: tuple, thread_id: int, fn_name: str, init_state: Optional[Value],
-    params: Mapping[str, Any],
+    made: ThreadSpec, thread_id: int, init_state: Optional[Value], params: Mapping[str, Any]
 ) -> ThreadSpec:
     """``make_thread`` from ``made``, the ``instance(fn_name, params)`` its
-    caller already holds; the thread keeps ``params`` as given."""
-    parts, kind, transfer, value_part, state_part = made
-    init = parts.default_init if init_state is None else init_state
-    if not init.matches(parts.state_type):
+    caller already holds: a copy of that template with an id and an
+    init; the thread keeps ``params`` as given."""
+    init = made.init_state if init_state is None else init_state
+    if not (isinstance(init, Value) and init.matches(made.state_type)):
         raise SchemaError(
-            "init_state", f"{init!r} is not a {parts.state_type.name} for {fn_name}"
+            "init_state", f"{init!r} is not a {made.state_type.name} for {made.fn_name}"
         )
-    return ThreadSpec(
-        id=thread_id,
-        src=parts.src,
-        tgt=parts.tgt,
-        state_type=parts.state_type,
-        init_state=init,
-        fn_name=fn_name,
-        params=params,
-        kind=kind,
-        # a builtin blocks exactly when hint sampling must avoid its transfer
-        blocking=parts.sample not in (None, parts.transfer),
-        transfer=transfer,
-        value_part=value_part,
-        state_part=state_part,
-    )
+    return ThreadSpec(thread_id, made.src, made.tgt, made.state_type, init, made.fn_name, params,
+                      made.kind, made.blocking, made.transfer, made.value_part, made.state_part)
 
 
-def instance(fn_name: str, params: Mapping[str, Any]) -> tuple:
-    """``fn_name`` instantiated with ``params``: its parts, its kind and its
-    ``Value``-level transfer, value part and state part, each registered
-    with its kernel. Equal claims share one instance; a failed one raises
-    every time."""
+def instance(fn_name: str, params: Mapping[str, Any]) -> ThreadSpec:
+    """``fn_name`` instantiated with ``params``: a template thread with no
+    id, the builtin's default init, its kind, its blocking hint and its
+    ``Value``-level transfer, value part and state part, each carrying its
+    kernel. Equal claims share one instance; a failed one raises every
+    time."""
     try:
         key = frozenset([(k, type(v), v) for k, v in params.items()])
     except TypeError:  # a list or object value, which every builtin refuses
@@ -317,30 +309,26 @@ def instance(fn_name: str, params: Mapping[str, Any]) -> tuple:
 
 
 @functools.lru_cache(maxsize=1024)
-def _claimed(fn_name: str, key: frozenset) -> tuple:
+def _claimed(fn_name: str, key: frozenset) -> ThreadSpec:
     return _build(fn_name, {k: v for k, _, v in key})
 
 
-def _build(fn_name: str, params: Mapping[str, Any]) -> tuple:
+def _build(fn_name: str, params: Mapping[str, Any]) -> ThreadSpec:
     entry = builtin(fn_name)
     unknown = set(params) - set(entry.param_keys)
     if unknown:
         raise SchemaError("params", f"unknown keys {sorted(unknown)} for {fn_name}")
     parts = entry.instantiate(params)
-    src, tgt, st = parts.src, parts.tgt, parts.state_type
+    src, tgt, st, run = parts.src, parts.tgt, parts.state_type, parts.transfer
     canonical = dict(params)
     if "type" in entry.param_keys:
         canonical["type"] = _carrier(params).name
     claim = (fn_name, tuple(sorted(canonical.items())))
-    transfer = boxed_transfer(parts.transfer, src, tgt, st)
-    register_kernel(
-        transfer, Kernel(parts.transfer, parts.sample or parts.transfer, claim, parts.over)
+    halves = [None if half is None else boxed_part(Kernel(half, half, claim), a, b)
+              for half, a, b in ((parts.value_part, src, tgt), (parts.state_part, st, st))]
+    return ThreadSpec(
+        None, src, tgt, st, parts.default_init, fn_name, params, entry.kind,
+        # a builtin blocks exactly when hint sampling must avoid its transfer
+        parts.sample not in (None, run),
+        boxed_transfer(Kernel(run, parts.sample or run, claim), src, tgt, st), *halves,
     )
-    halves = []
-    for run, a, b in ((parts.value_part, src, tgt), (parts.state_part, st, st)):
-        half = None
-        if run is not None:
-            half = boxed_part(run, a, b)
-            register_kernel(half, Kernel(run, run, claim))
-        halves.append(half)
-    return (parts, entry.kind, transfer, *halves)

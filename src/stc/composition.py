@@ -253,9 +253,14 @@ def check_feeds(elem: PortType, src: PortType) -> None:
         raise PortTypeError(f"input element type {elem.name} does not feed a {src.name} source")
 
 
+def _is_list(xs: Any) -> bool:
+    """Whether ``xs`` is a list ``Value``."""
+    return isinstance(xs, Value) and xs.tag is Tag.LIST
+
+
 def unbox_input(xs: Value, src: PortType) -> List[Any]:
     """The raw elements of the input list ``xs`` for a ``src`` source."""
-    if xs.tag is not Tag.LIST:
+    if not _is_list(xs):
         raise PortTypeError(f"expected a list value, got {xs!r}")
     check_feeds(xs.elem, src)
     return list(map(unboxer(src), xs.payload))
@@ -322,7 +327,7 @@ def split(xs: Value) -> Tuple[Value, Value, Tuple[bool, ...]]:
     preserving), and one boolean per input element: True for a left
     injection, False for a right one.
     """
-    if xs.tag is not Tag.LIST or xs.elem.kind is not TypeKind.SUM:
+    if not _is_list(xs) or xs.elem.kind is not TypeKind.SUM:
         raise PortTypeError(f"split needs a list of sum values, got {xs!r}")
     left_t, right_t = xs.elem.args
     lefts, rights, flags = _split(unbox_input(xs, xs.elem))
@@ -331,7 +336,7 @@ def split(xs: Value) -> Tuple[Value, Value, Tuple[bool, ...]]:
 
 def join(bs: Value, cs: Value, flags: Tuple[bool, ...]) -> Value:
     """Inverse of ``split`` given the recorded flags."""
-    if bs.tag is not Tag.LIST or cs.tag is not Tag.LIST:
+    if not (_is_list(bs) and _is_list(cs)):
         raise PortTypeError("join needs two list values")
     out = _join(unbox_input(bs, bs.elem), unbox_input(cs, cs.elem), flags)
     return box_list(sum_of(bs.elem, cs.elem), out)
@@ -383,7 +388,7 @@ def eval_phi(
     the identity.
     """
     src, tgt = validate_word(graph, word)
-    if not x.matches(src):
+    if not (isinstance(x, Value) and x.matches(src)):
         raise PortTypeError(f"input {x!r} is not a {src.name}")
     slots = raw_slots(graph, state, word.letters)
     y = run_element(element_steps(graph, word.letters, check), slots, unboxer(src)(x))

@@ -66,9 +66,11 @@ Both kinds of value come from ``sampler``, compiled once per port type
 and leaf table: a list, pair or sum sampler closes over its arguments'
 samplers, and a scalar is one call that runs the xorshift64* step inline
 (``_picker``), drawing as ``pick`` does from ``_RANDOM_LEAVES`` (hint
-samples, ``random_value``) or ``_EDGE_LEAVES`` (carrier inputs,
-``edge_value``). Those two box a sample, so both representations draw in
-one order. Generated programs hold their inputs raw (``Program.from_raw``).
+samples) or ``_EDGE_LEAVES`` (carrier inputs: NaN, ±0.0, ±inf,
+subnormals, the 64-bit int extremes, non-ASCII and lone-surrogate
+strings). A sample is raw; ``boxer(pt)`` boxes one, so both
+representations draw in one order. Generated programs hold their inputs
+raw (``Program.from_raw``).
 """
 
 from __future__ import annotations
@@ -221,11 +223,6 @@ def sampler(pt: PortType, edge: bool = False) -> Callable[[Xorshift64Star], Any]
         left, right = sampler(pt.args[0], edge), sampler(pt.args[1], edge)
         return lambda rng: Inl(left(rng)) if _coin(rng) else Inr(right(rng))
     return (_EDGE_LEAVES if edge else _RANDOM_LEAVES)[k]
-
-
-def random_value(pt: PortType, rng: Xorshift64Star) -> Value:
-    """A random inhabitant of a port type, driven entirely by ``rng``."""
-    return boxer(pt)(sampler(pt)(rng))
 
 
 def verify_classification(
@@ -456,13 +453,6 @@ _EDGE_LEAVES = {
     TypeKind.FLOAT: _picker(_EDGE_FLOATS),
     TypeKind.STR: _picker(_EDGE_STRS),
 }
-
-
-def edge_value(pt: PortType, rng: Xorshift64Star) -> Value:
-    """A random inhabitant of ``pt`` drawn from the edges of each scalar
-    domain: NaN, ±0.0, ±inf, subnormals, the 64-bit int extremes, and
-    non-ASCII and lone-surrogate strings."""
-    return boxer(pt)(sampler(pt, True)(rng))
 
 
 def _delay_thread(tid: int, carrier: PortType) -> ThreadSpec:

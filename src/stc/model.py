@@ -8,13 +8,15 @@ ids to their current private state values.
 
 A thread's public functions (``transfer``, ``value_part``,
 ``state_part``) take and return boxed ``Value``s. Executors run raw
-kernels instead (see ``values``). A builtin registers the raw kernel of
-each function it makes, keyed by the function's identity; ``raw_step``
-and friends look a kernel up there. Any other function, such as one
-swapped in with ``replace``, is run as box -> function -> unbox, so it
-is still the function that runs. A builtin's transfer kernel may also
-have a list kernel (``list_kernel``), the whole stage-wise map of one
-letter in one comprehension.
+kernels instead (see ``values``). Each function a builtin makes
+(``boxed_transfer``, ``boxed_part``) carries its raw ``Kernel`` as its
+``kernel`` attribute; ``raw_step`` and friends run that kernel
+(``kernel_of``). Any other function, such as one swapped in with
+``replace`` or wrapped, carries none and is run as box -> function ->
+unbox, so it is still the function that runs. A builtin's transfer
+kernel may in turn carry a list kernel as its ``over`` attribute
+(``list_kernel``), the whole stage-wise map of one letter in one
+comprehension.
 
 The records here (``ThreadSpec``, ``Multigraph``), like ``PortType`` and
 the shapes, are ``values.Record``s, not dataclasses: ``replace`` copies
@@ -23,7 +25,6 @@ one with some fields changed, as ``dataclasses.replace`` would.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from enum import Enum, unique
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -119,7 +120,7 @@ def replace(obj: Record, **changes: Any) -> Record:
 def expect_port(spec: ThreadSpec, what: str, v: Value, pt: PortType) -> None:
     """Raise ``PortTypeError`` unless ``v``, the ``what`` of thread
     ``spec``, inhabits ``pt``."""
-    if not v.matches(pt):
+    if not (isinstance(v, Value) and v.matches(pt)):
         raise ill_typed(spec, what, v, pt)
 
 
@@ -141,46 +142,35 @@ class Kernel:
     """The raw counterpart of one builtin function. ``sample`` is what hint
     sampling calls: ``run`` without its side effects (it never sleeps).
     Threads with equal ``claim``s, (builtin name, canonical params),
-    compute the same function. ``over``, where the builtin has one, is
-    ``run``'s list kernel (``list_kernel``). A plain class: a dataclass
-    would cost every process start a code generation."""
+    compute the same function. A plain class: a dataclass would cost every
+    process start a code generation."""
 
-    __slots__ = ("run", "sample", "claim", "over")
+    __slots__ = ("run", "sample", "claim")
 
-    def __init__(self, run: Callable, sample: Callable, claim: tuple,
-                 over: Optional[ListStep] = None):
-        self.run, self.sample, self.claim, self.over = run, sample, claim, over
+    def __init__(self, run: Callable, sample: Callable, claim: tuple):
+        self.run, self.sample, self.claim = run, sample, claim
 
 
-# builtin function -> its Kernel; an entry dies with its function
-_KERNELS: "weakref.WeakKeyDictionary[Callable, Kernel]" = weakref.WeakKeyDictionary()
-# a builtin's element kernel -> its list kernel, where it has one
-_LIST_KERNELS: "weakref.WeakKeyDictionary[RawStep, ListStep]" = weakref.WeakKeyDictionary()
-
-
-def register_kernel(fn: Callable, kernel: Kernel) -> None:
-    _KERNELS[fn] = kernel
-    if kernel.over is not None:
-        _LIST_KERNELS[kernel.run] = kernel.over
+def _carried(fn: Any, name: str) -> Any:
+    """``fn``'s attribute ``name``, or None. A wrapper that
+    ``functools.wraps`` made copies its wrapped function's attributes but
+    runs code of its own, so it carries none."""
+    return None if hasattr(fn, "__wrapped__") else getattr(fn, name, None)
 
 
 def list_kernel(step: RawStep) -> Optional[ListStep]:
-    """The list kernel of ``step`` when ``step`` is a builtin's own
-    unchecked transfer kernel and the builtin has one, else None. It maps
+    """The list kernel ``step`` carries, which a builtin's own unchecked
+    transfer kernel does where the builtin has one, else None. It maps
     ``step`` over a whole list: ``over(xs, s)`` returns and raises what
     ``composition.map_letter(step, xs, s)`` does."""
-    try:
-        return _LIST_KERNELS.get(step)
-    except TypeError:  # not weakly referenceable, so never registered
-        return None
+    return _carried(step, "over")
 
 
 def kernel_of(fn: Optional[Callable]) -> Optional[Kernel]:
-    """The registered kernel of ``fn`` itself, or None."""
-    try:
-        return _KERNELS.get(fn)
-    except TypeError:  # not weakly referenceable, so never registered
-        return None
+    """The kernel ``fn`` carries when it is a builtin's own function, else
+    None."""
+    kernel = _carried(fn, "kernel")
+    return kernel if isinstance(kernel, Kernel) else None
 
 
 def builtin_claim(spec: ThreadSpec) -> Optional[tuple]:
@@ -192,22 +182,30 @@ def builtin_claim(spec: ThreadSpec) -> Optional[tuple]:
 
 
 def boxed_transfer(
-    run: RawStep, src: PortType, tgt: PortType, state_type: PortType
+    kernel: Kernel, src: PortType, tgt: PortType, state_type: PortType
 ) -> TransferFn:
-    """The ``Value``-level transfer that runs the raw kernel ``run``."""
+    """The ``Value``-level transfer that runs ``kernel`` and carries it."""
+    run = kernel.run
     ux, us, by, bs = unboxer(src), unboxer(state_type), boxer(tgt), boxer(state_type)
 
     def transfer(x: Value, sigma: Value) -> Tuple[Value, Value]:
         y, sigma2 = run(ux(x), us(sigma))
         return by(y), bs(sigma2)
 
+    transfer.kernel = kernel
     return transfer
 
 
-def boxed_part(run: Callable[[Any], Any], src: PortType, tgt: PortType) -> Callable[[Value], Value]:
-    """The ``Value``-level half (``value_part``/``state_part``) running ``run``."""
-    u, b = unboxer(src), boxer(tgt)
-    return lambda v: b(run(u(v)))
+def boxed_part(kernel: Kernel, src: PortType, tgt: PortType) -> Callable[[Value], Value]:
+    """The ``Value``-level half (``value_part``/``state_part``) that runs
+    ``kernel`` and carries it."""
+    run, u, b = kernel.run, unboxer(src), boxer(tgt)
+
+    def part(v: Value) -> Value:
+        return b(run(u(v)))
+
+    part.kernel = kernel
+    return part
 
 
 def _raw_output(spec: ThreadSpec, y: Any) -> Any:

@@ -369,8 +369,8 @@ def parse_program(text: str) -> Program:
             raise SchemaError(f"{path}.{exc.path}", exc.message) from None
         init = td.get("init_state")
         if "init_state" in td:
-            init = value_from_json(init, made[0].state_type, f"{path}.init_state")
-        specs.append(thread_of(made, tid, fn, init, params))
+            init = value_from_json(init, made.state_type, f"{path}.init_state")
+        specs.append(thread_of(made, tid, init, params))
     graph = build_graph(*specs)
 
     input_type_text = _require(doc, "input_type", "")

@@ -355,7 +355,7 @@ def v_str(s: str) -> Value:
 def v_list(elem: PortType, items: Iterable[Value]) -> Value:
     tup = tuple(items)
     for i, item in enumerate(tup):
-        if not item.matches(elem):
+        if not (isinstance(item, Value) and item.matches(elem)):
             raise PortTypeError(f"list element {i} ({item!r}) is not a {elem.name}")
     return Value(Tag.LIST, tup, elem)
 

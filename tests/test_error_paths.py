@@ -16,7 +16,7 @@ import pytest
 
 from stc.builtins import make_thread
 from stc.cli import main
-from stc.composition import Plan, Word, eval_phi, unbox_input
+from stc.composition import Plan, Word, eval_interleaved, eval_phi, eval_psi_ref, unbox_input
 from stc.errors import ExecutionError, PortTypeError, SchemaError, ValidationError
 from stc.model import (
     Kernel,
@@ -25,17 +25,19 @@ from stc.model import (
     build_graph,
     init_state,
     raw_step,
-    register_kernel,
     replace,
 )
 from stc.parallel import (
     BranchProgram,
+    eval_auto_word,
     join,
     run_data_parallel_product,
     run_data_parallel_readonly,
+    run_pipeline,
     split,
     validate_branch,
 )
+from stc.program import Program
 from stc.values import INT_T, STR_T, v_int, v_list, v_str
 
 BASE = {
@@ -187,10 +189,8 @@ def _replaced(transfer):
 
 
 def _with_kernel(run):
-    """counter_add whose registered raw kernel is ``run``."""
-    fn = boxed_transfer(run, INT_T, INT_T, INT_T)
-    register_kernel(fn, Kernel(run, run, ("ill-typed", ())))
-    return _replaced(fn)
+    """counter_add whose transfer carries the raw kernel ``run``."""
+    return _replaced(boxed_transfer(Kernel(run, run, ("ill-typed", ())), INT_T, INT_T, INT_T))
 
 
 def _not_int(what, r):
@@ -319,4 +319,39 @@ COMPOSITION = [
     "call, exc_type, message", [c[1:] for c in COMPOSITION], ids=[c[0] for c in COMPOSITION]
 )
 def test_composition_and_parallel_errors(call, exc_type, message):
+    _raises(call, exc_type, message)
+
+
+# the boxed API checks that an argument is a ``Value`` before it reads one
+NOT_A_LIST = "expected a list value, got [1, 2]"
+NON_VALUES = [
+    ("program", lambda: Program(GRAPH, Word((4,)), [1, 2], INT_T), PortTypeError, NOT_A_LIST),
+    ("psi-ref", lambda: eval_psi_ref(GRAPH, Word((4,)), [1, 2], init_state(GRAPH)),
+     PortTypeError, NOT_A_LIST),
+    ("interleaved", lambda: eval_interleaved(GRAPH, Word((4,)), [1, 2], init_state(GRAPH)),
+     PortTypeError, NOT_A_LIST),
+    ("pipeline", lambda: run_pipeline(GRAPH, Word((4,)), [1, 2], init_state(GRAPH), workers=2),
+     PortTypeError, NOT_A_LIST),
+    ("auto", lambda: eval_auto_word(GRAPH, Word((4,)), [1, 2], init_state(GRAPH), workers=2),
+     PortTypeError, NOT_A_LIST),
+    ("readonly", lambda: run_data_parallel_readonly(GRAPH.edges[5], [1, 2], v_int(1)),
+     PortTypeError, NOT_A_LIST),
+    ("product", lambda: run_data_parallel_product(make_thread(6, "add1_tick"), [1, 2], v_int(0)),
+     PortTypeError, NOT_A_LIST),
+    ("split", lambda: split([1]), PortTypeError, "split needs a list of sum values, got [1]"),
+    ("join", lambda: join([1], [2], (True, False)), PortTypeError, "join needs two list values"),
+    ("phi", lambda: eval_phi(GRAPH, Word((4,)), 5, init_state(GRAPH)), PortTypeError,
+     "input 5 is not a int"),
+    ("apply", lambda: apply_thread(COUNTER, 5, v_int(0), check=True), PortTypeError,
+     _not_int("input", 5)),
+    ("v-list", lambda: v_list(INT_T, [1, 2]), PortTypeError, "list element 0 (1) is not a int"),
+    ("init-state", lambda: make_thread(1, "counter_add", 5), SchemaError,
+     "at init_state: 5 is not a int for counter_add"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, exc_type, message", [c[1:] for c in NON_VALUES], ids=[c[0] for c in NON_VALUES]
+)
+def test_non_value_arguments_raise_a_type_error(call, exc_type, message):
     _raises(call, exc_type, message)

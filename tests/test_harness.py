@@ -16,19 +16,18 @@ from stc.harness import (
     _picker,
     carrier_stream,
     check_program,
-    edge_value,
     first_divergence,
     gen_random_program,
     program_stream,
     random_port_type,
-    random_value,
     run_fuzz,
     run_program,
+    sampler,
     verify_hints,
 )
 from stc.model import ThreadSpec, build_graph, replace
 from stc.program import Program, program_digest, program_to_text, value_to_json
-from stc.values import FLOAT_T, INT_T, Inl, Inr, sum_of, v_float, v_int, v_str
+from stc.values import FLOAT_T, INT_T, Inl, Inr, boxer, sum_of, v_float, v_int, v_str
 from conftest import thread_starts
 
 
@@ -109,14 +108,14 @@ def test_carrier_stream_is_pinned(seed, expect):
 
 
 @pytest.mark.parametrize(
-    "draw,expect",
+    "edge,expect",
     [
-        (random_value, "4a125c79bf689137dcc4c890b63f08a6236afac31498a2d8d0f09ca4c1f10020"),
-        (edge_value, "8ba94e7f3b87c2b0543465714ac76ea71b68434ecc032531859ebd7d2c8675a1"),
+        (False, "4a125c79bf689137dcc4c890b63f08a6236afac31498a2d8d0f09ca4c1f10020"),
+        (True, "8ba94e7f3b87c2b0543465714ac76ea71b68434ecc032531859ebd7d2c8675a1"),
     ],
     ids=["random", "edge"],
 )
-def test_value_draws_are_pinned(draw, expect):
+def test_value_draws_are_pinned(edge, expect):
     # Hint samples and carrier inputs are drawn by the same per-type
     # samplers, so every value they draw, and the rng state they leave,
     # is frozen: old failure seeds must replay.
@@ -124,7 +123,8 @@ def test_value_draws_are_pinned(draw, expect):
     h = hashlib.sha256()
     for _ in range(1000):
         pt = random_port_type(rng)
-        h.update(json.dumps([pt.name, value_to_json(draw(pt, rng))]).encode())
+        v = boxer(pt)(sampler(pt, edge)(rng))
+        h.update(json.dumps([pt.name, value_to_json(v)]).encode())
     h.update(str(rng.state).encode())
     assert h.hexdigest() == expect
 

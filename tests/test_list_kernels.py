@@ -3,17 +3,30 @@
 ``run_stagewise`` runs a letter's list kernel when its step is the
 builtin's own unchecked kernel, so every list kernel must return and
 raise what ``map_letter`` does with the element kernel, on the output
-list and on the new state alike."""
+list and on the new state alike. Each function a builtin makes carries
+its kernel, and its transfer kernel the list kernel; any other function
+carries none and runs as itself."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from stc.builtins import instance, make_thread
+from stc.builtins import builtin_names, instance, make_thread
 from stc.composition import Word, map_letter, planner
 from stc.errors import PortTypeError
 from stc.harness import Xorshift64Star, sampler
-from stc.model import build_graph, kernel_of, list_kernel, raw_step, replace
+from stc.model import (
+    Kernel,
+    build_graph,
+    builtin_claim,
+    kernel_of,
+    list_kernel,
+    raw_step,
+    raw_transfer,
+    replace,
+)
 from stc.values import INT64_MAX, INT64_MIN, Inl, Inr, equaler, v_int, v_str
 
 # (builtin, params, sampled states): every builtin whose list form is one
@@ -34,9 +47,9 @@ EXTREMES = [INT64_MIN, INT64_MIN + 1, -2, -1, 0, 1, 2, INT64_MAX - 1, INT64_MAX]
 
 
 def _kernels(fn_name, params=None):
-    parts, _, transfer, _, _ = instance(fn_name, params or {})
-    kernel = kernel_of(transfer)
-    return parts, kernel.run, kernel.over
+    made = instance(fn_name, params or {})
+    run = kernel_of(made.transfer).run
+    return made, run, list_kernel(run)
 
 
 def _outcome(f, xs, s):
@@ -49,16 +62,16 @@ def _outcome(f, xs, s):
 def _assert_same(fn_name, params, xs, s):
     """``over(xs, s)`` returns or raises what ``map_letter`` does: equal
     outputs and an equal new state of the same type, or the same error."""
-    parts, run, over = _kernels(fn_name, params)
+    made, run, over = _kernels(fn_name, params)
     got = _outcome(over, list(xs), s)
     want = _outcome(lambda v, t: map_letter(run, v, t), list(xs), s)
     if want[0] == "raised" or got[0] == "raised":
         assert got == want, (xs, s)
         return
     (_, ys, t), (_, zs, u) = got, want
-    same = equaler(parts.tgt)
+    same = equaler(made.tgt)
     assert type(ys) is list and len(ys) == len(zs) and all(map(same, ys, zs)), (xs, s)
-    assert type(t) is type(u) and equaler(parts.state_type)(t, u), (xs, s)
+    assert type(t) is type(u) and equaler(made.state_type)(t, u), (xs, s)
 
 
 @pytest.mark.parametrize(
@@ -66,8 +79,8 @@ def _assert_same(fn_name, params, xs, s):
 )
 def test_list_kernel_equals_map_letter_on_sampled_lists(fn_name, params, states):
     rng = Xorshift64Star(0x5EED)
-    parts = _kernels(fn_name, params)[0]
-    draws = sampler(parts.src), sampler(parts.src, True)
+    src = _kernels(fn_name, params)[0].src
+    draws = sampler(src), sampler(src, True)
     for s in states:
         for n in (0, 1, 2, 5, 17, 64):
             for draw in draws:
@@ -129,7 +142,7 @@ def test_only_a_builtins_own_unchecked_kernel_has_a_list_kernel():
         assert list_kernel(raw_step(spec, True)) is None
         replaced = replace(spec, transfer=lambda x, s, f=spec.transfer: f(x, s))
         assert list_kernel(raw_step(replaced, False)) is None
-    assert list_kernel(len) is None  # not weakly referenceable
+    assert list_kernel(len) is None  # a builtin function carries no attribute
 
 
 @pytest.mark.parametrize("i", [0, 3, 15])
@@ -147,3 +160,53 @@ def test_checked_seq_conforms_element_by_element(i):
     with pytest.raises(PortTypeError) as info:
         plan.core(items, {1: 0, 2: 1})
     assert str(info.value) == "thread 1 input 9223372036854775808 is not a int"
+
+
+VARIANTS = [(name, {}) for name in builtin_names()] + [
+    (f, p) for f, p, _ in LISTED if p] + [("delay_identity_ms", {"delay_ms": 1})]
+
+
+@pytest.mark.parametrize("fn_name, params", VARIANTS, ids=[f"{f}{p or ''}" for f, p in VARIANTS])
+def test_every_builtin_function_carries_its_kernel(fn_name, params):
+    # each function a builtin makes carries the kernel of its claim, and
+    # its transfer kernel carries a list kernel unless it sleeps
+    spec = make_thread(1, fn_name, params=params)
+    claim = builtin_claim(spec)
+    assert claim is not None and claim[0] == fn_name
+    fns = [f for f in (spec.transfer, spec.value_part, spec.state_part) if f is not None]
+    assert len(fns) == (3 if fn_name == "add1_tick" else 1)
+    for fn in fns:
+        assert type(fn.kernel) is Kernel and kernel_of(fn) is fn.kernel
+        assert fn.kernel.claim == claim
+    run = kernel_of(spec.transfer).run
+    assert raw_transfer(spec) is run
+    assert (list_kernel(run) is None) == bool(params.get("delay_ms"))
+
+
+def _not_carried(how, spec, calls):
+    def counted(x, sigma):
+        calls.append(x)
+        return spec.transfer(x, sigma)
+
+    if how == "partial":
+        return functools.partial(spec.transfer)
+    if how == "not-a-kernel":
+        counted.kernel = kernel_of(spec.transfer).run
+    elif how == "wraps":  # functools.wraps copies the kernel attribute too
+        counted = functools.wraps(spec.transfer)(counted)
+        assert counted.kernel is spec.transfer.kernel
+    return counted
+
+
+@pytest.mark.parametrize("how", ["replaced", "partial", "not-a-kernel", "wraps"])
+def test_a_function_that_is_not_a_builtins_own_runs_itself(how):
+    spec = make_thread(1, "counter_add")
+    calls = []
+    fn = _not_carried(how, spec, calls)
+    other = replace(spec, transfer=fn)
+    assert kernel_of(fn) is None and builtin_claim(other) is None
+    assert raw_transfer(other) is not kernel_of(spec.transfer).run
+    assert list_kernel(raw_step(other, False)) is None
+    plan = planner(build_graph(other), Word((1,)))("seq")
+    assert plan.core([4, 5], {1: 0}) == ([4, 6], {1: 2})
+    assert len(calls) == (0 if how == "partial" else 2)

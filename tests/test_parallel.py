@@ -49,7 +49,7 @@ from stc.harness import (
 from stc import mutations, parallel
 from stc.cli import main
 from stc.composition import planner, run_route
-from stc.model import Kernel, boxed_part, boxed_transfer, raw_step, register_kernel, replace
+from stc.model import Kernel, boxed_part, boxed_transfer, raw_step, replace
 from stc.parallel import MAX_WORKERS, Crew
 from stc.program import Program
 from conftest import counter_scale_graph, int_list, thread_starts
@@ -415,10 +415,9 @@ def test_fast_path_replica_failure_raises_the_rerun_exception():
 
 
 def _kernel_fn(run, *types):
-    """A boxed function of ``types`` whose registered raw kernel is ``run``."""
-    fn = (boxed_transfer if len(types) == 3 else boxed_part)(run, *types)
-    register_kernel(fn, Kernel(run, run, ("ill-typed", ())))
-    return fn
+    """A boxed function of ``types`` that carries the raw kernel ``run``."""
+    return (boxed_transfer if len(types) == 3 else boxed_part)(
+        Kernel(run, run, ("ill-typed", ())), *types)
 
 
 @pytest.mark.parametrize("part, what", [("value_part", "output"), ("state_part", "new state")])

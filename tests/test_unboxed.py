@@ -47,9 +47,9 @@ from stc.harness import (
     FuzzConfig,
     Xorshift64Star,
     carrier_stream,
-    edge_value,
     random_port_type,
     run_program,
+    sampler,
     verify_classification,
     verify_hints,
 )
@@ -68,6 +68,11 @@ from stc.values import (
 )
 
 MODES = ("seq", "interleaved", "pipeline", "auto")
+
+
+def _edge_value(pt, rng):
+    """A boxed inhabitant of ``pt`` drawn from the edge-value samplers."""
+    return boxer(pt)(sampler(pt, True)(rng))
 EDGE_FLOATS = [math.nan, -0.0, 0.0, math.inf, -math.inf, 5e-324, -2.5e-320]
 EDGE_STRS = ["\ud800", "a\udfffb", "é日本😀", ""]
 
@@ -140,10 +145,8 @@ def test_edge_values_survive_parse_and_render(tmp_path):
 def test_box_unbox_round_trip(text):
     pt = parse_port(text)
     rng = Xorshift64Star(len(text))
-    from stc.harness import edge_value
-
     for _ in range(50):
-        v = edge_value(pt, rng)
+        v = _edge_value(pt, rng)
         raw = unboxer(pt)(v)
         assert conformer(pt)(raw)
         assert not isinstance(raw, Value)
@@ -166,7 +169,7 @@ def test_equaler_agrees_with_boxed_equality():
         pt = random_port_type(rng)
         eq, box, unbox = equaler(pt), boxer(pt), unboxer(pt)
         for _ in range(5):
-            a, b = edge_value(pt, rng), edge_value(pt, rng)
+            a, b = _edge_value(pt, rng), _edge_value(pt, rng)
             # a random pair, and a pair equal by construction whose raw
             # containers are distinct objects
             for x, y in ((a, b), (a, box(unbox(a)))):
