@@ -54,6 +54,7 @@ from .model import (
     ThreadSpec,
     boxed_part,
     boxed_transfer,
+    ill_init,
 )
 from .values import (
     INT64_MAX,
@@ -288,9 +289,7 @@ def thread_of(
     init; the thread keeps ``params`` as given."""
     init = made.init_state if init_state is None else init_state
     if not (isinstance(init, Value) and init.matches(made.state_type)):
-        raise SchemaError(
-            "init_state", f"{init!r} is not a {made.state_type.name} for {made.fn_name}"
-        )
+        raise ill_init(made, init)
     return ThreadSpec(thread_id, made.src, made.tgt, made.state_type, init, made.fn_name, params,
                       made.kind, made.blocking, made.transfer, made.value_part, made.state_part)
 

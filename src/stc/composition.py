@@ -31,14 +31,17 @@ Three evaluators share one contract and must agree bit-exactly:
 The list evaluators take a word or a branch program; ``eval_branch`` and
 ``eval_branch_elementwise`` are the same two functions under their
 branch names. Both walk a ``Route``, the steps of every part, built once
-per plan: ``run_route`` maps a list through it, ``route_element`` one
-element. ``run_route`` maps each letter with ``run_stagewise``, which
-runs a builtin's list kernel where the step is the builtin's own
-unchecked kernel and ``map_letter`` otherwise. So ``seq``, a threadless
-``pipeline`` or ``auto`` plan and the re-run of a failed stream map whole
-lists, while ``interleaved``, a one-lane threaded stage and a replica
-(whose steps are wrapped, ``parallel._replica_step``) apply the element
-kernels.
+per plan: ``run_route`` maps a list through it, and ``walker`` compiles
+its element walk, one function that takes an element through every part
+with each letter's state in a closure cell, written back by ``settle``.
+The walk runs as blocks of at most ``_BLOCK`` letters, each block's code
+compiled once per length (``_block``). ``run_route`` maps each letter
+with ``run_stagewise``, which runs a builtin's list kernel where the step
+is the builtin's own unchecked kernel and ``map_letter`` otherwise. So
+``seq``, a threadless ``pipeline`` or ``auto`` plan, a replica (whose
+steps are wrapped, ``parallel._replica_step``) and the re-run of a failed
+stream map lists and compile nothing, while ``interleaved``, ``eval_phi``
+and a one-lane threaded stage build a walker on each run.
 
 Every evaluator plans through ``planner``, the one place a mode becomes
 an executor: it validates a shape once and plans it in any of ``MODES``
@@ -56,6 +59,7 @@ slots once, runs the core and boxes the result once; ``stc run`` and
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from types import CellType, CodeType, FunctionType
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -353,19 +357,8 @@ def map_letter(step: RawStep, values: Sequence[Any], sigma: Any) -> Tuple[List[A
     return staged, sigma
 
 
-def element_steps(graph: Multigraph, letters: Sequence[int], check: bool) -> Steps:
-    return [(n, raw_step(graph.edges[n], check)) for n in letters]
-
-
-def run_element(steps: Steps, slots: Slots, v: Any) -> Any:
-    """One element through every letter, updating ``slots`` in place."""
-    for n, step in steps:
-        v, slots[n] = step(v, slots[n])
-    return v
-
-
 def run_stagewise(steps: Steps, slots: Slots, values: Sequence[Any]) -> Sequence[Any]:
-    """The list twin of ``run_element``: each letter maps over the whole
+    """The list twin of a word's ``walker``: each letter maps over the whole
     list before the next letter runs, updating ``slots`` in place. A step
     that is a builtin's own unchecked kernel runs as its list kernel
     (``model.list_kernel``), one comprehension per letter; any other step,
@@ -391,7 +384,11 @@ def eval_phi(
     if not (isinstance(x, Value) and x.matches(src)):
         raise PortTypeError(f"input {x!r} is not a {src.name}")
     slots = raw_slots(graph, state, word.letters)
-    y = run_element(element_steps(graph, word.letters, check), slots, unboxer(src)(x))
+    each, settle = walker(route_of(graph, (word,), check), slots)
+    try:
+        y = each(unboxer(src)(x))
+    finally:
+        settle()
     return boxer(tgt)(y), boxed_store(graph, state, slots)
 
 
@@ -400,13 +397,13 @@ def route_of(graph: Multigraph, parts: Sequence[Part], check: bool = False) -> R
     ``(left, right)`` steps of a branch's sides."""
 
     def steps(word: Word) -> Steps:
-        return element_steps(graph, word.letters, check)
+        return [(n, raw_step(graph.edges[n], check)) for n in word.letters]
 
     return [steps(p) if isinstance(p, Word) else (steps(p[0]), steps(p[1])) for p in parts]
 
 
 def run_route(route: Route, slots: Slots, values: Sequence[Any]) -> Sequence[Any]:
-    """The list twin of ``route_element``, the one branch walker of the
+    """The list twin of ``walker``, the one branch walker of the
     stage-wise evaluators: each part maps over the whole list in turn. At
     the sides the list is split, the left steps map over the inl payloads
     and the right ones over the inr ones, and the results are joined by
@@ -423,18 +420,97 @@ def run_route(route: Route, slots: Slots, values: Sequence[Any]) -> Sequence[Any
     return values
 
 
-def route_element(route: Route, slots: Slots, v: Any) -> Any:
-    """One element through every part: a word's steps, or at the sides
-    the steps of the side its injection names, in the same injection; an
-    element whose side has no steps passes as it is."""
-    for part in route:
-        if type(part) is list:
-            v = run_element(part, slots, v)
-        elif type(v) is Inl:
-            if part[0]:
-                v = Inl(run_element(part[0], slots, v.value))
-        elif part[1]:
-            v = Inr(run_element(part[1], slots, v.value))
+# the most letters one compiled block holds: a longer word part chains
+# blocks, since a straight-line function compiles in time quadratic in
+# its length
+_BLOCK = 16
+
+
+@lru_cache(maxsize=_BLOCK)
+def _block(k: int) -> Tuple[CodeType, Tuple[int, ...]]:
+    """The code of an element function over ``k`` letters, ``v, s0 =
+    k0(v, s0)`` and so on, and where each of its free variables sits in
+    ``[k0, ..., s0, ...]``. The source holds nothing but indices below
+    ``k``: kernels and states enter only as closure cells (``walker``)."""
+    states = [f"s{i}" for i in range(k)]
+    cells = " = ".join(states + [f"k{i}" for i in range(k)])
+    steps = "".join(f"\n        v, s{i} = k{i}(v, s{i})" for i in range(k))
+    scope: Dict[str, Any] = {}
+    exec(
+        f"def block():\n    {cells} = None\n    def each(v):\n"
+        f"        nonlocal {', '.join(states)}{steps}\n        return v\n    return each",
+        scope,
+    )
+    code = scope["block"]().__code__
+    return code, tuple(int(name[1:]) + (k if name[0] == "s" else 0) for name in code.co_freevars)
+
+
+def _then(fns: List[Callable[[Any], Any]]) -> Optional[Callable[[Any], Any]]:
+    """``fns`` applied in order, or None for no function."""
+    if len(fns) <= 1:
+        return fns[0] if fns else None
+
+    def each(v: Any) -> Any:
+        for f in fns:
+            v = f(v)
+        return v
+
+    return each
+
+
+def _fork(
+    left: Optional[Callable[[Any], Any]], right: Optional[Callable[[Any], Any]]
+) -> Optional[Callable[[Any], Any]]:
+    """A branch's sides: an element through the side its injection names,
+    in the same injection; an element whose side is None passes as it is."""
+    if left is None and right is None:
+        return None
+
+    def each(v: Any) -> Any:
+        if type(v) is Inl:
+            return v if left is None else Inl(left(v.value))
+        return v if right is None else Inr(right(v.value))
+
+    return each
+
+
+def walker(route: Route, slots: Slots) -> Tuple[Callable[[Any], Any], Callable[[], None]]:
+    """The element walk of ``route`` over ``slots``: ``each(v)`` takes one
+    element through every part, a word's steps or at the sides the steps
+    of the side its injection names, and ``settle()`` writes every
+    letter's state back into ``slots``. Each letter's state is one closure
+    cell, which every block holding the letter shares, so a repeated
+    letter threads one state. A word part runs as blocks of at most
+    ``_BLOCK`` letters (``_block``). Callers run ``settle`` in a
+    ``finally``: after a failure each slot holds its letter's state after
+    its last completed step."""
+    cells: Dict[int, CellType] = {}
+
+    def walk(steps: Steps) -> Optional[Callable[[Any], Any]]:
+        blocks = []
+        for i in range(0, len(steps), _BLOCK):
+            chunk = steps[i:i + _BLOCK]
+            for n, _ in chunk:
+                if n not in cells:
+                    cells[n] = CellType(slots[n])
+            code, where = _block(len(chunk))
+            free = [CellType(step) for _, step in chunk] + [cells[n] for n, _ in chunk]
+            blocks.append(FunctionType(code, {}, None, None, tuple(free[j] for j in where)))
+        return _then(blocks)
+
+    each = _then([
+        f for f in (walk(p) if type(p) is list else _fork(walk(p[0]), walk(p[1])) for p in route)
+        if f is not None
+    ])
+
+    def settle() -> None:
+        for n, cell in cells.items():
+            slots[n] = cell.cell_contents
+
+    return each or _same, settle
+
+
+def _same(v: Any) -> Any:
     return v
 
 
@@ -443,7 +519,11 @@ def _psi(route: Route, items: Sequence[Any], slots: Slots) -> Tuple[Sequence[Any
 
 
 def _interleaved(route: Route, items: Sequence[Any], slots: Slots) -> Tuple[List[Any], Slots]:
-    return [route_element(route, slots, v) for v in items], slots
+    each, settle = walker(route, slots)
+    try:
+        return [each(v) for v in items], slots
+    finally:
+        settle()
 
 
 # the four ways to run a shape, every one planned by ``planner``

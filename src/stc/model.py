@@ -29,7 +29,7 @@ from collections import deque
 from enum import Enum, unique
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DuplicateThreadId, PortTypeError
+from .errors import DuplicateThreadId, PortTypeError, SchemaError
 from .values import (
     PortType,
     Record,
@@ -384,9 +384,25 @@ def initial_slots(graph: Multigraph) -> Dict[int, Any]:
     return {n: unbox_state(spec.init_state, spec.state_type) for n, spec in graph.edges.items()}
 
 
+def ill_init(spec: ThreadSpec, init: Any) -> SchemaError:
+    """The error for an ``init`` state that is not a ``Value`` of
+    ``spec``'s state type."""
+    return SchemaError("init_state", f"{init!r} is not a {spec.state_type.name} for {spec.fn_name}")
+
+
 def raw_slots(graph: Multigraph, state: StateStore, letters) -> Dict[int, Any]:
-    """The raw states of ``letters``' slots in ``state``."""
-    return {n: unbox_state(state.get(n), graph.edges[n].state_type) for n in set(letters)}
+    """The raw states of ``letters``' slots in ``state``. Raises
+    ``PortTypeError`` unless ``state`` is a ``StateStore``, and
+    ``ill_init``'s error for a slot that holds no ``Value``."""
+    if not isinstance(state, StateStore):
+        raise PortTypeError(f"expected a state store, got {type(state).__name__}")
+    slots = {}
+    for n in set(letters):
+        spec, v = graph.edges[n], state.get(n)
+        if not isinstance(v, Value):
+            raise ill_init(spec, v)
+        slots[n] = unbox_state(v, spec.state_type)
+    return slots
 
 
 def boxed_store(graph: Multigraph, state: StateStore, slots: Mapping[int, Any]) -> StateStore:

@@ -93,13 +93,13 @@ from .composition import (  # the coproduct, MAX_WORKERS and the branch names ar
     join,
     parts,
     planner,
-    route_element,
     route_of,
     run_boxed,
     run_route,
     segment_word,
     split,
     validate_branch,
+    walker,
 )
 from .errors import ExecutionError, ValidationError
 from .model import (
@@ -449,7 +449,7 @@ def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> Li
     takes chunks ``a, a + r, ...``, chunk ``j`` from lane ``j % r'`` of the
     stage before; a replicated first stage takes one element per chunk. A
     replica maps a whole chunk and hands it on as chunk ``j``; a one-lane
-    stage that is not last maps one element at a time (``_hand_on``); the
+    stage that is not last maps one element at a time through its ``walker`` (``_hand_on``); the
     last stage's chunks are joined in order. Each lane closes its outputs
     with ``None``, also when it fails, and drains its inputs; a lane that
     sees a recorded failure after a hand-off stops. The earliest failing
@@ -476,9 +476,11 @@ def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> Li
             chunks = iter((values,)) if r == 1 else ([v] for v in values[a::r])
         outs = links[s][a] if s < k - 1 else ()
         route, st, lanes = stages[s]
+        settle = None
         try:
             if r == 1 and outs:
-                _hand_on(partial(route_element, route, st), chunks, outs, failed)
+                each, settle = walker(route, st)
+                _hand_on(each, chunks, outs, failed)
                 return
             fn = lanes[a]
             for j, chunk in zip(count(a, r), chunks):
@@ -491,6 +493,8 @@ def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> Li
         except BaseException as exc:  # re-raised by _launch
             failed[t] = exc
         finally:
+            if settle is not None:
+                settle()
             for q in outs:
                 q.put(None)
             for q in ins:

@@ -42,7 +42,7 @@ from .composition import (
     unbox_input,
     validate_word,
 )
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import ParseError, PortTypeError, SchemaError, ValidationError
 from .model import Multigraph, StateStore, boxed_store, build_graph, initial_slots
 from .values import (
     INT64_MAX,
@@ -73,6 +73,8 @@ class Program:
     __slots__ = ("graph", "word", "input_type", "_items", "_input")
 
     def __init__(self, graph: Multigraph, word: Shape, input: Value, input_type: PortType):
+        if not isinstance(input_type, PortType):
+            raise PortTypeError(f"expected a port type, got {input_type!r}")
         self.graph, self.word, self.input_type = graph, word, input_type
         self._items = tuple(unbox_input(input, input_type))
         self._input: Optional[Value] = input

@@ -360,16 +360,24 @@ def v_list(elem: PortType, items: Iterable[Value]) -> Value:
     return Value(Tag.LIST, tup, elem)
 
 
+def _value_arg(what: str, v: Any) -> Any:
+    """``v``; raises ``PortTypeError`` unless it is a ``Value``."""
+    if not isinstance(v, Value):
+        raise PortTypeError(f"{what} ({v!r}) is not a value")
+    return v
+
+
 def v_pair(first: Value, second: Value) -> Value:
-    return Value(Tag.PAIR, (first, second))
+    return Value(Tag.PAIR, (_value_arg("pair component 0", first),
+                            _value_arg("pair component 1", second)))
 
 
 def v_inl(inner: Value) -> Value:
-    return Value(Tag.SUML, inner)
+    return Value(Tag.SUML, _value_arg("inl payload", inner))
 
 
 def v_inr(inner: Value) -> Value:
-    return Value(Tag.SUMR, inner)
+    return Value(Tag.SUMR, _value_arg("inr payload", inner))
 
 
 def box_list(elem: PortType, items: Iterable[Any]) -> Value:

@@ -23,6 +23,7 @@ from stc.model import (
     apply_thread,
     boxed_transfer,
     build_graph,
+    StateStore,
     init_state,
     raw_step,
     replace,
@@ -38,7 +39,7 @@ from stc.parallel import (
     validate_branch,
 )
 from stc.program import Program
-from stc.values import INT_T, STR_T, v_int, v_list, v_str
+from stc.values import INT_T, STR_T, v_inl, v_inr, v_int, v_list, v_pair, v_str
 
 BASE = {
     "threads": [{"id": 1, "fn": "counter_add", "init_state": 0}],
@@ -347,6 +348,25 @@ NON_VALUES = [
     ("v-list", lambda: v_list(INT_T, [1, 2]), PortTypeError, "list element 0 (1) is not a int"),
     ("init-state", lambda: make_thread(1, "counter_add", 5), SchemaError,
      "at init_state: 5 is not a int for counter_add"),
+    ("v-pair-first", lambda: v_pair(1, v_int(2)), PortTypeError,
+     "pair component 0 (1) is not a value"),
+    ("v-pair-second", lambda: v_pair(v_int(1), 2), PortTypeError,
+     "pair component 1 (2) is not a value"),
+    ("v-inl", lambda: v_inl(1), PortTypeError, "inl payload (1) is not a value"),
+    ("v-inr", lambda: v_inr("x"), PortTypeError, "inr payload ('x') is not a value"),
+    ("psi-ref-state", lambda: eval_psi_ref(GRAPH, Word((4,)), v_list(INT_T, []), {4: v_int(5)}),
+     PortTypeError, "expected a state store, got dict"),
+    ("phi-state", lambda: eval_phi(GRAPH, Word((4,)), v_int(1), {4: v_int(5)}),
+     PortTypeError, "expected a state store, got dict"),
+    ("program-input-type", lambda: Program(GRAPH, Word((4,)), v_list(INT_T, []), "int"),
+     PortTypeError, "expected a port type, got 'int'"),
+    ("raw-slot", lambda: eval_psi_ref(GRAPH, Word((4,)), v_list(INT_T, []), StateStore({4: 5})),
+     SchemaError, "at init_state: 5 is not a int for counter_add"),
+    ("raw-slot-interleaved",
+     lambda: eval_interleaved(GRAPH, Word((4,)), v_list(INT_T, [v_int(1)]), StateStore({4: 5})),
+     SchemaError, "at init_state: 5 is not a int for counter_add"),
+    ("raw-slot-phi", lambda: eval_phi(GRAPH, Word((4,)), v_int(1), StateStore({4: 5})),
+     SchemaError, "at init_state: 5 is not a int for counter_add"),
 ]
 
 
