@@ -449,11 +449,12 @@ def _stream(stages: Sequence[Lanes], values: Sequence[Any], capacity: int) -> Li
     takes chunks ``a, a + r, ...``, chunk ``j`` from lane ``j % r'`` of the
     stage before; a replicated first stage takes one element per chunk. A
     replica maps a whole chunk and hands it on as chunk ``j``; a one-lane
-    stage that is not last maps one element at a time through its ``walker`` (``_hand_on``); the
-    last stage's chunks are joined in order. Each lane closes its outputs
-    with ``None``, also when it fails, and drains its inputs; a lane that
-    sees a recorded failure after a hand-off stops. The earliest failing
-    lane's exception is raised."""
+    stage that is not last maps one element at a time through its
+    ``walker`` (``_hand_on``), settled when the lane ends; the last
+    stage's chunks are joined in order. Each lane closes its outputs with
+    ``None``, also when it fails, and drains its inputs; a lane that sees
+    a recorded failure after a hand-off stops. The earliest failing lane's
+    exception is raised."""
     k = len(stages)
     widths = [len(lanes) for _, _, lanes in stages]
     # links[s][a][b]: from lane a of stage s to lane b of stage s + 1
