@@ -67,7 +67,8 @@ def unwrap(values):
 @pytest.mark.parametrize("length", [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1])
 def test_walker_matches_the_loop_on_words(length, check):
     graph = chain_graph(length)
-    (got, got_slots), (want, want_slots) = walk_both(graph, Word(tuple(range(1, length + 1))), check)
+    word = Word(tuple(range(1, length + 1)))
+    (got, got_slots), (want, want_slots) = walk_both(graph, word, check)
     assert got == want
     assert got_slots == want_slots
 
